@@ -38,10 +38,10 @@ for a, b, n in [(1, 2, 4), (3, 2, 4)]:
             print(f"    {format_binomial(g)}")
     print()
 
-# the toric route never needs the minors: it starts from a lattice kernel
-# basis of the weight vector and saturates by every variable in turn
+# the toric route never needs the minors: it eliminates t from the ideal
+# of the x_i - t^(w_i) in one Buchberger run
 p = InstanceParams(a=1, b=2, n=4)
 direct = toric_ideal(Grading.scalar(generators(p)))
-print("kernel-and-saturate route, a=1 b=2 n=4:")
+print("elimination route, a=1 b=2 n=4:")
 for g in direct.elements:
     print(f"  {format_binomial(g)}")

@@ -22,7 +22,6 @@ from .binomials import (
 from .families import (
     LatticeMatrix,
     MinorFamily,
-    kernel_lattice_basis,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,

@@ -4,7 +4,9 @@ Variables x_1 .. x_n carry the semigroup weights; the two-row grading stacks
 the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
 families come from 2 x 2 minors of a pair of structured 2 x (n-1) and 2 x n
 matrices of monomials, and the kernel-lattice matrices give small integer
-relation bases whose saturations recover the toric ideals.
+relation bases whose saturations recover the toric ideals.  The toric ideal
+itself comes from one elimination Buchberger run, independent of those
+saturations, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -14,14 +16,8 @@ from math import comb
 
 from . import intlinalg
 from .binomials import Binomial, Grading, Monomial, is_homogeneous
-from .groebner import (
-    GroebnerBasis,
-    TraceFn,
-    buchberger,
-    reduce_gb,
-    saturate_torus,
-)
-from .orders import MatrixOrder, build_order_i
+from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
+from .orders import MatrixOrder, _unit_negative_row, build_order_i
 from .semigroup import InstanceParams, generators, repunit
 
 
@@ -266,11 +262,6 @@ def weight_relation_matrix(params: InstanceParams) -> LatticeMatrix:
     return mat
 
 
-def kernel_lattice_basis(rows) -> tuple[tuple[int, ...], ...]:
-    """Size-reduced basis of the full integer kernel of the given rows."""
-    return intlinalg.kernel_basis(rows)
-
-
 def toric_ideal(
     grading: Grading,
     order: MatrixOrder | None = None,
@@ -278,13 +269,35 @@ def toric_ideal(
 ) -> GroebnerBasis:
     """Reduced basis of the toric ideal of the grading's monomial map.
 
-    Route: a kernel lattice basis gives a binomial ideal whose torus
-    saturation is the full lattice ideal, which for a saturated kernel is
-    the toric ideal itself.
+    Route (Conti-Traverso; Sturmfels, Groebner Bases and Convex Polytopes,
+    ch. 4): with one variable t_k per grading row, the toric ideal is the
+    t-free part of the ideal of the x_i - t^(A_i).  A row with a negative
+    entry is first shifted by a multiple of the positive row, which keeps
+    the integer kernel and so the toric ideal.  Order row one, the column
+    sums followed by ones, makes every generator homogeneous; row two, the
+    t-degree, then puts every monomial involving t above every t-free
+    monomial of the same weight, so a single Buchberger run eliminates t.
     """
-    basis_rows = kernel_lattice_basis(grading.rows)
-    gens = [Binomial.from_vector(r) for r in basis_rows]
-    sat = saturate_torus(gens, grading, trace)
+    n, d = grading.nvars, len(grading.rows)
+    pos = grading.positive_row()
+    shifted = []
+    for row in grading.rows:
+        c = max(0, *(-(x // p) for x, p in zip(row, pos)))
+        shifted.append([x + c * p for x, p in zip(row, pos)])
+    gens = [
+        Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in shifted))
+        for i in range(1, n + 1)
+    ]
+    rows = [
+        tuple(map(sum, zip(*shifted))) + (1,) * d,
+        (0,) * n + (1,) * d,
+    ]
+    # -1 unit rows over t_1..t_(d-1), then x_1..x_(n-1): full rank
+    cols = [*range(n, n + d - 1), *range(n - 1)]
+    rows += [_unit_negative_row(n + d, c) for c in cols]
+    elim = buchberger(gens, MatrixOrder(tuple(rows)), trace)
+    # a t-free leading term has a t-free trailing term under this order
+    kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
     if order is None:
-        order = build_order_i(grading.positive_row(), grading.nvars)
-    return reduce_gb(buchberger(sat, order, trace))
+        order = build_order_i(pos, n)
+    return reduce_gb(buchberger(kept, order, trace))

@@ -32,8 +32,6 @@ from .orders import MatrixOrder, build_order_i
 
 TraceFn = Callable[[str], None]
 
-_SATURATION_CAP = 64
-
 
 @dataclass(frozen=True)
 class GroebnerBasis:
@@ -256,32 +254,6 @@ def _strip_variable(g: Binomial, idx: int) -> Binomial:
     return Binomial(plus, minus)
 
 
-def _saturate_variable(
-    gens: Iterable[Binomial],
-    i: int,
-    grading: Grading,
-    trace: TraceFn | None,
-) -> tuple[list[Binomial], bool]:
-    order = build_order_i(grading.positive_row(), i)
-    current = [g for g in gens if not g.is_zero()]
-    stripped_any = False
-    for _ in range(_SATURATION_CAP):
-        gb = groebner_reduced(current, order, trace)
-        nxt = []
-        changed = False
-        for g in gb.elements:
-            s = _strip_variable(g, i - 1)
-            if s is not g:
-                changed = True
-            nxt.append(s)
-        if not changed:
-            return list(gb.elements), stripped_any
-        # stripping keeps orientation: both sides moved by the same monomial
-        stripped_any = True
-        current = nxt
-    raise RuntimeError(f"saturation by variable {i} did not stabilize")
-
-
 def saturate_variable(
     gens: Iterable[Binomial],
     i: int,
@@ -290,15 +262,19 @@ def saturate_variable(
 ) -> list[Binomial]:
     """Generators of I : x_i^infinity for the graded binomial ideal I.
 
-    Uses the reduced basis under the weighted reverse-lex order with x_i
-    cheapest: for ideals homogeneous under a positive weight row, x_i divides
-    a whole element whenever it divides the leading term, so stripping the
-    common x_i power from every element lands exactly on the saturation.
+    One reduced basis under the weighted reverse-lex order with x_i cheapest,
+    then one strip (Sturmfels, Groebner Bases and Convex Polytopes, ch. 12):
+    for an ideal homogeneous under a positive weight row, x_i divides
+    a whole element whenever it divides the leading term, so removing the
+    common x_i power from every element gives a Groebner basis of the
+    saturation.  Stripping keeps orientation, as both sides lose the same
+    monomial.
     """
     if not 1 <= i <= grading.nvars:
         raise ValueError(f"variable index must be in 1..{grading.nvars}, got {i}")
-    sat, _ = _saturate_variable(gens, i, grading, trace)
-    return sat
+    order = build_order_i(grading.positive_row(), i)
+    gb = groebner_reduced(gens, order, trace)
+    return [_strip_variable(g, i - 1) for g in gb.elements]
 
 
 def saturate_torus(
@@ -308,15 +284,10 @@ def saturate_torus(
 ) -> list[Binomial]:
     """Saturation of the ideal by the product of all variables.
 
-    Rounds of single-variable saturations until a full round strips nothing;
-    the result generates I : (x_1 * ... * x_n)^infinity.
+    One pass of single-variable saturations: I : (x_1 * ... * x_n)^infinity
+    equals (...(I : x_1^infinity) ...) : x_n^infinity, and each step is
+    exact, so no second round can strip anything.
     """
-    current = [g for g in gens if not g.is_zero()]
-    for _ in range(_SATURATION_CAP):
-        any_strip = False
-        for i in range(1, grading.nvars + 1):
-            current, stripped = _saturate_variable(current, i, grading, trace)
-            any_strip = any_strip or stripped
-        if not any_strip:
-            return current
-    raise RuntimeError("torus saturation did not stabilize")
+    for i in range(1, grading.nvars + 1):
+        gens = saturate_variable(gens, i, grading, trace)
+    return gens

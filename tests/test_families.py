@@ -5,9 +5,8 @@ from math import comb
 
 import pytest
 
-from repunit_toric.binomials import Binomial, format_binomial, is_homogeneous
+from repunit_toric.binomials import Binomial, Grading, format_binomial, is_homogeneous
 from repunit_toric.families import (
-    kernel_lattice_basis,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
@@ -19,8 +18,14 @@ from repunit_toric.families import (
     toric_ideal,
     weight_relation_matrix,
 )
-from repunit_toric.groebner import ideal_equal, is_groebner_basis, reduce_binomial
-from repunit_toric.intlinalg import dot, row_hnf
+from repunit_toric.groebner import (
+    groebner_reduced,
+    ideal_equal,
+    is_groebner_basis,
+    reduce_binomial,
+    saturate_torus,
+)
+from repunit_toric.intlinalg import dot, kernel_basis, row_hnf
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, generators, is_coprime
 
@@ -121,7 +126,7 @@ def test_projective_relation_matrix():
     for b, n in [(2, 4), (3, 5), (4, 6)]:
         p = InstanceParams(1, b, n)
         mat = projective_relation_matrix(p)
-        kernel = kernel_lattice_basis(projective_grading(p).rows)
+        kernel = kernel_basis(projective_grading(p).rows)
         assert row_hnf(mat.rows) == row_hnf(kernel)
 
 
@@ -136,7 +141,7 @@ def test_weight_relation_matrix():
         mat = weight_relation_matrix(p)
         w = generators(p)
         assert all(dot(w, row) == 0 for row in mat.rows)
-        full = row_hnf(mat.rows) == row_hnf(kernel_lattice_basis((w,)))
+        full = row_hnf(mat.rows) == row_hnf(kernel_basis((w,)))
         assert full == is_coprime(p)
 
 
@@ -147,6 +152,37 @@ def test_toric_ideal_route_matches_minors():
     assert gb.reduced
     assert is_groebner_basis(gb.elements, order)
     assert ideal_equal(gb, minors_closed_chain(p).binomials, order)
+
+
+def _saturation_route(grading, order):
+    # the independent route: torus saturation of the kernel lattice ideal
+    kernel = [Binomial.from_vector(r) for r in kernel_basis(grading.rows)]
+    return groebner_reduced(saturate_torus(kernel, grading), order).elements
+
+
+@pytest.mark.parametrize(
+    "kind,a,b,n",
+    [("scalar", a, b, n) for a in range(1, 6) for b in range(2, 6) for n in (4, 5)]
+    + [("projective", 1, b, n) for b in (2, 3, 4) for n in (4, 5)],
+)
+def test_toric_ideal_elimination_matches_saturation(kind, a, b, n):
+    p = InstanceParams(a, b, n)
+    grading = scalar_grading(p) if kind == "scalar" else projective_grading(p)
+    gb = toric_ideal(grading)
+    assert gb.elements == _saturation_route(grading, gb.order)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [((2, 3, 5, 7), (1, -1, 2, 0)), ((1, 1, 1, 1, 1), (0, 1, -2, 3, 1))],
+)
+def test_toric_ideal_of_grading_with_negative_entries(rows):
+    grading = Grading(rows)
+    order = build_order_i(grading.positive_row(), 1)
+    gb = toric_ideal(grading, order)
+    assert gb.elements
+    assert all(is_homogeneous(grading, g) for g in gb)
+    assert gb.elements == _saturation_route(grading, order)
 
 
 def test_toric_ideal_membership_oracle():
