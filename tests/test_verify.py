@@ -53,25 +53,35 @@ def test_printed_four_variable_set():
         four_variable_generators(InstanceParams(1, 3, 5))
 
 
-@pytest.mark.parametrize(
-    "claim,params",
-    [
-        ("prop-gb1", InstanceParams(1, 1, 4)),
-        ("thm-gb2", InstanceParams(2, 1, 5)),
-        ("cor-gb1", InstanceParams(1, 1, 5)),
-        ("cor-gb1", InstanceParams(1, 2, 3)),
-        ("cor-gb2", InstanceParams(3, 2, 4)),
-        ("example5", InstanceParams(1, 5, 4)),
-        ("example5", InstanceParams(11, 5, 5)),
-        ("example-n4-minors", InstanceParams(3, 2, 4)),
-        ("example-gcd3", InstanceParams(1, 2, 4)),
-        ("example-a3b3", InstanceParams(1, 3, 4)),
-    ],
-)
+# (claim, instance) -> the refusal text every report of the run carries
+REFUSALS = {
+    ("prop-gb1", InstanceParams(1, 1, 4)): "claim assumes base b >= 2, got b=1",
+    ("thm-gb2", InstanceParams(2, 1, 5)): "claim assumes base b >= 2, got b=1",
+    ("cor-gb1", InstanceParams(1, 1, 5)): "claim assumes base b >= 2, got b=1",
+    ("cor-gb1", InstanceParams(1, 2, 3)): "relation pattern needs n >= 4, got n=3",
+    ("cor-gb2", InstanceParams(3, 2, 4)): "claim assumes coprime generators, got gcd 3",
+    ("example5", InstanceParams(1, 5, 4)): "claim is pinned to n=5, b=5, got n=4, b=5",
+    ("example5", InstanceParams(11, 5, 5)): "claim assumes gcd(a, 781) == 1, got a=11",
+    ("example-n4-minors", InstanceParams(3, 2, 4)):
+        "claim assumes coprime generators, got gcd 3",
+    ("example-gcd3", InstanceParams(1, 2, 4)):
+        "claim is pinned to a=3, b=2, n=4, got a=1, b=2, n=4",
+    ("example-a3b3", InstanceParams(1, 3, 4)):
+        "claim is pinned to a=3, b=3, n=4, got a=1, b=3, n=4",
+}
+
+
+@pytest.mark.parametrize("claim,params", list(REFUSALS))
 def test_refusals(claim, params):
-    reports = run_claim(claim, params)
-    assert all(r.overall() == "refused" for r in reports)
-    assert exit_code(reports) == 2
+    detail = REFUSALS[claim, params]
+    indices = list(range(1, params.n + 1)) if CLAIMS[claim].per_index else [None]
+    for all_indices in (False, True):
+        reports = run_claim(claim, params, all_indices=all_indices)
+        assert [r.instance.i for r in reports] == indices
+        assert [(c.name, c.status, c.detail) for r in reports for c in r.claims] == [
+            (claim, "refused", detail)
+        ] * len(indices)
+        assert exit_code(reports) == 2
 
 
 def test_run_claim_argument_errors():
