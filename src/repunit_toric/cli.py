@@ -1,21 +1,19 @@
 """Command line front end.
 
 Subcommands: info, verify, sweep, groebner, betti, unique.  Exit codes:
-0 all checks passed, 1 a verification failed, 2 usage error or a claim
-refused the instance.
+0 all checks passed, 1 a verification failed, 2 usage error (exponent
+overflow included) or a claim refused the instance.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
-from .binomials import format_binomial
+from .binomials import ExponentOverflowError, format_binomial
 from .families import (
     minors_closed_chain,
     minors_open_chain,
@@ -28,7 +26,7 @@ from .groebner import groebner_reduced
 from .orders import build_order_i, five_variable_order
 from .reports import exit_code, render_json, render_text
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
-from .verify import CLAIMS, run_claim
+from .verify import CLAIMS, claim_spec, run_claim
 
 SOURCES = ("minors-x", "minors-y", "toric-i", "toric-j")
 
@@ -69,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="tabulate a parameter grid")
     add_common(p_sweep, ranges=True)
-    p_sweep.add_argument("--jobs", type=int, default=0,
-                         help="worker count (default: cpu count, capped at 8)")
 
     p_gb = sub.add_parser("groebner", help="list a reduced basis")
     add_common(p_gb)
@@ -152,10 +148,7 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs a claim name (positional or --claim)")
     if args.claim_pos and args.claim_opt and args.claim_pos != args.claim_opt:
         raise ValueError("positional claim and --claim disagree")
-    if claim not in CLAIMS:
-        raise ValueError(f"unknown claim {claim!r}; choose from {sorted(CLAIMS)}")
-    spec = CLAIMS[claim]
-    params = _params_from_args(args, dict(spec.defaults))
+    params = _params_from_args(args, dict(claim_spec(claim).defaults))
     reports = run_claim(claim, params, i=args.i, all_indices=args.all_i)
     if args.format == "text":
         _emit(render_text(reports), args.out)
@@ -173,6 +166,8 @@ def _parse_range(text: str, flag: str) -> list[int]:
         raise ValueError(f"--{flag} wants K or LO..HI, got {text!r}")
     lo = int(m.group(1))
     hi = int(m.group(2)) if m.group(2) else lo
+    if hi < lo:
+        raise ValueError(f"--{flag} range {text!r} is empty")
     return list(range(lo, hi + 1))
 
 
@@ -204,12 +199,7 @@ def cmd_sweep(args) -> int:
         for b in _parse_range(args.b, "b")
         for n in _parse_range(args.n, "n")
     ]
-    jobs = args.jobs or min(8, os.cpu_count() or 1)
-    if grid:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            rows = list(pool.map(_sweep_row, grid))
-    else:
-        rows = []
+    rows = [_sweep_row(p) for p in grid]
     if args.format == "text":
         header = f"{'a':>3} {'b':>3} {'n':>3} {'gcd':>5} {'mingens':>8} {'unique':>7} {'a<b-1':>6} {'agree':>6}"
         lines = [header]
@@ -340,7 +330,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValueError as exc:
+    except (ValueError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

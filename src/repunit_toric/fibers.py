@@ -135,14 +135,18 @@ def fiber_graph(
             continue
         if not is_homogeneous(grading, g):
             raise ValueError(f"mover {g} is not homogeneous for the grading")
-        for m in fiber.monomials:
-            if divides(g.plus, m):
-                target = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
-                uf.union(index[m], index[target])
-    components = tuple(
-        tuple(fiber.monomials[pos] for pos in grp) for grp in uf.groups()
-    )
-    return FiberGraph(fiber, components)
+        _apply_move(g, fiber.monomials, index, uf)
+    return FiberGraph(fiber, _components(uf, fiber.monomials))
+
+
+def _apply_move(
+    g: Binomial, monomials: Sequence[Monomial], index: dict[Monomial, int], uf: UnionFind
+) -> None:
+    """Join each monomial the move g applies to with its image under g."""
+    for m in monomials:
+        if divides(g.plus, m):
+            target = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
+            uf.union(index[m], index[target])
 
 
 def _degree_key(d: tuple[int, ...]) -> tuple:
@@ -176,20 +180,13 @@ def betti_splits(
         fiber = enumerate_fiber(grading, d)
         index = {m: pos for pos, m in enumerate(fiber.monomials)}
         uf = UnionFind(len(fiber.monomials))
-
-        def apply(g: Binomial) -> None:
-            for m in fiber.monomials:
-                if divides(g.plus, m):
-                    target = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
-                    uf.union(index[m], index[target])
-
         for k, g in keyed:
             if k < key:
-                apply(g)
+                _apply_move(g, fiber.monomials, index, uf)
         below = _components(uf, fiber.monomials)
         for k, g in keyed:
             if k == key:
-                apply(g)
+                _apply_move(g, fiber.monomials, index, uf)
         full = _components(uf, fiber.monomials)
         out[d] = DegreeSplit(fiber, below, full)
     return out

@@ -1,8 +1,9 @@
 """Claim verifiers: each named claim checks one statement mechanically.
 
 Verifiers return structured reports rather than booleans so callers can see
-which sub-check failed and how long it took.  Instances outside a claim's
-hypotheses are refused, never silently recomputed.
+which sub-check failed and how long it took.  A claim's hypotheses are the
+`requires` entries of its `ClaimSpec`; instances outside them are refused
+before any check runs, never silently recomputed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .families import (
     projective_relation_matrix,
     scalar_grading,
     structured_closed_family,
-    structured_family,
     structured_open_family,
     toric_ideal,
     weight_relation_matrix,
@@ -60,37 +60,101 @@ from .semigroup import (
 CheckFn = Callable[[], tuple[bool, str]]
 
 
-def _instance(params: InstanceParams, i: int | None = None) -> InstanceRef:
-    return InstanceRef(params.a, params.b, params.n, i)
+class _Checks:
+    """Collects the timed sub-checks of one claim run, in the order they ran."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.results: list[ClaimResult] = []
+
+    def __call__(self, label: str, fn: CheckFn) -> bool:
+        t0 = time.perf_counter()
+        ok, detail = fn()
+        ms = int(round((time.perf_counter() - t0) * 1000))
+        self.results.append(ClaimResult(self.name, PASS if ok else FAIL, f"{label}: {detail}", ms))
+        return ok
 
 
-def _run(claims: list[ClaimResult], name: str, label: str, fn: CheckFn) -> bool:
-    t0 = time.perf_counter()
-    ok, detail = fn()
-    ms = int(round((time.perf_counter() - t0) * 1000))
-    claims.append(ClaimResult(name, PASS if ok else FAIL, f"{label}: {detail}", ms))
-    return ok
+# One hypothesis of a claim: (holds(params), refusal text for params outside it).
+Requirement = tuple[Callable[[InstanceParams], bool], Callable[[InstanceParams], str]]
+
+BASE_AT_LEAST_2: Requirement = (
+    lambda p: p.b >= 2, lambda p: f"claim assumes base b >= 2, got b={p.b}"
+)
+COPRIME: Requirement = (
+    lambda p: gcd_of_generators(p) == 1,
+    lambda p: f"claim assumes coprime generators, got gcd {gcd_of_generators(p)}",
+)
 
 
-def _refusal(params: InstanceParams, name: str, why: str,
-             i: int | None = None) -> VerificationReport:
-    return VerificationReport(
-        _instance(params, i), (ClaimResult(name, REFUSED, why),)
+def pinned(**values: int) -> Requirement:
+    """The claim is stated for these parameter values only."""
+    want = ", ".join(f"{k}={v}" for k, v in values.items())
+    return (
+        lambda p: all(getattr(p, k) == v for k, v in values.items()),
+        lambda p: f"claim is pinned to {want}, got "
+        + ", ".join(f"{k}={getattr(p, k)}" for k in values),
     )
 
 
-def _needs_base(params: InstanceParams, name: str,
-                i: int | None = None) -> VerificationReport | None:
-    if params.b < 2:
-        return _refusal(params, name, f"claim assumes base b >= 2, got b={params.b}", i)
-    return None
+def _oriented_groebner(check: _Checks, family, order) -> bool:
+    """Orientation gate, then the S-pair check; False when the gate fails."""
+    oriented = check(
+        "orientation",
+        lambda: (
+            all(order.compare(g.plus, g.minus) > 0 for g in family),
+            "plus side of every element is its leading term",
+        ),
+    )
+    if oriented:
+        check("groebner",
+              lambda: (is_groebner_basis(family, order), "all S-pairs reduce to zero"))
+    return oriented
 
 
-def verify_homogeneity_identity(params: InstanceParams) -> VerificationReport:
+def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors,
+                   order) -> None:
+    """The relation rows span the kernel lattice; their ideal saturates to the minors."""
+    check(
+        "relation-matrix",
+        lambda: (
+            row_hnf(kernel_basis(grading.rows)) == row_hnf(rel.rows),
+            f"{len(rel.rows)} rows span the full kernel lattice",
+        ),
+    )
+    check(
+        label,
+        lambda: (
+            ideal_equal(saturate_torus(list(rel.binomials()), grading), minors.binomials, order),
+            detail,
+        ),
+    )
+
+
+def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minors,
+                         order) -> None:
+    def toric_route() -> tuple[bool, str]:
+        tor = toric_ideal(grading, order)
+        ref = groebner_reduced(minors.binomials, order)
+        return tor.elements == ref.elements, detail
+
+    check(label, toric_route)
+
+
+def _oracle_count(check: _Checks, label: str, minors, grading, expected: int) -> None:
+    check(
+        label,
+        lambda: (
+            minimal_generator_count(minors.binomials, grading) == expected,
+            f"fiber oracle counts {expected} minimal generators",
+        ),
+    )
+
+
+def verify_homogeneity_identity(check: _Checks, params: InstanceParams) -> None:
     """lemma2: b*a_j + a_(j+k) == b*a_(j+k-1) + a_(j+1) on extended generators."""
-    claims: list[ClaimResult] = []
 
-    def check() -> tuple[bool, str]:
+    def identity() -> tuple[bool, str]:
         bad = [
             (j, k)
             for j in range(1, 31)
@@ -101,17 +165,15 @@ def verify_homogeneity_identity(params: InstanceParams) -> VerificationReport:
             return False, f"fails at (j, k) = {bad[:3]}"
         return True, "holds for all j, k in 1..30"
 
-    _run(claims, "lemma2", "weight identity", check)
-    return VerificationReport(_instance(params), tuple(claims))
+    check("weight identity", identity)
 
 
-def verify_minor_side_classifier(params: InstanceParams) -> VerificationReport:
+def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None:
     """lemma3: the index predicate picks the smaller minor side for every i."""
-    claims: list[ClaimResult] = []
     n, b = params.n, params.b
     weights = generators(params)
 
-    def check() -> tuple[bool, str]:
+    def classifier() -> tuple[bool, str]:
         count = 0
         bad = []
         for i in range(1, n + 1):
@@ -133,187 +195,92 @@ def verify_minor_side_classifier(params: InstanceParams) -> VerificationReport:
             return False, f"disagrees at (i, j, k) = {bad[:3]}"
         return True, f"agrees with compare on all {count} admissible (i, j, k)"
 
-    _run(claims, "lemma3", "side classifier", check)
-    return VerificationReport(_instance(params), tuple(claims))
+    check("side classifier", classifier)
 
 
-def verify_reduced_open_family(params: InstanceParams, i: int) -> VerificationReport:
+def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """prop-gb1: the structured open-chain family is the reduced basis."""
-    refusal = _needs_base(params, "prop-gb1", i)
-    if refusal:
-        return refusal
-    claims: list[ClaimResult] = []
-    name = "prop-gb1"
     order = build_order_i(generators(params), i)
     family = structured_open_family(params, i)
     minors = minors_open_chain(params)
 
-    oriented_ok = _run(
-        claims, name, "orientation",
-        lambda: (
-            all(order.compare(g.plus, g.minus) > 0 for g in family),
-            "plus side of every element is its leading term",
-        ),
-    )
-    if not oriented_ok:
-        return VerificationReport(_instance(params, i), tuple(claims))
-    _run(claims, name, "groebner",
-         lambda: (is_groebner_basis(family, order), "all S-pairs reduce to zero"))
-    _run(claims, name, "reduced",
-         lambda: (is_reduced_basis(family), "no leading term divides another monomial"))
+    if not _oriented_groebner(check, family, order):
+        return
+    check("reduced",
+          lambda: (is_reduced_basis(family), "no leading term divides another monomial"))
     expected = comb(params.n - 1, 2)
-    _run(claims, name, "cardinality",
-         lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
+    check("cardinality",
+          lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
 
     def engine_agrees() -> tuple[bool, str]:
         computed = groebner_reduced(minors.binomials, order)
         same = {(g.plus, g.minus) for g in computed} == {(g.plus, g.minus) for g in family}
         return same, "engine reduced basis of the minors equals the family"
 
-    _run(claims, name, "engine-equality", engine_agrees)
-    return VerificationReport(_instance(params, i), tuple(claims))
+    check("engine-equality", engine_agrees)
 
 
-def verify_minimal_closed_family(params: InstanceParams, i: int) -> VerificationReport:
+def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """thm-gb2: the structured closed-chain family is a minimal basis of the minors."""
-    refusal = _needs_base(params, "thm-gb2", i)
-    if refusal:
-        return refusal
-    claims: list[ClaimResult] = []
-    name = "thm-gb2"
     order = build_order_i(generators(params), i)
     family = structured_closed_family(params, i)
     minors = minors_closed_chain(params)
 
-    oriented_ok = _run(
-        claims, name, "orientation",
-        lambda: (
-            all(order.compare(g.plus, g.minus) > 0 for g in family),
-            "plus side of every element is its leading term",
-        ),
-    )
-    if not oriented_ok:
-        return VerificationReport(_instance(params, i), tuple(claims))
-    _run(claims, name, "groebner",
-         lambda: (is_groebner_basis(family, order), "all S-pairs reduce to zero"))
-    _run(claims, name, "minimal",
-         lambda: (is_minimal_basis(family), "no leading term divides another leading term"))
+    if not _oriented_groebner(check, family, order):
+        return
+    check("minimal",
+          lambda: (is_minimal_basis(family), "no leading term divides another leading term"))
     expected = comb(params.n, 2)
-    _run(claims, name, "cardinality",
-         lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
-    _run(
-        claims, name, "coverage",
+    check("cardinality",
+          lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
+    check(
+        "coverage",
         lambda: (
             {g.canonical() for g in family} == set(minors.binomials),
             "family equals the minor set up to orientation",
         ),
     )
-    return VerificationReport(_instance(params, i), tuple(claims))
 
 
-def verify_projective_saturation(params: InstanceParams) -> VerificationReport:
+def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None:
     """cor-gb1: relation rows saturate to the open-chain minors; unique system."""
-    name = "cor-gb1"
-    refusal = _needs_base(params, name)
-    if refusal:
-        return refusal
-    if params.n < 4:
-        return _refusal(params, name, f"relation pattern needs n >= 4, got n={params.n}")
-    claims: list[ClaimResult] = []
     grading = projective_grading(params)
     minors = minors_open_chain(params)
     order = build_order_i(generators(params), 1)
 
-    def relation_matrix() -> tuple[bool, str]:
-        rel = projective_relation_matrix(params)
-        full = row_hnf(kernel_basis(grading.rows)) == row_hnf(rel.rows)
-        return full, f"{len(rel.rows)} rows span the full kernel lattice"
-
-    _run(claims, name, "relation-matrix", relation_matrix)
-
-    def saturation() -> tuple[bool, str]:
-        rel = projective_relation_matrix(params)
-        sat = saturate_torus(list(rel.binomials()), grading)
-        return (
-            ideal_equal(sat, minors.binomials, order),
-            "torus saturation of the relation ideal equals the minor ideal",
-        )
-
-    _run(claims, name, "saturation", saturation)
+    _lattice_route(check, "saturation",
+                   "torus saturation of the relation ideal equals the minor ideal",
+                   projective_relation_matrix(params), grading, minors, order)
     expected = comb(params.n - 1, 2)
-    _run(
-        claims, name, "minimal-generation",
-        lambda: (
-            minimal_generator_count(minors.binomials, grading) == expected,
-            f"fiber oracle counts {expected} minimal generators",
-        ),
-    )
-    _run(
-        claims, name, "uniqueness",
+    _oracle_count(check, "minimal-generation", minors, grading, expected)
+    check(
+        "uniqueness",
         lambda: (
             has_unique_minimal_system(minors.binomials, grading),
             "every contributing fiber is two isolated monomials",
         ),
     )
-    _run(
-        claims, name, "pruning-agreement",
+    check(
+        "pruning-agreement",
         lambda: (
             len(prune_redundant_generators(minors.binomials, order)) == expected,
             "greedy Groebner pruning keeps the same count",
         ),
     )
-    return VerificationReport(_instance(params), tuple(claims))
 
 
-def verify_weight_toric(params: InstanceParams) -> VerificationReport:
+def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
     """cor-gb2: toric ideal equals the closed-chain minors; uniqueness frontier."""
-    name = "cor-gb2"
-    refusal = _needs_base(params, name)
-    if refusal:
-        return refusal
-    g = gcd_of_generators(params)
-    if g != 1:
-        return _refusal(
-            params, name,
-            f"claim assumes coprime generators, got gcd {g}",
-        )
-    claims: list[ClaimResult] = []
     grading = scalar_grading(params)
     minors = minors_closed_chain(params)
     order = build_order_i(generators(params), 1)
 
     if params.n >= 3:
-        def relation_matrix() -> tuple[bool, str]:
-            rel = weight_relation_matrix(params)
-            full = row_hnf(kernel_basis(grading.rows)) == row_hnf(rel.rows)
-            return full, f"{len(rel.rows)} rows span the full kernel lattice"
-
-        _run(claims, name, "relation-matrix", relation_matrix)
-
-        def lattice_route() -> tuple[bool, str]:
-            rel = weight_relation_matrix(params)
-            sat = saturate_torus(list(rel.binomials()), grading)
-            return (
-                ideal_equal(sat, minors.binomials, order),
-                "saturated relation ideal equals the minor ideal",
-            )
-
-        _run(claims, name, "lattice-route", lattice_route)
-
-    def toric_route() -> tuple[bool, str]:
-        tor = toric_ideal(grading, order)
-        ref = groebner_reduced(minors.binomials, order)
-        return tor.elements == ref.elements, "toric ideal equals the minor ideal"
-
-    _run(claims, name, "toric-equals-minors", toric_route)
-    expected = comb(params.n, 2)
-    _run(
-        claims, name, "minimal-generation",
-        lambda: (
-            minimal_generator_count(minors.binomials, grading) == expected,
-            f"fiber oracle counts {expected} minimal generators",
-        ),
-    )
+        _lattice_route(check, "lattice-route", "saturated relation ideal equals the minor ideal",
+                       weight_relation_matrix(params), grading, minors, order)
+    _toric_equals_minors(check, "toric-equals-minors", "toric ideal equals the minor ideal",
+                         grading, minors, order)
+    _oracle_count(check, "minimal-generation", minors, grading, comb(params.n, 2))
     if params.n > 3:
         def frontier() -> tuple[bool, str]:
             unique = has_unique_minimal_system(minors.binomials, grading)
@@ -327,24 +294,11 @@ def verify_weight_toric(params: InstanceParams) -> VerificationReport:
                 f"oracle={unique}, a<b-1={predicate}, all-i reduced={reduced_all}"
             )
 
-        _run(claims, name, "uniqueness-equivalence", frontier)
-    return VerificationReport(_instance(params), tuple(claims))
+        check("uniqueness-equivalence", frontier)
 
 
-def verify_five_variable_growth(params: InstanceParams) -> VerificationReport:
+def verify_five_variable_growth(check: _Checks, params: InstanceParams) -> None:
     """example5: the 3-5-4-2 tie-break order needs 8 reduced elements, not 6."""
-    name = "example5"
-    if (params.n, params.b) != (5, 5):
-        return _refusal(
-            params, name,
-            f"claim is pinned to n=5, b=5, got n={params.n}, b={params.b}",
-        )
-    if gcd(params.a, repunit(5, 5)) != 1:
-        return _refusal(
-            params, name,
-            f"claim assumes gcd(a, {repunit(5, 5)}) == 1, got a={params.a}",
-        )
-    claims: list[ClaimResult] = []
     order = five_variable_order(generators(params))
     minors = minors_open_chain(params)
 
@@ -352,14 +306,13 @@ def verify_five_variable_growth(params: InstanceParams) -> VerificationReport:
         gb = groebner_reduced(minors.binomials, order)
         return len(gb.elements) == 8, f"reduced basis has {len(gb.elements)} elements"
 
-    _run(claims, name, "reduced-size", reduced_size)
+    check("reduced-size", reduced_size)
 
     def exceeds() -> tuple[bool, str]:
         sizes = {len(structured_open_family(params, i)) for i in range(1, 6)}
         return sizes == {6}, "every cheap-variable order needs only 6"
 
-    _run(claims, name, "exceeds-structured", exceeds)
-    return VerificationReport(_instance(params), tuple(claims))
+    check("exceeds-structured", exceeds)
 
 
 def four_variable_generators(params: InstanceParams) -> tuple[Binomial, ...]:
@@ -378,46 +331,25 @@ def four_variable_generators(params: InstanceParams) -> tuple[Binomial, ...]:
     return tuple(g.canonical() for g in raw)
 
 
-def verify_four_variable_generators(params: InstanceParams) -> VerificationReport:
+def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> None:
     """example-n4-minors: at n=4 the six printed binomials minimally generate."""
-    name = "example-n4-minors"
-    refusal = _needs_base(params, name)
-    if refusal:
-        return refusal
-    if params.n != 4:
-        return _refusal(params, name, f"claim is pinned to n=4, got n={params.n}")
-    g = gcd_of_generators(params)
-    if g != 1:
-        return _refusal(params, name, f"claim assumes coprime generators, got gcd {g}")
-    claims: list[ClaimResult] = []
     grading = scalar_grading(params)
     minors = minors_closed_chain(params)
     printed = four_variable_generators(params)
     order = build_order_i(generators(params), 1)
 
-    _run(
-        claims, name, "printed-set",
+    check(
+        "printed-set",
         lambda: (
             set(printed) == set(minors.binomials),
             "printed binomials are exactly the closed-chain minors",
         ),
     )
-
-    def toric_route() -> tuple[bool, str]:
-        tor = toric_ideal(grading, order)
-        ref = groebner_reduced(minors.binomials, order)
-        return tor.elements == ref.elements, "printed set generates the toric ideal"
-
-    _run(claims, name, "toric-equality", toric_route)
-    _run(
-        claims, name, "oracle-count",
-        lambda: (
-            minimal_generator_count(minors.binomials, grading) == 6,
-            "fiber oracle counts 6 minimal generators",
-        ),
-    )
-    _run(
-        claims, name, "pruning",
+    _toric_equals_minors(check, "toric-equality", "printed set generates the toric ideal",
+                         grading, minors, order)
+    _oracle_count(check, "oracle-count", minors, grading, 6)
+    check(
+        "pruning",
         lambda: (
             {h.canonical() for h in prune_redundant_generators(minors.binomials, order)}
             == set(printed),
@@ -425,71 +357,55 @@ def verify_four_variable_generators(params: InstanceParams) -> VerificationRepor
         ),
     )
     if params.a < params.b - 1:
-        _run(
-            claims, name, "forced-system",
+        check(
+            "forced-system",
             lambda: (
                 forced_generators(minors.binomials, grading) == tuple(sorted(
                     printed, key=lambda h: (h.plus, h.minus))),
                 "fiber oracle forces exactly the printed six",
             ),
         )
-    return VerificationReport(_instance(params), tuple(claims))
 
 
-def verify_noncoprime_counts(params: InstanceParams) -> VerificationReport:
+def verify_noncoprime_counts(check: _Checks, params: InstanceParams) -> None:
     """example-gcd3: gcd 3 instance where the toric ideal needs 4, minors need 6."""
-    name = "example-gcd3"
-    if (params.a, params.b, params.n) != (3, 2, 4):
-        return _refusal(
-            params, name,
-            f"claim is pinned to a=3, b=2, n=4, got a={params.a}, b={params.b}, n={params.n}",
-        )
-    claims: list[ClaimResult] = []
     grading = scalar_grading(params)
     minors = minors_closed_chain(params)
     order = build_order_i(generators(params), 1)
 
-    _run(
-        claims, name, "generators",
+    check(
+        "generators",
         lambda: (
             generators(params) == (15, 18, 24, 36) and gcd_of_generators(params) == 3,
             f"generators {generators(params)} with gcd {gcd_of_generators(params)}",
         ),
     )
     tor = toric_ideal(grading, order)
-    _run(
-        claims, name, "toric-minimal-count",
+    check(
+        "toric-minimal-count",
         lambda: (
             minimal_generator_count(list(tor.elements), grading) == 4,
             "toric ideal needs 4 minimal generators",
         ),
     )
-    _run(
-        claims, name, "minor-minimal-count",
+    check(
+        "minor-minimal-count",
         lambda: (
             minimal_generator_count(minors.binomials, grading) == 6,
             "minor ideal needs 6 minimal generators",
         ),
     )
-    _run(
-        claims, name, "ideals-differ",
+    check(
+        "ideals-differ",
         lambda: (
             not ideal_equal(list(tor.elements), minors.binomials, order),
             "toric ideal is not the minor ideal",
         ),
     )
-    return VerificationReport(_instance(params), tuple(claims))
 
 
-def verify_nonminor_lead(params: InstanceParams) -> VerificationReport:
+def verify_nonminor_lead(check: _Checks, params: InstanceParams) -> None:
     """example-a3b3: a reduced-basis element that is not a minor at a=3, b=3, n=4."""
-    name = "example-a3b3"
-    if (params.a, params.b, params.n) != (3, 3, 4):
-        return _refusal(
-            params, name,
-            f"claim is pinned to a=3, b=3, n=4, got a={params.a}, b={params.b}, n={params.n}",
-        )
-    claims: list[ClaimResult] = []
     order = build_order_i(generators(params), 2)
     minors = minors_closed_chain(params)
     target = Binomial((0, 0, 0, 4), (1, 4, 2, 0))
@@ -498,9 +414,9 @@ def verify_nonminor_lead(params: InstanceParams) -> VerificationReport:
         gb = groebner_reduced(minors.binomials, order)
         return target in gb.elements, "x4^4 - x1*x2^4*x3^2 appears in the reduced basis"
 
-    _run(claims, name, "reduced-member", in_reduced)
-    _run(
-        claims, name, "not-a-minor",
+    check("reduced-member", in_reduced)
+    check(
+        "not-a-minor",
         lambda: (
             target.canonical() not in set(minors.binomials),
             "the new element is not a 2x2 minor",
@@ -514,35 +430,74 @@ def verify_nonminor_lead(params: InstanceParams) -> VerificationReport:
             "structured family is minimal but not reduced here",
         )
 
-    _run(claims, name, "minimal-not-reduced", minimal_not_reduced)
-    return VerificationReport(_instance(params), tuple(claims))
+    check("minimal-not-reduced", minimal_not_reduced)
 
 
 @dataclass(frozen=True)
 class ClaimSpec:
+    """A named claim: its runner, its hypotheses and its pinned-instance defaults.
+
+    `runner(check, params)` (or `runner(check, params, i)` when `per_index`)
+    records its sub-checks through `check`; it runs only on instances for
+    which every `requires` entry holds.
+    """
+
     runner: Callable
     per_index: bool = False
     defaults: tuple[tuple[str, int], ...] = ()
+    requires: tuple[Requirement, ...] = ()
 
 
 CLAIMS: dict[str, ClaimSpec] = {
     "lemma2": ClaimSpec(verify_homogeneity_identity),
     "lemma3": ClaimSpec(verify_minor_side_classifier),
-    "prop-gb1": ClaimSpec(verify_reduced_open_family, per_index=True),
-    "thm-gb2": ClaimSpec(verify_minimal_closed_family, per_index=True),
-    "cor-gb1": ClaimSpec(verify_projective_saturation),
-    "cor-gb2": ClaimSpec(verify_weight_toric),
-    "example5": ClaimSpec(verify_five_variable_growth, defaults=(("b", 5), ("n", 5))),
+    "prop-gb1": ClaimSpec(
+        verify_reduced_open_family, per_index=True, requires=(BASE_AT_LEAST_2,)
+    ),
+    "thm-gb2": ClaimSpec(
+        verify_minimal_closed_family, per_index=True, requires=(BASE_AT_LEAST_2,)
+    ),
+    "cor-gb1": ClaimSpec(
+        verify_projective_saturation,
+        requires=(
+            BASE_AT_LEAST_2,
+            (lambda p: p.n >= 4, lambda p: f"relation pattern needs n >= 4, got n={p.n}"),
+        ),
+    ),
+    "cor-gb2": ClaimSpec(verify_weight_toric, requires=(BASE_AT_LEAST_2, COPRIME)),
+    "example5": ClaimSpec(
+        verify_five_variable_growth,
+        defaults=(("b", 5), ("n", 5)),
+        requires=(
+            pinned(n=5, b=5),
+            (lambda p: gcd(p.a, repunit(5, 5)) == 1,
+             lambda p: f"claim assumes gcd(a, {repunit(5, 5)}) == 1, got a={p.a}"),
+        ),
+    ),
     "example-n4-minors": ClaimSpec(
-        verify_four_variable_generators, defaults=(("a", 1), ("b", 3), ("n", 4))
+        verify_four_variable_generators,
+        defaults=(("a", 1), ("b", 3), ("n", 4)),
+        requires=(BASE_AT_LEAST_2, pinned(n=4), COPRIME),
     ),
     "example-gcd3": ClaimSpec(
-        verify_noncoprime_counts, defaults=(("a", 3), ("b", 2), ("n", 4))
+        verify_noncoprime_counts,
+        defaults=(("a", 3), ("b", 2), ("n", 4)),
+        requires=(pinned(a=3, b=2, n=4),),
     ),
     "example-a3b3": ClaimSpec(
-        verify_nonminor_lead, defaults=(("a", 3), ("b", 3), ("n", 4))
+        verify_nonminor_lead,
+        defaults=(("a", 3), ("b", 3), ("n", 4)),
+        requires=(pinned(a=3, b=3, n=4),),
     ),
 }
+
+
+def claim_spec(name: str) -> ClaimSpec:
+    """The registered claim called name; ValueError lists the choices."""
+    try:
+        return CLAIMS[name]
+    except KeyError:
+        raise ValueError(f"unknown claim {name!r}; choose from {sorted(CLAIMS)}") from None
 
 
 def run_claim(
@@ -551,17 +506,34 @@ def run_claim(
     i: int | None = None,
     all_indices: bool = False,
 ) -> list[VerificationReport]:
-    """Run one named claim; per-index claims fan out over i when asked."""
-    try:
-        spec = CLAIMS[name]
-    except KeyError:
-        raise ValueError(f"unknown claim {name!r}; choose from {sorted(CLAIMS)}") from None
+    """Run one named claim; per-index claims fan out over i when asked.
+
+    An instance outside the claim's hypotheses gets one refused report per
+    index, and no check runs.
+    """
+    spec = claim_spec(name)
     if not spec.per_index:
         if i is not None:
             raise ValueError(f"claim {name!r} does not take an order index")
-        return [spec.runner(params)]
-    if i is not None and not all_indices:
+        indices: list[int | None] = [None]
+    elif i is not None and not all_indices:
         if not 1 <= i <= params.n:
             raise ValueError(f"order index must be in 1..{params.n}, got {i}")
-        return [spec.runner(params, i)]
-    return [spec.runner(params, idx) for idx in range(1, params.n + 1)]
+        indices = [i]
+    else:
+        indices = list(range(1, params.n + 1))
+    why = next((why for holds, why in spec.requires if not holds(params)), None)
+    refused = None if why is None else (ClaimResult(name, REFUSED, why(params)),)
+    reports = []
+    for idx in indices:
+        if refused is not None:
+            results = refused
+        else:
+            check = _Checks(name)
+            if idx is None:
+                spec.runner(check, params)
+            else:
+                spec.runner(check, params, idx)
+            results = tuple(check.results)
+        reports.append(VerificationReport(InstanceRef(params.a, params.b, params.n, idx), results))
+    return reports

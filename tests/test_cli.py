@@ -148,7 +148,7 @@ def test_groebner_trace_goes_to_stderr(capsys):
 
 
 def test_sweep_table_and_determinism(capsys):
-    args = ("sweep", "--a", "3", "--b", "2", "--n", "4..5", "--jobs", "2")
+    args = ("sweep", "--a", "3", "--b", "2", "--n", "4..5")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert code1 == code2 == 0
@@ -175,6 +175,21 @@ def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--a", "x..2", "--b", "2", "--n", "4")
     assert code == 2
     assert "wants K or LO..HI" in err
+
+    code, out, err = run(capsys, "sweep", "--a", "3..1", "--b", "2", "--n", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --a range '3..1' is empty\n"
+
+
+def test_exponent_overflow_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "groebner", "--source", "minors-x", "--order", "prec-1",
+        "--a", "3000000000", "--b", "2", "--n", "4",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: exponent 3000000003 exceeds 2147483647\n"
 
 
 def test_betti_counts(capsys):
