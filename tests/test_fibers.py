@@ -71,6 +71,21 @@ def test_enumerate_fiber_against_brute_force():
         assert list(fib.monomials) == brute_fiber(grading, degree)
         assert e in fib.monomials
 
+    # multi-row gradings: the projective one (a zero entry in its repunit
+    # row) and one whose second row mixes signs
+    multi = [projective_grading(InstanceParams(1, b, n)) for b, n in ((2, 4), (3, 4), (4, 4))]
+    multi.append(Grading(((3, 5, 7, 11), (2, -1, 4, -3))))
+    for grading in multi:
+        for _ in range(15):
+            e = tuple(rng.randint(0, 2) for _ in range(grading.nvars))
+            degree = grading.degree(e)
+            fib = enumerate_fiber(grading, degree)
+            assert list(fib.monomials) == brute_fiber(grading, degree)
+            assert e in fib.monomials
+            for shifted in ((degree[0] + 1,) + degree[1:], degree[:-1] + (degree[-1] - 1,)):
+                fib = enumerate_fiber(grading, shifted)
+                assert list(fib.monomials) == brute_fiber(grading, shifted)
+
 
 def test_fiber_invariance_under_variable_permutation():
     w = (15, 18, 24, 36)
