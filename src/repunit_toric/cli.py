@@ -21,7 +21,7 @@ from .families import (
     scalar_grading,
     toric_ideal,
 )
-from .fibers import betti_degrees, has_unique_minimal_system
+from .fibers import betti_degrees, betti_splits, has_unique_minimal_system
 from .groebner import groebner_reduced
 from .orders import build_order_i, five_variable_order
 from .reports import exit_code, render_json, render_text
@@ -48,9 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="output format (json and json-like are synonyms)",
         )
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
+
+    def add_engine(p: argparse.ArgumentParser) -> None:
+        add_common(p)
+        p.add_argument("--source", choices=SOURCES, required=True)
         p.add_argument(
             "--trace", action="store_true",
-            help="stream one line per Buchberger S-pair to stderr (engine commands)",
+            help="stream one line per Buchberger S-pair to stderr",
         )
 
     p_info = sub.add_parser("info", help="print instance basics")
@@ -69,19 +73,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_sweep, ranges=True)
 
     p_gb = sub.add_parser("groebner", help="list a reduced basis")
-    add_common(p_gb)
-    p_gb.add_argument("--source", choices=SOURCES, required=True)
+    add_engine(p_gb)
     p_gb.add_argument("--order", default="prec-i",
                       help="prec-i (with --i), prec-<k>, or example5")
     p_gb.add_argument("--i", type=int, help="cheap variable index for prec-i")
 
     p_betti = sub.add_parser("betti", help="fiber-oracle generator counts per degree")
-    add_common(p_betti)
-    p_betti.add_argument("--source", choices=SOURCES, required=True)
+    add_engine(p_betti)
 
     p_unique = sub.add_parser("unique", help="is the minimal binomial system unique")
-    add_common(p_unique)
-    p_unique.add_argument("--source", choices=SOURCES, required=True)
+    add_engine(p_unique)
 
     return parser
 
@@ -107,7 +108,7 @@ def _params_from_args(args, defaults: dict | None = None) -> InstanceParams:
 
 
 def _trace_fn(args):
-    if not getattr(args, "trace", False):
+    if not args.trace:
         return None
     return lambda line: print(f"trace: {line}", file=sys.stderr)
 
@@ -176,8 +177,9 @@ def _sweep_row(params: InstanceParams) -> dict:
     grading = scalar_grading(params)
     order = build_order_i(generators(params), 1)
     tor = toric_ideal(grading, order)
-    count = sum(betti_degrees(list(tor.elements), grading).values())
-    unique = has_unique_minimal_system(list(tor.elements), grading)
+    splits = betti_splits(list(tor.elements), grading).values()
+    count = sum(s.new_generators() for s in splits)
+    unique = all(s.forced_pairs() is not None for s in splits)
     predicate = params.a < params.b - 1
     if g == 1 and params.n > 3:
         agree = "yes" if unique == predicate else "NO"

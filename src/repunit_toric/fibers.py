@@ -78,47 +78,61 @@ class DegreeSplit:
     def new_generators(self) -> int:
         return len(self.below) - len(self.full)
 
+    def forced_pairs(self) -> list[tuple[Monomial, Monomial]] | None:
+        """Forced generator pairs of this degree, or None when a choice exists.
+
+        Group the below-components by the full component containing them.  A
+        full component made of one below-component needs nothing.  One made of
+        exactly two isolated monomials forces the binomial joining them.  Any
+        other shape leaves a choice of monomials or of tree shape, so the
+        minimal system is not unique.
+        """
+        root_of: dict[Monomial, int] = {}
+        for pos, comp in enumerate(self.full):
+            for m in comp:
+                root_of[m] = pos
+        grouped: dict[int, list[tuple[Monomial, ...]]] = {}
+        for comp in self.below:
+            grouped.setdefault(root_of[comp[0]], []).append(comp)
+        pairs = []
+        for comps in grouped.values():
+            if len(comps) == 1:
+                continue
+            if len(comps) != 2 or any(len(c) != 1 for c in comps):
+                return None
+            pairs.append((comps[0][0], comps[1][0]))
+        return pairs
+
 
 def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
-    """All monomials of the given multidegree, sorted.
+    """All monomials of the given multidegree, in lexicographic order.
 
-    Depth-first search over exponents; the strictly positive grading row
-    bounds every exponent, and rows whose remaining entries are nonnegative
-    prune early.
+    Depth-first search over exponents, bounded by the strictly positive
+    grading row, which also fixes the last exponent by exact division.  Each
+    candidate is then checked against the full multidegree once.
     """
     target = tuple(int(d) for d in degree)
     if len(target) != len(grading.rows):
         raise ValueError(f"degree has {len(target)} entries, grading has {len(grading.rows)} rows")
-    n = grading.nvars
-    rows = grading.rows
-    pos_idx = next(
-        idx for idx, row in enumerate(rows) if all(x > 0 for x in row)
-    )
-    # row may prune at variable v only if its entries from v on are all >= 0
-    prunable_from = [
-        [all(row[u] >= 0 for u in range(v, n)) for v in range(n + 1)] for row in rows
-    ]
+    pos = grading.positive_row()
+    last = grading.nvars - 1
     found: list[Monomial] = []
-    exps = [0] * n
-    nrows = len(rows)
 
-    def walk(v: int, residual: tuple[int, ...]) -> None:
-        if v == n:
-            if all(r == 0 for r in residual):
-                found.append(tuple(exps))
+    def walk(prefix: Monomial, rest: int) -> None:
+        w = pos[len(prefix)]
+        if len(prefix) == last:
+            e, r = divmod(rest, w)
+            m = prefix + (e,)
+            if r == 0 and grading.degree(m) == target:
+                found.append(m)
             return
-        step = tuple(row[v] for row in rows)
-        bound = residual[pos_idx] // step[pos_idx]
-        for e in range(bound + 1):
-            cur = tuple(r - e * s for r, s in zip(residual, step))
-            if any(cur[idx] < 0 and prunable_from[idx][v + 1] for idx in range(nrows)):
-                continue
-            exps[v] = e
-            walk(v + 1, cur)
-        exps[v] = 0
+        for e in range(rest // w + 1):
+            walk(prefix + (e,), rest - e * w)
 
-    walk(0, target)
-    return Fiber(target, tuple(sorted(found)))
+    budget = target[grading.rows.index(pos)]
+    if budget >= 0:
+        walk((), budget)
+    return Fiber(target, tuple(found))
 
 
 def fiber_graph(
@@ -206,38 +220,9 @@ def minimal_generator_count(gens: Sequence[Binomial], grading: Grading) -> int:
     return sum(betti_degrees(gens, grading).values())
 
 
-def _forced_pairs(split: DegreeSplit) -> list[tuple[Monomial, Monomial]] | None:
-    """Forced generator pairs of one degree, or None when a choice exists.
-
-    Group the below-components by the full component containing them.  A
-    full component made of one below-component needs nothing.  One made of
-    exactly two isolated monomials forces the binomial joining them.  Any
-    other shape leaves a choice of monomials or of tree shape, so the
-    minimal system is not unique.
-    """
-    root_of: dict[Monomial, int] = {}
-    for pos, comp in enumerate(split.full):
-        for m in comp:
-            root_of[m] = pos
-    grouped: dict[int, list[tuple[Monomial, ...]]] = {}
-    for comp in split.below:
-        grouped.setdefault(root_of[comp[0]], []).append(comp)
-    pairs = []
-    for comps in grouped.values():
-        if len(comps) == 1:
-            continue
-        if len(comps) != 2 or any(len(c) != 1 for c in comps):
-            return None
-        pairs.append((comps[0][0], comps[1][0]))
-    return pairs
-
-
 def has_unique_minimal_system(gens: Sequence[Binomial], grading: Grading) -> bool:
     """True when every minimal generator is forced by its fiber split."""
-    for split in betti_splits(gens, grading).values():
-        if _forced_pairs(split) is None:
-            return False
-    return True
+    return all(s.forced_pairs() is not None for s in betti_splits(gens, grading).values())
 
 
 def forced_generators(
@@ -246,7 +231,7 @@ def forced_generators(
     """The unique minimal generating system, or None when it is not unique."""
     out = []
     for split in betti_splits(gens, grading).values():
-        pairs = _forced_pairs(split)
+        pairs = split.forced_pairs()
         if pairs is None:
             return None
         out.extend(Binomial(m1, m2).canonical() for m1, m2 in pairs)

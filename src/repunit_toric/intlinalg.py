@@ -1,9 +1,10 @@
 """Exact integer linear algebra on plain Python ints.
 
 Small dense matrices only (the package never sees more than ~8 variables),
-so clarity wins over asymptotics: rank and determinant run fraction-based
+so clarity wins over asymptotics: the determinant runs fraction-based
 Gaussian elimination, integer kernels come from unimodular column
-elimination, and lattices are compared through the row-style Hermite form.
+elimination, and rank and lattice comparison read the row-style Hermite
+form.
 """
 
 from __future__ import annotations
@@ -37,24 +38,7 @@ def _copy_fractions(rows: IntMatrix) -> list[list[Fraction]]:
 
 
 def rank(rows: IntMatrix) -> int:
-    a = _copy_fractions(rows)
-    if not a or not a[0]:
-        return 0
-    m, n = len(a), len(a[0])
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, m):
-            if a[i][c]:
-                f = a[i][c] / a[r][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m:
-            break
-    return r
+    return len(row_hnf(rows))
 
 
 def det(rows: IntMatrix) -> int:

@@ -147,6 +147,14 @@ def test_groebner_trace_goes_to_stderr(capsys):
     assert "trace:" not in out
 
 
+@pytest.mark.parametrize("command", ["info", "verify", "sweep"])
+def test_trace_only_on_engine_commands(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--a", "1", "--b", "3", "--n", "4", "--trace"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trace" in capsys.readouterr().err
+
+
 def test_sweep_table_and_determinism(capsys):
     args = ("sweep", "--a", "3", "--b", "2", "--n", "4..5")
     code1, out1, _ = run(capsys, *args)
