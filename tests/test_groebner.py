@@ -4,7 +4,9 @@ The crafted fixtures here were worked out by hand; the family-level checks
 lean on the constructors from families.py.
 """
 
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -149,6 +151,78 @@ def test_trace_reports_pair_handling():
     assert lines
     assert all(isinstance(s, str) for s in lines)
     assert any("pair" in s for s in lines)
+
+
+def test_trace_pins_pair_outcomes():
+    order = build_order_i((2, 1, 1), 3)
+    f1 = oriented(Binomial((1, 0, 0), (0, 1, 0)), order)
+    f2 = oriented(Binomial((1, 0, 1), (0, 2, 0)), order)
+    lines: list[str] = []
+    buchberger([f1, f2], order, trace=lines.append)
+    assert lines == [
+        "pair (0,1) lcm=x1*x3 -> x2^2 - x2*x3",
+        "pair (0,2) lcm=x1*x2^2 skipped: coprime leads",
+        "pair (1,2) lcm=x1*x2^2*x3 skipped: coprime leads",
+    ]
+    lines.clear()
+    assert not is_groebner_basis((f1, f2), order, trace=lines.append)
+    assert lines == ["pair (0,1) leaves remainder x2^2 - x2*x3"]
+
+    lines.clear()
+    toric_ideal(scalar_grading(InstanceParams(1, 2, 4)), trace=lines.append)
+    outcomes = Counter()
+    for s in lines:
+        if s.endswith("skipped: coprime leads"):
+            outcomes["coprime"] += 1
+        elif s.endswith("skipped: chain criterion"):
+            outcomes["chain"] += 1
+        elif s.endswith("-> 0"):
+            outcomes["zero"] += 1
+        else:
+            assert " -> " in s
+            outcomes["added"] += 1
+    assert outcomes == {"added": 13, "zero": 45, "chain": 33, "coprime": 60}
+
+
+def _random_homogeneous_gens(rng, nvars):
+    # distinct monomials (exponents <= 3) of equal weighted degree
+    w = tuple(rng.randint(1, 4) for _ in range(nvars))
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    for e in itertools.product(range(4), repeat=nvars):
+        by_degree.setdefault(sum(x * y for x, y in zip(w, e)), []).append(e)
+    classes = [monos for monos in by_degree.values() if len(monos) > 1]
+    gens = []
+    for _ in range(rng.randint(2, 4)):
+        u, v = rng.sample(rng.choice(classes), 2)
+        gens.append(Binomial(u, v))
+    return w, gens
+
+
+def test_random_homogeneous_ideals_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20211)
+    for _ in range(50):
+        nvars = rng.randint(3, 4)
+        w, gens = _random_homogeneous_gens(rng, nvars)
+        order = build_order_i(w, rng.randint(1, nvars))
+        xs = sympy.symbols(f"x1:{nvars + 1}")
+
+        def to_expr(g):
+            return sympy.Mul(*(x**p for x, p in zip(xs, g.plus))) - sympy.Mul(
+                *(x**p for x, p in zip(xs, g.minus))
+            )
+
+        gb = groebner_reduced(gens, order)
+        assert is_groebner_basis(gb.elements, order)
+        assert is_reduced_basis(gb.elements)
+        other = sympy.groebner([to_expr(g) for g in gens], *xs, order="grevlex")
+        for g in gb:
+            assert other.reduce(to_expr(g))[1] == 0
+        for g in gens:
+            assert ideal_member(g, gb)
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        assert groebner_reduced(shuffled, order).elements == gb.elements
 
 
 def test_cross_check_against_sympy():
