@@ -200,7 +200,13 @@ def s_pair(f: Binomial, g: Binomial, order) -> Binomial:
     return oriented_pair(m1, m2, order)
 
 
-def _normal_form(m: Monomial, rules: Sequence[tuple[Monomial, Monomial]]) -> Monomial:
+def normal_form(m: Monomial, rules: Sequence[tuple[Monomial, Monomial]]) -> Monomial:
+    """Normal form of m under the rewriting rules lead -> tail, taken in order.
+
+    Scans for the first applicable rule and restarts; with every rule
+    oriented under a term order each step moves strictly down, so this
+    terminates.
+    """
     # Hot loop: divisibility and the rewrite are inlined, no helper calls.
     nv = len(m)
     changed = True
@@ -227,21 +233,15 @@ def _normal_form(m: Monomial, rules: Sequence[tuple[Monomial, Monomial]]) -> Mon
 
 
 def reduce_monomial(m: Monomial, basis: Sequence[Binomial]) -> Monomial:
-    """Normal form of m under the rewriting rules plus -> minus of the basis.
-
-    Scans for the first applicable rule and restarts; with basis elements
-    oriented under a term order every step moves strictly down, so this
-    terminates.
-    """
-    rules = [(g.plus, g.minus) for g in basis if not g.is_zero()]
-    return _normal_form(m, rules)
+    """Normal form of m under the rewriting rules plus -> minus of the basis."""
+    return normal_form(m, [(g.plus, g.minus) for g in basis if not g.is_zero()])
 
 
 def reduce_binomial(f: Binomial, basis: Sequence[Binomial], order) -> Binomial:
     """Normal form of f: both monomials reduced, result re-oriented."""
     rules = [(g.plus, g.minus) for g in basis if not g.is_zero()]
-    p = _normal_form(f.plus, rules)
-    q = _normal_form(f.minus, rules)
+    p = normal_form(f.plus, rules)
+    q = normal_form(f.minus, rules)
     if p == q:
         return Binomial.zero(f.nvars)
     return oriented_pair(p, q, order)

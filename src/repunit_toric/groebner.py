@@ -13,24 +13,28 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import le
 from typing import Callable, Iterable, Sequence
 
 from .binomials import (
     Binomial,
     Grading,
+    Monomial,
     coprime,
+    div,
     divides,
     format_binomial,
     format_monomial,
     lcm,
-    oriented,
+    mul,
+    normal_form,
+    oriented_pair,
     reduce_binomial,
-    reduce_monomial,
-    s_pair,
 )
 from .orders import MatrixOrder, build_order_i
 
 TraceFn = Callable[[str], None]
+Rule = tuple[Monomial, Monomial]
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,6 @@ class GroebnerBasis:
     def __iter__(self):
         return iter(self.elements)
 
-    def leading_terms(self) -> tuple:
-        return tuple(g.plus for g in self.elements)
-
 
 def sort_canonical(elements: Iterable[Binomial], order: MatrixOrder) -> tuple[Binomial, ...]:
     """Deterministic listing: ascending leading term, then trailing term."""
@@ -62,32 +63,39 @@ def sort_canonical(elements: Iterable[Binomial], order: MatrixOrder) -> tuple[Bi
     return tuple(sorted(elements, key=pair_key))
 
 
+def _s_sides(big: Monomial, f: Rule, g: Rule, rules: Sequence[Rule]) -> tuple[Monomial, Monomial]:
+    # Normal forms of the two one-step rewrites of lcm(lt f, lt g); the
+    # S-binomial reduces to zero exactly when they agree.
+    return (normal_form(mul(div(big, f[0]), f[1]), rules),
+            normal_form(mul(div(big, g[0]), g[1]), rules))
+
+
 def buchberger(
     gens: Iterable[Binomial],
     order: MatrixOrder,
     trace: TraceFn | None = None,
 ) -> GroebnerBasis:
-    """Groebner basis of the binomial ideal spanned by gens under order."""
-    basis: list[Binomial] = []
-    seen = set()
+    """Groebner basis of the binomial ideal spanned by gens under order.
+
+    The basis is held as rewriting rules (lead, tail); validated binomials
+    are built only for the returned basis.
+    """
+    rules: list[Rule] = []
     for g in gens:
-        og = oriented(g, order)
-        if og.is_zero():
-            continue
-        if (og.plus, og.minus) not in seen:
-            seen.add((og.plus, og.minus))
-            basis.append(og)
+        c = order.compare(g.plus, g.minus)
+        rule = (g.plus, g.minus) if c > 0 else (g.minus, g.plus)
+        if c and rule not in rules:
+            rules.append(rule)
 
     pairs: list[tuple[int, tuple, int, int]] = []
-    leads: list[tuple[int, ...]] = [g.plus for g in basis]
 
     def push_pairs(j: int) -> None:
-        lt_j = leads[j]
+        lt_j = rules[j][0]
         for i in range(j):
-            big = lcm(leads[i], lt_j)
+            big = lcm(rules[i][0], lt_j)
             heapq.heappush(pairs, (order.weight(big), big, i, j))
 
-    for j in range(len(basis)):
+    for j in range(len(rules)):
         push_pairs(j)
 
     def chain_skip(big: tuple, i: int, j: int) -> bool:
@@ -95,42 +103,18 @@ def buchberger(
         # lcm weight, and a third lead dividing the lcm makes both triangle
         # lcms divisors of it; requiring them proper forces strictly smaller
         # weights, so those two pairs are already handled and S(i,j) is
-        # superfluous.  Divisibility and the two lcm tests are inlined by
-        # coordinate: this scan dominates the engine's run time.
-        lt_i = leads[i]
-        lt_j = leads[j]
-        nv = len(big)
-        for k in range(len(leads)):
-            if k == i or k == j:
-                continue
-            h = leads[k]
-            fits = True
-            for t in range(nv):
-                if h[t] > big[t]:
-                    fits = False
-                    break
-            if not fits:
-                continue
-            proper_i = False
-            for t in range(nv):
-                x = lt_i[t]
-                y = h[t]
-                if (x if x >= y else y) != big[t]:
-                    proper_i = True
-                    break
-            if not proper_i:
-                continue
-            for t in range(nv):
-                x = lt_j[t]
-                y = h[t]
-                if (x if x >= y else y) != big[t]:
-                    return True
-        return False
+        # superfluous.
+        lt_i = rules[i][0]
+        lt_j = rules[j][0]
+        return any(
+            k != i and k != j and all(map(le, h, big))
+            and tuple(map(max, lt_i, h)) != big and tuple(map(max, lt_j, h)) != big
+            for k, (h, _) in enumerate(rules)
+        )
 
     while pairs:
         _, big, i, j = heapq.heappop(pairs)
-        f, g = basis[i], basis[j]
-        if coprime(f.plus, g.plus):
+        if coprime(rules[i][0], rules[j][0]):
             if trace:
                 trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: coprime leads")
             continue
@@ -138,16 +122,15 @@ def buchberger(
             if trace:
                 trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: chain criterion")
             continue
-        r = reduce_binomial(s_pair(f, g, order), basis, order)
+        p, q = _s_sides(big, rules[i], rules[j], rules)
+        if p != q:
+            rules.append((p, q) if order.compare(p, q) > 0 else (q, p))
+            push_pairs(len(rules) - 1)
         if trace:
-            outcome = "-> 0" if r.is_zero() else f"-> {format_binomial(r)}"
-            trace(f"pair ({i},{j}) lcm={format_monomial(big)} {outcome}")
-        if not r.is_zero():
-            basis.append(r)
-            leads.append(r.plus)
-            push_pairs(len(basis) - 1)
+            outcome = "0" if p == q else " - ".join(map(format_monomial, rules[-1]))
+            trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> {outcome}")
 
-    return GroebnerBasis(sort_canonical(basis, order), order)
+    return GroebnerBasis(sort_canonical((Binomial(p, q) for p, q in rules), order), order)
 
 
 def is_groebner_basis(
@@ -165,14 +148,16 @@ def is_groebner_basis(
     for g in elems:
         if order.compare(g.plus, g.minus) <= 0:
             raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
-    for j in range(len(elems)):
+    rules = [(g.plus, g.minus) for g in elems]
+    for j in range(len(rules)):
         for i in range(j):
-            f, g = elems[i], elems[j]
-            if coprime(f.plus, g.plus):
+            f, g = rules[i], rules[j]
+            if coprime(f[0], g[0]):
                 continue
-            r = reduce_binomial(s_pair(f, g, order), elems, order)
-            if not r.is_zero():
+            p, q = _s_sides(lcm(f[0], g[0]), f, g, rules)
+            if p != q:
                 if trace:
+                    r = oriented_pair(p, q, order)
                     trace(f"pair ({i},{j}) leaves remainder {format_binomial(r)}")
                 return False
     return True
@@ -215,12 +200,12 @@ def minimalize(gb: GroebnerBasis) -> GroebnerBasis:
 
 def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
     """Reduced basis: minimal, with every trailing term in normal form."""
+    # Minimal leads are distinct and tail reduction keeps them, so the
+    # listing from minimalize stays sorted.
     m = minimalize(gb)
-    out = []
-    for g in m.elements:
-        q = reduce_monomial(g.minus, m.elements)
-        out.append(Binomial(g.plus, q))
-    return GroebnerBasis(sort_canonical(out, gb.order), gb.order, minimal=True, reduced=True)
+    rules = [(g.plus, g.minus) for g in m.elements]
+    out = tuple(Binomial(p, normal_form(q, rules)) for p, q in rules)
+    return GroebnerBasis(out, gb.order, minimal=True, reduced=True)
 
 
 def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
