@@ -3,8 +3,8 @@
 Small dense matrices only (the package never sees more than ~8 variables),
 so clarity wins over asymptotics: the determinant runs fraction-based
 Gaussian elimination, integer kernels come from unimodular column
-elimination, and rank and lattice comparison read the row-style Hermite
-form.
+elimination and are left unreduced, and rank and lattice comparison read
+the canonical row-style Hermite form.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
 
     Unimodular column elimination: columns of an identity matrix are combined
     alongside the input columns, so the surviving combination columns form a
-    kernel basis.  The basis is then size-reduced to keep entries small.
+    kernel basis.  Entries are not reduced: callers compare kernels through
+    row_hnf, which is canonical.
     """
     rows = [list(r) for r in rows]
     if not rows:
@@ -103,49 +104,7 @@ def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
             g, x, y = xgcd(a, b)
             col_axpy(pivot, c, x, y, -(b // g), a // g)
         active.remove(pivot)
-    basis = [tuple(combo[i][c] for i in range(n)) for c in active]
-    return tuple(size_reduce(basis))
-
-
-def _norm2(v: Sequence[int]) -> int:
-    return sum(x * x for x in v)
-
-
-def _sign_normal(v: Sequence[int]) -> tuple[int, ...]:
-    lead = next((x for x in v if x), 0)
-    return tuple(-x for x in v) if lead < 0 else tuple(v)
-
-
-def size_reduce(vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Pairwise Lagrange reduction; returns sign-normalized vectors sorted by size.
-
-    Unimodular row operations only, so the spanned lattice is unchanged.  Not
-    a full LLL, but on the small kernels handled here it brings entries down
-    to the scale of the lattice determinant root, which is all Buchberger
-    input preparation needs.
-    """
-    vs = [list(v) for v in vectors if any(v)]
-    for _ in range(1000):
-        vs.sort(key=lambda v: (_norm2(v), v))
-        changed = False
-        for i in range(len(vs)):
-            for j in range(len(vs)):
-                if i == j:
-                    continue
-                denom = _norm2(vs[j])
-                if denom == 0:
-                    continue  # dependent input can reduce a vector to zero
-                num = sum(x * y for x, y in zip(vs[i], vs[j]))
-                t = (2 * num + denom) // (2 * denom)  # nearest integer of num/denom
-                if t:
-                    cand = [x - t * y for x, y in zip(vs[i], vs[j])]
-                    if _norm2(cand) < _norm2(vs[i]):
-                        vs[i] = cand
-                        changed = True
-        if not changed:
-            break
-    out = sorted(_sign_normal(v) for v in vs if any(v))
-    return out
+    return tuple(tuple(combo[i][c] for i in range(n)) for c in active)
 
 
 def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:

@@ -10,7 +10,6 @@ from repunit_toric.intlinalg import (
     maximal_minors,
     rank,
     row_hnf,
-    size_reduce,
     xgcd,
 )
 
@@ -83,10 +82,3 @@ def test_maximal_minors_small_weight_matrix():
     assert maximal_minors(rows) == (7, -8, 10)
     with pytest.raises(ValueError):
         maximal_minors(((1, 2, 3),))
-
-
-def test_size_reduce_preserves_lattice():
-    rows = ((10, -7, 1, 0), (13, -9, 0, 1), (3, -2, -1, 1))
-    small = size_reduce(rows)
-    assert row_hnf(small) == row_hnf(rows)
-    assert max(abs(x) for r in small for x in r) <= max(abs(x) for r in rows for x in r)
