@@ -89,8 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
     else:
         print(text)
 

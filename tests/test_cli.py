@@ -242,3 +242,13 @@ def test_out_file(tmp_path, capsys):
     assert out == ""
     reports = parse_json(target.read_text())
     assert reports[0].overall() == "pass"
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_unwritable_is_a_usage_error(tmp_path, capsys, where):
+    target = tmp_path / "missing" / "x" if where == "missing-dir" else tmp_path
+    code, out, err = run(capsys, "info", "--a", "1", "--b", "2", "--n", "4", "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --out {target}: ")
+    assert err.count("\n") == 1
