@@ -338,6 +338,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a fault in the program, never to be read as "a check failed" (1)
+        msg = " ".join(str(exc).splitlines())
+        print(f"internal error: {type(exc).__name__}: {msg}", file=sys.stderr)
+        return 3
 
 
 def console_main() -> None:

@@ -2,16 +2,19 @@
 
 Everything stays binomial: S-polynomials of binomials are binomials, and
 dividing a binomial by oriented binomials is monomial rewriting applied to
-its two sides separately.  The pair queue is ordered by the weighted degree
-of the pair lcm, pairs with coprime leading terms or with a chain of
-smaller handled pairs are discarded, and each surviving nonzero remainder
-enlarges the basis, so the leading-term ideal grows strictly and the loop
-terminates.
+its two sides separately.  Pairs leave a queue in increasing weighted degree
+of their lcm.  Each inserted rule runs the Gebauer-Moeller pair update
+(Gebauer & Moeller, JSC 6, 1988): criteria M and F keep one new pair per
+minimal lcm, pairs with coprime leads are never queued, criterion B drops
+pending pairs the new lead makes redundant, and rules whose lead the new
+lead divides retire from the basis.  Each nonzero remainder enlarges the
+leading-term ideal strictly, so the loop terminates.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass
 from operator import le
 from typing import Callable, Iterable, Sequence
@@ -78,59 +81,76 @@ def buchberger(
     """Groebner basis of the binomial ideal spanned by gens under order.
 
     The basis is held as rewriting rules (lead, tail); validated binomials
-    are built only for the returned basis.
+    are built only for the returned basis, which is the set of live rules.
     """
-    rules: list[Rule] = []
+    rules: list[Rule] = []  # every rule ever inserted; pairs name rules by index
+    live: list[int] = []  # rules whose lead no later lead divides
+    basis: list[Rule] = []  # the live rules, which normal_form scans
+    pending: dict[tuple[int, int], Monomial] = {}  # pair -> lcm of its leads
+    heap: list[tuple[int, Monomial, int, int]] = []
+    weights = order.rows[0]
+
+    def insert(rule: Rule) -> None:
+        # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993).
+        h = rule[0]
+        j = len(rules)
+        rules.append(rule)
+        # Criterion B: h divides the lcm of a pending pair whose two lcms
+        # with h are proper divisors, so both of those pairs are handled
+        # before it.  Dropping the dict entry deletes the heap entry lazily.
+        for (i, k), big in list(pending.items()):
+            if (all(map(le, h, big)) and tuple(map(max, rules[i][0], h)) != big
+                    and tuple(map(max, rules[k][0], h)) != big):
+                del pending[i, k]
+                if trace:
+                    trace(f"pair ({i},{k}) lcm={format_monomial(big)} skipped: criterion B")
+        # Criteria M and F: a new pair whose lcm is divisible by a kept
+        # lcm is superfluous.  The weight row is strictly positive, so a
+        # proper divisor sorts first; among equal lcms a coprime pair does.
+        new = []
+        for i in live:
+            lt = rules[i][0]
+            big = tuple(map(max, lt, h))
+            new.append((sum(map(operator.mul, weights, big)), big, any(map(min, lt, h)), i))
+        new.sort()
+        kept: list[Monomial] = []
+        for weight, big, shared, i in new:
+            if shared and any(all(map(le, m, big)) for m in kept):
+                if trace:
+                    crit = "F" if big in kept else "M"
+                    trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: criterion {crit}")
+                continue
+            kept.append(big)
+            if shared:
+                pending[i, j] = big
+                heapq.heappush(heap, (weight, big, i, j))
+            elif trace:
+                trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: coprime leads")
+        # A rule whose lead h divides is superseded: it makes no new pairs
+        # and leaves the basis, while its pending pairs stay.
+        live[:] = [i for i in live if not all(map(le, h, rules[i][0]))]
+        live.append(j)
+        basis[:] = [rules[i] for i in live]
+
     for g in gens:
         c = order.compare(g.plus, g.minus)
         rule = (g.plus, g.minus) if c > 0 else (g.minus, g.plus)
         if c and rule not in rules:
-            rules.append(rule)
+            insert(rule)
 
-    pairs: list[tuple[int, tuple, int, int]] = []
-
-    def push_pairs(j: int) -> None:
-        lt_j = rules[j][0]
-        for i in range(j):
-            big = lcm(rules[i][0], lt_j)
-            heapq.heappush(pairs, (order.weight(big), big, i, j))
-
-    for j in range(len(rules)):
-        push_pairs(j)
-
-    def chain_skip(big: tuple, i: int, j: int) -> bool:
-        # Buchberger's second criterion.  Pairs leave the heap in increasing
-        # lcm weight, and a third lead dividing the lcm makes both triangle
-        # lcms divisors of it; requiring them proper forces strictly smaller
-        # weights, so those two pairs are already handled and S(i,j) is
-        # superfluous.
-        lt_i = rules[i][0]
-        lt_j = rules[j][0]
-        return any(
-            k != i and k != j and all(map(le, h, big))
-            and tuple(map(max, lt_i, h)) != big and tuple(map(max, lt_j, h)) != big
-            for k, (h, _) in enumerate(rules)
-        )
-
-    while pairs:
-        _, big, i, j = heapq.heappop(pairs)
-        if coprime(rules[i][0], rules[j][0]):
-            if trace:
-                trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: coprime leads")
+    while heap:
+        _, big, i, j = heapq.heappop(heap)
+        if pending.pop((i, j), None) is None:
             continue
-        if chain_skip(big, i, j):
-            if trace:
-                trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: chain criterion")
-            continue
-        p, q = _s_sides(big, rules[i], rules[j], rules)
-        if p != q:
-            rules.append((p, q) if order.compare(p, q) > 0 else (q, p))
-            push_pairs(len(rules) - 1)
+        p, q = _s_sides(big, rules[i], rules[j], basis)
+        rule = (p, q) if order.compare(p, q) > 0 else (q, p)
         if trace:
-            outcome = "0" if p == q else " - ".join(map(format_monomial, rules[-1]))
+            outcome = "0" if p == q else " - ".join(map(format_monomial, rule))
             trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> {outcome}")
+        if p != q:
+            insert(rule)
 
-    return GroebnerBasis(sort_canonical((Binomial(p, q) for p, q in rules), order), order)
+    return GroebnerBasis(sort_canonical((Binomial(p, q) for p, q in basis), order), order)
 
 
 def is_groebner_basis(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repunit_toric import cli
 from repunit_toric.cli import main
 from repunit_toric.reports import parse_json
 
@@ -252,3 +253,18 @@ def test_out_unwritable_is_a_usage_error(tmp_path, capsys, where):
     assert out == ""
     assert err.startswith(f"error: cannot write --out {target}: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "exc", [ArithmeticError("integer division by zero"), AssertionError("self-check failed")],
+    ids=["ArithmeticError", "AssertionError"],
+)
+def test_internal_error_exits_3(monkeypatch, capsys, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "info", broken)
+    code, out, err = run(capsys, "info", "--a", "1", "--b", "2", "--n", "4")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"

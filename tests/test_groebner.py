@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+from repunit_toric import families
 from repunit_toric.binomials import Binomial, Grading, is_homogeneous, oriented
 from repunit_toric.families import (
     minors_closed_chain,
@@ -174,14 +175,18 @@ def test_trace_pins_pair_outcomes():
     for s in lines:
         if s.endswith("skipped: coprime leads"):
             outcomes["coprime"] += 1
-        elif s.endswith("skipped: chain criterion"):
-            outcomes["chain"] += 1
+        elif s.endswith("skipped: criterion M"):
+            outcomes["M"] += 1
+        elif s.endswith("skipped: criterion F"):
+            outcomes["F"] += 1
+        elif s.endswith("skipped: criterion B"):
+            outcomes["B"] += 1
         elif s.endswith("-> 0"):
             outcomes["zero"] += 1
         else:
             assert " -> " in s
             outcomes["added"] += 1
-    assert outcomes == {"added": 13, "zero": 45, "chain": 33, "coprime": 60}
+    assert outcomes == {"added": 13, "zero": 34, "M": 41, "F": 3, "coprime": 60}
 
 
 def _random_homogeneous_gens(rng, nvars):
@@ -198,14 +203,31 @@ def _random_homogeneous_gens(rng, nvars):
     return w, gens
 
 
-def test_random_homogeneous_ideals_against_sympy():
-    sympy = pytest.importorskip("sympy")
+def _random_ideals():
+    # 50 seeded (gens, order, shuffled gens) triples
     rng = random.Random(20211)
     for _ in range(50):
         nvars = rng.randint(3, 4)
         w, gens = _random_homogeneous_gens(rng, nvars)
         order = build_order_i(w, rng.randint(1, nvars))
-        xs = sympy.symbols(f"x1:{nvars + 1}")
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        yield gens, order, shuffled
+
+
+def _binomial_of(expr, xs, sympy):
+    # a sympy basis element of a pure-difference ideal as a Binomial
+    terms = sympy.Poly(expr, *xs).terms()
+    assert len(terms) == 2 and {c for _, c in terms} == {1, -1}
+    plus = next(e for e, c in terms if c == 1)
+    minus = next(e for e, c in terms if c == -1)
+    return Binomial(tuple(map(int, plus)), tuple(map(int, minus)))
+
+
+def test_random_homogeneous_ideals_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for gens, order, shuffled in _random_ideals():
+        xs = sympy.symbols(f"x1:{order.nvars + 1}")
 
         def to_expr(g):
             return sympy.Mul(*(x**p for x, p in zip(xs, g.plus))) - sympy.Mul(
@@ -218,11 +240,31 @@ def test_random_homogeneous_ideals_against_sympy():
         other = sympy.groebner([to_expr(g) for g in gens], *xs, order="grevlex")
         for g in gb:
             assert other.reduce(to_expr(g))[1] == 0
+        for expr in other.exprs:
+            assert ideal_member(_binomial_of(expr, xs, sympy), gb)
         for g in gens:
             assert ideal_member(g, gb)
-        shuffled = list(gens)
-        rng.shuffle(shuffled)
         assert groebner_reduced(shuffled, order).elements == gb.elements
+
+
+def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
+    # The pair criteria may only skip pairs whose S-binomials reduce to
+    # zero; the exhaustive check sees every pair of the unreduced output.
+    for gens, order, _ in _random_ideals():
+        assert is_groebner_basis(buchberger(gens, order).elements, order)
+
+    runs = []
+
+    def recording(gens, order, trace=None):
+        runs.append(buchberger(gens, order, trace))
+        return runs[-1]
+
+    monkeypatch.setattr(families, "buchberger", recording)
+    for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6)):
+        runs.clear()
+        toric_ideal(scalar_grading(InstanceParams(a, b, n)))
+        elim = runs[0]
+        assert is_groebner_basis(elim.elements, elim.order)
 
 
 def test_cross_check_against_sympy():
@@ -249,9 +291,4 @@ def test_cross_check_against_sympy():
     for g in mine:
         assert other.reduce(to_expr(g))[1] == 0
     for expr in other.exprs:
-        terms = sympy.Poly(expr, *xs).terms()
-        assert len(terms) == 2 and {c for _, c in terms} == {1, -1}
-        plus = next(e for e, c in terms if c == 1)
-        minus = next(e for e, c in terms if c == -1)
-        f = Binomial(tuple(map(int, plus)), tuple(map(int, minus)))
-        assert ideal_member(f, mine)
+        assert ideal_member(_binomial_of(expr, xs, sympy), mine)
