@@ -13,7 +13,6 @@ from repunit_toric.binomials import format_binomial, format_monomial
 from repunit_toric.families import minors_closed_chain, scalar_grading
 from repunit_toric.fibers import (
     betti_splits,
-    fiber_graph,
     forced_generators,
     has_unique_minimal_system,
 )
@@ -55,8 +54,7 @@ def main() -> None:
     print()
     print(f"fiber of degree {degree}: {len(split.fiber)} monomials,",
           f"{len(split.below)} components below, {len(split.full)} after")
-    graph = fiber_graph(grading, degree, fam.binomials)
-    for comp in graph.components:
+    for comp in split.full:
         print("  component:", ", ".join(format_monomial(m) for m in comp))
 
 

@@ -15,9 +15,6 @@ from .binomials import (
     format_binomial,
     format_monomial,
     is_homogeneous,
-    reduce_binomial,
-    reduce_monomial,
-    s_pair,
 )
 from .families import (
     LatticeMatrix,
@@ -35,10 +32,8 @@ from .families import (
 )
 from .fibers import (
     Fiber,
-    FiberGraph,
     betti_degrees,
     enumerate_fiber,
-    fiber_graph,
     forced_generators,
     has_unique_minimal_system,
     minimal_generator_count,

@@ -78,10 +78,6 @@ def coprime(u: Monomial, v: Monomial) -> bool:
     return all(a == 0 or b == 0 for a, b in zip(u, v))
 
 
-def total_degree(u: Monomial) -> int:
-    return sum(u)
-
-
 @dataclass(frozen=True)
 class Binomial:
     """Ordered pair plus - minus of equal-length monomials.
@@ -192,14 +188,6 @@ def oriented(f: Binomial, order) -> Binomial:
     return oriented_pair(f.plus, f.minus, order)
 
 
-def s_pair(f: Binomial, g: Binomial, order) -> Binomial:
-    """S-binomial: both one-step rewrites of lcm(lt f, lt g), oriented."""
-    big = lcm(f.plus, g.plus)
-    m1 = mul(div(big, f.plus), f.minus)
-    m2 = mul(div(big, g.plus), g.minus)
-    return oriented_pair(m1, m2, order)
-
-
 def normal_form(m: Monomial, rules: Sequence[tuple[Monomial, Monomial]]) -> Monomial:
     """Normal form of m under the rewriting rules lead -> tail, taken in order.
 
@@ -230,21 +218,6 @@ def normal_form(m: Monomial, rules: Sequence[tuple[Monomial, Monomial]]) -> Mono
             changed = True
             break
     return m
-
-
-def reduce_monomial(m: Monomial, basis: Sequence[Binomial]) -> Monomial:
-    """Normal form of m under the rewriting rules plus -> minus of the basis."""
-    return normal_form(m, [(g.plus, g.minus) for g in basis if not g.is_zero()])
-
-
-def reduce_binomial(f: Binomial, basis: Sequence[Binomial], order) -> Binomial:
-    """Normal form of f: both monomials reduced, result re-oriented."""
-    rules = [(g.plus, g.minus) for g in basis if not g.is_zero()]
-    p = normal_form(f.plus, rules)
-    q = normal_form(f.minus, rules)
-    if p == q:
-        return Binomial.zero(f.nvars)
-    return oriented_pair(p, q, order)
 
 
 def format_monomial(m: Monomial) -> str:

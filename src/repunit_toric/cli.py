@@ -2,7 +2,7 @@
 
 Subcommands: info, verify, sweep, groebner, betti, unique.  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage error (exponent
-overflow included) or a claim refused the instance.
+overflow included) or a claim refused the instance, 3 internal error.
 """
 
 from __future__ import annotations
@@ -28,7 +28,13 @@ from .reports import exit_code, render_json, render_text
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
 from .verify import CLAIMS, claim_spec, run_claim
 
-SOURCES = ("minors-x", "minors-y", "toric-i", "toric-j")
+# --source name -> (minor family, or None for the toric ideal; its grading)
+SOURCES = {
+    "minors-x": (minors_closed_chain, scalar_grading),
+    "minors-y": (minors_open_chain, projective_grading),
+    "toric-i": (None, scalar_grading),
+    "toric-j": (None, projective_grading),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,15 +246,10 @@ def _resolve_order(args, params: InstanceParams):
 
 
 def _source_basis(source: str, params: InstanceParams, order, trace):
-    if source == "minors-y":
-        return groebner_reduced(minors_open_chain(params).binomials, order, trace)
-    if source == "minors-x":
-        return groebner_reduced(minors_closed_chain(params).binomials, order, trace)
-    if source == "toric-i":
-        return toric_ideal(scalar_grading(params), order, trace)
-    if source == "toric-j":
-        return toric_ideal(projective_grading(params), order, trace)
-    raise ValueError(f"unknown source {source!r}")
+    family, grading_of = SOURCES[source]
+    if family:
+        return groebner_reduced(family(params).binomials, order, trace)
+    return toric_ideal(grading_of(params), order, trace)
 
 
 def cmd_groebner(args) -> int:
@@ -272,17 +273,11 @@ def cmd_groebner(args) -> int:
 
 
 def _source_for_oracle(source: str, params: InstanceParams, trace):
-    if source == "minors-y":
-        return list(minors_open_chain(params).binomials), projective_grading(params)
-    if source == "minors-x":
-        return list(minors_closed_chain(params).binomials), scalar_grading(params)
-    if source == "toric-i":
-        grading = scalar_grading(params)
-        return list(toric_ideal(grading, trace=trace).elements), grading
-    if source == "toric-j":
-        grading = projective_grading(params)
-        return list(toric_ideal(grading, trace=trace).elements), grading
-    raise ValueError(f"unknown source {source!r}")
+    family, grading_of = SOURCES[source]
+    grading = grading_of(params)
+    if family:
+        return list(family(params).binomials), grading
+    return list(toric_ideal(grading, trace=trace).elements), grading
 
 
 def cmd_betti(args) -> int:

@@ -47,25 +47,13 @@ def _mono(n: int, *factors: tuple[int, int]) -> Monomial:
 def _adjacent_minor(params: InstanceParams, j: int, k: int) -> Binomial:
     # columns j < k of the 2 x (n-1) matrix with column t = (x_t^b ; x_{t+1})
     n, b = params.n, params.b
-    plus = [0] * n
-    minus = [0] * n
-    plus[j - 1] += b
-    plus[k] += 1
-    minus[j] += 1
-    minus[k - 1] += b
-    return Binomial(tuple(plus), tuple(minus)).canonical()
+    return Binomial(_mono(n, (j, b), (k + 1, 1)), _mono(n, (j + 1, 1), (k, b))).canonical()
 
 
 def _closing_minor(params: InstanceParams, j: int) -> Binomial:
     # column j against the extra column (x_n^b ; x_1^(a+1))
     n, b, a = params.n, params.b, params.a
-    plus = [0] * n
-    minus = [0] * n
-    plus[j - 1] += b
-    plus[0] += a + 1
-    minus[j] += 1
-    minus[n - 1] += b
-    return Binomial(tuple(plus), tuple(minus)).canonical()
+    return Binomial(_mono(n, (j, b), (1, a + 1)), _mono(n, (j + 1, 1), (n, b))).canonical()
 
 
 @dataclass(frozen=True)

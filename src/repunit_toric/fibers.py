@@ -13,10 +13,10 @@ check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .binomials import Binomial, Grading, Monomial, divides, is_homogeneous
-from .groebner import GroebnerBasis, buchberger, ideal_member, reduce_gb
+from .groebner import buchberger, ideal_member, reduce_gb
 from .orders import MatrixOrder
 
 
@@ -53,12 +53,6 @@ class Fiber:
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-
-@dataclass(frozen=True)
-class FiberGraph:
-    fiber: Fiber
-    components: tuple[tuple[Monomial, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -133,24 +127,6 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     if budget >= 0:
         walk((), budget)
     return Fiber(target, tuple(found))
-
-
-def fiber_graph(
-    grading: Grading,
-    degree: Sequence[int],
-    movers: Iterable[Binomial],
-) -> FiberGraph:
-    """Connected components of the fiber under moves by the given binomials."""
-    fiber = enumerate_fiber(grading, degree)
-    index = {m: pos for pos, m in enumerate(fiber.monomials)}
-    uf = UnionFind(len(fiber.monomials))
-    for g in movers:
-        if g.is_zero():
-            continue
-        if not is_homogeneous(grading, g):
-            raise ValueError(f"mover {g} is not homogeneous for the grading")
-        _apply_move(g, fiber.monomials, index, uf)
-    return FiberGraph(fiber, _components(uf, fiber.monomials))
 
 
 def _apply_move(

@@ -32,7 +32,6 @@ from .binomials import (
     mul,
     normal_form,
     oriented_pair,
-    reduce_binomial,
 )
 from .orders import MatrixOrder, build_order_i
 
@@ -234,8 +233,9 @@ def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
 
 
 def ideal_member(f: Binomial, gb: GroebnerBasis) -> bool:
-    """Membership through normal form; gb must be a Groebner basis."""
-    return reduce_binomial(f, gb.elements, gb.order).is_zero()
+    """Membership: f's two sides share a normal form; gb must be a Groebner basis."""
+    rules = [(g.plus, g.minus) for g in gb.elements if not g.is_zero()]
+    return normal_form(f.plus, rules) == normal_form(f.minus, rules)
 
 
 def ideal_equal(

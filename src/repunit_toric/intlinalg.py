@@ -1,15 +1,14 @@
 """Exact integer linear algebra on plain Python ints.
 
 Small dense matrices only (the package never sees more than ~8 variables),
-so clarity wins over asymptotics: the determinant runs fraction-based
-Gaussian elimination, integer kernels come from unimodular column
-elimination and are left unreduced, and rank and lattice comparison read
-the canonical row-style Hermite form.
+so clarity wins over asymptotics: integer kernels come from unimodular
+column elimination and are left unreduced, and the determinant, rank and
+lattice comparison all read one xgcd row elimination, which ends in the
+canonical row-style Hermite form.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -30,42 +29,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _copy_fractions(rows: IntMatrix) -> list[list[Fraction]]:
-    out = [[Fraction(x) for x in r] for r in rows]
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise ValueError("ragged matrix")
-    return out
-
-
 def rank(rows: IntMatrix) -> int:
-    return len(row_hnf(rows))
+    return _echelon(rows)[1]
 
 
 def det(rows: IntMatrix) -> int:
-    a = _copy_fractions(rows)
+    a, r, sign = _echelon(rows)
     n = len(a)
-    if n == 0:
-        return 1
-    if any(len(r) != n for r in a):
+    if any(len(row) != n for row in a):
         raise ValueError("determinant needs a square matrix")
-    sign = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            if a[i][c]:
-                f = a[i][c] / a[c][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-    d = Fraction(sign)
+    if r < n:
+        return 0
+    d = sign
     for i in range(n):
         d *= a[i][i]
-    if d.denominator != 1:
-        raise ArithmeticError("integer determinant came out fractional")
-    return int(d)
+    return d
 
 
 def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -107,21 +85,23 @@ def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(combo[i][c] for i in range(n)) for c in active)
 
 
-def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Canonical row Hermite form of the lattice spanned by the rows.
+def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
+    """Row Hermite form with its zero rows last, the rank, and the determinant sign.
 
-    Pivots are positive, entries above each pivot are reduced into
-    [0, pivot), zero rows are dropped; two row sets span the same lattice
-    exactly when their forms are equal.
+    Each xgcd step replaces two rows by a determinant-1 combination of them;
+    a row swap or a row negation flips the sign, and reducing the rows above
+    a pivot keeps it.  Pivots are positive and entries above each pivot lie
+    in [0, pivot).
     """
     a = [list(r) for r in rows]
     if not a:
-        return ()
+        return a, 0, 1
     n = len(a[0])
     if any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
     m = len(a)
     r = 0
+    sign = 1
     for c in range(n):
         piv = None
         for i in range(r, m):
@@ -130,7 +110,9 @@ def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
                 break
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
         for i in range(r + 1, m):
             while a[i][c]:
                 g, x, y = xgcd(a[r][c], a[i][c])
@@ -139,6 +121,7 @@ def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
                 a[r], a[i] = pr, qr
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
+            sign = -sign
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
@@ -146,7 +129,18 @@ def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
         r += 1
         if r == m:
             break
-    return tuple(tuple(row) for row in a[:r] if any(row))
+    return a, r, sign
+
+
+def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
+    """Canonical row Hermite form of the lattice spanned by the rows.
+
+    Pivots are positive, entries above each pivot are reduced into
+    [0, pivot), zero rows are dropped; two row sets span the same lattice
+    exactly when their forms are equal.
+    """
+    a, r, _ = _echelon(rows)
+    return tuple(tuple(row) for row in a[:r])
 
 
 def maximal_minors(rows: IntMatrix) -> tuple[int, ...]:

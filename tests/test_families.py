@@ -21,8 +21,8 @@ from repunit_toric.families import (
 from repunit_toric.groebner import (
     groebner_reduced,
     ideal_equal,
+    ideal_member,
     is_groebner_basis,
-    reduce_binomial,
     saturate_torus,
 )
 from repunit_toric.intlinalg import dot, kernel_basis, row_hnf
@@ -201,7 +201,7 @@ def test_toric_ideal_membership_oracle():
     for monos in by_weight.values():
         for u, v in itertools.combinations(monos, 2):
             f = Binomial(u, v)
-            assert reduce_binomial(f, gb.elements, gb.order).is_zero()
+            assert ideal_member(f, gb)
             checked += 1
     assert checked > 100
 

@@ -16,8 +16,8 @@ from repunit_toric.families import (
 from repunit_toric.fibers import (
     UnionFind,
     betti_degrees,
+    betti_splits,
     enumerate_fiber,
-    fiber_graph,
     forced_generators,
     has_unique_minimal_system,
     minimal_generator_count,
@@ -106,15 +106,14 @@ def test_fiber_invariance_under_variable_permutation():
 def test_fiber_graph_components():
     p = InstanceParams(3, 2, 4)
     grading = scalar_grading(p)
-    no_moves = fiber_graph(grading, (54,), [])
-    assert len(no_moves.components) == 3
     minor = Binomial((2, 0, 1, 0), (0, 3, 0, 0))
-    one_move = fiber_graph(grading, (54,), [minor])
-    assert len(one_move.components) == 2
-    assert ((0, 3, 0, 0), (2, 0, 1, 0)) in one_move.components
+    split = betti_splits([minor], grading)[(54,)]
+    assert len(split.below) == 3
+    assert len(split.full) == 2
+    assert ((0, 3, 0, 0), (2, 0, 1, 0)) in split.full
     bad = Binomial((1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
-        fiber_graph(grading, (54,), [bad])
+        betti_splits([bad], grading)
 
 
 def test_betti_principal_ideal():

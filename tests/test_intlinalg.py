@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 
 import pytest
@@ -31,6 +33,26 @@ def test_rank_and_det():
     assert det(((1, 2), (2, 4))) == 0
     assert det(((0, 1), (1, 0))) == -1
     assert det(((3,),)) == 3
+
+
+def _leibniz(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_det_matches_leibniz_expansion():
+    # (0, 1; -1, 0) needs a row swap and then a pivot negation
+    mats = [((-7,),), ((0, 1), (-1, 0))]
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        mats.append(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)))
+    for rows in mats:
+        assert det(rows) == _leibniz(rows), rows
 
 
 def test_kernel_basis_of_weight_row():
