@@ -22,9 +22,15 @@ class ExponentOverflowError(OverflowError):
     """Exponent arithmetic left the checked range [0, EXPONENT_LIMIT]."""
 
 
+def check_int(x: int, what: str) -> int:
+    """x itself when it is an int (bool excluded); ValueError naming it otherwise."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} must be an int, got {x!r}")
+    return x
+
+
 def _check_entry(e: int) -> int:
-    if not isinstance(e, int) or isinstance(e, bool):
-        raise ValueError(f"exponent must be an int, got {e!r}")
+    check_int(e, "exponent")
     if e < 0:
         raise ValueError(f"exponent must be >= 0, got {e}")
     if e > EXPONENT_LIMIT:
@@ -142,7 +148,7 @@ class Grading:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(check_int(x, "grading entry") for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise ValueError("grading needs at least one row")

@@ -1,11 +1,16 @@
-"""Brute-force fiber enumeration and the graded minimal-generator oracle.
+"""Exact fiber enumeration and the graded minimal-generator oracle.
 
-A fiber is the set of all monomials of one multidegree.  Connecting two
-monomials whenever a generator moves one to the other turns each fiber
-into a graph.  With moves by strictly lower-degree generators only, and
-then again with this degree's generators added, the drop in component
-count is the number of minimal generators the ideal needs here; the
-system is unique exactly when each fused pair is two single monomials.
+A fiber is the set of all monomials of one multidegree.  It is listed by a
+depth-first walk over exponents that solves each exponent modulo the gcd of
+the positive-row weights after it (so the closing pair is solved outright)
+and bounds it by the interval the other grading rows can still reach; both
+cuts are exact, so the walk returns every monomial and nothing else.
+
+Connecting two monomials whenever a generator moves one to the other turns
+each fiber into a graph.  With moves by strictly lower-degree generators
+only, and then again with this degree's generators added, the drop in
+component count is the number of minimal generators the ideal needs here;
+the system is unique exactly when each fused pair is two single monomials.
 Everything here is independent of the Groebner engine, so the two can
 check each other.
 """
@@ -13,9 +18,10 @@ check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Sequence
 
-from .binomials import Binomial, Grading, Monomial, divides, is_homogeneous
+from .binomials import Binomial, Grading, Monomial, check_int, divides, is_homogeneous
 from .groebner import buchberger, ideal_member, reduce_gb
 from .orders import MatrixOrder
 
@@ -101,31 +107,79 @@ class DegreeSplit:
 def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     """All monomials of the given multidegree, in lexicographic order.
 
-    Depth-first search over exponents, bounded by the strictly positive
-    grading row, which also fixes the last exponent by exact division.  Each
-    candidate is then checked against the full multidegree once.
+    Depth-first search over exponents, one variable per level, with two
+    exact cuts.  The strictly positive row p caps each exponent by the rest
+    of its budget, and the exponent e of variable j is solved modulo
+    gcd(p[j+1:]): the rest must stay divisible by it, so e steps through one
+    residue class.  For the closing pair that solves e*p[n-2] + f*p[n-1] =
+    rest outright, f by exact division, so no leaf fails the positive row.
+    Every other row r carries its residual down the walk; the free variables
+    reach only residuals between rest*min and rest*max of r[t]/p[t] over
+    them, which bounds e to an interval found by integer cross-multiplication
+    (no floats: repunit weights grow like b**n).  Over the last variable that
+    interval is one point, so a leaf meets every row.  Setup is
+    O(nvars * rows).
     """
-    target = tuple(int(d) for d in degree)
+    target = tuple(check_int(d, "degree entry") for d in degree)
     if len(target) != len(grading.rows):
         raise ValueError(f"degree has {len(target)} entries, grading has {len(grading.rows)} rows")
     pos = grading.positive_row()
-    last = grading.nvars - 1
+    k = grading.rows.index(pos)
+    others = grading.rows[:k] + grading.rows[k + 1 :]
+    n = grading.nvars
+    cols = [tuple(row[j] for row in others) for j in range(n)]
+
+    # levels[j] for variable j < n - 1, built from the last variable back.
+    # With h = gcd(p[j:]) dividing rest, e*p[j] leaves a rest divisible by
+    # after = gcd(p[j+1:]) exactly when e = rest/h * inv modulo after/h.
+    # cut: for each other row i with extreme ratios ln/ld and hn/hd over the
+    # variables after j (ld, hd > 0), rest*ln/ld <= res[i] <= rest*hn/hd in
+    # the child, as two constraints a*e >= u*rest + v*res[i].
+    levels: list[tuple] = [()] * (n - 1)
+    after = pos[-1]
+    lows = [(c, pos[-1]) for c in cols[-1]]
+    highs = list(lows)
+    for j in range(n - 2, -1, -1):
+        w = pos[j]
+        h = gcd(w, after)
+        cut = []
+        for i, c in enumerate(cols[j]):
+            (ln, ld), (hn, hd) = lows[i], highs[i]
+            cut += [(i, w * ln - c * ld, ln, -ld), (i, c * hd - w * hn, -hn, hd)]
+            if c * ld < ln * w:
+                lows[i] = (c, w)
+            if c * hd > hn * w:
+                highs[i] = (c, w)
+        levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j], cut)
+        after = h
     found: list[Monomial] = []
 
-    def walk(prefix: Monomial, rest: int) -> None:
-        w = pos[len(prefix)]
-        if len(prefix) == last:
-            e, r = divmod(rest, w)
-            m = prefix + (e,)
-            if r == 0 and grading.degree(m) == target:
-                found.append(m)
+    def walk(prefix: Monomial, rest: int, res: tuple[int, ...]) -> None:
+        j = len(prefix)
+        if j == n - 1:
+            f = rest // pos[j]
+            # the cut one level up already forced this, except when n == 1
+            if all(x == c * f for x, c in zip(res, cols[j])):
+                found.append(prefix + (f,))
             return
-        for e in range(rest // w + 1):
-            walk(prefix + (e,), rest - e * w)
+        w, h, step, inv, col, cut = levels[j]
+        lo, hi = 0, rest // w
+        for i, a, u, v in cut:
+            b = u * rest + v * res[i]
+            if a > 0:
+                lo = max(lo, -(-b // a))
+            elif a < 0:
+                hi = min(hi, b // a)
+            elif b > 0:
+                return
+        lo += (rest // h * inv - lo) % step
+        for e in range(lo, hi + 1, step):
+            child = tuple([x - c * e for x, c in zip(res, col)]) if col else res
+            walk(prefix + (e,), rest - e * w, child)
 
-    budget = target[grading.rows.index(pos)]
-    if budget >= 0:
-        walk((), budget)
+    rest = target[k]
+    if rest >= 0 and rest % after == 0:
+        walk((), rest, target[:k] + target[k + 1 :])
     return Fiber(target, tuple(found))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from math import comb, gcd
 from typing import Callable
 
@@ -26,8 +27,9 @@ from .families import (
     weight_relation_matrix,
 )
 from .fibers import (
+    DegreeSplit,
+    betti_splits,
     forced_generators,
-    has_unique_minimal_system,
     minimal_generator_count,
     prune_redundant_generators,
 )
@@ -141,14 +143,23 @@ def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minor
     check(label, toric_route)
 
 
-def _oracle_count(check: _Checks, label: str, minors, grading, expected: int) -> None:
+def _shared_splits(minors, grading) -> Callable[[], list[DegreeSplit]]:
+    """Fiber splits of the minors, computed by the first check that asks."""
+    return cache(lambda: list(betti_splits(minors.binomials, grading).values()))
+
+
+def _oracle_count(check: _Checks, label: str, splits, expected: int) -> None:
     check(
         label,
         lambda: (
-            minimal_generator_count(minors.binomials, grading) == expected,
+            sum(s.new_generators() for s in splits()) == expected,
             f"fiber oracle counts {expected} minimal generators",
         ),
     )
+
+
+def _is_unique(splits) -> bool:
+    return all(s.forced_pairs() is not None for s in splits())
 
 
 def verify_homogeneity_identity(check: _Checks, params: InstanceParams) -> None:
@@ -252,11 +263,12 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
                    "torus saturation of the relation ideal equals the minor ideal",
                    projective_relation_matrix(params), grading, minors, order)
     expected = comb(params.n - 1, 2)
-    _oracle_count(check, "minimal-generation", minors, grading, expected)
+    splits = _shared_splits(minors, grading)
+    _oracle_count(check, "minimal-generation", splits, expected)
     check(
         "uniqueness",
         lambda: (
-            has_unique_minimal_system(minors.binomials, grading),
+            _is_unique(splits),
             "every contributing fiber is two isolated monomials",
         ),
     )
@@ -280,10 +292,11 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
                        weight_relation_matrix(params), grading, minors, order)
     _toric_equals_minors(check, "toric-equals-minors", "toric ideal equals the minor ideal",
                          grading, minors, order)
-    _oracle_count(check, "minimal-generation", minors, grading, comb(params.n, 2))
+    splits = _shared_splits(minors, grading)
+    _oracle_count(check, "minimal-generation", splits, comb(params.n, 2))
     if params.n > 3:
         def frontier() -> tuple[bool, str]:
-            unique = has_unique_minimal_system(minors.binomials, grading)
+            unique = _is_unique(splits)
             predicate = params.a < params.b - 1
             reduced_all = all(
                 is_reduced_basis(structured_closed_family(params, i))
@@ -347,7 +360,7 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
     )
     _toric_equals_minors(check, "toric-equality", "printed set generates the toric ideal",
                          grading, minors, order)
-    _oracle_count(check, "oracle-count", minors, grading, 6)
+    _oracle_count(check, "oracle-count", _shared_splits(minors, grading), 6)
     check(
         "pruning",
         lambda: (

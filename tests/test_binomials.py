@@ -100,6 +100,14 @@ def test_grading_degrees():
         w.degree((1, 0))
 
 
+def test_grading_rejects_non_int_entries():
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="grading entry must be an int, got " + repr(bad)):
+            Grading.scalar((bad, 2))
+        with pytest.raises(ValueError, match="grading entry must be an int"):
+            Grading(((1, 1), (0, bad)))
+
+
 def test_oriented_uses_order():
     order = build_order_i((15, 18, 24, 36), 1)
     f = Binomial((0, 3, 0, 0), (2, 0, 1, 0))

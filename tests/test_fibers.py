@@ -1,10 +1,13 @@
 """Fiber enumeration and the minimal-generator oracle."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from repunit_toric import fibers
 from repunit_toric.binomials import Binomial, Grading
 from repunit_toric.families import (
     minors_closed_chain,
@@ -85,6 +88,74 @@ def test_enumerate_fiber_against_brute_force():
             for shifted in ((degree[0] + 1,) + degree[1:], degree[:-1] + (degree[-1] - 1,)):
                 fib = enumerate_fiber(grading, shifted)
                 assert list(fib.monomials) == brute_fiber(grading, shifted)
+
+    # one and two variables; closing-pair weights sharing a factor, so only
+    # one residue class of the next-to-last exponent closes; a positive row
+    # that is not the first; other rows with zero, negative and equal ratios
+    # (one a multiple of the positive row).  Degrees: those of small
+    # exponents, one more in the positive row (outside the residue class
+    # when weights share a factor), and other-row entries on and just past
+    # the ends of the interval the positive-row budget can reach.
+    cases = [
+        Grading.scalar((3,)),
+        Grading(((2,), (-1,))),
+        Grading.scalar((4, 6)),
+        Grading(((0, 5), (2, 3))),
+        Grading.scalar((4, 6, 10)),
+        Grading.scalar((6, 4, 10)),
+        Grading(((1, 0, -2), (4, 6, 10))),
+        Grading(((-1, 2, 0, 3), (1, 1, 1, 1))),
+        Grading(((2, 3, 5), (4, 6, 10), (0, 0, 0))),
+        Grading(((3, 1, 2), (-3, -1, -2))),
+        Grading(((1, 2, 2, 3), (2, 4, 1, 6), (2, 4, 4, 6))),
+    ]
+    for grading in cases:
+        pi = grading.rows.index(grading.positive_row())
+        top = 3 if grading.nvars < 4 else 2
+        reached = {grading.degree(e) for e in itertools.product(range(top), repeat=grading.nvars)}
+        degrees = set(reached)
+        for d in reached:
+            degrees.add(d[:pi] + (d[pi] + 1,) + d[pi + 1 :])
+            for r, row in enumerate(grading.rows):
+                if r != pi:
+                    ratios = [Fraction(c, p) * d[pi] for c, p in zip(row, grading.rows[pi])]
+                    lo, hi = math.ceil(min(ratios)), math.floor(max(ratios))
+                    for x in (lo - 1, lo, hi, hi + 1, d[r] - 1, d[r] + 1):
+                        degrees.add(d[:r] + (x,) + d[r + 1 :])
+        for degree in sorted(degrees):
+            fib = enumerate_fiber(grading, degree)
+            assert list(fib.monomials) == brute_fiber(grading, degree), (grading, degree)
+            if degree in reached:
+                assert fib.monomials
+
+
+def test_enumerate_fiber_rejects_non_int_degree_entries():
+    grading = Grading.scalar((2, 3))
+    for bad in ((6.9,), (True,), ("6",)):
+        with pytest.raises(ValueError, match="degree entry must be an int, got " + repr(bad[0])):
+            enumerate_fiber(grading, bad)
+
+
+@pytest.mark.parametrize("source", ["minors-x", "minors-y"])
+def test_betti_split_fibers_match_brute_force(monkeypatch, source):
+    family, grading_of = {
+        "minors-x": (minors_closed_chain, scalar_grading),
+        "minors-y": (minors_open_chain, projective_grading),
+    }[source]
+    requested = []
+
+    def recording(grading, degree):
+        fib = enumerate_fiber(grading, degree)
+        requested.append((grading, fib))
+        return fib
+
+    monkeypatch.setattr(fibers, "enumerate_fiber", recording)
+    for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6)):
+        p = InstanceParams(a, b, n)
+        betti_splits(family(p).binomials, grading_of(p))
+    assert len(requested) >= 18  # at least one degree per instance
+    for grading, fib in requested:
+        assert list(fib.monomials) == brute_fiber(grading, fib.degree), (grading, fib.degree)
 
 
 def test_fiber_invariance_under_variable_permutation():
