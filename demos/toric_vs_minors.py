@@ -8,7 +8,7 @@ toric ideal needs fewer but different generators.
 from repunit_toric.binomials import Grading, format_binomial
 from repunit_toric.families import minors_closed_chain, scalar_grading, toric_ideal
 from repunit_toric.fibers import betti_degrees
-from repunit_toric.groebner import groebner_reduced, ideal_equal
+from repunit_toric.groebner import groebner_reduced
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, gcd_of_generators, generators
 
@@ -20,7 +20,8 @@ for a, b, n in [(1, 2, 4), (3, 2, 4)]:
 
     toric = toric_ideal(grading, order)
     minors = minors_closed_chain(p)
-    same = ideal_equal(toric.elements, minors.binomials, order)
+    reduced_minors = groebner_reduced(minors.binomials, order)
+    same = toric.elements == reduced_minors.elements
 
     print(f"a={a} b={b} n={n}: weights {w}, gcd {gcd_of_generators(p)}")
     print(f"  toric ideal == closed-chain minors: {same}")
@@ -31,7 +32,6 @@ for a, b, n in [(1, 2, 4), (3, 2, 4)]:
           f"minors span an ideal needing {sum(minor_betti.values())}")
 
     if not same:
-        reduced_minors = groebner_reduced(minors.binomials, order)
         extra = [g for g in toric.elements if g not in set(reduced_minors.elements)]
         print("  toric-only reduced elements:")
         for g in extra:

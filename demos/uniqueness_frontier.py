@@ -42,13 +42,13 @@ def main() -> None:
     grading = scalar_grading(p)
     print()
     print(f"forced generators for a=1 b=3 n=4 (weights {generators(p)}):")
-    forced = forced_generators(fam.binomials, grading)
+    splits = betti_splits(fam.binomials, grading)
+    forced = forced_generators(splits)
     assert forced is not None
     for g in forced:
         print(f"  {format_binomial(g)}")
 
     # one degree in detail: the split that certifies a generator is needed
-    splits = betti_splits(fam.binomials, grading)
     degree = min(splits)
     split = splits[degree]
     print()

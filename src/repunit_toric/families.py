@@ -5,8 +5,8 @@ the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
 families come from 2 x 2 minors of a pair of structured 2 x (n-1) and 2 x n
 matrices of monomials, and the kernel-lattice matrices give small integer
 relation bases whose saturations recover the toric ideals.  The toric ideal
-itself comes from one elimination Buchberger run, independent of those
-saturations, so the two routes cross-check each other.
+itself comes from one elimination Buchberger run under the requested order,
+independent of those saturations, so the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -263,8 +263,14 @@ def toric_ideal(
     entry is first shifted by a multiple of the positive row, which keeps
     the integer kernel and so the toric ideal.  Order row one, the column
     sums followed by ones, makes every generator homogeneous; row two, the
-    t-degree, then puts every monomial involving t above every t-free
-    monomial of the same weight, so a single Buchberger run eliminates t.
+    t-degree, puts every monomial involving t above every t-free monomial
+    of the same weight, so one Buchberger run eliminates t.  The requested
+    order's rows follow, then -1 unit rows on t_1..t_(d-1).  Every element
+    is homogeneous for row one, and on t-free monomials of equal row-one
+    weight this is the requested order, so the t-free part is already a
+    Groebner basis under it and is only reduced.  The order's rows span the
+    column sums, so one of them depends on the rows above it: it never
+    breaks a tie, and leaving it out keeps the matrix square.
     """
     n, d = grading.nvars, len(grading.rows)
     pos = grading.positive_row()
@@ -276,16 +282,15 @@ def toric_ideal(
         Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in shifted))
         for i in range(1, n + 1)
     ]
-    rows = [
-        tuple(map(sum, zip(*shifted))) + (1,) * d,
-        (0,) * n + (1,) * d,
-    ]
-    # -1 unit rows over t_1..t_(d-1), then x_1..x_(n-1): full rank
-    cols = [*range(n, n + d - 1), *range(n - 1)]
-    rows += [_unit_negative_row(n + d, c) for c in cols]
+    if order is None:
+        order = build_order_i(pos, n)
+    rows: list[tuple[int, ...]] = []
+    for row in [tuple(map(sum, zip(*shifted))) + (1,) * d, (0,) * n + (1,) * d,
+                *(r + (0,) * d for r in order.rows),
+                *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))]:
+        if intlinalg.rank([*rows, row]) > len(rows):
+            rows.append(row)
     elim = buchberger(gens, MatrixOrder(tuple(rows)), trace)
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
-    if order is None:
-        order = build_order_i(pos, n)
-    return reduce_gb(buchberger(kept, order, trace))
+    return reduce_gb(GroebnerBasis(tuple(kept), order))

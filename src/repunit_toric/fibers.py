@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .binomials import Binomial, Grading, Monomial, check_int, divides, is_homogeneous
 from .groebner import buchberger, ideal_member, reduce_gb
@@ -256,11 +256,11 @@ def has_unique_minimal_system(gens: Sequence[Binomial], grading: Grading) -> boo
 
 
 def forced_generators(
-    gens: Sequence[Binomial], grading: Grading
+    splits: Mapping[tuple[int, ...], DegreeSplit],
 ) -> tuple[Binomial, ...] | None:
-    """The unique minimal generating system, or None when it is not unique."""
+    """The unique minimal generating system read off betti_splits, or None if not unique."""
     out = []
-    for split in betti_splits(gens, grading).values():
+    for split in splits.values():
         pairs = split.forced_pairs()
         if pairs is None:
             return None

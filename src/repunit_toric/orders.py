@@ -15,7 +15,7 @@ from functools import cmp_to_key
 from typing import Sequence
 
 from . import intlinalg
-from .binomials import Monomial
+from .binomials import Monomial, check_int
 
 
 @dataclass(frozen=True)
@@ -23,7 +23,7 @@ class MatrixOrder:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(check_int(x, "order entry") for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
@@ -36,12 +36,6 @@ class MatrixOrder:
     @property
     def nvars(self) -> int:
         return len(self.rows)
-
-    def weight(self, m: Monomial) -> int:
-        """First-row weighted degree; ties under it fall to the later rows."""
-        if len(m) != self.nvars:
-            raise ValueError(f"monomial has {len(m)} variables, order has {self.nvars}")
-        return sum(w * e for w, e in zip(self.rows[0], m))
 
     def compare(self, u: Monomial, v: Monomial) -> int:
         """-1, 0 or 1 as u is smaller than, equal to, or larger than v."""
@@ -71,7 +65,7 @@ def build_order_i(weights: Sequence[int], i: int) -> MatrixOrder:
     along the cheapness sequence x_i, x_{i-1}, ..., x_1, x_n, ..., with the
     most expensive variable receiving no row.
     """
-    w = tuple(int(x) for x in weights)
+    w = tuple(check_int(x, "weight") for x in weights)
     n = len(w)
     if n < 1:
         raise ValueError("weights must be nonempty")
@@ -106,7 +100,7 @@ def cheapness_sequence(order: MatrixOrder) -> tuple[int, ...]:
 
 def five_variable_order(weights: Sequence[int]) -> MatrixOrder:
     """The specific 5-variable weighted order with tie-break sequence 3, 5, 4, 2."""
-    w = tuple(int(x) for x in weights)
+    w = tuple(check_int(x, "weight") for x in weights)
     if len(w) != 5:
         raise ValueError(f"this order is defined for 5 variables, got {len(w)}")
     rows = [w] + [_unit_negative_row(5, c - 1) for c in (3, 5, 4, 2)]

@@ -143,23 +143,19 @@ def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minor
     check(label, toric_route)
 
 
-def _shared_splits(minors, grading) -> Callable[[], list[DegreeSplit]]:
+def _shared_splits(minors, grading) -> Callable[[], dict[tuple[int, ...], DegreeSplit]]:
     """Fiber splits of the minors, computed by the first check that asks."""
-    return cache(lambda: list(betti_splits(minors.binomials, grading).values()))
+    return cache(lambda: betti_splits(minors.binomials, grading))
 
 
 def _oracle_count(check: _Checks, label: str, splits, expected: int) -> None:
     check(
         label,
         lambda: (
-            sum(s.new_generators() for s in splits()) == expected,
+            sum(s.new_generators() for s in splits().values()) == expected,
             f"fiber oracle counts {expected} minimal generators",
         ),
     )
-
-
-def _is_unique(splits) -> bool:
-    return all(s.forced_pairs() is not None for s in splits())
 
 
 def verify_homogeneity_identity(check: _Checks, params: InstanceParams) -> None:
@@ -268,7 +264,7 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
     check(
         "uniqueness",
         lambda: (
-            _is_unique(splits),
+            forced_generators(splits()) is not None,
             "every contributing fiber is two isolated monomials",
         ),
     )
@@ -296,7 +292,7 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
     _oracle_count(check, "minimal-generation", splits, comb(params.n, 2))
     if params.n > 3:
         def frontier() -> tuple[bool, str]:
-            unique = _is_unique(splits)
+            unique = forced_generators(splits()) is not None
             predicate = params.a < params.b - 1
             reduced_all = all(
                 is_reduced_basis(structured_closed_family(params, i))
@@ -360,7 +356,8 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
     )
     _toric_equals_minors(check, "toric-equality", "printed set generates the toric ideal",
                          grading, minors, order)
-    _oracle_count(check, "oracle-count", _shared_splits(minors, grading), 6)
+    splits = _shared_splits(minors, grading)
+    _oracle_count(check, "oracle-count", splits, 6)
     check(
         "pruning",
         lambda: (
@@ -373,7 +370,7 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
         check(
             "forced-system",
             lambda: (
-                forced_generators(minors.binomials, grading) == tuple(sorted(
+                forced_generators(splits()) == tuple(sorted(
                     printed, key=lambda h: (h.plus, h.minus))),
                 "fiber oracle forces exactly the printed six",
             ),
@@ -411,7 +408,7 @@ def verify_noncoprime_counts(check: _Checks, params: InstanceParams) -> None:
     check(
         "ideals-differ",
         lambda: (
-            not ideal_equal(list(tor.elements), minors.binomials, order),
+            tor.elements != groebner_reduced(minors.binomials, order).elements,
             "toric ideal is not the minor ideal",
         ),
     )

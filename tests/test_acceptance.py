@@ -23,6 +23,7 @@ from repunit_toric.families import (
     toric_ideal,
 )
 from repunit_toric.fibers import (
+    betti_splits,
     forced_generators,
     has_unique_minimal_system,
     minimal_generator_count,
@@ -200,7 +201,7 @@ def test_criterion_07_nonminor_leading_element():
 def test_criterion_08_forced_system_matches_printed_list():
     p = params(1, 3, 4)
     gb = scalar_toric(1, 3, 4)
-    forced = forced_generators(list(gb.elements), scalar_grading(p))
+    forced = forced_generators(betti_splits(list(gb.elements), scalar_grading(p)))
     assert forced is not None
     assert set(forced) == set(four_variable_generators(p))
     assert len(forced) == 6

@@ -1,10 +1,13 @@
 """Minor families, structured generating sets, relation matrices."""
 
+import functools
 import itertools
+import random
 from math import comb
 
 import pytest
 
+from repunit_toric import families
 from repunit_toric.binomials import Binomial, Grading, format_binomial, is_homogeneous
 from repunit_toric.families import (
     minors_closed_chain,
@@ -19,14 +22,15 @@ from repunit_toric.families import (
     weight_relation_matrix,
 )
 from repunit_toric.groebner import (
+    buchberger,
     groebner_reduced,
     ideal_equal,
     ideal_member,
     is_groebner_basis,
     saturate_torus,
 )
-from repunit_toric.intlinalg import dot, kernel_basis, row_hnf
-from repunit_toric.orders import build_order_i
+from repunit_toric.intlinalg import dot, kernel_basis, rank, row_hnf
+from repunit_toric.orders import MatrixOrder, build_order_i, five_variable_order
 from repunit_toric.semigroup import InstanceParams, generators, is_coprime
 
 
@@ -154,10 +158,15 @@ def test_toric_ideal_route_matches_minors():
     assert ideal_equal(gb, minors_closed_chain(p).binomials, order)
 
 
-def _saturation_route(grading, order):
+@functools.cache
+def _saturated_kernel(grading):
     # the independent route: torus saturation of the kernel lattice ideal
     kernel = [Binomial.from_vector(r) for r in kernel_basis(grading.rows)]
-    return groebner_reduced(saturate_torus(kernel, grading), order).elements
+    return tuple(saturate_torus(kernel, grading))
+
+
+def _saturation_route(grading, order):
+    return groebner_reduced(_saturated_kernel(grading), order).elements
 
 
 @pytest.mark.parametrize(
@@ -172,10 +181,10 @@ def test_toric_ideal_elimination_matches_saturation(kind, a, b, n):
     assert gb.elements == _saturation_route(grading, gb.order)
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [((2, 3, 5, 7), (1, -1, 2, 0)), ((1, 1, 1, 1, 1), (0, 1, -2, 3, 1))],
-)
+NEGATIVE_GRADINGS = [((2, 3, 5, 7), (1, -1, 2, 0)), ((1, 1, 1, 1, 1), (0, 1, -2, 3, 1))]
+
+
+@pytest.mark.parametrize("rows", NEGATIVE_GRADINGS)
 def test_toric_ideal_of_grading_with_negative_entries(rows):
     grading = Grading(rows)
     order = build_order_i(grading.positive_row(), 1)
@@ -183,6 +192,59 @@ def test_toric_ideal_of_grading_with_negative_entries(rows):
     assert gb.elements
     assert all(is_homogeneous(grading, g) for g in gb)
     assert gb.elements == _saturation_route(grading, order)
+
+
+def _random_orders(grading, count=2):
+    # seeded full-rank orders whose positive first row lies outside the
+    # grading's row space, so the row left out is not the order's first
+    rng = random.Random(repr(grading.rows))
+    n, r = grading.nvars, rank(grading.rows)
+    out = []
+    while len(out) < count:
+        first = tuple(rng.randint(1, 6) for _ in range(n))
+        if rank(grading.rows + (first,)) == r:
+            continue
+        rest = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n - 1))
+        if rank((first,) + rest) == n:
+            out.append(MatrixOrder((first,) + rest))
+    return out
+
+
+@pytest.mark.parametrize(
+    "rows",
+    list(dict.fromkeys(
+        grading_of(InstanceParams(a, b, n)).rows
+        for grading_of in (scalar_grading, projective_grading)
+        for a in (1, 2, 3) for b in (2, 3, 4) for n in (4, 5)
+    )) + NEGATIVE_GRADINGS,
+)
+def test_toric_ideal_matches_saturation_under_every_order(rows):
+    grading = Grading(rows)
+    n, pos = grading.nvars, grading.positive_row()
+    orders = [build_order_i(pos, i) for i in range(1, n + 1)]
+    if n == 5:
+        orders.append(five_variable_order(pos))
+    orders += _random_orders(grading)
+    for order in orders:
+        gb = toric_ideal(grading, order)
+        assert gb.reduced and gb.order == order
+        assert gb.elements == _saturation_route(grading, order), order.rows
+
+
+def test_toric_ideal_runs_buchberger_once(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr(families, "buchberger", counted)
+    for grading in (scalar_grading(InstanceParams(1, 2, 5)),
+                    projective_grading(InstanceParams(1, 2, 5)), Grading(NEGATIVE_GRADINGS[0])):
+        calls.clear()
+        toric_ideal(grading)
+        assert len(calls) == 1
+        assert calls[0].nvars == grading.nvars + len(grading.rows)
 
 
 def test_toric_ideal_membership_oracle():

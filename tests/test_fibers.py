@@ -225,7 +225,7 @@ def test_forced_generators_coprime_n4():
     grading = scalar_grading(p)
     minors = minors_closed_chain(p).binomials
     assert has_unique_minimal_system(minors, grading)
-    assert forced_generators(minors, grading) == (
+    assert forced_generators(betti_splits(minors, grading)) == (
         Binomial((0, 3, 0, 1), (0, 0, 4, 0)),
         Binomial((2, 0, 3, 0), (0, 0, 0, 4)),
         Binomial((2, 3, 0, 0), (0, 0, 1, 3)),
@@ -241,7 +241,8 @@ def test_uniqueness_boundary():
     assert not has_unique_minimal_system(
         minors_closed_chain(p).binomials, scalar_grading(p)
     )
-    assert forced_generators(minors_closed_chain(p).binomials, scalar_grading(p)) is None
+    splits = betti_splits(minors_closed_chain(p).binomials, scalar_grading(p))
+    assert forced_generators(splits) is None
 
 
 def test_projective_side_betti():

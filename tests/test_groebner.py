@@ -186,7 +186,7 @@ def test_trace_pins_pair_outcomes():
         else:
             assert " -> " in s
             outcomes["added"] += 1
-    assert outcomes == {"added": 13, "zero": 34, "M": 41, "F": 3, "coprime": 60}
+    assert outcomes == {"added": 13, "zero": 26, "M": 35, "F": 5, "coprime": 57}
 
 
 def _random_homogeneous_gens(rng, nvars):

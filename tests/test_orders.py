@@ -76,6 +76,26 @@ def test_matrix_order_validation():
         order.compare((1, 0, 0), (0, 1, 0))
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "2"])
+def test_matrix_order_rejects_non_int_entries(bad):
+    with pytest.raises(ValueError, match="order entry must be an int, got " + repr(bad)):
+        MatrixOrder(((bad, 1), (0, -1)))
+    with pytest.raises(ValueError, match="order entry must be an int"):
+        MatrixOrder(((2, 1), (0, bad)))
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "2"])
+def test_build_order_i_rejects_non_int_weights(bad):
+    with pytest.raises(ValueError, match="weight must be an int, got " + repr(bad)):
+        build_order_i((bad, 2, 3), 1)
+
+
+@pytest.mark.parametrize("bad", [2.2, True, "2"])
+def test_five_variable_order_rejects_non_int_weights(bad):
+    with pytest.raises(ValueError, match="weight must be an int, got " + repr(bad)):
+        five_variable_order((1, bad, 3, 4, 5))
+
+
 def test_five_variable_order_rows():
     w = generators(InstanceParams(1, 5, 5))
     assert w == (781, 782, 787, 812, 937)

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repunit_toric import fibers, verify
 from repunit_toric.binomials import Binomial
+from repunit_toric.fibers import betti_splits
 from repunit_toric.reports import (
     ClaimResult,
     InstanceRef,
@@ -43,6 +45,21 @@ def test_example_claims_pass_on_pinned_instances():
     assert all_pass(run_claim("example-n4-minors", InstanceParams(1, 3, 4)))
     assert all_pass(run_claim("example-gcd3", InstanceParams(3, 2, 4)))
     assert all_pass(run_claim("example-a3b3", InstanceParams(3, 3, 4)))
+
+
+def test_n4_minors_walks_the_fibers_once(monkeypatch):
+    calls = []
+
+    def counted(gens, grading):
+        calls.append(grading)
+        return betti_splits(gens, grading)
+
+    for module in (verify, fibers):
+        monkeypatch.setattr(module, "betti_splits", counted)
+    reports = run_claim("example-n4-minors", InstanceParams(1, 3, 4))
+    assert all_pass(reports)
+    assert [c.detail.split(":")[0] for c in reports[0].claims][-1] == "forced-system"
+    assert len(calls) == 1
 
 
 def test_printed_four_variable_set():
