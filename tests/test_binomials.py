@@ -1,5 +1,7 @@
 """Monomial arithmetic, binomial objects and gradings."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -124,6 +126,84 @@ def test_reduce_monomial_single_rule():
     assert rule.plus == (0, 1, 2, 0)
     assert normal_form((0, 2, 2, 0), [(rule.plus, rule.minus)]) == (2, 1, 0, 1)
     assert normal_form((5, 0, 1, 0), [(rule.plus, rule.minus)]) == (5, 0, 1, 0)
+
+
+def _reference_normal_form(m, rules):
+    # Plain tuple rewriting: first applicable rule, then restart.
+    while True:
+        for p, q in rules:
+            if all(a <= b for a, b in zip(p, m)):
+                m = tuple(b - a + c for a, b, c in zip(p, m, q))
+                if max(m) > EXPONENT_LIMIT:
+                    raise ExponentOverflowError(m)
+                break
+        else:
+            return m
+
+
+def _deglex_key(m):
+    return (sum(m), m)
+
+
+def _random_rules(rng, nvars):
+    # x1 is a wide variable: leads hold 0 or an entry at the limit, tails
+    # hold 0.  x2 is a sink: leads hold 0, tails may add 1, so a rewrite
+    # can push it past the limit.  Every rule is oriented by deglex on
+    # x3.., so each rewrite moves that part strictly down and all
+    # rewriting terminates.
+    rules = []
+    while len(rules) < rng.randint(1, 8):
+        u = tuple(rng.randint(0, 2) for _ in range(nvars - 2))
+        v = tuple(rng.randint(0, 2) for _ in range(nvars - 2))
+        if u == v:
+            continue
+        if _deglex_key(u) < _deglex_key(v):
+            u, v = v, u
+        wide = rng.choice((0, 0, EXPONENT_LIMIT - 1, EXPONENT_LIMIT))
+        rules.append(((wide, 0) + u, (0, rng.randint(0, 1)) + v))
+    return rules
+
+
+def _random_monomials(rng, nvars, rules):
+    edge = (0, 1, EXPONENT_LIMIT - 1, EXPONENT_LIMIT)
+    out = []
+    for _ in range(12):
+        m = [rng.choice(edge), rng.choice(edge)]
+        m += [rng.randint(0, 4) for _ in range(nvars - 2)]
+        out.append(tuple(m))
+    for p, _ in rules:
+        # equal to a lead in every coordinate, then one below it in one
+        # coordinate: the two sides of the borrow boundary
+        out.append(p)
+        k = rng.randrange(nvars)
+        if p[k]:
+            out.append(p[:k] + (p[k] - 1,) + p[k + 1:])
+        out.append(tuple(e + rng.randint(0, 1) if e < EXPONENT_LIMIT else e for e in p))
+    return out
+
+
+def test_normal_form_matches_tuple_rewriting():
+    rng = random.Random(20211)
+    for _ in range(300):
+        nvars = rng.randint(3, 6)
+        rules = _random_rules(rng, nvars)
+        for m in _random_monomials(rng, nvars, rules):
+            try:
+                want = _reference_normal_form(m, rules)
+            except ExponentOverflowError:
+                with pytest.raises(ExponentOverflowError):
+                    normal_form(m, rules)
+                continue
+            assert normal_form(m, rules) == want, (m, rules)
+
+
+def test_normal_form_raises_past_the_limit():
+    # x3 -> x2 applied to x2^LIMIT * x3 needs x2^(LIMIT + 1)
+    with pytest.raises(ExponentOverflowError):
+        normal_form((0, EXPONENT_LIMIT, 1), [((0, 0, 1), (0, 1, 0))])
+    # landing exactly on the limit is fine
+    assert normal_form((0, EXPONENT_LIMIT - 1, 1), [((0, 0, 1), (0, 1, 0))]) == (
+        0, EXPONENT_LIMIT, 0)
 
 
 def test_reduce_binomial_to_zero():

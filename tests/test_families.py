@@ -1,6 +1,7 @@
 """Minor families, structured generating sets, relation matrices."""
 
 import functools
+import hashlib
 import itertools
 import random
 from math import comb
@@ -274,3 +275,17 @@ def test_projective_toric_ideal_matches_open_minors():
     order = build_order_i(grading.positive_row(), 1)
     gb = toric_ideal(grading, order)
     assert ideal_equal(gb, minors_open_chain(p).binomials, order)
+
+
+def test_toric_ideal_bases_pinned():
+    # sha256 of every formatted reduced basis in the box, under the orders
+    # with x1 and with xn cheapest: any change to a basis element, its
+    # orientation or the listing order changes the digest
+    lines = []
+    for a, b, n in itertools.product(range(1, 5), range(2, 5), range(4, 7)):
+        grading = scalar_grading(InstanceParams(a, b, n))
+        for i in (1, n):
+            gb = toric_ideal(grading, build_order_i(grading.positive_row(), i))
+            lines.append(f"{a} {b} {n} {i}: " + ", ".join(map(format_binomial, gb)))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "ab0f481cad25a4829a96dcc7883c313d666bba3f918e7c26c11ece7acc512b6b"

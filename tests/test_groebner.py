@@ -11,7 +11,14 @@ from collections import Counter
 import pytest
 
 from repunit_toric import families
-from repunit_toric.binomials import Binomial, Grading, is_homogeneous, oriented
+from repunit_toric.binomials import (
+    EXPONENT_LIMIT,
+    Binomial,
+    ExponentOverflowError,
+    Grading,
+    is_homogeneous,
+    oriented,
+)
 from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
@@ -33,7 +40,7 @@ from repunit_toric.groebner import (
     saturate_torus,
     saturate_variable,
 )
-from repunit_toric.orders import build_order_i
+from repunit_toric.orders import MatrixOrder, build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
 
 
@@ -141,6 +148,18 @@ def test_saturate_torus_fixes_saturated_ideal():
     sat = saturate_torus(minors, grading)
     order = build_order_i(grading.positive_row(), 1)
     assert ideal_equal(sat, minors, order)
+
+
+def test_s_pair_side_past_the_limit_raises():
+    # lcm x1*x2*x3 of the leads; f1's side is x3^(LIMIT + 1)
+    order = MatrixOrder(((EXPONENT_LIMIT + 1, 1, 1), (0, 1, 0), (0, 0, 1)))
+    f1 = Binomial((1, 1, 0), (0, 0, EXPONENT_LIMIT))
+    f2 = Binomial((1, 0, 1), (0, 1, 0))
+    assert oriented(f1, order) == f1 and oriented(f2, order) == f2
+    with pytest.raises(ExponentOverflowError):
+        buchberger([f1, f2], order)
+    with pytest.raises(ExponentOverflowError):
+        is_groebner_basis([f1, f2], order)
 
 
 def test_trace_reports_pair_handling():
