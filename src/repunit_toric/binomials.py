@@ -4,8 +4,15 @@ A monomial is a plain tuple of nonnegative ints, one entry per variable.  A
 binomial is an ordered pair of monomials read as plus - minus; coefficients
 never appear because everything downstream is a difference of two monomials
 with coefficients +1 and -1.  Exponent arithmetic is checked against a fixed
-limit so silent wraparound can never occur, mirroring engines that store
-exponents in fixed-width words.
+limit so silent wraparound can never occur.
+
+Rewriting runs on packed words (Monagan & Pearce, CASC 2007): one Python int
+holds a 33-bit field per variable, x_1 lowest, with 31 value bits, a carry
+bit and a guard bit.  With the guard bit set in every field of the monomial
+being rewritten, one subtraction of a packed lead never borrows across
+fields and leaves every guard bit set exactly when the lead divides; adding
+the packed tail then completes the rewrite, and a set carry bit means an
+exponent went past EXPONENT_LIMIT.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 EXPONENT_LIMIT = 2**31 - 1
+FIELD_BITS = 33  # per variable in a packed word: 31 value bits, carry, guard
 
 Monomial = tuple
 
@@ -52,14 +60,6 @@ def _check_dims(u: Monomial, v: Monomial) -> None:
         raise ValueError(f"variable count mismatch: {len(u)} vs {len(v)}")
 
 
-def mul(u: Monomial, v: Monomial) -> Monomial:
-    _check_dims(u, v)
-    w = tuple(a + b for a, b in zip(u, v))
-    if any(e > EXPONENT_LIMIT for e in w):
-        raise ExponentOverflowError(f"product of {u} and {v} exceeds {EXPONENT_LIMIT}")
-    return w
-
-
 def lcm(u: Monomial, v: Monomial) -> Monomial:
     _check_dims(u, v)
     return tuple(a if a >= b else b for a, b in zip(u, v))
@@ -69,13 +69,6 @@ def divides(u: Monomial, v: Monomial) -> bool:
     """True when u divides v entrywise."""
     _check_dims(u, v)
     return all(a <= b for a, b in zip(u, v))
-
-
-def div(u: Monomial, v: Monomial) -> Monomial:
-    """Exact quotient u / v; raises when v does not divide u."""
-    if not divides(v, u):
-        raise ValueError(f"{v} does not divide {u}")
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def coprime(u: Monomial, v: Monomial) -> bool:
@@ -194,36 +187,47 @@ def oriented(f: Binomial, order) -> Binomial:
     return oriented_pair(f.plus, f.minus, order)
 
 
-def normal_form(m: Monomial, rules: Sequence[tuple[Monomial, Monomial]]) -> Monomial:
-    """Normal form of m under the rewriting rules lead -> tail, taken in order.
+def pack(m: Monomial) -> int:
+    """m as a packed word, x_1 in the lowest field; entries must be in range."""
+    x = 0
+    for e in reversed(m):
+        x = x << FIELD_BITS | e
+    return x
+
+
+def unpack(x: int, nvars: int) -> Monomial:
+    """Exponents of the packed word x, carry bit included; guard bits are ignored."""
+    mask = (1 << FIELD_BITS - 1) - 1
+    return tuple(x >> s & mask for s in range(0, FIELD_BITS * nvars, FIELD_BITS))
+
+
+def guard_bits(nvars: int) -> int:
+    """The guard bit of every field of an nvars-variable word."""
+    return pack((1 << FIELD_BITS - 1,) * nvars)
+
+
+def normal_form(x: int, rules: Sequence[tuple[int, int]], guard: int) -> int:
+    """Normal form of the packed monomial x under packed rules lead -> tail, taken in order.
 
     Scans for the first applicable rule and restarts; with every rule
     oriented under a term order each step moves strictly down, so this
-    terminates.
+    terminates.  guard is guard_bits(nvars); x may come in with a field past
+    EXPONENT_LIMIT (an unchecked product), which raises like a rewrite that
+    goes past it.
     """
-    # Hot loop: divisibility and the rewrite are inlined, no helper calls.
-    nv = len(m)
-    changed = True
-    while changed:
-        changed = False
+    carry = guard >> 1
+    x |= guard
+    while True:
+        if x & carry:
+            m = unpack(x, guard.bit_length() // FIELD_BITS)
+            raise ExponentOverflowError(f"rewrite to {m} exceeds {EXPONENT_LIMIT}")
         for p, q in rules:
-            fits = True
-            for t in range(nv):
-                if p[t] > m[t]:
-                    fits = False
-                    break
-            if not fits:
-                continue
-            w = []
-            for t in range(nv):
-                e = m[t] - p[t] + q[t]
-                if e > EXPONENT_LIMIT:
-                    raise ExponentOverflowError(f"rewrite of {m} exceeds {EXPONENT_LIMIT}")
-                w.append(e)
-            m = tuple(w)
-            changed = True
-            break
-    return m
+            y = x - p
+            if y & guard == guard:
+                x = y + q
+                break
+        else:
+            return x ^ guard
 
 
 def format_monomial(m: Monomial) -> str:

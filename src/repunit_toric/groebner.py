@@ -24,19 +24,21 @@ from .binomials import (
     Grading,
     Monomial,
     coprime,
-    div,
     divides,
     format_binomial,
     format_monomial,
+    guard_bits,
     lcm,
-    mul,
     normal_form,
     oriented_pair,
+    pack,
+    unpack,
 )
 from .orders import MatrixOrder, build_order_i
 
 TraceFn = Callable[[str], None]
 Rule = tuple[Monomial, Monomial]
+Packed = tuple[int, int]  # a rule as packed words
 
 
 @dataclass(frozen=True)
@@ -65,11 +67,19 @@ def sort_canonical(elements: Iterable[Binomial], order: MatrixOrder) -> tuple[Bi
     return tuple(sorted(elements, key=pair_key))
 
 
-def _s_sides(big: Monomial, f: Rule, g: Rule, rules: Sequence[Rule]) -> tuple[Monomial, Monomial]:
-    # Normal forms of the two one-step rewrites of lcm(lt f, lt g); the
-    # S-binomial reduces to zero exactly when they agree.
-    return (normal_form(mul(div(big, f[0]), f[1]), rules),
-            normal_form(mul(div(big, g[0]), g[1]), rules))
+def _packed(rules: Iterable[Rule]) -> list[Packed]:
+    return [(pack(p), pack(q)) for p, q in rules]
+
+
+def _s_sides(big: Monomial, f: Packed, g: Packed, rules: Sequence[Packed],
+             guard: int) -> tuple[int, int]:
+    # Packed normal forms of the two one-step rewrites of lcm(lt f, lt g);
+    # the S-binomial reduces to zero exactly when they agree.  A lead
+    # divides big, so big - lead + tail borrows nothing, and normal_form
+    # raises when it went past the limit.
+    x = pack(big)
+    return (normal_form(x - f[0] + f[1], rules, guard),
+            normal_form(x - g[0] + g[1], rules, guard))
 
 
 def buchberger(
@@ -83,17 +93,21 @@ def buchberger(
     are built only for the returned basis, which is the set of live rules.
     """
     rules: list[Rule] = []  # every rule ever inserted; pairs name rules by index
+    packed: list[Packed] = []  # rules[k] as packed words
     live: list[int] = []  # rules whose lead no later lead divides
-    basis: list[Rule] = []  # the live rules, which normal_form scans
+    basis: list[Packed] = []  # the live rules, which normal_form scans
     pending: dict[tuple[int, int], Monomial] = {}  # pair -> lcm of its leads
     heap: list[tuple[int, Monomial, int, int]] = []
     weights = order.rows[0]
+    nvars = order.nvars
+    guard = guard_bits(nvars)
 
     def insert(rule: Rule) -> None:
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993).
         h = rule[0]
         j = len(rules)
         rules.append(rule)
+        packed.append((pack(h), pack(rule[1])))
         # Criterion B: h divides the lcm of a pending pair whose two lcms
         # with h are proper divisors, so both of those pairs are handled
         # before it.  Dropping the dict entry deletes the heap entry lazily.
@@ -129,7 +143,7 @@ def buchberger(
         # and leaves the basis, while its pending pairs stay.
         live[:] = [i for i in live if not all(map(le, h, rules[i][0]))]
         live.append(j)
-        basis[:] = [rules[i] for i in live]
+        basis[:] = [packed[i] for i in live]
 
     for g in gens:
         c = order.compare(g.plus, g.minus)
@@ -141,15 +155,19 @@ def buchberger(
         _, big, i, j = heapq.heappop(heap)
         if pending.pop((i, j), None) is None:
             continue
-        p, q = _s_sides(big, rules[i], rules[j], basis)
+        x, y = _s_sides(big, packed[i], packed[j], basis, guard)
+        if x == y:
+            if trace:
+                trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> 0")
+            continue
+        p, q = unpack(x, nvars), unpack(y, nvars)
         rule = (p, q) if order.compare(p, q) > 0 else (q, p)
         if trace:
-            outcome = "0" if p == q else " - ".join(map(format_monomial, rule))
-            trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> {outcome}")
-        if p != q:
-            insert(rule)
+            trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> "
+                  + " - ".join(map(format_monomial, rule)))
+        insert(rule)
 
-    return GroebnerBasis(sort_canonical((Binomial(p, q) for p, q in basis), order), order)
+    return GroebnerBasis(sort_canonical((Binomial(*rules[i]) for i in live), order), order)
 
 
 def is_groebner_basis(
@@ -167,16 +185,17 @@ def is_groebner_basis(
     for g in elems:
         if order.compare(g.plus, g.minus) <= 0:
             raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
-    rules = [(g.plus, g.minus) for g in elems]
+    leads = [g.plus for g in elems]
+    rules = _packed((g.plus, g.minus) for g in elems)
+    guard = guard_bits(order.nvars)
     for j in range(len(rules)):
         for i in range(j):
-            f, g = rules[i], rules[j]
-            if coprime(f[0], g[0]):
+            if coprime(leads[i], leads[j]):
                 continue
-            p, q = _s_sides(lcm(f[0], g[0]), f, g, rules)
-            if p != q:
+            x, y = _s_sides(lcm(leads[i], leads[j]), rules[i], rules[j], rules, guard)
+            if x != y:
                 if trace:
-                    r = oriented_pair(p, q, order)
+                    r = oriented_pair(unpack(x, order.nvars), unpack(y, order.nvars), order)
                     trace(f"pair ({i},{j}) leaves remainder {format_binomial(r)}")
                 return False
     return True
@@ -222,8 +241,11 @@ def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
     # Minimal leads are distinct and tail reduction keeps them, so the
     # listing from minimalize stays sorted.
     m = minimalize(gb)
-    rules = [(g.plus, g.minus) for g in m.elements]
-    out = tuple(Binomial(p, normal_form(q, rules)) for p, q in rules)
+    nvars = gb.order.nvars
+    guard = guard_bits(nvars)
+    rules = _packed((g.plus, g.minus) for g in m.elements)
+    out = tuple(Binomial(g.plus, unpack(normal_form(q, rules, guard), nvars))
+                for g, (_, q) in zip(m.elements, rules))
     return GroebnerBasis(out, gb.order, minimal=True, reduced=True)
 
 
@@ -234,8 +256,9 @@ def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
 
 def ideal_member(f: Binomial, gb: GroebnerBasis) -> bool:
     """Membership: f's two sides share a normal form; gb must be a Groebner basis."""
-    rules = [(g.plus, g.minus) for g in gb.elements if not g.is_zero()]
-    return normal_form(f.plus, rules) == normal_form(f.minus, rules)
+    rules = _packed((g.plus, g.minus) for g in gb.elements if not g.is_zero())
+    guard = guard_bits(f.nvars)
+    return normal_form(pack(f.plus), rules, guard) == normal_form(pack(f.minus), rules, guard)
 
 
 def ideal_equal(

@@ -11,48 +11,50 @@ from repunit_toric.binomials import (
     ExponentOverflowError,
     Grading,
     coprime,
-    div,
     divides,
     format_binomial,
     format_monomial,
+    guard_bits,
     is_homogeneous,
     lcm,
     monomial,
-    mul,
     normal_form,
     one,
     oriented,
+    pack,
+    unpack,
 )
 from repunit_toric.groebner import GroebnerBasis, ideal_member
 from repunit_toric.orders import build_order_i
 
 exps = st.tuples(*[st.integers(min_value=0, max_value=30)] * 4)
+# entries at both ends of a packed field
+edge_exps = st.tuples(*[st.one_of(
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from((EXPONENT_LIMIT - 1, EXPONENT_LIMIT)),
+)] * 4)
 
 
 def test_monomial_basics():
     m = monomial((1, 0, 2, 0))
-    assert mul(m, one(4)) == m
+    assert unpack(pack(m) + pack(one(4)), 4) == m
     assert lcm((1, 0, 2, 0), (0, 3, 1, 0)) == (1, 3, 2, 0)
     assert divides((0, 1, 1, 0), (2, 1, 3, 0))
     assert not divides((0, 2, 0, 0), (0, 1, 5, 5))
-    assert div((2, 1, 3, 0), (0, 1, 1, 0)) == (2, 0, 2, 0)
     assert coprime((1, 0, 2, 0), (0, 4, 0, 1))
     assert not coprime((1, 0, 2, 0), (0, 0, 1, 0))
 
 
-@given(exps, exps)
-def test_mul_is_componentwise_sum(u, v):
-    assert mul(u, v) == tuple(a + b for a, b in zip(u, v))
-    assert mul(u, v) == mul(v, u)
+@given(edge_exps, edge_exps)
+def test_pack_is_additive(u, v):
+    # a sum of two in-range exponents fits its field, carry bit included
+    assert unpack(pack(u) + pack(v), 4) == tuple(a + b for a, b in zip(u, v))
 
 
-@given(exps, exps)
-def test_divides_iff_div_roundtrips(u, v):
-    if divides(u, v):
-        assert mul(u, div(v, u)) == v
-    else:
-        with pytest.raises(ValueError):
-            div(v, u)
+@given(edge_exps, edge_exps)
+def test_divides_iff_packed_subtraction_keeps_guards(u, v):
+    guard = guard_bits(4)
+    assert divides(u, v) == (((pack(v) | guard) - pack(u)) & guard == guard)
 
 
 def test_exponent_overflow_guard():
@@ -61,7 +63,8 @@ def test_exponent_overflow_guard():
     with pytest.raises(ExponentOverflowError):
         monomial((big + 1, 0))
     with pytest.raises(ExponentOverflowError):
-        mul((big, 0), (1, 0))
+        # an unchecked product past the limit, as an S-pair side can be
+        normal_form(pack((big, 0)) + pack((1, 0)), [], guard_bits(2))
     with pytest.raises(ValueError):
         monomial((-1, 0))
 
@@ -120,12 +123,24 @@ def test_oriented_uses_order():
     assert oriented(g, order) == g
 
 
+def _normal_form(m, rules):
+    # normal_form on tuples: pack the input and rules, unpack the result
+    packed = [(pack(p), pack(q)) for p, q in rules]
+    return unpack(normal_form(pack(m), packed, guard_bits(len(m))), len(m))
+
+
+def test_pack_round_trips_at_the_field_edges():
+    for m in [(0, 0, 0), (EXPONENT_LIMIT, 0, 1), (1, EXPONENT_LIMIT, EXPONENT_LIMIT)]:
+        assert unpack(pack(m), 3) == m
+        assert unpack(pack(m) | guard_bits(3), 3) == m
+
+
 def test_reduce_monomial_single_rule():
     order = build_order_i((15, 18, 24, 36), 1)
     rule = oriented(Binomial((0, 1, 2, 0), (2, 0, 0, 1)), order)
     assert rule.plus == (0, 1, 2, 0)
-    assert normal_form((0, 2, 2, 0), [(rule.plus, rule.minus)]) == (2, 1, 0, 1)
-    assert normal_form((5, 0, 1, 0), [(rule.plus, rule.minus)]) == (5, 0, 1, 0)
+    assert _normal_form((0, 2, 2, 0), [(rule.plus, rule.minus)]) == (2, 1, 0, 1)
+    assert _normal_form((5, 0, 1, 0), [(rule.plus, rule.minus)]) == (5, 0, 1, 0)
 
 
 def _reference_normal_form(m, rules):
@@ -192,24 +207,24 @@ def test_normal_form_matches_tuple_rewriting():
                 want = _reference_normal_form(m, rules)
             except ExponentOverflowError:
                 with pytest.raises(ExponentOverflowError):
-                    normal_form(m, rules)
+                    _normal_form(m, rules)
                 continue
-            assert normal_form(m, rules) == want, (m, rules)
+            assert _normal_form(m, rules) == want, (m, rules)
 
 
 def test_normal_form_raises_past_the_limit():
     # x3 -> x2 applied to x2^LIMIT * x3 needs x2^(LIMIT + 1)
     with pytest.raises(ExponentOverflowError):
-        normal_form((0, EXPONENT_LIMIT, 1), [((0, 0, 1), (0, 1, 0))])
+        _normal_form((0, EXPONENT_LIMIT, 1), [((0, 0, 1), (0, 1, 0))])
     # landing exactly on the limit is fine
-    assert normal_form((0, EXPONENT_LIMIT - 1, 1), [((0, 0, 1), (0, 1, 0))]) == (
+    assert _normal_form((0, EXPONENT_LIMIT - 1, 1), [((0, 0, 1), (0, 1, 0))]) == (
         0, EXPONENT_LIMIT, 0)
 
 
 def test_reduce_binomial_to_zero():
     order = build_order_i((15, 18, 24, 36), 1)
     rule = oriented(Binomial((0, 1, 2, 0), (2, 0, 0, 1)), order)
-    f = Binomial(mul((1, 0, 0, 0), rule.plus), mul((1, 0, 0, 0), rule.minus))
+    f = Binomial((1, 1, 2, 0), (3, 0, 0, 1))  # x1 times the rule
     assert ideal_member(f, GroebnerBasis((rule,), order))
 
 
