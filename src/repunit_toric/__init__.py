@@ -38,6 +38,7 @@ from .fibers import (
     has_unique_minimal_system,
     minimal_generator_count,
     prune_redundant_generators,
+    unique_minimal_system,
 )
 from .groebner import (
     GroebnerBasis,

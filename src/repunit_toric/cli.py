@@ -21,7 +21,12 @@ from .families import (
     scalar_grading,
     toric_ideal,
 )
-from .fibers import betti_degrees, betti_splits, has_unique_minimal_system
+from .fibers import (
+    betti_degrees,
+    betti_splits,
+    has_unique_minimal_system,
+    unique_minimal_system,
+)
 from .groebner import groebner_reduced
 from .orders import build_order_i, five_variable_order
 from .reports import exit_code, render_json, render_text
@@ -186,9 +191,9 @@ def _sweep_row(params: InstanceParams) -> dict:
     grading = scalar_grading(params)
     order = build_order_i(generators(params), 1)
     tor = toric_ideal(grading, order)
-    splits = betti_splits(list(tor.elements), grading).values()
-    count = sum(s.new_generators() for s in splits)
-    unique = all(s.forced_pairs() is not None for s in splits)
+    splits = betti_splits(list(tor.elements), grading)
+    count = sum(s.new_generators() for s in splits.values())
+    unique = unique_minimal_system(splits)
     predicate = params.a < params.b - 1
     if g == 1 and params.n > 3:
         agree = "yes" if unique == predicate else "NO"

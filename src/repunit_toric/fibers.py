@@ -250,9 +250,14 @@ def minimal_generator_count(gens: Sequence[Binomial], grading: Grading) -> int:
     return sum(betti_degrees(gens, grading).values())
 
 
+def unique_minimal_system(splits: Mapping[tuple[int, ...], DegreeSplit]) -> bool:
+    """True when every minimal generator is forced by its split in betti_splits."""
+    return all(s.forced_pairs() is not None for s in splits.values())
+
+
 def has_unique_minimal_system(gens: Sequence[Binomial], grading: Grading) -> bool:
-    """True when every minimal generator is forced by its fiber split."""
-    return all(s.forced_pairs() is not None for s in betti_splits(gens, grading).values())
+    """True when the ideal of gens has a unique minimal binomial system."""
+    return unique_minimal_system(betti_splits(gens, grading))
 
 
 def forced_generators(

@@ -32,6 +32,7 @@ from .fibers import (
     forced_generators,
     minimal_generator_count,
     prune_redundant_generators,
+    unique_minimal_system,
 )
 from .groebner import (
     groebner_reduced,
@@ -264,7 +265,7 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
     check(
         "uniqueness",
         lambda: (
-            forced_generators(splits()) is not None,
+            unique_minimal_system(splits()),
             "every contributing fiber is two isolated monomials",
         ),
     )
@@ -292,7 +293,7 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
     _oracle_count(check, "minimal-generation", splits, comb(params.n, 2))
     if params.n > 3:
         def frontier() -> tuple[bool, str]:
-            unique = forced_generators(splits()) is not None
+            unique = unique_minimal_system(splits())
             predicate = params.a < params.b - 1
             reduced_all = all(
                 is_reduced_basis(structured_closed_family(params, i))

@@ -25,6 +25,7 @@ from repunit_toric.fibers import (
     has_unique_minimal_system,
     minimal_generator_count,
     prune_redundant_generators,
+    unique_minimal_system,
 )
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
@@ -225,7 +226,9 @@ def test_forced_generators_coprime_n4():
     grading = scalar_grading(p)
     minors = minors_closed_chain(p).binomials
     assert has_unique_minimal_system(minors, grading)
-    assert forced_generators(betti_splits(minors, grading)) == (
+    splits = betti_splits(minors, grading)
+    assert unique_minimal_system(splits)
+    assert forced_generators(splits) == (
         Binomial((0, 3, 0, 1), (0, 0, 4, 0)),
         Binomial((2, 0, 3, 0), (0, 0, 0, 4)),
         Binomial((2, 3, 0, 0), (0, 0, 1, 3)),
@@ -242,6 +245,7 @@ def test_uniqueness_boundary():
         minors_closed_chain(p).binomials, scalar_grading(p)
     )
     splits = betti_splits(minors_closed_chain(p).binomials, scalar_grading(p))
+    assert not unique_minimal_system(splits)
     assert forced_generators(splits) is None
 
 
