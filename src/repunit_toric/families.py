@@ -290,6 +290,9 @@ def toric_ideal(
                 *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))]:
         if intlinalg.rank([*rows, row]) > len(rows):
             rows.append(row)
+    if trace:
+        names = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
+        trace(f"elimination run over x1..x{n + d}, where {names}")
     elim = buchberger(gens, MatrixOrder(tuple(rows)), trace)
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]

@@ -190,8 +190,9 @@ def test_trace_pins_pair_outcomes():
 
     lines.clear()
     toric_ideal(scalar_grading(InstanceParams(1, 2, 4)), trace=lines.append)
+    assert lines[0] == "elimination run over x1..x5, where x5 = t_1"
     outcomes = Counter()
-    for s in lines:
+    for s in lines[1:]:
         if s.endswith("skipped: coprime leads"):
             outcomes["coprime"] += 1
         elif s.endswith("skipped: criterion M"):
