@@ -211,9 +211,9 @@ def normal_form(x: int, rules: Sequence[tuple[int, int]], guard: int) -> int:
 
     Scans for the first applicable rule and restarts; with every rule
     oriented under a term order each step moves strictly down, so this
-    terminates.  guard is guard_bits(nvars); x may come in with a field past
-    EXPONENT_LIMIT (an unchecked product), which raises like a rewrite that
-    goes past it.
+    terminates.  guard is guard_bits(nvars).  x may come in with a field
+    past EXPONENT_LIMIT but below 2**32, such as the sum of two in-range
+    exponents; that raises just as a rewrite going past the limit does.
     """
     carry = guard >> 1
     x |= guard

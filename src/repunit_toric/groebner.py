@@ -2,7 +2,9 @@
 
 Everything stays binomial: S-polynomials of binomials are binomials, and
 dividing a binomial by oriented binomials is monomial rewriting applied to
-its two sides separately.  Pairs leave a queue in increasing weighted degree
+its two sides separately.  Rewriting runs on packed words (see binomials):
+each rule is packed once, and tuples are unpacked only to orient a nonzero
+remainder and to return binomials.  Pairs leave a queue in increasing weighted degree
 of their lcm.  Each inserted rule runs the Gebauer-Moeller pair update
 (Gebauer & Moeller, JSC 6, 1988): criteria M and F keep one new pair per
 minimal lcm, pairs with coprime leads are never queued, criterion B drops

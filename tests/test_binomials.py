@@ -27,7 +27,6 @@ from repunit_toric.binomials import (
 from repunit_toric.groebner import GroebnerBasis, ideal_member
 from repunit_toric.orders import build_order_i
 
-exps = st.tuples(*[st.integers(min_value=0, max_value=30)] * 4)
 # entries at both ends of a packed field
 edge_exps = st.tuples(*[st.one_of(
     st.integers(min_value=0, max_value=3),
@@ -167,7 +166,8 @@ def _random_rules(rng, nvars):
     # x3.., so each rewrite moves that part strictly down and all
     # rewriting terminates.
     rules = []
-    while len(rules) < rng.randint(1, 8):
+    count = rng.randint(1, 8)
+    while len(rules) < count:
         u = tuple(rng.randint(0, 2) for _ in range(nvars - 2))
         v = tuple(rng.randint(0, 2) for _ in range(nvars - 2))
         if u == v:
