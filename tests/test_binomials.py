@@ -46,6 +46,7 @@ def test_monomial_basics():
 
 @given(edge_exps, edge_exps)
 def test_pack_is_additive(u, v):
+    assert unpack(pack(u) | guard_bits(4), 4) == u
     # a sum of two in-range exponents fits its field, carry bit included
     assert unpack(pack(u) + pack(v), 4) == tuple(a + b for a, b in zip(u, v))
 
@@ -126,12 +127,6 @@ def _normal_form(m, rules):
     # normal_form on tuples: pack the input and rules, unpack the result
     packed = [(pack(p), pack(q)) for p, q in rules]
     return unpack(normal_form(pack(m), packed, guard_bits(len(m))), len(m))
-
-
-def test_pack_round_trips_at_the_field_edges():
-    for m in [(0, 0, 0), (EXPONENT_LIMIT, 0, 1), (1, EXPONENT_LIMIT, EXPONENT_LIMIT)]:
-        assert unpack(pack(m), 3) == m
-        assert unpack(pack(m) | guard_bits(3), 3) == m
 
 
 def test_reduce_monomial_single_rule():
