@@ -4,6 +4,7 @@ The crafted fixtures here were worked out by hand; the family-level checks
 lean on the constructors from families.py.
 """
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -191,8 +192,12 @@ def test_trace_pins_pair_outcomes():
     lines.clear()
     toric_ideal(scalar_grading(InstanceParams(1, 2, 4)), trace=lines.append)
     assert lines[0] == "elimination run over x1..x5, where x5 = t_1"
+    assert _pair_outcomes(lines[1:]) == {"added": 13, "zero": 26, "M": 35, "F": 5, "coprime": 57}
+
+
+def _pair_outcomes(lines):
     outcomes = Counter()
-    for s in lines[1:]:
+    for s in lines:
         if s.endswith("skipped: coprime leads"):
             outcomes["coprime"] += 1
         elif s.endswith("skipped: criterion M"):
@@ -206,7 +211,22 @@ def test_trace_pins_pair_outcomes():
         else:
             assert " -> " in s
             outcomes["added"] += 1
-    assert outcomes == {"added": 13, "zero": 26, "M": 35, "F": 5, "coprime": 57}
+    return outcomes
+
+
+@pytest.mark.parametrize("abn, counts, digest", [
+    ((2, 3, 5), {"added": 37, "zero": 143, "M": 430, "F": 12, "B": 21, "coprime": 218},
+     "232ff5b9eb08f3c063adee5f2d5d57c798d2623be34ff8d56a68f798b89fdacb"),
+    ((5, 6, 6), {"added": 167, "zero": 1338, "M": 11716, "F": 277, "B": 276, "coprime": 1104},
+     "2bc185172d1189a21c77dd2dc2d1ea32781ce9c0dfdcf16da76729dacb5a47b2"),
+], ids=["2-3-5", "5-6-6"])
+def test_trace_pins_criterion_b_outcomes(abn, counts, digest):
+    # Every pair keeps its outcome line; the sorted digest allows the
+    # skipped-pair lines of one insertion to come in any order.
+    lines: list[str] = []
+    toric_ideal(scalar_grading(InstanceParams(*abn)), trace=lines.append)
+    assert _pair_outcomes(lines[1:]) == counts
+    assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest
 
 
 def _random_homogeneous_gens(rng, nvars):
