@@ -12,7 +12,12 @@ bit and a guard bit.  With the guard bit set in every field of the monomial
 being rewritten, one subtraction of a packed lead never borrows across
 fields and leaves every guard bit set exactly when the lead divides; adding
 the packed tail then completes the rewrite, and a set carry bit means an
-exponent went past EXPONENT_LIMIT.
+exponent went past EXPONENT_LIMIT.  The Buchberger pair update runs on the
+same words: the guarded subtraction of a lead from an lcm tests
+divisibility, packed_lcm forms an lcm from one guarded subtraction and a
+field mask, and a support bitmask per lead tells coprime leads apart.  A
+packed word that divides another is never the larger int, so sorting
+packed lcms lists every proper divisor before its multiples.
 """
 
 from __future__ import annotations
@@ -60,21 +65,10 @@ def _check_dims(u: Monomial, v: Monomial) -> None:
         raise ValueError(f"variable count mismatch: {len(u)} vs {len(v)}")
 
 
-def lcm(u: Monomial, v: Monomial) -> Monomial:
-    _check_dims(u, v)
-    return tuple(a if a >= b else b for a, b in zip(u, v))
-
-
 def divides(u: Monomial, v: Monomial) -> bool:
     """True when u divides v entrywise."""
     _check_dims(u, v)
     return all(a <= b for a, b in zip(u, v))
-
-
-def coprime(u: Monomial, v: Monomial) -> bool:
-    """True when the supports are disjoint."""
-    _check_dims(u, v)
-    return all(a == 0 or b == 0 for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -204,6 +198,24 @@ def unpack(x: int, nvars: int) -> Monomial:
 def guard_bits(nvars: int) -> int:
     """The guard bit of every field of an nvars-variable word."""
     return pack((1 << FIELD_BITS - 1,) * nvars)
+
+
+def support_mask(m: Monomial) -> int:
+    """Bit v set exactly when x_(v+1) occurs in m; disjoint masks mean coprime."""
+    return sum(1 << v for v, e in enumerate(m) if e)
+
+
+def packed_lcm(u: int, v: int, guard: int) -> int:
+    """lcm of the packed monomials u and v, which carry no guard bits.
+
+    The guarded subtraction leaves a guard bit set in exactly the fields
+    where u is at least v; subtracting each such bit shifted down to its
+    field's lowest bit spreads it over that field's value and carry bits,
+    and the mask then takes those fields from u and the rest from v.
+    """
+    g = ((u | guard) - v) & guard
+    m = g - (g >> FIELD_BITS - 1)
+    return v ^ ((u ^ v) & m)
 
 
 def normal_form(x: int, rules: Sequence[tuple[int, int]], guard: int) -> int:

@@ -18,22 +18,21 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
-from operator import le
 from typing import Callable, Iterable, Sequence
 
 from .binomials import (
     Binomial,
     Grading,
     Monomial,
-    coprime,
     divides,
     format_binomial,
     format_monomial,
     guard_bits,
-    lcm,
     normal_form,
     oriented_pair,
     pack,
+    packed_lcm,
+    support_mask,
     unpack,
 )
 from .orders import MatrixOrder, build_order_i
@@ -73,15 +72,22 @@ def _packed(rules: Iterable[Rule]) -> list[Packed]:
     return [(pack(p), pack(q)) for p, q in rules]
 
 
-def _s_sides(big: Monomial, f: Packed, g: Packed, rules: Sequence[Packed],
+def _s_sides(big: int, f: Packed, g: Packed, rules: Sequence[Packed],
              guard: int) -> tuple[int, int]:
-    # Packed normal forms of the two one-step rewrites of lcm(lt f, lt g);
-    # the S-binomial reduces to zero exactly when they agree.  A lead
-    # divides big, so big - lead + tail borrows nothing, and normal_form
-    # raises when it went past the limit.
-    x = pack(big)
-    return (normal_form(x - f[0] + f[1], rules, guard),
-            normal_form(x - g[0] + g[1], rules, guard))
+    # Packed normal forms of the two one-step rewrites of the packed lcm
+    # big of lt f and lt g; the S-binomial reduces to zero exactly when
+    # they agree.  A lead divides big, so big - lead + tail borrows
+    # nothing, and normal_form raises when it went past the limit.
+    return (normal_form(big - f[0] + f[1], rules, guard),
+            normal_form(big - g[0] + g[1], rules, guard))
+
+
+def _has_divisor(x: int, words: Iterable[int], guard: int) -> bool:
+    # x carries its guard bits; one guarded subtraction per packed word
+    for m in words:
+        if (x - m) & guard == guard:
+            return True
+    return False
 
 
 def buchberger(
@@ -96,54 +102,61 @@ def buchberger(
     """
     rules: list[Rule] = []  # every rule ever inserted; pairs name rules by index
     packed: list[Packed] = []  # rules[k] as packed words
+    leads: list[int] = []  # packed[k][0]
+    support: list[int] = []  # support_mask of rules[k]'s lead
     live: list[int] = []  # rules whose lead no later lead divides
     basis: list[Packed] = []  # the live rules, which normal_form scans
-    pending: dict[tuple[int, int], Monomial] = {}  # pair -> lcm of its leads
+    pending: dict[tuple[int, int], int] = {}  # pair -> packed lcm of its leads
     heap: list[tuple[int, Monomial, int, int]] = []
     weights = order.rows[0]
     nvars = order.nvars
     guard = guard_bits(nvars)
 
     def insert(rule: Rule) -> None:
-        # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993).
-        h = rule[0]
+        # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
+        # on packed words: ((big | guard) - h) & guard == guard says that h
+        # divides big.
         j = len(rules)
+        h = pack(rule[0])
+        s = support_mask(rule[0])
         rules.append(rule)
-        packed.append((pack(h), pack(rule[1])))
+        packed.append((h, pack(rule[1])))
+        leads.append(h)
+        support.append(s)
         # Criterion B: h divides the lcm of a pending pair whose two lcms
         # with h are proper divisors, so both of those pairs are handled
         # before it.  Dropping the dict entry deletes the heap entry lazily.
-        for (i, k), big in list(pending.items()):
-            if (all(map(le, h, big)) and tuple(map(max, rules[i][0], h)) != big
-                    and tuple(map(max, rules[k][0], h)) != big):
+        for (i, k), big in [(pair, big) for pair, big in pending.items()
+                            if ((big | guard) - h) & guard == guard]:
+            if packed_lcm(leads[i], h, guard) != big and packed_lcm(leads[k], h, guard) != big:
                 del pending[i, k]
                 if trace:
-                    trace(f"pair ({i},{k}) lcm={format_monomial(big)} skipped: criterion B")
+                    trace(f"pair ({i},{k}) lcm={format_monomial(unpack(big, nvars))}"
+                          " skipped: criterion B")
         # Criteria M and F: a new pair whose lcm is divisible by a kept
-        # lcm is superfluous.  The weight row is strictly positive, so a
-        # proper divisor sorts first; among equal lcms a coprime pair does.
-        new = []
-        for i in live:
-            lt = rules[i][0]
-            big = tuple(map(max, lt, h))
-            new.append((sum(map(operator.mul, weights, big)), big, any(map(min, lt, h)), i))
+        # lcm is superfluous.  A proper divisor is a smaller packed int, so
+        # it sorts first; among equal lcms a coprime pair does.
+        new = [(packed_lcm(leads[i], h, guard), support[i] & s != 0, i) for i in live]
         new.sort()
-        kept: list[Monomial] = []
-        for weight, big, shared, i in new:
-            if shared and any(all(map(le, m, big)) for m in kept):
+        kept: list[int] = []
+        for big, shared, i in new:
+            if shared and _has_divisor(big | guard, kept, guard):
                 if trace:
                     crit = "F" if big in kept else "M"
-                    trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: criterion {crit}")
+                    trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
+                          f" skipped: criterion {crit}")
                 continue
             kept.append(big)
             if shared:
+                lcm = unpack(big, nvars)
                 pending[i, j] = big
-                heapq.heappush(heap, (weight, big, i, j))
+                heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), lcm, i, j))
             elif trace:
-                trace(f"pair ({i},{j}) lcm={format_monomial(big)} skipped: coprime leads")
+                trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
+                      " skipped: coprime leads")
         # A rule whose lead h divides is superseded: it makes no new pairs
         # and leaves the basis, while its pending pairs stay.
-        live[:] = [i for i in live if not all(map(le, h, rules[i][0]))]
+        live[:] = [i for i in live if ((leads[i] | guard) - h) & guard != guard]
         live.append(j)
         basis[:] = [packed[i] for i in live]
 
@@ -154,18 +167,19 @@ def buchberger(
             insert(rule)
 
     while heap:
-        _, big, i, j = heapq.heappop(heap)
-        if pending.pop((i, j), None) is None:
+        _, lcm, i, j = heapq.heappop(heap)
+        big = pending.pop((i, j), None)
+        if big is None:
             continue
         x, y = _s_sides(big, packed[i], packed[j], basis, guard)
         if x == y:
             if trace:
-                trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> 0")
+                trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> 0")
             continue
         p, q = unpack(x, nvars), unpack(y, nvars)
         rule = (p, q) if order.compare(p, q) > 0 else (q, p)
         if trace:
-            trace(f"pair ({i},{j}) lcm={format_monomial(big)} -> "
+            trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> "
                   + " - ".join(map(format_monomial, rule)))
         insert(rule)
 
@@ -182,19 +196,20 @@ def is_groebner_basis(
     Sound and complete for binomial systems: monomial rewriting is
     terminating here, so confluence is equivalent to all critical pairs
     joining, and the normal form of each side is unique to compute.
+    Only pairs of coprime leads are passed over.
     """
     elems = [g for g in elements if not g.is_zero()]
     for g in elems:
         if order.compare(g.plus, g.minus) <= 0:
             raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
-    leads = [g.plus for g in elems]
+    support = [support_mask(g.plus) for g in elems]
     rules = _packed((g.plus, g.minus) for g in elems)
     guard = guard_bits(order.nvars)
-    for j in range(len(rules)):
+    for j, (lead, _) in enumerate(rules):
         for i in range(j):
-            if coprime(leads[i], leads[j]):
+            if not support[i] & support[j]:
                 continue
-            x, y = _s_sides(lcm(leads[i], leads[j]), rules[i], rules[j], rules, guard)
+            x, y = _s_sides(packed_lcm(rules[i][0], lead, guard), rules[i], rules[j], rules, guard)
             if x != y:
                 if trace:
                     r = oriented_pair(unpack(x, order.nvars), unpack(y, order.nvars), order)

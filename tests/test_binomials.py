@@ -10,18 +10,18 @@ from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
     Grading,
-    coprime,
     divides,
     format_binomial,
     format_monomial,
     guard_bits,
     is_homogeneous,
-    lcm,
     monomial,
     normal_form,
     one,
     oriented,
     pack,
+    packed_lcm,
+    support_mask,
     unpack,
 )
 from repunit_toric.groebner import GroebnerBasis, ideal_member
@@ -37,11 +37,12 @@ edge_exps = st.tuples(*[st.one_of(
 def test_monomial_basics():
     m = monomial((1, 0, 2, 0))
     assert unpack(pack(m) + pack(one(4)), 4) == m
-    assert lcm((1, 0, 2, 0), (0, 3, 1, 0)) == (1, 3, 2, 0)
+    assert unpack(packed_lcm(pack((1, 0, 2, 0)), pack((0, 3, 1, 0)), guard_bits(4)), 4) == (
+        1, 3, 2, 0)
     assert divides((0, 1, 1, 0), (2, 1, 3, 0))
     assert not divides((0, 2, 0, 0), (0, 1, 5, 5))
-    assert coprime((1, 0, 2, 0), (0, 4, 0, 1))
-    assert not coprime((1, 0, 2, 0), (0, 0, 1, 0))
+    assert not support_mask((1, 0, 2, 0)) & support_mask((0, 4, 0, 1))
+    assert support_mask((1, 0, 2, 0)) & support_mask((0, 0, 1, 0))
 
 
 @given(edge_exps, edge_exps)
@@ -55,6 +56,38 @@ def test_pack_is_additive(u, v):
 def test_divides_iff_packed_subtraction_keeps_guards(u, v):
     guard = guard_bits(4)
     assert divides(u, v) == (((pack(v) | guard) - pack(u)) & guard == guard)
+
+
+def _random_edge_monomial(rng, nvars):
+    return tuple(rng.choice((0, 0, 1, 2, 3, EXPONENT_LIMIT - 1, EXPONENT_LIMIT))
+                 for _ in range(nvars))
+
+
+def test_packed_lcm_and_divisibility_match_tuples():
+    # Differential test against plain tuple arithmetic, with fields at 0
+    # and at the limit, equal fields, and one operand divisible by the other.
+    rng = random.Random(20212)
+    for _ in range(2000):
+        nvars = rng.randint(1, 12)
+        guard = guard_bits(nvars)
+        u = _random_edge_monomial(rng, nvars)
+        v = rng.choice((
+            _random_edge_monomial(rng, nvars),
+            u,
+            tuple(rng.choice((e, rng.randint(e, EXPONENT_LIMIT))) for e in u),
+            tuple(rng.choice((e, rng.randint(0, e))) for e in u),
+        ))
+        pu, pv = pack(u), pack(v)
+        want = tuple(max(a, b) for a, b in zip(u, v))
+        assert unpack(packed_lcm(pu, pv, guard), nvars) == want, (u, v)
+        assert packed_lcm(pu, pv, guard) == packed_lcm(pv, pu, guard) == pack(want)
+        for p, q in ((u, v), (v, u)):
+            divides_ref = all(a <= b for a, b in zip(p, q))
+            assert (((pack(q) | guard) - pack(p)) & guard == guard) == divides_ref, (p, q)
+            if divides_ref:
+                assert pack(p) <= pack(q)
+        assert (support_mask(u) & support_mask(v) == 0) == all(
+            a == 0 or b == 0 for a, b in zip(u, v))
 
 
 def test_exponent_overflow_guard():
