@@ -12,12 +12,12 @@ bit and a guard bit.  With the guard bit set in every field of the monomial
 being rewritten, one subtraction of a packed lead never borrows across
 fields and leaves every guard bit set exactly when the lead divides; adding
 the packed tail then completes the rewrite, and a set carry bit means an
-exponent went past EXPONENT_LIMIT.  The Buchberger pair update runs on the
-same words: the guarded subtraction of a lead from an lcm tests
-divisibility, packed_lcm forms an lcm from one guarded subtraction and a
-field mask, and a support bitmask per lead tells coprime leads apart.  A
-packed word that divides another is never the larger int, so sorting
-packed lcms lists every proper divisor before its multiples.
+exponent went past EXPONENT_LIMIT.  The Buchberger pair update uses the
+same words: packed_lcm forms an lcm from one guarded subtraction and a
+field mask, and support_mask gives the variables of a monomial as a
+bitmask, so disjoint masks mean coprime monomials.  A packed word that
+divides another is never the larger int, so sorting packed lcms lists
+every proper divisor before its multiples.
 """
 
 from __future__ import annotations
@@ -201,7 +201,7 @@ def guard_bits(nvars: int) -> int:
 
 
 def support_mask(m: Monomial) -> int:
-    """Bit v set exactly when x_(v+1) occurs in m; disjoint masks mean coprime."""
+    """Bit v set exactly when x_(v+1) occurs in m."""
     return sum(1 << v for v, e in enumerate(m) if e)
 
 

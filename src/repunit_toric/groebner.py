@@ -11,6 +11,18 @@ minimal lcm, pairs with coprime leads are never queued, criterion B drops
 pending pairs the new lead makes redundant, and rules whose lead the new
 lead divides retire from the basis.  Each nonzero remainder enlarges the
 leading-term ideal strictly, so the loop terminates.
+
+The pair update runs on the same packed words.  Each rule keeps its packed
+lead and a support bitmask, so a pair's lcm is one packed_lcm, coprime
+leads are one AND of masks, and every divisibility test in criteria B, M
+and F and in retirement is one guarded subtraction.  The new pairs are
+sorted by (packed lcm, shared support, index): a proper divisor is a
+smaller packed int, so it comes first just as in a sort by weighted
+degree, and each pair is kept or skipped as in that sort.  Only queued
+pairs unpack their lcm, for the heap key (weight, lcm, i, j), which sets
+the order pairs leave the queue.  In a trace, the skipped-pair lines of
+one insertion follow packed-lcm order; which pairs are skipped, and by
+which criterion, does not depend on it.
 """
 
 from __future__ import annotations
