@@ -180,6 +180,15 @@ def test_sweep_json_rows(capsys):
     }]
 
 
+def test_sweep_frontier_row(capsys):
+    # gcd 3, so the theorem predicts nothing here; an engine-free count over
+    # the Apery set of the semigroup also gives 99 minimal generators
+    code, out, _ = run(capsys, "sweep", "--a", "6", "--b", "4", "--n", "9", "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["gcd"], row["mingens"], row["unique"], row["agree"]) == (3, 99, False, "-")
+
+
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--a", "x..2", "--b", "2", "--n", "4")
     assert code == 2

@@ -1,5 +1,6 @@
 """Fiber enumeration and the minimal-generator oracle."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -42,12 +43,22 @@ def test_union_find():
 
 
 def brute_fiber(grading, degree):
+    """Every exponent vector within the positive-row budget whose degree matches, in lex order."""
     pos = grading.positive_row()
-    pi = list(grading.rows).index(pos)
-    ranges = [range(degree[pi] // p + 1) for p in pos]
-    return sorted(
-        e for e in itertools.product(*ranges) if grading.degree(e) == tuple(degree)
-    )
+    budget = degree[list(grading.rows).index(pos)]
+    out = []
+
+    def extend(prefix, rest):
+        if len(prefix) == len(pos):
+            if rest == 0 and grading.degree(prefix) == tuple(degree):
+                out.append(prefix)
+            return
+        w = pos[len(prefix)]
+        for e in range(rest // w + 1):
+            extend(prefix + (e,), rest - e * w)
+
+    extend((), budget)
+    return out
 
 
 def test_enumerate_fiber_frozen_values():
@@ -129,6 +140,28 @@ def test_enumerate_fiber_against_brute_force():
             if degree in reached:
                 assert fib.monomials
 
+    # five to seven variables, so both halves of the split hold several: scalar
+    # weights drawn unsorted (the looked-up half sometimes holds the small
+    # ones), projective gradings and a two-row grading with a mixed-sign first
+    # row whose positive row is the second.  Degrees: those of small exponents
+    # and each of them one off in each row.
+    rng = random.Random(5)
+    split = [Grading.scalar(tuple(rng.randint(1, 9) for _ in range(n))) for n in (5, 5, 6, 6, 7, 7)]
+    split += [projective_grading(InstanceParams(1, 3, 5)), projective_grading(InstanceParams(2, 2, 6))]
+    split.append(Grading(((2, -1, 0, 3, -2, 1), (5, 3, 8, 2, 7, 4))))
+    for grading in split:
+        for _ in range(3):
+            e = tuple(rng.randint(0, 2) for _ in range(grading.nvars))
+            degree = grading.degree(e)
+            fib = enumerate_fiber(grading, degree)
+            assert list(fib.monomials) == brute_fiber(grading, degree), (grading, degree)
+            assert e in fib.monomials
+            for r in range(len(degree)):
+                for shift in (-1, 1):
+                    off = degree[:r] + (degree[r] + shift,) + degree[r + 1 :]
+                    fib = enumerate_fiber(grading, off)
+                    assert list(fib.monomials) == brute_fiber(grading, off), (grading, off)
+
 
 def test_enumerate_fiber_rejects_non_int_degree_entries():
     grading = Grading.scalar((2, 3))
@@ -157,6 +190,30 @@ def test_betti_split_fibers_match_brute_force(monkeypatch, source):
     assert len(requested) >= 18  # at least one degree per instance
     for grading, fib in requested:
         assert list(fib.monomials) == brute_fiber(grading, fib.degree), (grading, fib.degree)
+
+
+def test_oracle_fibers_pinned(monkeypatch):
+    """Every fiber betti_splits enumerates on a small oracle box, degree and monomials, by digest."""
+    digest = hashlib.sha256()
+    count = 0
+
+    def recording(grading, degree):
+        nonlocal count
+        fib = enumerate_fiber(grading, degree)
+        digest.update(f"{fib.degree} {fib.monomials}\n".encode())
+        count += 1
+        return fib
+
+    monkeypatch.setattr(fibers, "enumerate_fiber", recording)
+    for family, grading_of in (
+        (minors_closed_chain, scalar_grading),
+        (minors_open_chain, projective_grading),
+    ):
+        for a, b, n in itertools.product(range(1, 5), range(2, 6), range(5, 8)):
+            p = InstanceParams(a, b, n)
+            betti_splits(family(p).binomials, grading_of(p))
+    assert count == 1232
+    assert digest.hexdigest() == "7640f2f6ea25dab419450a11f6d1c91b8da6e4fb69fecf0025bb51be31d92a93"
 
 
 def test_fiber_invariance_under_variable_permutation():
