@@ -1,10 +1,16 @@
 """Exact fiber enumeration and the graded minimal-generator oracle.
 
-A fiber is the set of all monomials of one multidegree.  It is listed by a
-depth-first walk over exponents that solves each exponent modulo the gcd of
-the positive-row weights after it (so the closing pair is solved outright)
-and bounds it by the interval the other grading rows can still reach; both
-cuts are exact, so the walk returns every monomial and nothing else.
+A fiber is the set of all monomials of one multidegree.  It is listed by
+meeting in the middle (Horowitz & Sahni, JACM 21, 1974): one table holds
+every exponent suffix over the last half of the variables within the
+positive-row budget, keyed by its degree in every grading row, and a
+depth-first walk over the first half looks up, for each prefix, exactly the
+suffixes that complete its degree.  The walk solves each exponent modulo the
+gcd of the positive-row weights after it and bounds it by the interval the
+other grading rows can still reach.  Both cuts only drop prefixes no
+monomial of the fiber extends, and the lookup is exact, so the result is
+every monomial and nothing else, in lexicographic order; the table's size is
+bounded by the number of last-half monomials within the budget.
 
 Connecting two monomials whenever a generator moves one to the other turns
 each fiber into a graph.  With moves by strictly lower-degree generators
@@ -107,18 +113,27 @@ class DegreeSplit:
 def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     """All monomials of the given multidegree, in lexicographic order.
 
-    Depth-first search over exponents, one variable per level, with two
-    exact cuts.  The strictly positive row p caps each exponent by the rest
-    of its budget, and the exponent e of variable j is solved modulo
-    gcd(p[j+1:]): the rest must stay divisible by it, so e steps through one
-    residue class.  For the closing pair that solves e*p[n-2] + f*p[n-1] =
-    rest outright, f by exact division, so no leaf fails the positive row.
-    Every other row r carries its residual down the walk; the free variables
-    reach only residuals between rest*min and rest*max of r[t]/p[t] over
-    them, which bounds e to an interval found by integer cross-multiplication
-    (no floats: repunit weights grow like b**n).  Over the last variable that
-    interval is one point, so a leaf meets every row.  Setup is
-    O(nvars * rows).
+    Meet in the middle (Horowitz & Sahni, JACM 21, 1974): the variables split
+    at h = ceil(n/2), or h = 0 when n = 1.  One pass over the right half,
+    h..n-1, lists every exponent suffix within the positive-row budget in a
+    table keyed by (positive-row degree, other-row degrees), each entry's
+    suffixes in lexicographic order.  A depth-first walk over the left half,
+    0..h-1, then meets the table: a prefix leaving residuals (rest, res)
+    extends by exactly the suffixes stored under (rest, res).  The lookup is
+    exact, and prefixes come in lexicographic order, so the fiber and its
+    order are those of a walk over all n variables.  Memory is bounded by the
+    table: at most the right-half monomials whose positive degree is within
+    the budget, built once per call and only when the budget is divisible by
+    the gcd of the positive row.
+
+    The walk keeps two cuts, both necessary conditions.  The strictly
+    positive row p caps each exponent by the rest of its budget, and the
+    exponent e of variable j is solved modulo gcd(p[j+1:]): the rest must
+    stay divisible by it, so e steps through one residue class.  Every other
+    row r carries its residual down the walk; the variables after j reach
+    only residuals between rest*min and rest*max of r[t]/p[t] over them,
+    which bounds e to an interval found by integer cross-multiplication (no
+    floats: repunit weights grow like b**n).
     """
     target = tuple(check_int(d, "degree entry") for d in degree)
     if len(target) != len(grading.rows):
@@ -127,15 +142,16 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     k = grading.rows.index(pos)
     others = grading.rows[:k] + grading.rows[k + 1 :]
     n = grading.nvars
+    half = (n + 1) // 2 if n > 1 else 0
     cols = [tuple(row[j] for row in others) for j in range(n)]
 
-    # levels[j] for variable j < n - 1, built from the last variable back.
+    # levels[j] for variable j < half, built from the last variable back.
     # With h = gcd(p[j:]) dividing rest, e*p[j] leaves a rest divisible by
     # after = gcd(p[j+1:]) exactly when e = rest/h * inv modulo after/h.
     # cut: for each other row i with extreme ratios ln/ld and hn/hd over the
     # variables after j (ld, hd > 0), rest*ln/ld <= res[i] <= rest*hn/hd in
     # the child, as two constraints a*e >= u*rest + v*res[i].
-    levels: list[tuple] = [()] * (n - 1)
+    levels: list[tuple] = [()] * half
     after = pos[-1]
     lows = [(c, pos[-1]) for c in cols[-1]]
     highs = list(lows)
@@ -150,18 +166,14 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
                 lows[i] = (c, w)
             if c * hd > hn * w:
                 highs[i] = (c, w)
-        levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j], cut)
+        if j < half:
+            levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j], cut)
         after = h
     found: list[Monomial] = []
+    table: dict[tuple, list[Monomial]] = {}
 
     def walk(prefix: Monomial, rest: int, res: tuple[int, ...]) -> None:
         j = len(prefix)
-        if j == n - 1:
-            f = rest // pos[j]
-            # the cut one level up already forced this, except when n == 1
-            if all(x == c * f for x, c in zip(res, cols[j])):
-                found.append(prefix + (f,))
-            return
         w, h, step, inv, col, cut = levels[j]
         lo, hi = 0, rest // w
         for i, a, u, v in cut:
@@ -175,11 +187,34 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
         lo += (rest // h * inv - lo) % step
         for e in range(lo, hi + 1, step):
             child = tuple([x - c * e for x, c in zip(res, col)]) if col else res
-            walk(prefix + (e,), rest - e * w, child)
+            if j + 1 < half:
+                walk(prefix + (e,), rest - e * w, child)
+            else:
+                for suffix in table.get((rest - e * w, child), ()):
+                    found.append(prefix + (e,) + suffix)
 
     rest = target[k]
     if rest >= 0 and rest % after == 0:
-        walk((), rest, target[:k] + target[k + 1 :])
+        # suffixes in lexicographic order, with their degrees in every row
+        entries: list[tuple[Monomial, int, tuple[int, ...]]] = [((), 0, (0,) * len(others))]
+        for j in range(half, n - 1):
+            w, col = pos[j], cols[j]
+            entries = [
+                (s + (e,), d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
+                for s, d, ds in entries
+                for e in range((rest - d) // w + 1)
+            ]
+        # the last variable files its entries straight into the table
+        w, col = pos[-1], cols[-1]
+        for s, d, ds in entries:
+            for e in range((rest - d) // w + 1):
+                key = (d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
+                table.setdefault(key, []).append(s + (e,))
+        res = target[:k] + target[k + 1 :]
+        if half:
+            walk((), rest, res)
+        else:
+            found.extend(table.get((rest, res), ()))
     return Fiber(target, tuple(found))
 
 
