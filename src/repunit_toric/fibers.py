@@ -114,17 +114,17 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     """All monomials of the given multidegree, in lexicographic order.
 
     Meet in the middle (Horowitz & Sahni, JACM 21, 1974): the variables split
-    at h = ceil(n/2), or h = 0 when n = 1.  One pass over the right half,
-    h..n-1, lists every exponent suffix within the positive-row budget in a
-    table keyed by (positive-row degree, other-row degrees), each entry's
-    suffixes in lexicographic order.  A depth-first walk over the left half,
-    0..h-1, then meets the table: a prefix leaving residuals (rest, res)
-    extends by exactly the suffixes stored under (rest, res).  The lookup is
-    exact, and prefixes come in lexicographic order, so the fiber and its
-    order are those of a walk over all n variables.  Memory is bounded by the
-    table: at most the right-half monomials whose positive degree is within
-    the budget, built once per call and only when the budget is divisible by
-    the gcd of the positive row.
+    at half = ceil(n/2), or half = 0 when n = 1.  One pass over the right
+    half, half..n-1, lists every exponent suffix within the positive-row
+    budget in a table keyed by (positive-row degree, other-row degrees), each
+    entry's suffixes in lexicographic order.  A depth-first walk over the
+    left half, 0..half-1, then meets the table: a prefix leaving residuals
+    (rest, res) extends by exactly the suffixes stored under (rest, res).
+    The lookup is exact, and prefixes come in lexicographic order, so the
+    fiber and its order are those of a walk over all n variables.  Memory is
+    bounded by the table: at most the right-half monomials whose positive
+    degree is within the budget, built once per call and only when the
+    budget is divisible by the gcd of the positive row.
 
     The walk keeps two cuts, both necessary conditions.  The strictly
     positive row p caps each exponent by the rest of its budget, and the
