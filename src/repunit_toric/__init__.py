@@ -2,9 +2,10 @@
 
 Layers, bottom up: semigroup arithmetic, monomial/binomial algebra with
 checked exponents, matrix term orders, a binomial Buchberger engine with
-saturation, the structured minor and relation families of an instance, a
-brute-force fiber oracle for minimal generators, and claim verifiers with
-structured reports plus a CLI.
+saturation, the structured minor and relation families of an instance, an
+exact fiber oracle for minimal generators (meet-in-the-middle fiber
+enumeration, no Groebner engine), and claim verifiers with structured
+reports plus a CLI.
 """
 
 from .binomials import (

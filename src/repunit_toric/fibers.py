@@ -6,8 +6,7 @@ every exponent suffix over the last half of the variables within the
 positive-row budget, keyed by its degree in every grading row, and a
 depth-first walk over the first half looks up, for each prefix, exactly the
 suffixes that complete its degree.  The walk solves each exponent modulo the
-gcd of the positive-row weights after it and bounds it by the interval the
-other grading rows can still reach.  Both cuts only drop prefixes no
+gcd of the positive-row weights after it.  That cut only drops prefixes no
 monomial of the fiber extends, and the lookup is exact, so the result is
 every monomial and nothing else, in lexicographic order; the table's size is
 bounded by the number of last-half monomials within the budget.
@@ -17,8 +16,10 @@ each fiber into a graph.  With moves by strictly lower-degree generators
 only, and then again with this degree's generators added, the drop in
 component count is the number of minimal generators the ideal needs here;
 the system is unique exactly when each fused pair is two single monomials.
-Everything here is independent of the Groebner engine, so the two can
-check each other.
+Fiber enumeration and the oracle built on it (betti_splits and the counts
+and uniqueness read from it) never call the Groebner engine, so the two can
+check each other; only prune_redundant_generators, the engine's route to
+the same count, runs Buchberger.
 """
 
 from __future__ import annotations
@@ -126,14 +127,11 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     degree is within the budget, built once per call and only when the
     budget is divisible by the gcd of the positive row.
 
-    The walk keeps two cuts, both necessary conditions.  The strictly
-    positive row p caps each exponent by the rest of its budget, and the
-    exponent e of variable j is solved modulo gcd(p[j+1:]): the rest must
-    stay divisible by it, so e steps through one residue class.  Every other
-    row r carries its residual down the walk; the variables after j reach
-    only residuals between rest*min and rest*max of r[t]/p[t] over them,
-    which bounds e to an interval found by integer cross-multiplication (no
-    floats: repunit weights grow like b**n).
+    The walk keeps one cut.  The strictly positive row p caps each exponent
+    by the rest of its budget, and the exponent e of variable j is solved
+    modulo gcd(p[j+1:]), so e steps through one residue class.  The other
+    rows' residuals only ride down the walk to the lookup, which drops
+    every prefix no suffix completes.
     """
     target = tuple(check_int(d, "degree entry") for d in degree)
     if len(target) != len(grading.rows):
@@ -148,44 +146,21 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     # levels[j] for variable j < half, built from the last variable back.
     # With h = gcd(p[j:]) dividing rest, e*p[j] leaves a rest divisible by
     # after = gcd(p[j+1:]) exactly when e = rest/h * inv modulo after/h.
-    # cut: for each other row i with extreme ratios ln/ld and hn/hd over the
-    # variables after j (ld, hd > 0), rest*ln/ld <= res[i] <= rest*hn/hd in
-    # the child, as two constraints a*e >= u*rest + v*res[i].
     levels: list[tuple] = [()] * half
     after = pos[-1]
-    lows = [(c, pos[-1]) for c in cols[-1]]
-    highs = list(lows)
     for j in range(n - 2, -1, -1):
         w = pos[j]
         h = gcd(w, after)
-        cut = []
-        for i, c in enumerate(cols[j]):
-            (ln, ld), (hn, hd) = lows[i], highs[i]
-            cut += [(i, w * ln - c * ld, ln, -ld), (i, c * hd - w * hn, -hn, hd)]
-            if c * ld < ln * w:
-                lows[i] = (c, w)
-            if c * hd > hn * w:
-                highs[i] = (c, w)
         if j < half:
-            levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j], cut)
+            levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j])
         after = h
     found: list[Monomial] = []
     table: dict[tuple, list[Monomial]] = {}
 
     def walk(prefix: Monomial, rest: int, res: tuple[int, ...]) -> None:
         j = len(prefix)
-        w, h, step, inv, col, cut = levels[j]
-        lo, hi = 0, rest // w
-        for i, a, u, v in cut:
-            b = u * rest + v * res[i]
-            if a > 0:
-                lo = max(lo, -(-b // a))
-            elif a < 0:
-                hi = min(hi, b // a)
-            elif b > 0:
-                return
-        lo += (rest // h * inv - lo) % step
-        for e in range(lo, hi + 1, step):
+        w, h, step, inv, col = levels[j]
+        for e in range(rest // h * inv % step, rest // w + 1, step):
             child = tuple([x - c * e for x, c in zip(res, col)]) if col else res
             if j + 1 < half:
                 walk(prefix + (e,), rest - e * w, child)
@@ -265,7 +240,8 @@ def betti_splits(
         below = _components(uf, fiber.monomials)
         for k, g in keyed:
             if k == key:
-                _apply_move(g, fiber.monomials, index, uf)
+                # by the positive row, g.plus divides no other monomial of its degree
+                uf.union(index[g.plus], index[g.minus])
         full = _components(uf, fiber.monomials)
         out[d] = DegreeSplit(fiber, below, full)
     return out

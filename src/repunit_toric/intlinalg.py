@@ -1,8 +1,7 @@
 """Exact integer linear algebra on plain Python ints.
 
 Small dense matrices only (the package never sees more than ~8 variables),
-so clarity wins over asymptotics: integer kernels come from unimodular
-column elimination and are left unreduced, and the determinant, rank and
+so clarity wins over asymptotics: the kernel, determinant, rank and
 lattice comparison all read one xgcd row elimination, which ends in the
 canonical row-style Hermite form.
 """
@@ -47,42 +46,20 @@ def det(rows: IntMatrix) -> int:
 
 
 def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
-    """Basis of the integer kernel {u : rows @ u == 0}; Z^n mod it is torsion free.
+    """Basis of the integer kernel {u : rows @ u == 0}, in row Hermite form.
 
-    Unimodular column elimination: columns of an identity matrix are combined
-    alongside the input columns, so the surviving combination columns form a
-    kernel basis.  Entries are not reduced: callers compare kernels through
-    row_hnf, which is canonical.
+    _echelon row-reduces [rows^T | I] by unimodular steps, so the right part
+    of each row is the combination giving its left part.  The rows whose
+    left part vanished span the kernel (Z^n mod it is torsion free), and
+    they end the echelon form with pivots in I, so they are its row_hnf.
     """
-    rows = [list(r) for r in rows]
     if not rows:
         raise ValueError("kernel_basis needs at least one row")
-    n = len(rows[0])
+    m, n = len(rows), len(rows[0])
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    work = [list(r) for r in rows]
-    combo = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # columns of I
-
-    def col_axpy(dst: int, src: int, x_dst: int, y_src: int, x2: int, y2: int) -> None:
-        # (col dst, col src) <- (x*dst + y*src, x2*dst + y2*src) on work and combo
-        for mat in (work, combo):
-            for row in mat:
-                d, s = row[dst], row[src]
-                row[dst] = x_dst * d + y_src * s
-                row[src] = x2 * d + y2 * s
-
-    active = list(range(n))
-    for r in range(len(work)):
-        hit = [c for c in active if work[r][c] != 0]
-        if not hit:
-            continue
-        pivot = hit[0]
-        for c in hit[1:]:
-            a, b = work[r][pivot], work[r][c]
-            g, x, y = xgcd(a, b)
-            col_axpy(pivot, c, x, y, -(b // g), a // g)
-        active.remove(pivot)
-    return tuple(tuple(combo[i][c] for i in range(n)) for c in active)
+    aug = [[r[j] for r in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return tuple(tuple(row[m:]) for row in _echelon(aug)[0] if not any(row[:m]))
 
 
 def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:

@@ -193,8 +193,13 @@ def test_betti_split_fibers_match_brute_force(monkeypatch, source):
 
 
 def test_oracle_fibers_pinned(monkeypatch):
-    """Every fiber betti_splits enumerates on a small oracle box, degree and monomials, by digest."""
+    """Every fiber betti_splits enumerates on a small oracle box, and every split, by digest.
+
+    The fiber digest covers degree and monomials; the split digest covers
+    each degree's below and full components.
+    """
     digest = hashlib.sha256()
+    split_digest = hashlib.sha256()
     count = 0
 
     def recording(grading, degree):
@@ -211,9 +216,11 @@ def test_oracle_fibers_pinned(monkeypatch):
     ):
         for a, b, n in itertools.product(range(1, 5), range(2, 6), range(5, 8)):
             p = InstanceParams(a, b, n)
-            betti_splits(family(p).binomials, grading_of(p))
+            for d, split in betti_splits(family(p).binomials, grading_of(p)).items():
+                split_digest.update(f"{d} {split.below} {split.full}\n".encode())
     assert count == 1232
     assert digest.hexdigest() == "7640f2f6ea25dab419450a11f6d1c91b8da6e4fb69fecf0025bb51be31d92a93"
+    assert split_digest.hexdigest() == "30fe47098538586e21756c37e54a75a6906f50da663926cddcb820cae68c0bef"
 
 
 def test_fiber_invariance_under_variable_permutation():

@@ -59,6 +59,7 @@ def test_kernel_basis_of_weight_row():
     w = (15, 18, 24, 36)
     basis = kernel_basis((w,))
     assert len(basis) == 3
+    assert basis == row_hnf(basis)
     for v in basis:
         assert dot(w, v) == 0
     # every short integer vector orthogonal to w lies in the row span
@@ -70,6 +71,19 @@ def test_kernel_basis_of_weight_row():
         if any(v) and dot(w, v) == 0:
             assert row_hnf(basis + (v,)) == span
             found += 1
+    # seeded multi-row matrices: a Hermite-form basis of the whole kernel
+    for _ in range(24):
+        m = rng.randint(1, 3)
+        n = rng.randint(m + 1, 5)
+        rows = tuple(tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(m))
+        basis = kernel_basis(rows)
+        assert basis == row_hnf(basis), rows
+        assert len(basis) == n - rank(rows), rows
+        for v in basis:
+            assert all(dot(r, v) == 0 for r in rows), (rows, v)
+        for v in itertools.product(range(-2, 3), repeat=n):
+            if all(dot(r, v) == 0 for r in rows):
+                assert row_hnf(basis + (v,)) == basis, (rows, v)
 
 
 def test_kernel_basis_edge_cases():

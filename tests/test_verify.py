@@ -1,9 +1,12 @@
 """Claim runners and report plumbing."""
 
+import time
+
 import pytest
 
 from repunit_toric import fibers, verify
 from repunit_toric.binomials import Binomial
+from repunit_toric.families import toric_ideal
 from repunit_toric.fibers import betti_splits
 from repunit_toric.reports import (
     ClaimResult,
@@ -38,6 +41,10 @@ def test_basis_claims_pass_per_index():
 def test_saturation_and_toric_claims_pass():
     assert all_pass(run_claim("cor-gb1", InstanceParams(2, 3, 5)))
     assert all_pass(run_claim("cor-gb2", InstanceParams(2, 3, 5)))
+    # n = 8: the relation ideals saturate to the minors in a fraction of a
+    # second from x_n down, against 91 s and over 120 s from x_1 up
+    assert all_pass(run_claim("cor-gb1", InstanceParams(2, 5, 8)))
+    assert all_pass(run_claim("cor-gb2", InstanceParams(5, 6, 8)))
 
 
 def test_example_claims_pass_on_pinned_instances():
@@ -108,6 +115,22 @@ def test_run_claim_argument_errors():
         run_claim("prop-gb1", InstanceParams(1, 2, 4), i=9)
     with pytest.raises(ValueError):
         run_claim("lemma2", InstanceParams(1, 2, 4), i=1)
+
+
+def test_noncoprime_counts_times_its_toric_ideal(monkeypatch):
+    """example-gcd3 computes its toric ideal once, inside a timed sub-check."""
+    calls = []
+
+    def slow(grading, order=None):
+        calls.append(grading)
+        time.sleep(0.03)
+        return toric_ideal(grading, order)
+
+    monkeypatch.setattr(verify, "toric_ideal", slow)
+    (report,) = run_claim("example-gcd3", InstanceParams(3, 2, 4))
+    assert report.overall() == "pass"
+    assert len(calls) == 1
+    assert max(c.ms for c in report.claims) >= 30
 
 
 def test_claim_registry_defaults():
