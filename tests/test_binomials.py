@@ -226,18 +226,21 @@ def _random_monomials(rng, nvars, rules):
 
 
 def test_normal_form_matches_tuple_rewriting():
+    # The rule list grows one rule at a time; every prefix is checked.
     rng = random.Random(20211)
     for _ in range(300):
         nvars = rng.randint(3, 6)
         rules = _random_rules(rng, nvars)
-        for m in _random_monomials(rng, nvars, rules):
-            try:
-                want = _reference_normal_form(m, rules)
-            except ExponentOverflowError:
-                with pytest.raises(ExponentOverflowError):
-                    _normal_form(m, rules)
-                continue
-            assert _normal_form(m, rules) == want, (m, rules)
+        monomials = _random_monomials(rng, nvars, rules)
+        for k in range(1, len(rules) + 1):
+            for m in monomials:
+                try:
+                    want = _reference_normal_form(m, rules[:k])
+                except ExponentOverflowError:
+                    with pytest.raises(ExponentOverflowError):
+                        _normal_form(m, rules[:k])
+                    continue
+                assert _normal_form(m, rules[:k]) == want, (m, rules[:k])
 
 
 def test_normal_form_raises_past_the_limit():

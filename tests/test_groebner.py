@@ -17,6 +17,7 @@ from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
     Grading,
+    divides,
     is_homogeneous,
     oriented,
 )
@@ -227,6 +228,77 @@ def test_trace_pins_criterion_b_outcomes(abn, counts, digest):
     toric_ideal(scalar_grading(InstanceParams(*abn)), trace=lines.append)
     assert _pair_outcomes(lines[1:]) == counts
     assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest
+
+
+def test_trace_pins_a_run_whose_inputs_retire(monkeypatch):
+    # The (2,3,5) weights listed largest first: each input lead t^w
+    # divides the one inserted before it, so four input rules retire, and
+    # criterion B fires later in the run.  The whole trace is pinned in
+    # order, so every rewrite after the retirements is checked step by step.
+    runs = []
+
+    def recording(gens, order, trace=None):
+        runs.append(buchberger(gens, order, trace))
+        return runs[-1]
+
+    monkeypatch.setattr(families, "buchberger", recording)
+    grading = Grading.scalar(tuple(reversed(generators(InstanceParams(2, 3, 5)))))
+    lines: list[str] = []
+    toric_ideal(grading, trace=lines.append)
+    counts = _pair_outcomes(lines[1:])
+    assert counts == {"added": 36, "zero": 133, "M": 322, "F": 1, "B": 24, "coprime": 154}
+    assert grading.nvars + counts["added"] - len(runs[0]) == 4
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "ad1439e455ea8290ec7f2e907d4e9ef4c7a650816435727e2dffc60e2858a391")
+
+
+def _tuple_is_minimal(elements):
+    leads = [g.plus for g in elements if not g.is_zero()]
+    return not any(i != j and divides(p, q)
+                   for i, p in enumerate(leads) for j, q in enumerate(leads))
+
+
+def _tuple_is_reduced(elements):
+    elems = [g for g in elements if not g.is_zero()]
+    return not any(i != j and (divides(g.plus, h.plus) or divides(g.plus, h.minus))
+                   for i, g in enumerate(elems) for j, h in enumerate(elems))
+
+
+def _random_family(rng):
+    # sparse exponents, some at the limit, with zero elements and
+    # repeated leads mixed in
+    nvars = rng.randint(1, 5)
+
+    def mono():
+        return tuple(rng.choice((0, 0, 0, 1, 2, EXPONENT_LIMIT)) for _ in range(nvars))
+
+    family = []
+    for _ in range(rng.randint(0, 6)):
+        r = rng.random()
+        if r < 0.15:
+            family.append(Binomial.zero(nvars))
+            continue
+        plus = rng.choice(family).plus if r < 0.3 and family else mono()
+        minus = mono()
+        if plus != minus:
+            family.append(Binomial(plus, minus))
+    return family
+
+
+def test_minimal_and_reduced_checks_match_tuple_definitions():
+    rng = random.Random(20212)
+    seen = Counter()
+    for _ in range(3000):
+        family = _random_family(rng)
+        minimal, reduced = _tuple_is_minimal(family), _tuple_is_reduced(family)
+        assert is_minimal_basis(family) == minimal, family
+        assert is_reduced_basis(family) == reduced, family
+        seen[minimal, reduced] += 1
+    assert min(seen[True, True], seen[True, False], seen[False, False]) >= 50, seen
+    mixed = [Binomial((1, 0), (0, 1)), Binomial((1, 0, 0), (0, 0, 1))]
+    for check in (is_minimal_basis, is_reduced_basis):
+        with pytest.raises(ValueError):
+            check(mixed)
 
 
 def _random_homogeneous_gens(rng, nvars):
