@@ -218,22 +218,56 @@ def packed_lcm(u: int, v: int, guard: int) -> int:
     return v ^ ((u ^ v) & m)
 
 
-def normal_form(x: int, rules: Sequence[tuple[int, int]], guard: int) -> int:
-    """Normal form of the packed monomial x under packed rules lead -> tail, taken in order.
+class RuleIndex(dict):
+    """Packed rules lead -> tail in insertion order, listed by lead support.
 
-    Scans for the first applicable rule and restarts; with every rule
-    oriented under a term order each step moves strictly down, so this
-    terminates.  guard is guard_bits(nvars).  x may come in with a field
-    past EXPONENT_LIMIT but below 2**32, such as the sum of two in-range
-    exponents; that raises just as a rewrite going past the limit does.
+    A support pattern is the guard bits of the nonzero fields of a guarded
+    word x, (x - ones) & guard.  The index maps each pattern looked up to
+    the rules whose lead support lies inside it, in insertion order: only
+    those leads can divide a monomial with that support.  A pattern's list
+    is built on its first lookup and grows with each add.
     """
+
+    def __init__(self, nvars: int, rules: Iterable[tuple[int, int]] = ()) -> None:
+        super().__init__()
+        self.guard = guard_bits(nvars)
+        self.ones = self.guard >> FIELD_BITS - 1
+        self.rules: list[tuple[tuple[int, int], int]] = []  # ((lead, tail), lead pattern)
+        for p, q in rules:
+            self.add(p, q)
+
+    def add(self, lead: int, tail: int) -> None:
+        rule = (lead, tail)
+        s = ((lead | self.guard) - self.ones) & self.guard
+        self.rules.append((rule, s))
+        for pattern, rules in self.items():
+            if s & pattern == s:
+                rules.append(rule)
+
+    def __missing__(self, pattern: int) -> list[tuple[int, int]]:
+        rules = self[pattern] = [r for r, s in self.rules if s & pattern == s]
+        return rules
+
+
+def normal_form(x: int, index: RuleIndex) -> int:
+    """Normal form of the packed monomial x under the index's rules, taken in order.
+
+    Each step applies the first rule, in insertion order, whose lead
+    divides x; only the rules listed under x's support pattern are tested,
+    as no other lead can divide.  With every rule oriented under a term
+    order each step moves strictly down, so this terminates.  x may come
+    in with a field past EXPONENT_LIMIT but below 2**32, such as the sum
+    of two in-range exponents; that raises just as a rewrite going past
+    the limit does.
+    """
+    guard, ones = index.guard, index.ones
     carry = guard >> 1
     x |= guard
     while True:
         if x & carry:
             m = unpack(x, guard.bit_length() // FIELD_BITS)
             raise ExponentOverflowError(f"rewrite to {m} exceeds {EXPONENT_LIMIT}")
-        for p, q in rules:
+        for p, q in index[(x - ones) & guard]:
             y = x - p
             if y & guard == guard:
                 x = y + q

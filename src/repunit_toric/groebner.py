@@ -36,6 +36,7 @@ from .binomials import (
     Binomial,
     Grading,
     Monomial,
+    RuleIndex,
     divides,
     format_binomial,
     format_monomial,
@@ -84,14 +85,12 @@ def _packed(rules: Iterable[Rule]) -> list[Packed]:
     return [(pack(p), pack(q)) for p, q in rules]
 
 
-def _s_sides(big: int, f: Packed, g: Packed, rules: Sequence[Packed],
-             guard: int) -> tuple[int, int]:
+def _s_sides(big: int, f: Packed, g: Packed, index: RuleIndex) -> tuple[int, int]:
     # Packed normal forms of the two one-step rewrites of the packed lcm
     # big of lt f and lt g; the S-binomial reduces to zero exactly when
     # they agree.  A lead divides big, so big - lead + tail borrows
     # nothing, and normal_form raises when it went past the limit.
-    return (normal_form(big - f[0] + f[1], rules, guard),
-            normal_form(big - g[0] + g[1], rules, guard))
+    return normal_form(big - f[0] + f[1], index), normal_form(big - g[0] + g[1], index)
 
 
 def _has_divisor(x: int, words: Iterable[int], guard: int) -> bool:
@@ -110,21 +109,23 @@ def buchberger(
     """Groebner basis of the binomial ideal spanned by gens under order.
 
     The basis is held as rewriting rules (lead, tail); validated binomials
-    are built only for the returned basis, which is the set of live rules.
+    are built only for the returned basis, which is the set of live rules
+    in insertion order (reduce_gb lists them canonically).
     """
     rules: list[Rule] = []  # every rule ever inserted; pairs name rules by index
     packed: list[Packed] = []  # rules[k] as packed words
     leads: list[int] = []  # packed[k][0]
     support: list[int] = []  # support_mask of rules[k]'s lead
     live: list[int] = []  # rules whose lead no later lead divides
-    basis: list[Packed] = []  # the live rules, which normal_form scans
     pending: dict[tuple[int, int], int] = {}  # pair -> packed lcm of its leads
     heap: list[tuple[int, Monomial, int, int]] = []
     weights = order.rows[0]
     nvars = order.nvars
     guard = guard_bits(nvars)
+    index = RuleIndex(nvars)  # the live rules, which normal_form reads
 
     def insert(rule: Rule) -> None:
+        nonlocal index
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
         # on packed words: ((big | guard) - h) & guard == guard says that h
         # divides big.
@@ -167,10 +168,14 @@ def buchberger(
                 trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
                       " skipped: coprime leads")
         # A rule whose lead h divides is superseded: it makes no new pairs
-        # and leaves the basis, while its pending pairs stay.
-        live[:] = [i for i in live if ((leads[i] | guard) - h) & guard != guard]
+        # and leaves the basis, while its pending pairs stay.  The index is
+        # rebuilt only then, which is rare.
+        kept = [i for i in live if ((leads[i] | guard) - h) & guard != guard]
+        if len(kept) < len(live):
+            live[:] = kept
+            index = RuleIndex(nvars, (packed[i] for i in live))
         live.append(j)
-        basis[:] = [packed[i] for i in live]
+        index.add(*packed[j])
 
     for g in gens:
         c = order.compare(g.plus, g.minus)
@@ -183,7 +188,7 @@ def buchberger(
         big = pending.pop((i, j), None)
         if big is None:
             continue
-        x, y = _s_sides(big, packed[i], packed[j], basis, guard)
+        x, y = _s_sides(big, packed[i], packed[j], index)
         if x == y:
             if trace:
                 trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> 0")
@@ -195,7 +200,7 @@ def buchberger(
                   + " - ".join(map(format_monomial, rule)))
         insert(rule)
 
-    return GroebnerBasis(sort_canonical((Binomial(*rules[i]) for i in live), order), order)
+    return GroebnerBasis(tuple(Binomial(*rules[i]) for i in live), order)
 
 
 def is_groebner_basis(
@@ -216,12 +221,13 @@ def is_groebner_basis(
             raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
     support = [support_mask(g.plus) for g in elems]
     rules = _packed((g.plus, g.minus) for g in elems)
-    guard = guard_bits(order.nvars)
+    index = RuleIndex(order.nvars, rules)
+    guard = index.guard
     for j, (lead, _) in enumerate(rules):
         for i in range(j):
             if not support[i] & support[j]:
                 continue
-            x, y = _s_sides(packed_lcm(rules[i][0], lead, guard), rules[i], rules[j], rules, guard)
+            x, y = _s_sides(packed_lcm(rules[i][0], lead, guard), rules[i], rules[j], index)
             if x != y:
                 if trace:
                     r = oriented_pair(unpack(x, order.nvars), unpack(y, order.nvars), order)
@@ -230,24 +236,34 @@ def is_groebner_basis(
     return True
 
 
+def _packed_nonzero(elements: Sequence[Binomial]) -> tuple[list[Packed], int]:
+    # the nonzero elements as packed (plus, minus) words, and their guard bits
+    elems = [g for g in elements if not g.is_zero()]
+    nvars = {g.nvars for g in elems}
+    if len(nvars) > 1:
+        raise ValueError(f"variable count mismatch: {sorted(nvars)}")
+    return _packed((g.plus, g.minus) for g in elems), guard_bits(nvars.pop() if nvars else 0)
+
+
 def is_minimal_basis(elements: Sequence[Binomial]) -> bool:
     """No leading term divides another element's leading term."""
-    leads = [g.plus for g in elements if not g.is_zero()]
-    for i, p in enumerate(leads):
-        for j, q in enumerate(leads):
-            if i != j and divides(p, q):
+    rules, guard = _packed_nonzero(elements)
+    for j, (q, _) in enumerate(rules):
+        q |= guard
+        for i, (p, _) in enumerate(rules):
+            if (q - p) & guard == guard and i != j:
                 return False
     return True
 
 
 def is_reduced_basis(elements: Sequence[Binomial]) -> bool:
     """No leading term divides any monomial of any other element."""
-    elems = [g for g in elements if not g.is_zero()]
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            if i == j:
-                continue
-            if divides(g.plus, h.plus) or divides(g.plus, h.minus):
+    rules, guard = _packed_nonzero(elements)
+    for j, (q, r) in enumerate(rules):
+        q |= guard
+        r |= guard
+        for i, (p, _) in enumerate(rules):
+            if ((q - p) & guard == guard or (r - p) & guard == guard) and i != j:
                 return False
     return True
 
@@ -271,9 +287,9 @@ def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
     # listing from minimalize stays sorted.
     m = minimalize(gb)
     nvars = gb.order.nvars
-    guard = guard_bits(nvars)
     rules = _packed((g.plus, g.minus) for g in m.elements)
-    out = tuple(Binomial(g.plus, unpack(normal_form(q, rules, guard), nvars))
+    index = RuleIndex(nvars, rules)
+    out = tuple(Binomial(g.plus, unpack(normal_form(q, index), nvars))
                 for g, (_, q) in zip(m.elements, rules))
     return GroebnerBasis(out, gb.order, minimal=True, reduced=True)
 
@@ -285,9 +301,8 @@ def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
 
 def ideal_member(f: Binomial, gb: GroebnerBasis) -> bool:
     """Membership: f's two sides share a normal form; gb must be a Groebner basis."""
-    rules = _packed((g.plus, g.minus) for g in gb.elements if not g.is_zero())
-    guard = guard_bits(f.nvars)
-    return normal_form(pack(f.plus), rules, guard) == normal_form(pack(f.minus), rules, guard)
+    index = RuleIndex(f.nvars, _packed((g.plus, g.minus) for g in gb.elements if not g.is_zero()))
+    return normal_form(pack(f.plus), index) == normal_form(pack(f.minus), index)
 
 
 def ideal_equal(

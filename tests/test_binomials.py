@@ -10,6 +10,7 @@ from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
     Grading,
+    RuleIndex,
     divides,
     format_binomial,
     format_monomial,
@@ -97,7 +98,7 @@ def test_exponent_overflow_guard():
         monomial((big + 1, 0))
     with pytest.raises(ExponentOverflowError):
         # an unchecked product past the limit, as an S-pair side can be
-        normal_form(pack((big, 0)) + pack((1, 0)), [], guard_bits(2))
+        normal_form(pack((big, 0)) + pack((1, 0)), RuleIndex(2))
     with pytest.raises(ValueError):
         monomial((-1, 0))
 
@@ -158,8 +159,8 @@ def test_oriented_uses_order():
 
 def _normal_form(m, rules):
     # normal_form on tuples: pack the input and rules, unpack the result
-    packed = [(pack(p), pack(q)) for p, q in rules]
-    return unpack(normal_form(pack(m), packed, guard_bits(len(m))), len(m))
+    index = RuleIndex(len(m), [(pack(p), pack(q)) for p, q in rules])
+    return unpack(normal_form(pack(m), index), len(m))
 
 
 def test_reduce_monomial_single_rule():
@@ -226,21 +227,24 @@ def _random_monomials(rng, nvars, rules):
 
 
 def test_normal_form_matches_tuple_rewriting():
-    # The rule list grows one rule at a time; every prefix is checked.
+    # One index grows a rule at a time and is queried between additions,
+    # so pattern lists built early must pick up every later rule.
     rng = random.Random(20211)
     for _ in range(300):
         nvars = rng.randint(3, 6)
         rules = _random_rules(rng, nvars)
         monomials = _random_monomials(rng, nvars, rules)
-        for k in range(1, len(rules) + 1):
+        index = RuleIndex(nvars)
+        for k, (p, q) in enumerate(rules, start=1):
+            index.add(pack(p), pack(q))
             for m in monomials:
                 try:
                     want = _reference_normal_form(m, rules[:k])
                 except ExponentOverflowError:
                     with pytest.raises(ExponentOverflowError):
-                        _normal_form(m, rules[:k])
+                        normal_form(pack(m), index)
                     continue
-                assert _normal_form(m, rules[:k]) == want, (m, rules[:k])
+                assert unpack(normal_form(pack(m), index), nvars) == want, (m, rules[:k])
 
 
 def test_normal_form_raises_past_the_limit():
