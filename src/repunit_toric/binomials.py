@@ -12,12 +12,17 @@ bit and a guard bit.  With the guard bit set in every field of the monomial
 being rewritten, one subtraction of a packed lead never borrows across
 fields and leaves every guard bit set exactly when the lead divides; adding
 the packed tail then completes the rewrite, and a set carry bit means an
-exponent went past EXPONENT_LIMIT.  The Buchberger pair update uses the
-same words: packed_lcm forms an lcm from one guarded subtraction and a
-field mask, and support_mask gives the variables of a monomial as a
-bitmask, so disjoint masks mean coprime monomials.  A packed word that
-divides another is never the larger int, so sorting packed lcms lists
-every proper divisor before its multiples.
+exponent went past EXPONENT_LIMIT.  Subtracting one from every field of a
+guarded word likewise leaves set the guard bits of its nonzero fields, its
+support pattern.  A RuleIndex lists the rules whose lead support lies inside
+each pattern, in insertion order, and normal_form tests only the list of the
+monomial's current pattern: no other lead can divide it, so each step
+applies the same rule as a scan of every rule would.  The Buchberger pair
+update uses the same words: packed_lcm forms an lcm from one guarded
+subtraction and a field mask, and support_mask gives the variables of a
+monomial as a bitmask, so disjoint masks mean coprime monomials.  A packed
+word that divides another is never the larger int, so sorting packed lcms
+lists every proper divisor before its multiples.
 """
 
 from __future__ import annotations

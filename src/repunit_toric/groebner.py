@@ -4,25 +4,31 @@ Everything stays binomial: S-polynomials of binomials are binomials, and
 dividing a binomial by oriented binomials is monomial rewriting applied to
 its two sides separately.  Rewriting runs on packed words (see binomials):
 each rule is packed once, and tuples are unpacked only to orient a nonzero
-remainder and to return binomials.  Pairs leave a queue in increasing weighted degree
-of their lcm.  Each inserted rule runs the Gebauer-Moeller pair update
-(Gebauer & Moeller, JSC 6, 1988): criteria M and F keep one new pair per
-minimal lcm, pairs with coprime leads are never queued, criterion B drops
-pending pairs the new lead makes redundant, and rules whose lead the new
-lead divides retire from the basis.  Each nonzero remainder enlarges the
-leading-term ideal strictly, so the loop terminates.
+remainder and to return binomials.  buchberger keeps its live rules in one
+RuleIndex, which normal_form reads by support pattern: each inserted rule
+is added to it, and it is rebuilt only when a rule retires.
+is_groebner_basis, reduce_gb and ideal_member each index their fixed rule
+list once.  Pairs leave a queue in increasing weighted degree of their
+lcm.  Each inserted rule runs the Gebauer-Moeller pair update (Gebauer &
+Moeller, JSC 6, 1988): criteria M and F keep one new pair per minimal lcm,
+pairs with coprime leads are never queued, criterion B drops pending pairs
+the new lead makes redundant, and rules whose lead the new lead divides
+retire from the basis.  Each nonzero remainder enlarges the leading-term
+ideal strictly, so the loop terminates.  buchberger returns the live rules
+in insertion order; reduce_gb lists a basis canonically.
 
 The pair update runs on the same packed words.  Each rule keeps its packed
 lead and a support bitmask, so a pair's lcm is one packed_lcm, coprime
 leads are one AND of masks, and every divisibility test in criteria B, M
-and F and in retirement is one guarded subtraction.  The new pairs are
-sorted by (packed lcm, shared support, index): a proper divisor is a
-smaller packed int, so it comes first just as in a sort by weighted
-degree, and each pair is kept or skipped as in that sort.  Only queued
-pairs unpack their lcm, for the heap key (weight, lcm, i, j), which sets
-the order pairs leave the queue.  In a trace, the skipped-pair lines of
-one insertion follow packed-lcm order; which pairs are skipped, and by
-which criterion, does not depend on it.
+and F and in retirement is one guarded subtraction, as it is in
+is_minimal_basis and is_reduced_basis.  The new pairs are sorted by
+(packed lcm, shared support, index): a proper divisor is a smaller packed
+int, so it comes first just as in a sort by weighted degree, and each pair
+is kept or skipped as in that sort.  Only queued pairs unpack their lcm,
+for the heap key (weight, lcm, i, j), which sets the order pairs leave the
+queue.  In a trace, the skipped-pair lines of one insertion follow
+packed-lcm order; which pairs are skipped, and by which criterion, does
+not depend on it.
 """
 
 from __future__ import annotations

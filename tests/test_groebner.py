@@ -196,6 +196,31 @@ def test_trace_pins_pair_outcomes():
     assert _pair_outcomes(lines[1:]) == {"added": 13, "zero": 26, "M": 35, "F": 5, "coprime": 57}
 
 
+def test_retired_rules_leave_the_rewrite_rules():
+    # x2 - x1 comes last and its lead divides the leads of all three
+    # earlier inputs, which retire.  Had they stayed among the rules that
+    # rewrite S-pair sides, a retired rule, inserted earlier, would rewrite
+    # a side of pair (2,3) first, and its remainder would be
+    # x1^2*x3^4 - x1^8*x3^2.
+    order = build_order_i((1, 1, 3), 1)
+    gens = [Binomial((3, 2, 3), (4, 4, 2)), Binomial((4, 2, 4), (3, 3, 4)),
+            Binomial((0, 2, 4), (1, 4, 3)), Binomial((1, 0, 0), (0, 1, 0))]
+    lines: list[str] = []
+    gb = buchberger(gens, order, trace=lines.append)
+    assert lines == [
+        "pair (1,2) lcm=x1^3*x2^3*x3^4 skipped: criterion M",
+        "pair (0,2) lcm=x1^3*x2^2*x3^4 skipped: criterion B",
+        "pair (2,3) lcm=x2^2*x3^4 -> x1^2*x3^4 - x1^5*x3^3",
+        "pair (3,4) lcm=x1^2*x2*x3^4 skipped: coprime leads",
+        "pair (0,3) lcm=x1^3*x2^2*x3^3 -> x1^5*x3^3 - x1^8*x3^2",
+        "pair (3,5) lcm=x1^5*x2*x3^3 skipped: coprime leads",
+        "pair (4,5) lcm=x1^5*x3^4 -> 0",
+        "pair (0,1) lcm=x1^3*x2^3*x3^4 -> 0",
+    ]
+    assert sorted(map(str, gb)) == [
+        "x1^2*x3^4 - x1^5*x3^3", "x1^5*x3^3 - x1^8*x3^2", "x2 - x1"]
+
+
 def _pair_outcomes(lines):
     outcomes = Counter()
     for s in lines:
@@ -230,11 +255,8 @@ def test_trace_pins_criterion_b_outcomes(abn, counts, digest):
     assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest
 
 
-def test_trace_pins_a_run_whose_inputs_retire(monkeypatch):
-    # The (2,3,5) weights listed largest first: each input lead t^w
-    # divides the one inserted before it, so four input rules retire, and
-    # criterion B fires later in the run.  The whole trace is pinned in
-    # order, so every rewrite after the retirements is checked step by step.
+def _recorded_runs(monkeypatch):
+    # the raw buchberger result of each later toric_ideal call, in order
     runs = []
 
     def recording(gens, order, trace=None):
@@ -242,6 +264,15 @@ def test_trace_pins_a_run_whose_inputs_retire(monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(families, "buchberger", recording)
+    return runs
+
+
+def test_trace_pins_a_run_whose_inputs_retire(monkeypatch):
+    # The (2,3,5) weights listed largest first: each input lead t^w
+    # divides the one inserted before it, so four input rules retire, and
+    # criterion B fires later in the run.  The whole trace is pinned in
+    # order, so every rewrite after the retirements is checked step by step.
+    runs = _recorded_runs(monkeypatch)
     grading = Grading.scalar(tuple(reversed(generators(InstanceParams(2, 3, 5)))))
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
@@ -365,13 +396,7 @@ def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
     for gens, order, _ in _random_ideals():
         assert is_groebner_basis(buchberger(gens, order).elements, order)
 
-    runs = []
-
-    def recording(gens, order, trace=None):
-        runs.append(buchberger(gens, order, trace))
-        return runs[-1]
-
-    monkeypatch.setattr(families, "buchberger", recording)
+    runs = _recorded_runs(monkeypatch)
     for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6)):
         runs.clear()
         toric_ideal(scalar_grading(InstanceParams(a, b, n)))
