@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from repunit_toric import fibers
-from repunit_toric.binomials import Binomial, Grading
+from repunit_toric.binomials import Binomial, Grading, format_binomial
 from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
@@ -334,3 +334,45 @@ def test_prune_redundant_generators():
     assert len(kept) == 6
     assert multiple.canonical() not in kept
     assert prune_redundant_generators([], order) == []
+
+
+def _mixed_generators():
+    # the closed-chain minors at (3,2,4) with zero, duplicate, opposite and
+    # multiple generators mixed in
+    p = InstanceParams(3, 2, 4)
+    minors = list(minors_closed_chain(p).binomials)
+    g = minors[0]
+    multiple = Binomial(tuple(e + 1 for e in g.plus), tuple(e + 1 for e in g.minus))
+    gens = [Binomial.zero(4), g, minors[2].opposite(), multiple]
+    gens += minors + [g.opposite(), Binomial.zero(4)]
+    return gens, build_order_i(generators(p), 1)
+
+
+def _minors_case(family, abn):
+    p = InstanceParams(*abn)
+    return list(family(p).binomials), build_order_i(generators(p), 1)
+
+
+def _toric_case(abn):
+    gb = toric_ideal(scalar_grading(InstanceParams(*abn)))
+    return list(gb.elements), gb.order
+
+
+@pytest.mark.parametrize("case, count, digest", [
+    (lambda: _minors_case(minors_closed_chain, (1, 3, 5)), 10,
+     "6812738259f217a4fef73e64e20bc2a59bb41d800bbca00140176ab2c41d3a9c"),
+    (lambda: _minors_case(minors_closed_chain, (3, 3, 5)), 10,
+     "c514efff9353d320e095e2d4a31d05bf4202ae5c2b12c0208393c44d0bbb394f"),
+    (lambda: _minors_case(minors_open_chain, (1, 2, 6)), 10,
+     "0fae97b64636a26af1b6818e3ba2bb2ceed106f5f63f9cf116259813a7dc3897"),
+    (lambda: _toric_case((3, 2, 4)), 4,
+     "ff4054baf4c2ac1e998707b407e2f4040722f4f6262986a449676d53a881e957"),
+    (_mixed_generators, 6,
+     "a91528a270f0ce7976a1c0e1c2af514cea82b37c43e6e75fd6feab6f4c97fea9"),
+], ids=["closed-1-3-5", "closed-3-3-5", "open-1-2-6", "toric-3-2-4", "mixed"])
+def test_prune_redundant_generators_pins_kept_lists(case, count, digest):
+    # which generators are kept, and in which order, not only how many
+    gens, order = case()
+    kept = prune_redundant_generators(gens, order)
+    assert len(kept) == count
+    assert hashlib.sha256("\n".join(map(format_binomial, kept)).encode()).hexdigest() == digest

@@ -31,6 +31,7 @@ from repunit_toric.families import (
     toric_ideal,
 )
 from repunit_toric.groebner import (
+    GroebnerBasis,
     buchberger,
     groebner_reduced,
     ideal_equal,
@@ -402,6 +403,39 @@ def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
         toric_ideal(scalar_grading(InstanceParams(a, b, n)))
         elim = runs[0]
         assert is_groebner_basis(elim.elements, elim.order)
+
+
+def _tuple_minimal_leads(elements, order):
+    # the distinct leads that no other lead divides, listed canonically
+    leads = {g.plus for g in elements if not g.is_zero()}
+    return sorted((p for p in leads if not any(q != p and divides(q, p) for q in leads)),
+                  key=order.sort_key())
+
+
+def test_reduce_gb_matches_tuple_minimalization():
+    # Raw buchberger output padded with zero elements, duplicates and
+    # multiples of its elements, then shuffled: the reduced basis keeps
+    # exactly the minimal leads and does not depend on the padding.
+    rng = random.Random(20213)
+    dropped = 0
+    for gens, order, _ in _random_ideals():
+        raw = list(buchberger(gens, order).elements)
+        want = reduce_gb(GroebnerBasis(tuple(raw), order)).elements
+        for _ in range(3):
+            padded = raw + rng.sample(raw, rng.randint(0, len(raw)))
+            padded += [Binomial.zero(order.nvars)] * rng.randint(0, 2)
+            for g in rng.sample(raw, min(len(raw), rng.randint(0, 2))):
+                m = tuple(rng.randint(0, 2) for _ in range(order.nvars))
+                padded.append(Binomial(tuple(map(sum, zip(g.plus, m))),
+                                       tuple(map(sum, zip(g.minus, m)))))
+            rng.shuffle(padded)
+            gb = reduce_gb(GroebnerBasis(tuple(padded), order))
+            leads = _tuple_minimal_leads(padded, order)
+            assert [g.plus for g in gb] == leads
+            assert gb.minimal and gb.reduced and is_reduced_basis(gb.elements)
+            assert gb.elements == want
+            dropped += len({g.plus for g in padded if not g.is_zero()}) > len(leads)
+    assert dropped >= 50
 
 
 def test_cross_check_against_sympy():
