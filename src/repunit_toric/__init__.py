@@ -50,7 +50,6 @@ from .groebner import (
     is_groebner_basis,
     is_minimal_basis,
     is_reduced_basis,
-    minimalize,
     reduce_gb,
     saturate_torus,
     saturate_variable,

@@ -19,10 +19,9 @@ each pattern, in insertion order, and normal_form tests only the list of the
 monomial's current pattern: no other lead can divide it, so each step
 applies the same rule as a scan of every rule would.  The Buchberger pair
 update uses the same words: packed_lcm forms an lcm from one guarded
-subtraction and a field mask, and support_mask gives the variables of a
-monomial as a bitmask, so disjoint masks mean coprime monomials.  A packed
-word that divides another is never the larger int, so sorting packed lcms
-lists every proper divisor before its multiples.
+subtraction and a field mask, and disjoint support patterns mean coprime
+monomials.  A packed word that divides another is never the larger int, so
+sorting packed lcms lists every proper divisor before its multiples.
 """
 
 from __future__ import annotations
@@ -203,11 +202,6 @@ def unpack(x: int, nvars: int) -> Monomial:
 def guard_bits(nvars: int) -> int:
     """The guard bit of every field of an nvars-variable word."""
     return pack((1 << FIELD_BITS - 1,) * nvars)
-
-
-def support_mask(m: Monomial) -> int:
-    """Bit v set exactly when x_(v+1) occurs in m."""
-    return sum(1 << v for v, e in enumerate(m) if e)
 
 
 def packed_lcm(u: int, v: int, guard: int) -> int:

@@ -233,6 +233,8 @@ def cmd_sweep(args) -> int:
 
 def _resolve_order(args, params: InstanceParams):
     name = args.order
+    if args.i is not None and name != "prec-i":
+        raise ValueError(f"--i is read only by --order prec-i, not by --order {name}")
     weights = generators(params)
     if name == "example5":
         if params.n != 5:

@@ -29,7 +29,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .binomials import Binomial, Grading, Monomial, check_int, divides, is_homogeneous
-from .groebner import buchberger, ideal_member, reduce_gb
+from .groebner import buchberger, ideal_member
 from .orders import MatrixOrder
 
 
@@ -294,24 +294,13 @@ def prune_redundant_generators(
     kept at its turn stays irredundant because later removals only shrink
     the ideal it was tested against.  Graded Nakayama makes the surviving
     count independent of choices, so this agrees with the fiber oracle.
+    Membership needs only some Groebner basis of the others, so none is
+    reduced.
     """
-    current: list[Binomial] = []
-    seen = set()
-    for g in gens:
-        if g.is_zero():
-            continue
-        c = g.canonical()
-        if (c.plus, c.minus) not in seen:
-            seen.add((c.plus, c.minus))
-            current.append(c)
-    current.sort(key=lambda g: (sum(g.plus) + sum(g.minus), g.plus, g.minus))
+    current = sorted({g.canonical() for g in gens if not g.is_zero()},
+                     key=lambda g: (sum(g.plus) + sum(g.minus), g.plus, g.minus))
     kept: list[Binomial] = []
     for pos, g in enumerate(current):
-        others = kept + current[pos + 1 :]
-        if not others:
-            kept.append(g)
-            continue
-        gb = reduce_gb(buchberger(others, order))
-        if not ideal_member(g, gb):
+        if not ideal_member(g, buchberger(kept + current[pos + 1 :], order)):
             kept.append(g)
     return kept

@@ -2,33 +2,38 @@
 
 Everything stays binomial: S-polynomials of binomials are binomials, and
 dividing a binomial by oriented binomials is monomial rewriting applied to
-its two sides separately.  Rewriting runs on packed words (see binomials):
-each rule is packed once, and tuples are unpacked only to orient a nonzero
-remainder and to return binomials.  buchberger keeps its live rules in one
-RuleIndex, which normal_form reads by support pattern: each inserted rule
-is added to it, and it is rebuilt only when a rule retires.
-is_groebner_basis, reduce_gb and ideal_member each index their fixed rule
-list once.  Pairs leave a queue in increasing weighted degree of their
-lcm.  Each inserted rule runs the Gebauer-Moeller pair update (Gebauer &
-Moeller, JSC 6, 1988): criteria M and F keep one new pair per minimal lcm,
-pairs with coprime leads are never queued, criterion B drops pending pairs
-the new lead makes redundant, and rules whose lead the new lead divides
-retire from the basis.  Each nonzero remainder enlarges the leading-term
-ideal strictly, so the loop terminates.  buchberger returns the live rules
-in insertion order; reduce_gb lists a basis canonically.
+its two sides separately.  Inside this module a rule has one form, a pair
+(lead, tail) of packed words (see binomials): each input element is packed
+once, and tuples are unpacked only to orient a nonzero remainder, to build
+a heap key or trace text, and to return binomials.
 
-The pair update runs on the same packed words.  Each rule keeps its packed
-lead and a support bitmask, so a pair's lcm is one packed_lcm, coprime
-leads are one AND of masks, and every divisibility test in criteria B, M
-and F and in retirement is one guarded subtraction, as it is in
-is_minimal_basis and is_reduced_basis.  The new pairs are sorted by
-(packed lcm, shared support, index): a proper divisor is a smaller packed
-int, so it comes first just as in a sort by weighted degree, and each pair
-is kept or skipped as in that sort.  Only queued pairs unpack their lcm,
-for the heap key (weight, lcm, i, j), which sets the order pairs leave the
-queue.  In a trace, the skipped-pair lines of one insertion follow
-packed-lcm order; which pairs are skipped, and by which criterion, does
-not depend on it.
+buchberger keeps one list of packed rules, which pairs name by index, and
+one RuleIndex of the live rules, which normal_form reads by support
+pattern: each inserted rule is added to it, and it is rebuilt only when a
+rule retires.  is_groebner_basis, reduce_gb and ideal_member each index
+their fixed rule list once.  Pairs leave a queue in increasing weighted
+degree of their lcm.  Each inserted rule runs the Gebauer-Moeller pair
+update (Gebauer & Moeller, JSC 6, 1988): criteria M and F keep one new pair
+per minimal lcm, pairs with coprime leads are never queued, criterion B
+drops pending pairs the new lead makes redundant, and rules whose lead the
+new lead divides retire from the basis.  Each nonzero remainder enlarges
+the leading-term ideal strictly, so the loop terminates.  buchberger
+returns the live rules in insertion order; reduce_gb lists a basis
+canonically.
+
+The pair update runs on the same packed words.  A lead's support is its
+support pattern, the guard bits of its nonzero fields, as RuleIndex
+computes it, so coprime leads are one AND of patterns; a pair's lcm is one
+packed_lcm; and every divisibility test in criteria B, M and F and in
+retirement is one guarded subtraction, as it is in is_minimal_basis,
+is_reduced_basis and the minimalization in reduce_gb.  The new pairs are
+sorted by (packed lcm, shared support, index): a proper divisor is a
+smaller packed int, so it comes first just as in a sort by weighted
+degree, and each pair is kept or skipped as in that sort.  Only queued
+pairs unpack their lcm, for the heap key (weight, lcm, i, j), which sets
+the order pairs leave the queue.  In a trace, the skipped-pair lines of one
+insertion follow packed-lcm order; which pairs are skipped, and by which
+criterion, does not depend on it.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from .binomials import (
     Grading,
     Monomial,
     RuleIndex,
-    divides,
     format_binomial,
     format_monomial,
     guard_bits,
@@ -51,13 +55,11 @@ from .binomials import (
     oriented_pair,
     pack,
     packed_lcm,
-    support_mask,
     unpack,
 )
 from .orders import MatrixOrder, build_order_i
 
 TraceFn = Callable[[str], None]
-Rule = tuple[Monomial, Monomial]
 Packed = tuple[int, int]  # a rule as packed words
 
 
@@ -87,8 +89,8 @@ def sort_canonical(elements: Iterable[Binomial], order: MatrixOrder) -> tuple[Bi
     return tuple(sorted(elements, key=pair_key))
 
 
-def _packed(rules: Iterable[Rule]) -> list[Packed]:
-    return [(pack(p), pack(q)) for p, q in rules]
+def _packed(elements: Iterable[Binomial]) -> list[Packed]:
+    return [(pack(g.plus), pack(g.minus)) for g in elements]
 
 
 def _s_sides(big: int, f: Packed, g: Packed, index: RuleIndex) -> tuple[int, int]:
@@ -114,40 +116,36 @@ def buchberger(
 ) -> GroebnerBasis:
     """Groebner basis of the binomial ideal spanned by gens under order.
 
-    The basis is held as rewriting rules (lead, tail); validated binomials
-    are built only for the returned basis, which is the set of live rules
-    in insertion order (reduce_gb lists them canonically).
+    The basis is held as packed rewriting rules (lead, tail); validated
+    binomials are built only for the returned basis, which is the set of
+    live rules in insertion order (reduce_gb lists them canonically).
     """
-    rules: list[Rule] = []  # every rule ever inserted; pairs name rules by index
-    packed: list[Packed] = []  # rules[k] as packed words
-    leads: list[int] = []  # packed[k][0]
-    support: list[int] = []  # support_mask of rules[k]'s lead
+    rules: list[Packed] = []  # every rule ever inserted; pairs name rules by index
+    support: list[int] = []  # support pattern of rules[k]'s lead
     live: list[int] = []  # rules whose lead no later lead divides
     pending: dict[tuple[int, int], int] = {}  # pair -> packed lcm of its leads
     heap: list[tuple[int, Monomial, int, int]] = []
     weights = order.rows[0]
     nvars = order.nvars
-    guard = guard_bits(nvars)
     index = RuleIndex(nvars)  # the live rules, which normal_form reads
+    guard, ones = index.guard, index.ones
 
-    def insert(rule: Rule) -> None:
+    def insert(h: int, t: int) -> None:
         nonlocal index
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
         # on packed words: ((big | guard) - h) & guard == guard says that h
         # divides big.
         j = len(rules)
-        h = pack(rule[0])
-        s = support_mask(rule[0])
-        rules.append(rule)
-        packed.append((h, pack(rule[1])))
-        leads.append(h)
+        s = ((h | guard) - ones) & guard
+        rules.append((h, t))
         support.append(s)
         # Criterion B: h divides the lcm of a pending pair whose two lcms
         # with h are proper divisors, so both of those pairs are handled
         # before it.  Dropping the dict entry deletes the heap entry lazily.
         for (i, k), big in [(pair, big) for pair, big in pending.items()
                             if ((big | guard) - h) & guard == guard]:
-            if packed_lcm(leads[i], h, guard) != big and packed_lcm(leads[k], h, guard) != big:
+            if (packed_lcm(rules[i][0], h, guard) != big
+                    and packed_lcm(rules[k][0], h, guard) != big):
                 del pending[i, k]
                 if trace:
                     trace(f"pair ({i},{k}) lcm={format_monomial(unpack(big, nvars))}"
@@ -155,7 +153,7 @@ def buchberger(
         # Criteria M and F: a new pair whose lcm is divisible by a kept
         # lcm is superfluous.  A proper divisor is a smaller packed int, so
         # it sorts first; among equal lcms a coprime pair does.
-        new = [(packed_lcm(leads[i], h, guard), support[i] & s != 0, i) for i in live]
+        new = [(packed_lcm(rules[i][0], h, guard), support[i] & s != 0, i) for i in live]
         new.sort()
         kept: list[int] = []
         for big, shared, i in new:
@@ -176,37 +174,39 @@ def buchberger(
         # A rule whose lead h divides is superseded: it makes no new pairs
         # and leaves the basis, while its pending pairs stay.  The index is
         # rebuilt only then, which is rare.
-        kept = [i for i in live if ((leads[i] | guard) - h) & guard != guard]
+        kept = [i for i in live if ((rules[i][0] | guard) - h) & guard != guard]
         if len(kept) < len(live):
             live[:] = kept
-            index = RuleIndex(nvars, (packed[i] for i in live))
+            index = RuleIndex(nvars, (rules[i] for i in live))
         live.append(j)
-        index.add(*packed[j])
+        index.add(h, t)
 
     for g in gens:
         c = order.compare(g.plus, g.minus)
-        rule = (g.plus, g.minus) if c > 0 else (g.minus, g.plus)
+        rule = (pack(g.plus), pack(g.minus)) if c > 0 else (pack(g.minus), pack(g.plus))
         if c and rule not in rules:
-            insert(rule)
+            insert(*rule)
 
     while heap:
         _, lcm, i, j = heapq.heappop(heap)
         big = pending.pop((i, j), None)
         if big is None:
             continue
-        x, y = _s_sides(big, packed[i], packed[j], index)
+        x, y = _s_sides(big, rules[i], rules[j], index)
         if x == y:
             if trace:
                 trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> 0")
             continue
         p, q = unpack(x, nvars), unpack(y, nvars)
-        rule = (p, q) if order.compare(p, q) > 0 else (q, p)
+        if order.compare(p, q) < 0:
+            x, y, p, q = y, x, q, p
         if trace:
             trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> "
-                  + " - ".join(map(format_monomial, rule)))
-        insert(rule)
+                  f"{format_monomial(p)} - {format_monomial(q)}")
+        insert(x, y)
 
-    return GroebnerBasis(tuple(Binomial(*rules[i]) for i in live), order)
+    return GroebnerBasis(tuple(Binomial(unpack(p, nvars), unpack(q, nvars))
+                               for p, q in (rules[i] for i in live)), order)
 
 
 def is_groebner_basis(
@@ -225,15 +225,15 @@ def is_groebner_basis(
     for g in elems:
         if order.compare(g.plus, g.minus) <= 0:
             raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
-    support = [support_mask(g.plus) for g in elems]
-    rules = _packed((g.plus, g.minus) for g in elems)
-    index = RuleIndex(order.nvars, rules)
+    index = RuleIndex(order.nvars, _packed(elems))
     guard = index.guard
-    for j, (lead, _) in enumerate(rules):
+    rules = index.rules  # (rule, support pattern of its lead)
+    for j, (g, t) in enumerate(rules):
         for i in range(j):
-            if not support[i] & support[j]:
+            f, s = rules[i]
+            if not s & t:
                 continue
-            x, y = _s_sides(packed_lcm(rules[i][0], lead, guard), rules[i], rules[j], index)
+            x, y = _s_sides(packed_lcm(f[0], g[0], guard), f, g, index)
             if x != y:
                 if trace:
                     r = oriented_pair(unpack(x, order.nvars), unpack(y, order.nvars), order)
@@ -248,7 +248,7 @@ def _packed_nonzero(elements: Sequence[Binomial]) -> tuple[list[Packed], int]:
     nvars = {g.nvars for g in elems}
     if len(nvars) > 1:
         raise ValueError(f"variable count mismatch: {sorted(nvars)}")
-    return _packed((g.plus, g.minus) for g in elems), guard_bits(nvars.pop() if nvars else 0)
+    return _packed(elems), guard_bits(nvars.pop() if nvars else 0)
 
 
 def is_minimal_basis(elements: Sequence[Binomial]) -> bool:
@@ -274,29 +274,23 @@ def is_reduced_basis(elements: Sequence[Binomial]) -> bool:
     return True
 
 
-def minimalize(gb: GroebnerBasis) -> GroebnerBasis:
-    """Drop elements whose leading term is divisible by another leading term."""
-    ordered = sort_canonical(gb.elements, gb.order)
-    kept: list[Binomial] = []
-    for g in ordered:
-        if g.is_zero():
-            continue
-        if any(divides(h.plus, g.plus) for h in kept):
-            continue
-        kept.append(g)
-    return GroebnerBasis(tuple(kept), gb.order, minimal=True)
-
-
 def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
-    """Reduced basis: minimal, with every trailing term in normal form."""
-    # Minimal leads are distinct and tail reduction keeps them, so the
-    # listing from minimalize stays sorted.
-    m = minimalize(gb)
+    """Reduced basis: minimal, with every trailing term in normal form.
+
+    The nonzero elements are taken in canonical order, and one is kept
+    when no kept lead divides its lead; tail reduction keeps the leads, so
+    the listing stays sorted.
+    """
     nvars = gb.order.nvars
-    rules = _packed((g.plus, g.minus) for g in m.elements)
+    guard = guard_bits(nvars)
+    rules: list[Packed] = []
+    for g in sort_canonical((g for g in gb.elements if not g.is_zero()), gb.order):
+        p = pack(g.plus)
+        if not _has_divisor(p | guard, (h for h, _ in rules), guard):
+            rules.append((p, pack(g.minus)))
     index = RuleIndex(nvars, rules)
-    out = tuple(Binomial(g.plus, unpack(normal_form(q, index), nvars))
-                for g, (_, q) in zip(m.elements, rules))
+    out = tuple(Binomial(unpack(p, nvars), unpack(normal_form(q, index), nvars))
+                for p, q in rules)
     return GroebnerBasis(out, gb.order, minimal=True, reduced=True)
 
 
@@ -307,7 +301,7 @@ def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
 
 def ideal_member(f: Binomial, gb: GroebnerBasis) -> bool:
     """Membership: f's two sides share a normal form; gb must be a Groebner basis."""
-    index = RuleIndex(f.nvars, _packed((g.plus, g.minus) for g in gb.elements if not g.is_zero()))
+    index = RuleIndex(f.nvars, _packed(g for g in gb.elements if not g.is_zero()))
     return normal_form(pack(f.plus), index) == normal_form(pack(f.minus), index)
 
 

@@ -137,6 +137,16 @@ def test_groebner_order_errors(capsys):
     assert code == 2
     assert "needs --i" in err
 
+    # --i is read only by prec-i; with another order it is a usage error
+    for order, n in (("prec-3", "4"), ("example5", "5")):
+        code, out, err = run(
+            capsys, "groebner", "--source", "minors-x", "--order", order, "--i", "2",
+            "--a", "1", "--b", "5", "--n", n,
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            f"error: --i is read only by --order prec-i, not by --order {order}"]
+
 
 def test_groebner_trace_goes_to_stderr(capsys):
     code, out, err = run(
