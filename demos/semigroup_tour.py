@@ -6,7 +6,6 @@ from repunit_toric.semigroup import (
     generator,
     generators,
     homogeneity_identity_holds,
-    is_coprime,
     repunit,
 )
 
@@ -19,7 +18,8 @@ print()
 for a, b, n in [(1, 3, 4), (3, 2, 4), (2, 3, 5)]:
     p = InstanceParams(a=a, b=b, n=n)
     gens = generators(p)
-    tag = "coprime" if is_coprime(p) else f"gcd {gcd_of_generators(p)}"
+    g = gcd_of_generators(p)
+    tag = "coprime" if g == 1 else f"gcd {g}"
     print(f"a={a} b={b} n={n}: generators {gens} ({tag})")
 
 # the sequence keeps going past n with the same formula, and the first

@@ -16,7 +16,7 @@ from repunit_toric.fibers import (
     forced_generators,
     has_unique_minimal_system,
 )
-from repunit_toric.semigroup import InstanceParams, generators, is_coprime
+from repunit_toric.semigroup import InstanceParams, gcd_of_generators, generators
 
 
 def main() -> None:
@@ -29,7 +29,7 @@ def main() -> None:
     print(f"b={args.b} n={args.n}: uniqueness of the minimal system by a")
     for a in range(1, args.amax + 1):
         p = InstanceParams(a=a, b=args.b, n=args.n)
-        if not is_coprime(p):
+        if gcd_of_generators(p) != 1:
             print(f"  a={a}: skipped, generators not coprime")
             continue
         fam = minors_closed_chain(p)

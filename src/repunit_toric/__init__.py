@@ -75,7 +75,6 @@ from .semigroup import (
     generator,
     generators,
     homogeneity_identity_holds,
-    is_coprime,
     repunit,
 )
 from .verify import CLAIMS, run_claim

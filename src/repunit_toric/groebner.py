@@ -13,27 +13,30 @@ pattern: each inserted rule is added to it, and it is rebuilt only when a
 rule retires.  is_groebner_basis, reduce_gb and ideal_member each index
 their fixed rule list once.  Pairs leave a queue in increasing weighted
 degree of their lcm.  Each inserted rule runs the Gebauer-Moeller pair
-update (Gebauer & Moeller, JSC 6, 1988): criteria M and F keep one new pair
-per minimal lcm, pairs with coprime leads are never queued, criterion B
-drops pending pairs the new lead makes redundant, and rules whose lead the
-new lead divides retire from the basis.  Each nonzero remainder enlarges
-the leading-term ideal strictly, so the loop terminates.  buchberger
-returns the live rules in insertion order; reduce_gb lists a basis
-canonically.
+update (Gebauer & Moeller, JSC 6, 1988) without its criterion B: criteria
+M and F keep one new pair per minimal lcm, pairs with coprime leads are
+never queued, and rules whose lead the new lead divides retire from the
+basis.  A queued pair is never dropped.  Reducing more pairs cannot make
+the basis wrong, and a pair that criterion B would skip has two sub-pairs
+with strictly smaller lcms, which leave the queue first, so for graded
+input it reduces to zero.  Each nonzero remainder enlarges the
+leading-term ideal strictly, so the loop terminates.  buchberger returns
+the live rules in insertion order; reduce_gb lists a basis canonically.
 
 The pair update runs on the same packed words.  A lead's support is its
 support pattern, the guard bits of its nonzero fields, as RuleIndex
 computes it, so coprime leads are one AND of patterns; a pair's lcm is one
-packed_lcm; and every divisibility test in criteria B, M and F and in
+packed_lcm; and every divisibility test in criteria M and F and in
 retirement is one guarded subtraction, as it is in is_minimal_basis,
 is_reduced_basis and the minimalization in reduce_gb.  The new pairs are
 sorted by (packed lcm, shared support, index): a proper divisor is a
 smaller packed int, so it comes first just as in a sort by weighted
 degree, and each pair is kept or skipped as in that sort.  Only queued
-pairs unpack their lcm, for the heap key (weight, lcm, i, j), which sets
-the order pairs leave the queue.  In a trace, the skipped-pair lines of one
-insertion follow packed-lcm order; which pairs are skipped, and by which
-criterion, does not depend on it.
+pairs unpack their lcm, for the heap entry (weight, lcm, i, j, big): its
+first four fields set the order pairs leave the queue, and big is the
+packed lcm that the S-pair is reduced from.  In a trace, the skipped-pair
+lines of one insertion follow packed-lcm order; which pairs are skipped,
+and by which criterion, does not depend on it.
 """
 
 from __future__ import annotations
@@ -123,8 +126,7 @@ def buchberger(
     rules: list[Packed] = []  # every rule ever inserted; pairs name rules by index
     support: list[int] = []  # support pattern of rules[k]'s lead
     live: list[int] = []  # rules whose lead no later lead divides
-    pending: dict[tuple[int, int], int] = {}  # pair -> packed lcm of its leads
-    heap: list[tuple[int, Monomial, int, int]] = []
+    heap: list[tuple[int, Monomial, int, int, int]] = []  # (weight, lcm, i, j, packed lcm)
     weights = order.rows[0]
     nvars = order.nvars
     index = RuleIndex(nvars)  # the live rules, which normal_form reads
@@ -133,23 +135,12 @@ def buchberger(
     def insert(h: int, t: int) -> None:
         nonlocal index
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
-        # on packed words: ((big | guard) - h) & guard == guard says that h
-        # divides big.
+        # without criterion B, on packed words: ((big | guard) - h) & guard
+        # == guard says that h divides big.
         j = len(rules)
         s = ((h | guard) - ones) & guard
         rules.append((h, t))
         support.append(s)
-        # Criterion B: h divides the lcm of a pending pair whose two lcms
-        # with h are proper divisors, so both of those pairs are handled
-        # before it.  Dropping the dict entry deletes the heap entry lazily.
-        for (i, k), big in [(pair, big) for pair, big in pending.items()
-                            if ((big | guard) - h) & guard == guard]:
-            if (packed_lcm(rules[i][0], h, guard) != big
-                    and packed_lcm(rules[k][0], h, guard) != big):
-                del pending[i, k]
-                if trace:
-                    trace(f"pair ({i},{k}) lcm={format_monomial(unpack(big, nvars))}"
-                          " skipped: criterion B")
         # Criteria M and F: a new pair whose lcm is divisible by a kept
         # lcm is superfluous.  A proper divisor is a smaller packed int, so
         # it sorts first; among equal lcms a coprime pair does.
@@ -166,13 +157,12 @@ def buchberger(
             kept.append(big)
             if shared:
                 lcm = unpack(big, nvars)
-                pending[i, j] = big
-                heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), lcm, i, j))
+                heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), lcm, i, j, big))
             elif trace:
                 trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
                       " skipped: coprime leads")
         # A rule whose lead h divides is superseded: it makes no new pairs
-        # and leaves the basis, while its pending pairs stay.  The index is
+        # and leaves the basis, while its queued pairs stay.  The index is
         # rebuilt only then, which is rare.
         kept = [i for i in live if ((rules[i][0] | guard) - h) & guard != guard]
         if len(kept) < len(live):
@@ -188,10 +178,7 @@ def buchberger(
             insert(*rule)
 
     while heap:
-        _, lcm, i, j = heapq.heappop(heap)
-        big = pending.pop((i, j), None)
-        if big is None:
-            continue
+        _, lcm, i, j, big = heapq.heappop(heap)
         x, y = _s_sides(big, rules[i], rules[j], index)
         if x == y:
             if trace:

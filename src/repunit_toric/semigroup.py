@@ -65,11 +65,6 @@ def gcd_of_generators(params: InstanceParams) -> int:
     return g
 
 
-def is_coprime(params: InstanceParams) -> bool:
-    """True when the generators have gcd 1, i.e. gcd(a, r_b(n)) == 1."""
-    return gcd_of_generators(params) == 1
-
-
 def homogeneity_identity_holds(params: InstanceParams, j: int, k: int) -> bool:
     """Check b*a_j + a_{j+k} == b*a_{j+k-1} + a_{j+1} on extended generators."""
     if j < 1:

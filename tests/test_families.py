@@ -32,7 +32,7 @@ from repunit_toric.groebner import (
 )
 from repunit_toric.intlinalg import dot, kernel_basis, rank, row_hnf
 from repunit_toric.orders import MatrixOrder, build_order_i, five_variable_order
-from repunit_toric.semigroup import InstanceParams, generators, is_coprime
+from repunit_toric.semigroup import InstanceParams, gcd_of_generators, generators
 
 
 def test_gradings():
@@ -147,7 +147,7 @@ def test_weight_relation_matrix():
         w = generators(p)
         assert all(dot(w, row) == 0 for row in mat.rows)
         full = row_hnf(mat.rows) == row_hnf(kernel_basis((w,)))
-        assert full == is_coprime(p)
+        assert full == (gcd_of_generators(p) == 1)
 
 
 def test_toric_ideal_route_matches_minors():

@@ -210,11 +210,11 @@ def test_retired_rules_leave_the_rewrite_rules():
     gb = buchberger(gens, order, trace=lines.append)
     assert lines == [
         "pair (1,2) lcm=x1^3*x2^3*x3^4 skipped: criterion M",
-        "pair (0,2) lcm=x1^3*x2^2*x3^4 skipped: criterion B",
         "pair (2,3) lcm=x2^2*x3^4 -> x1^2*x3^4 - x1^5*x3^3",
         "pair (3,4) lcm=x1^2*x2*x3^4 skipped: coprime leads",
         "pair (0,3) lcm=x1^3*x2^2*x3^3 -> x1^5*x3^3 - x1^8*x3^2",
         "pair (3,5) lcm=x1^5*x2*x3^3 skipped: coprime leads",
+        "pair (0,2) lcm=x1^3*x2^2*x3^4 -> 0",
         "pair (4,5) lcm=x1^5*x3^4 -> 0",
         "pair (0,1) lcm=x1^3*x2^3*x3^4 -> 0",
     ]
@@ -231,8 +231,6 @@ def _pair_outcomes(lines):
             outcomes["M"] += 1
         elif s.endswith("skipped: criterion F"):
             outcomes["F"] += 1
-        elif s.endswith("skipped: criterion B"):
-            outcomes["B"] += 1
         elif s.endswith("-> 0"):
             outcomes["zero"] += 1
         else:
@@ -242,12 +240,12 @@ def _pair_outcomes(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"added": 37, "zero": 143, "M": 430, "F": 12, "B": 21, "coprime": 218},
-     "232ff5b9eb08f3c063adee5f2d5d57c798d2623be34ff8d56a68f798b89fdacb"),
-    ((5, 6, 6), {"added": 167, "zero": 1338, "M": 11716, "F": 277, "B": 276, "coprime": 1104},
-     "2bc185172d1189a21c77dd2dc2d1ea32781ce9c0dfdcf16da76729dacb5a47b2"),
+    ((2, 3, 5), {"added": 37, "zero": 164, "M": 430, "F": 12, "coprime": 218},
+     "ea30096a2e3c21b4fd17dbff269907a38a77e580de877b6d85f57667271970d3"),
+    ((5, 6, 6), {"added": 167, "zero": 1614, "M": 11716, "F": 277, "coprime": 1104},
+     "77594567faf7a13246dc1d8d1594e44ea007478f125f28f21595d638df12fb9f"),
 ], ids=["2-3-5", "5-6-6"])
-def test_trace_pins_criterion_b_outcomes(abn, counts, digest):
+def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
     # skipped-pair lines of one insertion to come in any order.
     lines: list[str] = []
@@ -270,18 +268,18 @@ def _recorded_runs(monkeypatch):
 
 def test_trace_pins_a_run_whose_inputs_retire(monkeypatch):
     # The (2,3,5) weights listed largest first: each input lead t^w
-    # divides the one inserted before it, so four input rules retire, and
-    # criterion B fires later in the run.  The whole trace is pinned in
-    # order, so every rewrite after the retirements is checked step by step.
+    # divides the one inserted before it, so four input rules retire while
+    # pairs they made are still queued.  The whole trace is pinned in order,
+    # so every rewrite after the retirements is checked step by step.
     runs = _recorded_runs(monkeypatch)
     grading = Grading.scalar(tuple(reversed(generators(InstanceParams(2, 3, 5)))))
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
     counts = _pair_outcomes(lines[1:])
-    assert counts == {"added": 36, "zero": 133, "M": 322, "F": 1, "B": 24, "coprime": 154}
+    assert counts == {"added": 36, "zero": 157, "M": 322, "F": 1, "coprime": 154}
     assert grading.nvars + counts["added"] - len(runs[0]) == 4
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "ad1439e455ea8290ec7f2e907d4e9ef4c7a650816435727e2dffc60e2858a391")
+        "34187aa0acf5c084680d2781f0fc327c4bbd916585c133510fa3db560a21724a")
 
 
 def _tuple_is_minimal(elements):

@@ -7,7 +7,6 @@ from repunit_toric.semigroup import (
     generator,
     generators,
     homogeneity_identity_holds,
-    is_coprime,
     repunit,
 )
 
@@ -58,8 +57,8 @@ def test_gcd_values():
     assert gcd_of_generators(InstanceParams(3, 2, 4)) == 3
     assert gcd_of_generators(InstanceParams(5, 2, 4)) == 5
     assert gcd_of_generators(InstanceParams(2, 3, 5)) == 1
-    assert is_coprime(InstanceParams(1, 2, 4))
-    assert not is_coprime(InstanceParams(3, 2, 4))
+    assert gcd_of_generators(InstanceParams(1, 2, 4)) == 1
+    assert gcd_of_generators(InstanceParams(3, 2, 4)) != 1
 
 
 def test_homogeneity_identity_examples():
