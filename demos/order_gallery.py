@@ -6,7 +6,7 @@ under that order is what the closed-form side rule predicts.
 """
 
 from repunit_toric.binomials import format_monomial
-from repunit_toric.orders import build_order_i, cheapness_sequence, minor_side_predicate
+from repunit_toric.orders import build_order_i, cheapness_for_index, minor_side_predicate
 from repunit_toric.semigroup import InstanceParams, generators
 
 
@@ -15,7 +15,7 @@ def show_order(weights, i):
     print(f"order with x{i} cheapest, weights {weights}:")
     for row in order.rows:
         print("   ", row)
-    print("  cheap to expensive:", cheapness_sequence(order))
+    print("  cheap to expensive:", cheapness_for_index(len(weights), i))
     return order
 
 

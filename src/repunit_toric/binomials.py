@@ -60,10 +60,6 @@ def monomial(exponents: Iterable[int]) -> Monomial:
     return tuple(_check_entry(e) for e in exponents)
 
 
-def one(nvars: int) -> Monomial:
-    return (0,) * nvars
-
-
 def _check_dims(u: Monomial, v: Monomial) -> None:
     if len(u) != len(v):
         raise ValueError(f"variable count mismatch: {len(u)} vs {len(v)}")
@@ -94,10 +90,6 @@ class Binomial:
             raise ValueError(f"plus == minus != 1 is not a binomial: {self.plus}")
 
     @classmethod
-    def zero(cls, nvars: int) -> "Binomial":
-        return cls(one(nvars), one(nvars))
-
-    @classmethod
     def from_vector(cls, u: Sequence[int]) -> "Binomial":
         """Binomial x^(u+) - x^(u-) of an integer vector; 0 maps to zero."""
         plus = tuple(e if e > 0 else 0 for e in u)
@@ -110,9 +102,6 @@ class Binomial:
 
     def is_zero(self) -> bool:
         return self.plus == self.minus
-
-    def vector(self) -> tuple[int, ...]:
-        return tuple(p - q for p, q in zip(self.plus, self.minus))
 
     def opposite(self) -> "Binomial":
         return Binomial(self.minus, self.plus)
@@ -171,18 +160,6 @@ class Grading:
 
 def is_homogeneous(grading: Grading, f: Binomial) -> bool:
     return grading.degree(f.plus) == grading.degree(f.minus)
-
-
-def oriented_pair(m1: Monomial, m2: Monomial, order) -> Binomial:
-    """Binomial with the order-larger monomial as plus; equal sides give zero."""
-    c = order.compare(m1, m2)
-    if c == 0:
-        return Binomial.zero(len(m1))
-    return Binomial(m1, m2) if c > 0 else Binomial(m2, m1)
-
-
-def oriented(f: Binomial, order) -> Binomial:
-    return oriented_pair(f.plus, f.minus, order)
 
 
 def pack(m: Monomial) -> int:

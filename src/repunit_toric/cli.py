@@ -163,8 +163,11 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs a claim name (positional or --claim)")
     if args.claim_pos and args.claim_opt and args.claim_pos != args.claim_opt:
         raise ValueError("positional claim and --claim disagree")
-    params = _params_from_args(args, dict(claim_spec(claim).defaults))
-    reports = run_claim(claim, params, i=args.i, all_indices=args.all_i)
+    spec = claim_spec(claim)
+    params = _params_from_args(args, dict(spec.defaults))
+    if args.all_i and not spec.per_index:
+        raise ValueError(f"claim {claim!r} does not take an order index")
+    reports = run_claim(claim, params, i=args.i)
     if args.format == "text":
         _emit(render_text(reports), args.out)
     else:

@@ -55,7 +55,6 @@ from .binomials import (
     format_monomial,
     guard_bits,
     normal_form,
-    oriented_pair,
     pack,
     packed_lcm,
     unpack,
@@ -199,7 +198,6 @@ def buchberger(
 def is_groebner_basis(
     elements: Sequence[Binomial],
     order: MatrixOrder,
-    trace: TraceFn | None = None,
 ) -> bool:
     """Deterministic S-pair test: every S-binomial must reduce to zero.
 
@@ -222,9 +220,6 @@ def is_groebner_basis(
                 continue
             x, y = _s_sides(packed_lcm(f[0], g[0], guard), f, g, index)
             if x != y:
-                if trace:
-                    r = oriented_pair(unpack(x, order.nvars), unpack(y, order.nvars), order)
-                    trace(f"pair ({i},{j}) leaves remainder {format_binomial(r)}")
                 return False
     return True
 
@@ -296,11 +291,10 @@ def ideal_equal(
     gens1: Iterable[Binomial],
     gens2: Iterable[Binomial],
     order: MatrixOrder,
-    trace: TraceFn | None = None,
 ) -> bool:
     """Compare two binomial ideals through their reduced bases under order."""
-    r1 = groebner_reduced(gens1, order, trace)
-    r2 = groebner_reduced(gens2, order, trace)
+    r1 = groebner_reduced(gens1, order)
+    r2 = groebner_reduced(gens2, order)
     return r1.elements == r2.elements
 
 
@@ -317,7 +311,6 @@ def saturate_variable(
     gens: Iterable[Binomial],
     i: int,
     grading: Grading,
-    trace: TraceFn | None = None,
 ) -> list[Binomial]:
     """Generators of I : x_i^infinity for the graded binomial ideal I.
 
@@ -332,14 +325,13 @@ def saturate_variable(
     if not 1 <= i <= grading.nvars:
         raise ValueError(f"variable index must be in 1..{grading.nvars}, got {i}")
     order = build_order_i(grading.positive_row(), i)
-    gb = groebner_reduced(gens, order, trace)
+    gb = groebner_reduced(gens, order)
     return [_strip_variable(g, i - 1) for g in gb.elements]
 
 
 def saturate_torus(
     gens: Iterable[Binomial],
     grading: Grading,
-    trace: TraceFn | None = None,
 ) -> list[Binomial]:
     """Saturation of the ideal by the product of all variables.
 
@@ -351,5 +343,5 @@ def saturate_torus(
     x_1 up (CPython 3.11 on a 2-CPU Xeon).
     """
     for i in range(grading.nvars, 0, -1):
-        gens = saturate_variable(gens, i, grading, trace)
+        gens = saturate_variable(gens, i, grading)
     return gens

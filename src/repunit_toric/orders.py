@@ -83,21 +83,6 @@ def cheapness_for_index(n: int, i: int) -> tuple[int, ...]:
     return tuple(range(i, 0, -1)) + tuple(range(n, i, -1))
 
 
-def cheapness_sequence(order: MatrixOrder) -> tuple[int, ...]:
-    """Recover cheapest-to-most-expensive variables from a reverse-lex matrix."""
-    n = order.nvars
-    seen = []
-    for row in order.rows[1:]:
-        cols = [j for j, x in enumerate(row) if x]
-        if len(cols) != 1 or row[cols[0]] != -1:
-            raise ValueError("not a reverse-lex style matrix below the weight row")
-        seen.append(cols[0] + 1)
-    missing = [j for j in range(1, n + 1) if j not in seen]
-    if len(missing) != 1:
-        raise ValueError("reverse-lex matrix must omit exactly one variable")
-    return tuple(seen) + (missing[0],)
-
-
 def five_variable_order(weights: Sequence[int]) -> MatrixOrder:
     """The specific 5-variable weighted order with tie-break sequence 3, 5, 4, 2."""
     w = tuple(check_int(x, "weight") for x in weights)

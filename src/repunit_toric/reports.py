@@ -1,8 +1,8 @@
 """Structured pass/fail reports for named verification claims.
 
 A report carries the instance it was run on and a list of claim results;
-the JSON rendering round-trips exactly so downstream tooling can consume
-CLI output without scraping text.
+the JSON rendering carries every field, so downstream tooling reads CLI
+output with json.loads instead of scraping text.
 """
 
 from __future__ import annotations
@@ -75,25 +75,8 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> VerificationReport:
-    inst = data["instance"]
-    instance = InstanceRef(int(inst["a"]), int(inst["b"]), int(inst["n"]), inst.get("i"))
-    claims = tuple(
-        ClaimResult(c["name"], c["status"], c["detail"], int(c.get("ms", 0)))
-        for c in data["claims"]
-    )
-    return VerificationReport(instance, claims)
-
-
 def render_json(reports: Sequence[VerificationReport]) -> str:
     return json.dumps([report_to_dict(r) for r in reports], indent=2)
-
-
-def parse_json(text: str) -> tuple[VerificationReport, ...]:
-    data = json.loads(text)
-    if isinstance(data, dict):
-        data = [data]
-    return tuple(report_from_dict(entry) for entry in data)
 
 
 def render_text(reports: Iterable[VerificationReport]) -> str:

@@ -515,9 +515,8 @@ def run_claim(
     name: str,
     params: InstanceParams,
     i: int | None = None,
-    all_indices: bool = False,
 ) -> list[VerificationReport]:
-    """Run one named claim; per-index claims fan out over i when asked.
+    """Run one named claim; a per-index claim fans out over every i unless given one.
 
     An instance outside the claim's hypotheses gets one refused report per
     index, and no check runs.
@@ -527,7 +526,7 @@ def run_claim(
         if i is not None:
             raise ValueError(f"claim {name!r} does not take an order index")
         indices: list[int | None] = [None]
-    elif i is not None and not all_indices:
+    elif i is not None:
         if not 1 <= i <= params.n:
             raise ValueError(f"order index must be in 1..{params.n}, got {i}")
         indices = [i]

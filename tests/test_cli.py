@@ -6,7 +6,6 @@ import pytest
 
 from repunit_toric import cli
 from repunit_toric.cli import main
-from repunit_toric.reports import parse_json
 
 
 def run(capsys, *argv):
@@ -59,10 +58,9 @@ def test_verify_claim_flag_and_json(capsys):
         "--a", "1", "--b", "3", "--n", "4", "--i", "2", "--format", "json-like",
     )
     assert code == 0
-    reports = parse_json(out)
-    assert len(reports) == 1
-    assert reports[0].instance.i == 2
-    assert reports[0].overall() == "pass"
+    (report,) = json.loads(out)
+    assert report["instance"] == {"a": 1, "b": 3, "n": 4, "i": 2}
+    assert report["overall"] == "pass"
 
 
 def test_verify_defaults_fill_pinned_instance(capsys):
@@ -99,7 +97,12 @@ def test_verify_index_on_plain_claim(capsys):
         capsys, "verify", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--i", "1"
     )
     assert code == 2
-    assert "does not take an order index" in err
+    assert err == "error: claim 'lemma2' does not take an order index\n"
+    # --all-i names an order index too; a claim without one refuses it the same way
+    code, out, err_all = run(
+        capsys, "verify", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--all-i"
+    )
+    assert (code, out, err_all) == (2, "", err)
 
 
 def test_groebner_listing(capsys):
@@ -260,8 +263,8 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    reports = parse_json(target.read_text())
-    assert reports[0].overall() == "pass"
+    (report,) = json.loads(target.read_text())
+    assert report["overall"] == "pass"
 
 
 @pytest.mark.parametrize("where", ["missing-dir", "directory"])

@@ -343,8 +343,9 @@ def _mixed_generators():
     minors = list(minors_closed_chain(p).binomials)
     g = minors[0]
     multiple = Binomial(tuple(e + 1 for e in g.plus), tuple(e + 1 for e in g.minus))
-    gens = [Binomial.zero(4), g, minors[2].opposite(), multiple]
-    gens += minors + [g.opposite(), Binomial.zero(4)]
+    zero = Binomial.from_vector((0, 0, 0, 0))
+    gens = [zero, g, minors[2].opposite(), multiple]
+    gens += minors + [g.opposite(), zero]
     return gens, build_order_i(generators(p), 1)
 
 

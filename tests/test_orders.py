@@ -9,7 +9,6 @@ from repunit_toric.orders import (
     MatrixOrder,
     build_order_i,
     cheapness_for_index,
-    cheapness_sequence,
     five_variable_order,
     minor_side_predicate,
 )
@@ -31,11 +30,21 @@ def test_cheapness_layout():
     assert cheapness_for_index(5, 3) == (3, 2, 1, 5, 4)
     assert cheapness_for_index(4, 1) == (1, 4, 3, 2)
     assert cheapness_for_index(6, 6) == (6, 5, 4, 3, 2, 1)
-    for n in range(2, 9):
-        w = tuple(range(100, 100 + n))
-        for i in range(1, n + 1):
-            order = build_order_i(w, i)
-            assert cheapness_sequence(order) == cheapness_for_index(n, i)
+    # below the weight row, one -1 per variable from the cheapest on; the
+    # most expensive variable gets no row
+    assert build_order_i((5, 6, 7, 8, 9), 3).rows == (
+        (5, 6, 7, 8, 9),
+        (0, 0, -1, 0, 0),
+        (0, -1, 0, 0, 0),
+        (-1, 0, 0, 0, 0),
+        (0, 0, 0, 0, -1),
+    )
+    assert build_order_i((5, 6, 7, 8), 4).rows == (
+        (5, 6, 7, 8),
+        (0, 0, 0, -1),
+        (0, 0, -1, 0),
+        (0, -1, 0, 0),
+    )
 
 
 def test_compare_prefers_lower_weight():

@@ -1,5 +1,6 @@
 """Claim runners and report plumbing."""
 
+import json
 import time
 
 import pytest
@@ -13,7 +14,6 @@ from repunit_toric.reports import (
     InstanceRef,
     VerificationReport,
     exit_code,
-    parse_json,
     render_json,
     render_text,
 )
@@ -99,13 +99,12 @@ REFUSALS = {
 def test_refusals(claim, params):
     detail = REFUSALS[claim, params]
     indices = list(range(1, params.n + 1)) if CLAIMS[claim].per_index else [None]
-    for all_indices in (False, True):
-        reports = run_claim(claim, params, all_indices=all_indices)
-        assert [r.instance.i for r in reports] == indices
-        assert [(c.name, c.status, c.detail) for r in reports for c in r.claims] == [
-            (claim, "refused", detail)
-        ] * len(indices)
-        assert exit_code(reports) == 2
+    reports = run_claim(claim, params)
+    assert [r.instance.i for r in reports] == indices
+    assert [(c.name, c.status, c.detail) for r in reports for c in r.claims] == [
+        (claim, "refused", detail)
+    ] * len(indices)
+    assert exit_code(reports) == 2
 
 
 def test_run_claim_argument_errors():
@@ -143,8 +142,19 @@ def test_claim_registry_defaults():
 
 
 def test_report_round_trip():
-    reports = run_claim("example-gcd3", InstanceParams(3, 2, 4))
-    assert parse_json(render_json(reports)) == tuple(reports)
+    # render_json carries every field of every report
+    reports = run_claim("prop-gb1", InstanceParams(1, 3, 4), i=2)
+    reports += run_claim("example-gcd3", InstanceParams(3, 2, 4))
+    data = json.loads(render_json(reports))
+    assert [d["instance"] for d in data] == [
+        {"a": 1, "b": 3, "n": 4, "i": 2}, {"a": 3, "b": 2, "n": 4}]
+    for d, r in zip(data, reports, strict=True):
+        assert d["claims"] == [
+            {"name": c.name, "status": c.status, "detail": c.detail, "ms": c.ms}
+            for c in r.claims
+        ]
+        assert d["timing"] == r.timing()
+        assert d["overall"] == r.overall() == "pass"
 
 
 def test_report_rendering_and_exit_codes():
