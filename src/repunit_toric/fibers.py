@@ -29,7 +29,7 @@ from math import gcd
 from typing import Mapping, Sequence
 
 from .binomials import Binomial, Grading, Monomial, check_int, divides, is_homogeneous
-from .groebner import buchberger, ideal_member
+from .groebner import buchberger
 from .orders import MatrixOrder
 
 
@@ -288,19 +288,20 @@ def prune_redundant_generators(
     gens: Sequence[Binomial],
     order: MatrixOrder,
 ) -> list[Binomial]:
-    """Greedy Groebner route to a minimal generating set.
+    """Groebner route to a minimal generating set, in one Buchberger run.
 
-    Removes any generator that lies in the ideal of the others; an element
-    kept at its turn stays irredundant because later removals only shrink
-    the ideal it was tested against.  Graded Nakayama makes the surviving
-    count independent of choices, so this agrees with the fiber oracle.
-    Membership needs only some Groebner basis of the others, so none is
-    reduced.
+    gens must be homogeneous for order.rows[0].  The distinct nonzero
+    generators are sorted, and buchberger gets them last first: an input
+    is kept when it does not reduce to zero at its turn, modulo the lower
+    weights and the inputs of its own weight kept before it.  This keeps
+    the list that deleting from the front would, dropping any generator in
+    the ideal of the kept ones and those after it: a degree-d element lies
+    in the ideal of the generators of degree <= d, and within one degree's
+    fiber graph reverse-delete from the front and greedy-add from the back
+    pick the same spanning forest.  Graded Nakayama makes the count
+    independent of choices, so this agrees with the fiber oracle.
     """
     current = sorted({g.canonical() for g in gens if not g.is_zero()},
                      key=lambda g: (sum(g.plus) + sum(g.minus), g.plus, g.minus))
-    kept: list[Binomial] = []
-    for pos, g in enumerate(current):
-        if not ideal_member(g, buchberger(kept + current[pos + 1 :], order)):
-            kept.append(g)
-    return kept
+    kept = buchberger(current[::-1], order).inputs
+    return [current[-1 - k] for k in sorted(kept, reverse=True)]

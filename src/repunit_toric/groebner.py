@@ -7,36 +7,42 @@ its two sides separately.  Inside this module a rule has one form, a pair
 once, and tuples are unpacked only to orient a nonzero remainder, to build
 a heap key or trace text, and to return binomials.
 
-buchberger keeps one list of packed rules, which pairs name by index, and
-one RuleIndex of the live rules, which normal_form reads by support
-pattern: each inserted rule is added to it, and it is rebuilt only when a
-rule retires.  is_groebner_basis, reduce_gb and ideal_member each index
-their fixed rule list once.  Pairs leave a queue in increasing weighted
-degree of their lcm.  Each inserted rule runs the Gebauer-Moeller pair
-update (Gebauer & Moeller, JSC 6, 1988) without its criterion B: criteria
-M and F keep one new pair per minimal lcm, pairs with coprime leads are
-never queued, and rules whose lead the new lead divides retire from the
-basis.  A queued pair is never dropped.  Reducing more pairs cannot make
-the basis wrong, and a pair that criterion B would skip has two sub-pairs
-with strictly smaller lcms, which leave the queue first, so for graded
-input it reduces to zero.  Each nonzero remainder enlarges the
-leading-term ideal strictly, so the loop terminates.  buchberger returns
-the live rules in insertion order; reduce_gb lists a basis canonically.
+buchberger keeps its rules in one RuleIndex, which pairs name by position
+and normal_form reads by support pattern.  One queue holds inputs and
+S-pairs, keyed by the weight under the order's first row of the input's
+lead or the pair's lcm; at equal weight pairs leave first, in (lcm, index)
+order, then inputs in the order given.  An entry carries two packed sides,
+an input's plus and minus or the one-step rewrites of a pair's lcm; at its
+turn both are brought to normal form, and unless they meet they become a
+rule (the homogeneous Buchberger algorithm; Kreuzer & Robbiano,
+Computational Commutative Algebra 2, 2005).  Each new rule runs the
+Gebauer-Moeller pair update (Gebauer & Moeller, JSC 6, 1988) without its
+criterion B: criteria M and F keep one new pair per minimal lcm, pairs
+with coprime leads are never queued, and a queued pair is never dropped.
+A pair that criterion B would skip has two sub-pairs with strictly smaller
+lcms, which leave the queue first, so for graded input it reduces to zero.
+Each new lead is a normal form and enlarges the leading-term ideal
+strictly, so the loop terminates.
 
-The pair update runs on the same packed words.  A lead's support is its
-support pattern, the guard bits of its nonzero fields, as RuleIndex
-computes it, so coprime leads are one AND of patterns; a pair's lcm is one
-packed_lcm; and every divisibility test in criteria M and F and in
-retirement is one guarded subtraction, as it is in is_minimal_basis,
-is_reduced_basis and the minimalization in reduce_gb.  The new pairs are
-sorted by (packed lcm, shared support, index): a proper divisor is a
-smaller packed int, so it comes first just as in a sort by weighted
-degree, and each pair is kept or skipped as in that sort.  Only queued
-pairs unpack their lcm, for the heap entry (weight, lcm, i, j, big): its
-first four fields set the order pairs leave the queue, and big is the
-packed lcm that the S-pair is reduced from.  In a trace, the skipped-pair
-lines of one insertion follow packed-lcm order; which pairs are skipped,
-and by which criterion, does not depend on it.
+No rule is ever superseded when every input is homogeneous for the first
+row, as on every program path (the elimination row, the weight grading,
+the projective grading's positive row).  That row is positive and every
+remainder is homogeneous, so entries leave in nondecreasing weight and no
+present lead outweighs a new one.  No present lead divides the new lead,
+a normal form; were the new lead to divide a present one, the two would
+weigh the same and so be equal.  The rules are then a minimal basis, and
+the inputs that became rules a minimal generating system.  Other input
+still gets a Groebner basis, just not a minimal one.  buchberger returns
+the rules in insertion order; reduce_gb lists a basis canonically.
+
+The pair update runs on packed words: coprime leads are one AND of support
+patterns, a pair's lcm is one packed_lcm, and each divisibility test in
+criteria M and F, is_minimal_basis, is_reduced_basis and reduce_gb is one
+guarded subtraction.  New pairs are sorted by (packed lcm, shared support,
+index): a proper divisor is a smaller packed int, so it comes first as in
+a sort by weighted degree.  In a trace, the skipped-pair lines of one
+insertion follow packed-lcm order; which pairs are skipped, and by which
+criterion, does not depend on it.
 """
 
 from __future__ import annotations
@@ -49,7 +55,6 @@ from typing import Callable, Iterable, Sequence
 from .binomials import (
     Binomial,
     Grading,
-    Monomial,
     RuleIndex,
     format_binomial,
     format_monomial,
@@ -73,6 +78,7 @@ class GroebnerBasis:
     order: MatrixOrder
     minimal: bool = False
     reduced: bool = False
+    inputs: tuple[int, ...] = ()  # from buchberger: positions in gens of the inputs kept as rules
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -95,14 +101,6 @@ def _packed(elements: Iterable[Binomial]) -> list[Packed]:
     return [(pack(g.plus), pack(g.minus)) for g in elements]
 
 
-def _s_sides(big: int, f: Packed, g: Packed, index: RuleIndex) -> tuple[int, int]:
-    # Packed normal forms of the two one-step rewrites of the packed lcm
-    # big of lt f and lt g; the S-binomial reduces to zero exactly when
-    # they agree.  A lead divides big, so big - lead + tail borrows
-    # nothing, and normal_form raises when it went past the limit.
-    return normal_form(big - f[0] + f[1], index), normal_form(big - g[0] + g[1], index)
-
-
 def _has_divisor(x: int, words: Iterable[int], guard: int) -> bool:
     # x carries its guard bits; one guarded subtraction per packed word
     for m in words:
@@ -118,33 +116,53 @@ def buchberger(
 ) -> GroebnerBasis:
     """Groebner basis of the binomial ideal spanned by gens under order.
 
-    The basis is held as packed rewriting rules (lead, tail); validated
-    binomials are built only for the returned basis, which is the set of
-    live rules in insertion order (reduce_gb lists them canonically).
+    Inputs and S-pairs share one queue (see the module docstring).  The
+    result lists the rules in insertion order, and its inputs the
+    positions in gens of the inputs that became rules.  When gens are
+    homogeneous for order.rows[0], no lead divides another, and those
+    inputs minimally generate the ideal: each left out reduced to zero
+    modulo inputs of lower weight and those kept before it at its own.
     """
-    rules: list[Packed] = []  # every rule ever inserted; pairs name rules by index
-    support: list[int] = []  # support pattern of rules[k]'s lead
-    live: list[int] = []  # rules whose lead no later lead divides
-    heap: list[tuple[int, Monomial, int, int, int]] = []  # (weight, lcm, i, j, packed lcm)
     weights = order.rows[0]
     nvars = order.nvars
-    index = RuleIndex(nvars)  # the live rules, which normal_form reads
+    index = RuleIndex(nvars)
+    rules = index.rules  # ((lead, tail), lead support pattern); pairs name rules by position
     guard, ones = index.guard, index.ones
+    inputs: list[int] = []
 
-    def insert(h: int, t: int) -> None:
-        nonlocal index
+    def weight(m):
+        return sum(map(operator.mul, weights, m))
+
+    # (weight, 0, (lcm, i, j), side, side) for a pair, (weight, 1, k, plus, minus) for input k
+    heap: list[tuple] = [(max(weight(g.plus), weight(g.minus)), 1, k, pack(g.plus), pack(g.minus))
+                         for k, g in enumerate(gens) if not g.is_zero()]
+    heapq.heapify(heap)
+    while heap:
+        _, is_input, key, x, y = heapq.heappop(heap)
+        x, y = normal_form(x, index), normal_form(y, index)
+        if trace:
+            name = f"input {key}" if is_input else (
+                f"pair ({key[1]},{key[2]}) lcm={format_monomial(key[0])}")
+        if x == y:
+            if trace:
+                trace(f"{name} -> 0")
+            continue
+        p, q = unpack(x, nvars), unpack(y, nvars)
+        if order.compare(p, q) < 0:
+            x, y, p, q = y, x, q, p
+        if trace:
+            trace(f"{name} -> {format_monomial(p)} - {format_monomial(q)}")
+        if is_input:
+            inputs.append(key)
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
-        # without criterion B, on packed words: ((big | guard) - h) & guard
-        # == guard says that h divides big.
+        # without criterion B, on packed words.  Criteria M and F: a new pair
+        # whose lcm a kept lcm divides is superfluous.  A proper divisor is a
+        # smaller packed int, so it sorts first; among equal lcms a coprime
+        # pair does.
         j = len(rules)
-        s = ((h | guard) - ones) & guard
-        rules.append((h, t))
-        support.append(s)
-        # Criteria M and F: a new pair whose lcm is divisible by a kept
-        # lcm is superfluous.  A proper divisor is a smaller packed int, so
-        # it sorts first; among equal lcms a coprime pair does.
-        new = [(packed_lcm(rules[i][0], h, guard), support[i] & s != 0, i) for i in live]
-        new.sort()
+        s = ((x | guard) - ones) & guard
+        new = sorted((packed_lcm(f[0], x, guard), r & s != 0, i)
+                     for i, (f, r) in enumerate(rules))
         kept: list[int] = []
         for big, shared, i in new:
             if shared and _has_divisor(big | guard, kept, guard):
@@ -156,43 +174,16 @@ def buchberger(
             kept.append(big)
             if shared:
                 lcm = unpack(big, nvars)
-                heapq.heappush(heap, (sum(map(operator.mul, weights, lcm)), lcm, i, j, big))
+                f = rules[i][0]
+                heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j),
+                                      big - f[0] + f[1], big - x + y))
             elif trace:
                 trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
                       " skipped: coprime leads")
-        # A rule whose lead h divides is superseded: it makes no new pairs
-        # and leaves the basis, while its queued pairs stay.  The index is
-        # rebuilt only then, which is rare.
-        kept = [i for i in live if ((rules[i][0] | guard) - h) & guard != guard]
-        if len(kept) < len(live):
-            live[:] = kept
-            index = RuleIndex(nvars, (rules[i] for i in live))
-        live.append(j)
-        index.add(h, t)
-
-    for g in gens:
-        c = order.compare(g.plus, g.minus)
-        rule = (pack(g.plus), pack(g.minus)) if c > 0 else (pack(g.minus), pack(g.plus))
-        if c and rule not in rules:
-            insert(*rule)
-
-    while heap:
-        _, lcm, i, j, big = heapq.heappop(heap)
-        x, y = _s_sides(big, rules[i], rules[j], index)
-        if x == y:
-            if trace:
-                trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> 0")
-            continue
-        p, q = unpack(x, nvars), unpack(y, nvars)
-        if order.compare(p, q) < 0:
-            x, y, p, q = y, x, q, p
-        if trace:
-            trace(f"pair ({i},{j}) lcm={format_monomial(lcm)} -> "
-                  f"{format_monomial(p)} - {format_monomial(q)}")
-        insert(x, y)
+        index.add(x, y)
 
     return GroebnerBasis(tuple(Binomial(unpack(p, nvars), unpack(q, nvars))
-                               for p, q in (rules[i] for i in live)), order)
+                               for (p, q), _ in rules), order, inputs=tuple(inputs))
 
 
 def is_groebner_basis(
@@ -218,8 +209,10 @@ def is_groebner_basis(
             f, s = rules[i]
             if not s & t:
                 continue
-            x, y = _s_sides(packed_lcm(f[0], g[0], guard), f, g, index)
-            if x != y:
+            # the S-binomial reduces to zero exactly when the one-step
+            # rewrites of the lcm share a normal form
+            big = packed_lcm(f[0], g[0], guard)
+            if normal_form(big - f[0] + f[1], index) != normal_form(big - g[0] + g[1], index):
                 return False
     return True
 
@@ -279,12 +272,6 @@ def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
 def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
                      trace: TraceFn | None = None) -> GroebnerBasis:
     return reduce_gb(buchberger(gens, order, trace))
-
-
-def ideal_member(f: Binomial, gb: GroebnerBasis) -> bool:
-    """Membership: f's two sides share a normal form; gb must be a Groebner basis."""
-    index = RuleIndex(f.nvars, _packed(g for g in gb.elements if not g.is_zero()))
-    return normal_form(pack(f.plus), index) == normal_form(pack(f.minus), index)
 
 
 def ideal_equal(

@@ -28,6 +28,7 @@ from repunit_toric.fibers import (
     prune_redundant_generators,
     unique_minimal_system,
 )
+from repunit_toric.groebner import ideal_equal
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
 
@@ -359,7 +360,7 @@ def _toric_case(abn):
     return list(gb.elements), gb.order
 
 
-@pytest.mark.parametrize("case, count, digest", [
+PRUNE_PINS = [
     (lambda: _minors_case(minors_closed_chain, (1, 3, 5)), 10,
      "6812738259f217a4fef73e64e20bc2a59bb41d800bbca00140176ab2c41d3a9c"),
     (lambda: _minors_case(minors_closed_chain, (3, 3, 5)), 10,
@@ -370,10 +371,54 @@ def _toric_case(abn):
      "ff4054baf4c2ac1e998707b407e2f4040722f4f6262986a449676d53a881e957"),
     (_mixed_generators, 6,
      "a91528a270f0ce7976a1c0e1c2af514cea82b37c43e6e75fd6feab6f4c97fea9"),
-], ids=["closed-1-3-5", "closed-3-3-5", "open-1-2-6", "toric-3-2-4", "mixed"])
+]
+
+
+@pytest.mark.parametrize("case, count, digest", PRUNE_PINS,
+                         ids=["closed-1-3-5", "closed-3-3-5", "open-1-2-6", "toric-3-2-4", "mixed"])
 def test_prune_redundant_generators_pins_kept_lists(case, count, digest):
     # which generators are kept, and in which order, not only how many
     gens, order = case()
     kept = prune_redundant_generators(gens, order)
     assert len(kept) == count
     assert hashlib.sha256("\n".join(map(format_binomial, kept)).encode()).hexdigest() == digest
+
+
+def _reverse_delete(gens, order):
+    # the reference: in prune's sorted order, drop each generator that lies
+    # in the ideal of the ones kept before it and all those after it
+    current = sorted({g.canonical() for g in gens if not g.is_zero()},
+                     key=lambda g: (sum(g.plus) + sum(g.minus), g.plus, g.minus))
+    kept: list[Binomial] = []
+    for pos, g in enumerate(current):
+        others = kept + current[pos + 1:]
+        if not ideal_equal(others, others + [g], order):
+            kept.append(g)
+    return kept
+
+
+def _random_graded_generators(rng):
+    # several binomials in each of a few weighted degrees, so that one
+    # degree's generators close cycles in its fiber graph
+    nvars = rng.randint(3, 4)
+    w = tuple(rng.randint(1, 3) for _ in range(nvars))
+    by_degree: dict[int, list[tuple[int, ...]]] = {}
+    for e in itertools.product(range(3), repeat=nvars):
+        by_degree.setdefault(sum(x * y for x, y in zip(w, e)), []).append(e)
+    degrees = sorted(d for d, monos in by_degree.items() if len(monos) > 2)
+    gens = []
+    for d in rng.sample(degrees, min(len(degrees), rng.randint(1, 3))):
+        for _ in range(rng.randint(2, 5)):
+            gens.append(Binomial(*rng.sample(by_degree[d], 2)))
+    return gens, build_order_i(w, rng.randint(1, nvars))
+
+
+def test_prune_matches_reverse_delete():
+    # One Buchberger run that adds each degree's generators from the back
+    # keeps the list that deleting from the front keeps, on the pinned
+    # cases and on random graded inputs with several generators per degree.
+    cases = [case() for case, _, _ in PRUNE_PINS]
+    rng = random.Random(20218)
+    cases += [_random_graded_generators(rng) for _ in range(60)]
+    for gens, order in cases:
+        assert prune_redundant_generators(gens, order) == _reverse_delete(gens, order), gens

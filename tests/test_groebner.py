@@ -34,7 +34,6 @@ from repunit_toric.groebner import (
     buchberger,
     groebner_reduced,
     ideal_equal,
-    ideal_member,
     is_groebner_basis,
     is_minimal_basis,
     is_reduced_basis,
@@ -49,6 +48,11 @@ from repunit_toric.semigroup import InstanceParams, generators
 def oriented(f, order):
     # f with its order-larger side as plus
     return f if order.compare(f.plus, f.minus) > 0 else f.opposite()
+
+
+def _member(f, gb):
+    # f lies in the ideal of gb exactly when adding it leaves the ideal unchanged
+    return ideal_equal(gb.elements, [*gb.elements, f], gb.order)
 
 
 def test_single_generator_is_its_own_basis():
@@ -113,8 +117,8 @@ def test_membership_and_ideal_equality():
     minors = minors_closed_chain(params).binomials
     gb = groebner_reduced(toric_ideal(scalar_grading(params)), order)
     for g in minors:
-        assert ideal_member(g, gb)
-    assert not ideal_member(Binomial((1, 0, 0, 0), (0, 1, 0, 0)), gb)
+        assert _member(g, gb)
+    assert not _member(Binomial((1, 0, 0, 0), (0, 1, 0, 0)), gb)
     assert ideal_equal(minors, tuple(reversed(minors)), order)
 
     noncoprime = InstanceParams(3, 2, 4)
@@ -186,47 +190,33 @@ def test_trace_pins_pair_outcomes():
     f2 = oriented(Binomial((1, 0, 1), (0, 2, 0)), order)
     lines: list[str] = []
     buchberger([f1, f2], order, trace=lines.append)
+    # f2 enters after f1, at its higher weight, and is reduced by it first
     assert lines == [
-        "pair (0,1) lcm=x1*x3 -> x2^2 - x2*x3",
-        "pair (0,2) lcm=x1*x2^2 skipped: coprime leads",
-        "pair (1,2) lcm=x1*x2^2*x3 skipped: coprime leads",
+        "input 0 -> x1 - x2",
+        "input 1 -> x2^2 - x2*x3",
+        "pair (0,1) lcm=x1*x2^2 skipped: coprime leads",
     ]
+
+    # x3 * f1 enters after f2, its equal-weight predecessor, and reduces to zero
+    lines.clear()
+    gb = buchberger([f1, f2, Binomial((1, 0, 1), (0, 1, 1))], order, trace=lines.append)
+    assert lines[2:] == ["pair (0,1) lcm=x1*x2^2 skipped: coprime leads", "input 2 -> 0"]
+    assert gb.inputs == (0, 1)
 
     lines.clear()
     toric_ideal(scalar_grading(InstanceParams(1, 2, 4)), trace=lines.append)
     assert lines[0] == "elimination run over x1..x5, where x5 = t_1"
-    assert _pair_outcomes(lines[1:]) == {"added": 13, "zero": 26, "M": 35, "F": 5, "coprime": 57}
-
-
-def test_retired_rules_leave_the_rewrite_rules():
-    # x2 - x1 comes last and its lead divides the leads of all three
-    # earlier inputs, which retire.  Had they stayed among the rules that
-    # rewrite S-pair sides, a retired rule, inserted earlier, would rewrite
-    # a side of pair (2,3) first, and its remainder would be
-    # x1^2*x3^4 - x1^8*x3^2.
-    order = build_order_i((1, 1, 3), 1)
-    gens = [Binomial((3, 2, 3), (4, 4, 2)), Binomial((4, 2, 4), (3, 3, 4)),
-            Binomial((0, 2, 4), (1, 4, 3)), Binomial((1, 0, 0), (0, 1, 0))]
-    lines: list[str] = []
-    gb = buchberger(gens, order, trace=lines.append)
-    assert lines == [
-        "pair (1,2) lcm=x1^3*x2^3*x3^4 skipped: criterion M",
-        "pair (2,3) lcm=x2^2*x3^4 -> x1^2*x3^4 - x1^5*x3^3",
-        "pair (3,4) lcm=x1^2*x2*x3^4 skipped: coprime leads",
-        "pair (0,3) lcm=x1^3*x2^2*x3^3 -> x1^5*x3^3 - x1^8*x3^2",
-        "pair (3,5) lcm=x1^5*x2*x3^3 skipped: coprime leads",
-        "pair (0,2) lcm=x1^3*x2^2*x3^4 -> 0",
-        "pair (4,5) lcm=x1^5*x3^4 -> 0",
-        "pair (0,1) lcm=x1^3*x2^3*x3^4 -> 0",
-    ]
-    assert sorted(map(str, gb)) == [
-        "x1^2*x3^4 - x1^5*x3^3", "x1^5*x3^3 - x1^8*x3^2", "x2 - x1"]
+    assert _pair_outcomes(lines[1:]) == {
+        "input": 4, "added": 10, "zero": 26, "M": 14, "F": 2, "coprime": 39}
 
 
 def _pair_outcomes(lines):
+    # input lines count under "input" and "input_zero"
     outcomes = Counter()
     for s in lines:
-        if s.endswith("skipped: coprime leads"):
+        if s.startswith("input "):
+            outcomes["input_zero" if s.endswith("-> 0") else "input"] += 1
+        elif s.endswith("skipped: coprime leads"):
             outcomes["coprime"] += 1
         elif s.endswith("skipped: criterion M"):
             outcomes["M"] += 1
@@ -241,10 +231,10 @@ def _pair_outcomes(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"added": 37, "zero": 164, "M": 430, "F": 12, "coprime": 218},
-     "ea30096a2e3c21b4fd17dbff269907a38a77e580de877b6d85f57667271970d3"),
-    ((5, 6, 6), {"added": 167, "zero": 1614, "M": 11716, "F": 277, "coprime": 1104},
-     "77594567faf7a13246dc1d8d1594e44ea007478f125f28f21595d638df12fb9f"),
+    ((2, 3, 5), {"input": 5, "added": 33, "zero": 164, "M": 322, "F": 6, "coprime": 178},
+     "837d48ab2bb71ab44035074157ea26ca2c85f3423ba18b63e9e81f3ade342fc7"),
+    ((5, 6, 6), {"input": 6, "added": 162, "zero": 1614, "M": 10956, "F": 267, "coprime": 1029},
+     "739b717a067d4a6c51a928f71428bc5bb07ac11e0139fd9bf9ac8c21cd0e20d7"),
 ], ids=["2-3-5", "5-6-6"])
 def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
@@ -267,20 +257,23 @@ def _recorded_runs(monkeypatch):
     return runs
 
 
-def test_trace_pins_a_run_whose_inputs_retire(monkeypatch):
-    # The (2,3,5) weights listed largest first: each input lead t^w
-    # divides the one inserted before it, so four input rules retire while
-    # pairs they made are still queued.  The whole trace is pinned in order,
-    # so every rewrite after the retirements is checked step by step.
+def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
+    # The (2,3,5) weights listed largest first: the inputs enter the queue
+    # lightest first, last to first, and each is reduced by the rules of
+    # the lighter ones.  No rule is superseded, so every input and every
+    # added remainder stays in the output.  The whole trace is pinned in
+    # order, so every rewrite is checked step by step.
     runs = _recorded_runs(monkeypatch)
     grading = Grading.scalar(tuple(reversed(generators(InstanceParams(2, 3, 5)))))
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
     counts = _pair_outcomes(lines[1:])
-    assert counts == {"added": 36, "zero": 157, "M": 322, "F": 1, "coprime": 154}
-    assert grading.nvars + counts["added"] - len(runs[0]) == 4
+    assert counts == {"input": 5, "added": 32, "zero": 157, "M": 322, "F": 1, "coprime": 154}
+    assert [s.split(" -> ")[0] for s in lines[1:6]] == [f"input {k}" for k in (4, 3, 2, 1, 0)]
+    assert runs[0].inputs == (4, 3, 2, 1, 0)
+    assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "34187aa0acf5c084680d2781f0fc327c4bbd916585c133510fa3db560a21724a")
+        "827f4912bf1164caebb6964d5e84ab6e26394ecfdb3c2d8eb8be1b4496395a9b")
 
 
 def _tuple_is_minimal(elements):
@@ -384,9 +377,9 @@ def test_random_homogeneous_ideals_against_sympy():
         for g in gb:
             assert other.reduce(to_expr(g))[1] == 0
         for expr in other.exprs:
-            assert ideal_member(_binomial_of(expr, xs, sympy), gb)
+            assert _member(_binomial_of(expr, xs, sympy), gb)
         for g in gens:
-            assert ideal_member(g, gb)
+            assert _member(g, gb)
         assert groebner_reduced(shuffled, order).elements == gb.elements
 
 
@@ -402,6 +395,28 @@ def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
         toric_ideal(scalar_grading(InstanceParams(a, b, n)))
         elim = runs[0]
         assert is_groebner_basis(elim.elements, elim.order)
+
+
+def test_raw_output_has_no_superseded_rule(monkeypatch):
+    # Inputs enter the queue at the weight of their lead, so on input
+    # homogeneous for the order's first row no lead of the raw output
+    # divides another: on the acceptance grid's minor families at every
+    # order index, on the homogeneous random ideals and on the elimination
+    # run of every toric ideal in the sweep box.
+    for a, b, n in itertools.product(range(1, 6), range(2, 6), range(4, 8)):
+        p = InstanceParams(a, b, n)
+        for family in (minors_closed_chain, minors_open_chain):
+            for i in range(1, n + 1):
+                gb = buchberger(family(p).binomials, build_order_i(generators(p), i))
+                assert is_minimal_basis(gb.elements), (family.__name__, a, b, n, i)
+    for gens, order, _ in _random_ideals():
+        assert is_minimal_basis(buchberger(gens, order).elements), gens
+
+    runs = _recorded_runs(monkeypatch)
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        runs.clear()
+        toric_ideal(scalar_grading(InstanceParams(a, b, n)))
+        assert is_minimal_basis(runs[0].elements), (a, b, n)
 
 
 def _tuple_minimal_leads(elements, order):
@@ -461,4 +476,4 @@ def test_cross_check_against_sympy():
     for g in mine:
         assert other.reduce(to_expr(g))[1] == 0
     for expr in other.exprs:
-        assert ideal_member(_binomial_of(expr, xs, sympy), mine)
+        assert _member(_binomial_of(expr, xs, sympy), mine)
