@@ -3,11 +3,13 @@
 Subcommands: info, verify, sweep, groebner, betti, unique.  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage error (exponent
 overflow included) or a claim refused the instance, 3 internal error.
+The argument parser is built once per process, on the first main call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -42,6 +44,7 @@ SOURCES = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repunit-toric",
@@ -336,8 +339,7 @@ _HANDLERS = {
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except (ValueError, ExponentOverflowError) as exc:

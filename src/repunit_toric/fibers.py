@@ -9,7 +9,10 @@ suffixes that complete its degree.  The walk solves each exponent modulo the
 gcd of the positive-row weights after it.  That cut only drops prefixes no
 monomial of the fiber extends, and the lookup is exact, so the result is
 every monomial and nothing else, in lexicographic order; the table's size is
-bounded by the number of last-half monomials within the budget.
+bounded by the number of last-half monomials within the budget.  Keys carry
+the exact degree, so one table serves every degree within its budget:
+betti_splits builds one per call, at the largest budget among its degrees,
+and its peak memory is that of the largest per-degree table.
 
 Connecting two monomials whenever a generator moves one to the other turns
 each fiber into a graph.  With moves by strictly lower-degree generators
@@ -26,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .binomials import Binomial, Grading, Monomial, check_int, divides, is_homogeneous
+from .binomials import Binomial, Grading, Monomial, check_int, divides
 from .groebner import buchberger
 from .orders import MatrixOrder
 
@@ -111,21 +114,78 @@ class DegreeSplit:
         return pairs
 
 
-def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
+class SuffixTable(NamedTuple):
+    """Every exponent suffix over the right half of the variables within a budget.
+
+    entries maps (positive-row degree, other-row degrees) to the suffixes of
+    exactly that degree, in lexicographic order; only suffixes whose
+    positive-row degree is at most budget are listed, so the table serves
+    every degree of grading whose positive-row entry is at most budget.
+    """
+
+    grading: Grading
+    budget: int
+    entries: dict[tuple[int, tuple[int, ...]], list[Monomial]]
+
+
+def _split(grading: Grading) -> tuple[tuple[int, ...], int, list[tuple[int, ...]], int]:
+    """Positive row, its index, each variable's other-row column, and the split point."""
+    pos = grading.positive_row()
+    k = grading.rows.index(pos)
+    others = grading.rows[:k] + grading.rows[k + 1 :]
+    n = grading.nvars
+    cols = [tuple(row[j] for row in others) for j in range(n)]
+    return pos, k, cols, (n + 1) // 2 if n > 1 else 0
+
+
+def suffix_table(grading: Grading, budget: int) -> SuffixTable:
+    """The right-half table enumerate_fiber meets its walk with, up to budget.
+
+    The variables split at half = ceil(n/2), or half = 0 when n = 1.  One
+    pass over half..n-1 lists every exponent suffix whose positive-row degree
+    is at most budget, keyed by its degree in every row.  Its size is the
+    number of right-half monomials within the budget, so one table built at
+    the largest positive-row entry of a set of degrees costs what the table
+    of that largest degree alone does.
+    """
+    pos, _, cols, half = _split(grading)
+    width = len(grading.rows) - 1
+    # suffixes in lexicographic order, with their degrees in every row
+    entries: list[tuple[Monomial, int, tuple[int, ...]]] = [((), 0, (0,) * width)]
+    for j in range(half, grading.nvars - 1):
+        w, col = pos[j], cols[j]
+        entries = [
+            (s + (e,), d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
+            for s, d, ds in entries
+            for e in range((budget - d) // w + 1)
+        ]
+    # the last variable files its entries straight into the table
+    table: dict[tuple[int, tuple[int, ...]], list[Monomial]] = {}
+    w, col = pos[-1], cols[-1]
+    for s, d, ds in entries:
+        for e in range((budget - d) // w + 1):
+            key = (d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
+            table.setdefault(key, []).append(s + (e,))
+    return SuffixTable(grading, budget, table)
+
+
+def enumerate_fiber(
+    grading: Grading, degree: Sequence[int], table: SuffixTable | None = None
+) -> Fiber:
     """All monomials of the given multidegree, in lexicographic order.
 
-    Meet in the middle (Horowitz & Sahni, JACM 21, 1974): the variables split
-    at half = ceil(n/2), or half = 0 when n = 1.  One pass over the right
-    half, half..n-1, lists every exponent suffix within the positive-row
-    budget in a table keyed by (positive-row degree, other-row degrees), each
-    entry's suffixes in lexicographic order.  A depth-first walk over the
-    left half, 0..half-1, then meets the table: a prefix leaving residuals
-    (rest, res) extends by exactly the suffixes stored under (rest, res).
-    The lookup is exact, and prefixes come in lexicographic order, so the
-    fiber and its order are those of a walk over all n variables.  Memory is
-    bounded by the table: at most the right-half monomials whose positive
-    degree is within the budget, built once per call and only when the
-    budget is divisible by the gcd of the positive row.
+    Meet in the middle (Horowitz & Sahni, JACM 21, 1974): a depth-first walk
+    over the left half of the variables, 0..half-1, meets suffix_table's
+    table of the right half: a prefix leaving residuals (rest, res) extends
+    by exactly the suffixes stored under (rest, res).  The lookup is exact,
+    and prefixes come in lexicographic order, so the fiber and its order are
+    those of a walk over all n variables.  Without a table, one is built at
+    this degree's positive-row entry, and only when that entry is divisible
+    by the gcd of the positive row.  betti_splits passes one table, built at
+    the largest budget among its degrees, to every degree, so its peak
+    memory is that of the largest per-degree table.  A table built for
+    another grading, or at a budget below this degree's positive-row entry,
+    would give a partial fiber: ValueError.
 
     The walk keeps one cut.  The strictly positive row p caps each exponent
     by the rest of its budget, and the exponent e of variable j is solved
@@ -136,26 +196,34 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     target = tuple(check_int(d, "degree entry") for d in degree)
     if len(target) != len(grading.rows):
         raise ValueError(f"degree has {len(target)} entries, grading has {len(grading.rows)} rows")
-    pos = grading.positive_row()
-    k = grading.rows.index(pos)
-    others = grading.rows[:k] + grading.rows[k + 1 :]
-    n = grading.nvars
-    half = (n + 1) // 2 if n > 1 else 0
-    cols = [tuple(row[j] for row in others) for j in range(n)]
+    pos, k, cols, half = _split(grading)
+    rest = target[k]
+    if table is not None:
+        if table.grading != grading:
+            raise ValueError(
+                f"suffix table of budget {table.budget} was built for another grading "
+                f"than degree {target}"
+            )
+        if rest > table.budget:
+            raise ValueError(f"degree {target} is past the suffix table's budget {table.budget}")
 
     # levels[j] for variable j < half, built from the last variable back.
     # With h = gcd(p[j:]) dividing rest, e*p[j] leaves a rest divisible by
     # after = gcd(p[j+1:]) exactly when e = rest/h * inv modulo after/h.
     levels: list[tuple] = [()] * half
     after = pos[-1]
-    for j in range(n - 2, -1, -1):
+    for j in range(grading.nvars - 2, -1, -1):
         w = pos[j]
         h = gcd(w, after)
         if j < half:
             levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j])
         after = h
+    if rest < 0 or rest % after:
+        return Fiber(target, ())
+    if table is None:
+        table = suffix_table(grading, rest)
+    lookup = table.entries
     found: list[Monomial] = []
-    table: dict[tuple, list[Monomial]] = {}
 
     def walk(prefix: Monomial, rest: int, res: tuple[int, ...]) -> None:
         j = len(prefix)
@@ -165,31 +233,14 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
             if j + 1 < half:
                 walk(prefix + (e,), rest - e * w, child)
             else:
-                for suffix in table.get((rest - e * w, child), ()):
+                for suffix in lookup.get((rest - e * w, child), ()):
                     found.append(prefix + (e,) + suffix)
 
-    rest = target[k]
-    if rest >= 0 and rest % after == 0:
-        # suffixes in lexicographic order, with their degrees in every row
-        entries: list[tuple[Monomial, int, tuple[int, ...]]] = [((), 0, (0,) * len(others))]
-        for j in range(half, n - 1):
-            w, col = pos[j], cols[j]
-            entries = [
-                (s + (e,), d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
-                for s, d, ds in entries
-                for e in range((rest - d) // w + 1)
-            ]
-        # the last variable files its entries straight into the table
-        w, col = pos[-1], cols[-1]
-        for s, d, ds in entries:
-            for e in range((rest - d) // w + 1):
-                key = (d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
-                table.setdefault(key, []).append(s + (e,))
-        res = target[:k] + target[k + 1 :]
-        if half:
-            walk((), rest, res)
-        else:
-            found.extend(table.get((rest, res), ()))
+    res = target[:k] + target[k + 1 :]
+    if half:
+        walk((), rest, res)
+    else:
+        found.extend(lookup.get((rest, res), ()))
     return Fiber(target, tuple(found))
 
 
@@ -220,18 +271,26 @@ def betti_splits(
     Degrees are processed along a linear extension of the degree partial
     order (total entry sum first), so "lower" is unambiguous.  Only the
     degrees of the given generators can carry minimal generators: every
-    other graded piece of the ideal is already reachable from below.
+    other graded piece of the ideal is already reachable from below.  One
+    suffix_table, built at the largest positive-row entry among those
+    degrees, serves every degree's enumerate_fiber.
     """
-    live = [g for g in gens if not g.is_zero()]
-    for g in live:
-        if not is_homogeneous(grading, g):
+    keyed: list[tuple[tuple, Binomial]] = []
+    for g in gens:
+        if g.is_zero():
+            continue
+        d = grading.degree(g.plus)
+        if d != grading.degree(g.minus):
             raise ValueError(f"generator {g} is not homogeneous for the grading")
-    keyed = [(_degree_key(grading.degree(g.plus)), g) for g in live]
-    degrees = sorted({grading.degree(g.plus) for g in live}, key=_degree_key)
+        keyed.append((_degree_key(d), g))
     out: dict[tuple[int, ...], DegreeSplit] = {}
-    for d in degrees:
-        key = _degree_key(d)
-        fiber = enumerate_fiber(grading, d)
+    if not keyed:
+        return out
+    pi = grading.rows.index(grading.positive_row())
+    table = suffix_table(grading, max(k[1][pi] for k, _ in keyed))
+    for key in sorted({k for k, _ in keyed}):
+        d = key[1]
+        fiber = enumerate_fiber(grading, d, table)
         index = {m: pos for pos, m in enumerate(fiber.monomials)}
         uf = UnionFind(len(fiber.monomials))
         for k, g in keyed:

@@ -1,6 +1,7 @@
 """End-to-end command line behavior through cli.main."""
 
 import json
+import re
 
 import pytest
 
@@ -290,3 +291,40 @@ def test_internal_error_exits_3(monkeypatch, capsys, exc):
     assert code == 3
     assert out == ""
     assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    # verify reports each check's time; only the timings may differ
+    return code, re.sub(r"\(\d+ ms\)", "(N ms)", captured.out), captured.err
+
+
+def test_parser_is_built_once_and_reused(monkeypatch, capsys):
+    # Each call through the process-wide parser matches the same call on a
+    # freshly built one, whatever the calls before it parsed or rejected.
+    calls = [
+        ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--i", "2"),
+        ("verify", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--all-i"),
+        ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--i", "1", "--all-i"),
+        ("info", "--a", "3", "--b", "2", "--n", "4"),
+        ("sweep", "--a", "1..2", "--b", "2..3", "--n", "4", "--format", "json"),
+        ("betti", "--source", "minors-x", "--a", "1", "--b", "2", "--n", "5"),
+        ("betti", "--source", "toric-i", "--a", "3", "--b", "2", "--n", "4"),
+        ("unique", "--source", "minors-x", "--a", "1", "--b", "3", "--n", "4"),
+        ("unique", "--source", "toric-i", "--a", "3", "--b", "2", "--n", "4"),
+    ]
+    fresh = cli.build_parser.__wrapped__
+    cli.build_parser.cache_clear()
+    codes = []
+    for argv in calls:
+        reused = _outcome(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", fresh)
+            assert _outcome(capsys, argv) == reused, argv
+        codes.append(reused[0])
+    assert codes == [0, 2, 2, 0, 0, 0, 0, 0, 0]
+    assert cli.build_parser.cache_info().misses == 1

@@ -26,6 +26,7 @@ from repunit_toric.fibers import (
     has_unique_minimal_system,
     minimal_generator_count,
     prune_redundant_generators,
+    suffix_table,
     unique_minimal_system,
 )
 from repunit_toric.groebner import ideal_equal
@@ -171,6 +172,69 @@ def test_enumerate_fiber_rejects_non_int_degree_entries():
             enumerate_fiber(grading, bad)
 
 
+def test_shared_suffix_table_gives_each_degrees_fiber():
+    # One table built past every degree's budget lists the fibers that each
+    # degree's own table and the brute force list: degree 0, negative
+    # degrees, and degrees off the positive row's gcd included.
+    rng = random.Random(19)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        g = rng.choice((1, 1, 2, 3))
+        pos = tuple(g * rng.randint(1, 5) for _ in range(n))
+        if rng.random() < 0.5:
+            grading = Grading.scalar(pos)
+        else:
+            other = tuple(rng.randint(-3, 3) for _ in range(n))
+            grading = Grading((other, pos) if rng.random() < 0.5 else (pos, other))
+        pi = grading.rows.index(grading.positive_row())
+        degrees = {grading.degree(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(6)}
+        degrees |= {d[:pi] + (d[pi] + 1,) + d[pi + 1 :] for d in list(degrees)}
+        degrees |= {tuple(0 for _ in grading.rows), tuple(-1 for _ in grading.rows)}
+        table = suffix_table(grading, max(d[pi] for d in degrees) + rng.randint(0, 4))
+        for degree in sorted(degrees):
+            shared = enumerate_fiber(grading, degree, table)
+            assert shared == enumerate_fiber(grading, degree), (grading, degree)
+            assert list(shared.monomials) == brute_fiber(grading, degree), (grading, degree)
+
+
+def test_enumerate_fiber_rejects_a_table_it_cannot_use():
+    grading = Grading.scalar((15, 18, 24, 36))
+    small = suffix_table(grading, 53)
+    with pytest.raises(ValueError, match=r"degree \(54,\) .* budget 53"):
+        enumerate_fiber(grading, (54,), small)
+    assert enumerate_fiber(grading, (54,), suffix_table(grading, 54)).monomials == (
+        (0, 1, 0, 1), (0, 3, 0, 0), (2, 0, 1, 0))
+    other = suffix_table(Grading.scalar((15, 18, 24, 37)), 100)
+    with pytest.raises(ValueError, match=r"budget 100 .*another grading .*degree \(54,\)"):
+        enumerate_fiber(grading, (54,), other)
+
+
+def test_betti_splits_builds_one_table_per_call(monkeypatch):
+    built = []
+
+    def counting(grading, budget):
+        built.append(budget)
+        return suffix_table(grading, budget)
+
+    monkeypatch.setattr(fibers, "suffix_table", counting)
+    p = InstanceParams(1, 3, 5)
+    for family, grading_of in (
+        (minors_closed_chain, scalar_grading),
+        (minors_open_chain, projective_grading),
+    ):
+        grading = grading_of(p)
+        gens = family(p).binomials
+        built.clear()
+        splits = betti_splits(gens, grading)
+        pi = grading.rows.index(grading.positive_row())
+        assert len(splits) > 1
+        assert built == [max(d[pi] for d in splits)]
+    built.clear()
+    assert betti_splits([], scalar_grading(p)) == {}
+    assert betti_splits([Binomial.from_vector((0,) * 5)], scalar_grading(p)) == {}
+    assert built == []
+
+
 @pytest.mark.parametrize("source", ["minors-x", "minors-y"])
 def test_betti_split_fibers_match_brute_force(monkeypatch, source):
     family, grading_of = {
@@ -179,8 +243,8 @@ def test_betti_split_fibers_match_brute_force(monkeypatch, source):
     }[source]
     requested = []
 
-    def recording(grading, degree):
-        fib = enumerate_fiber(grading, degree)
+    def recording(grading, degree, table=None):
+        fib = enumerate_fiber(grading, degree, table)
         requested.append((grading, fib))
         return fib
 
@@ -203,9 +267,9 @@ def test_oracle_fibers_pinned(monkeypatch):
     split_digest = hashlib.sha256()
     count = 0
 
-    def recording(grading, degree):
+    def recording(grading, degree, table=None):
         nonlocal count
-        fib = enumerate_fiber(grading, degree)
+        fib = enumerate_fiber(grading, degree, table)
         digest.update(f"{fib.degree} {fib.monomials}\n".encode())
         count += 1
         return fib
