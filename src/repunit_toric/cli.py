@@ -1,6 +1,8 @@
 """Command line front end.
 
-Subcommands: info, verify, sweep, groebner, betti, unique.  Exit codes:
+Subcommands: info, verify, sweep, groebner, betti, unique.  Each handler
+returns data, (exit code, JSON payload, text view); main alone renders the
+chosen format, writes stdout or --out and returns the code.  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage error (exponent
 overflow included) or a claim refused the instance, 3 internal error.
 The argument parser is built once per process, on the first main call.
@@ -31,7 +33,7 @@ from .fibers import (
 )
 from .groebner import groebner_reduced
 from .orders import build_order_i, five_variable_order
-from .reports import exit_code, render_json, render_text
+from .reports import exit_code, render_text, report_to_dict
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
 from .verify import CLAIMS, claim_spec, run_claim
 
@@ -68,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--source", choices=SOURCES, required=True)
         p.add_argument(
             "--trace", action="store_true",
-            help="stream one line per Buchberger S-pair to stderr",
+            help="stream the Groebner engine's steps to stderr: inputs, S-pairs, "
+                 "skipped pairs and the elimination header",
         )
 
     p_info = sub.add_parser("info", help="print instance basics")
@@ -101,17 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {out_path}: {exc.strerror or exc}") from None
-    else:
-        print(text)
-
-
 def _params_from_args(args, defaults: dict | None = None) -> InstanceParams:
     values = {}
     for field in ("a", "b", "n"):
@@ -130,7 +122,10 @@ def _trace_fn(args):
     return lambda line: print(f"trace: {line}", file=sys.stderr)
 
 
-def cmd_info(args) -> int:
+Result = tuple[int, object, str]
+
+
+def cmd_info(args) -> Result:
     params = _params_from_args(args)
     gens = generators(params)
     g = gcd_of_generators(params)
@@ -140,27 +135,23 @@ def cmd_info(args) -> int:
         predicted = "n/a (n <= 3)"
     else:
         predicted = "yes" if params.a < params.b - 1 else "no"
-    if args.format == "text":
-        lines = [
-            f"instance: a={params.a} b={params.b} n={params.n}",
-            f"repunit r_b(n): {repunit(params.b, params.n)}",
-            "generators: " + " ".join(str(x) for x in gens),
-            f"gcd: {g} ({'coprime' if g == 1 else 'not coprime'})",
-            f"unique minimal system predicted (a < b-1): {predicted}",
-        ]
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps({
-            "instance": {"a": params.a, "b": params.b, "n": params.n},
-            "repunit": repunit(params.b, params.n),
-            "generators": list(gens),
-            "gcd": g,
-            "unique_predicted": predicted,
-        }, indent=2), args.out)
-    return 0
+    lines = [
+        f"instance: a={params.a} b={params.b} n={params.n}",
+        f"repunit r_b(n): {repunit(params.b, params.n)}",
+        "generators: " + " ".join(str(x) for x in gens),
+        f"gcd: {g} ({'coprime' if g == 1 else 'not coprime'})",
+        f"unique minimal system predicted (a < b-1): {predicted}",
+    ]
+    return 0, {
+        "instance": {"a": params.a, "b": params.b, "n": params.n},
+        "repunit": repunit(params.b, params.n),
+        "generators": list(gens),
+        "gcd": g,
+        "unique_predicted": predicted,
+    }, "\n".join(lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     claim = args.claim_pos or args.claim_opt
     if not claim:
         raise ValueError("verify needs a claim name (positional or --claim)")
@@ -171,11 +162,7 @@ def cmd_verify(args) -> int:
     if args.all_i and not spec.per_index:
         raise ValueError(f"claim {claim!r} does not take an order index")
     reports = run_claim(claim, params, i=args.i)
-    if args.format == "text":
-        _emit(render_text(reports), args.out)
-    else:
-        _emit(render_json(reports), args.out)
-    return exit_code(reports)
+    return exit_code(reports), [report_to_dict(r) for r in reports], render_text(reports)
 
 
 _RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -211,7 +198,7 @@ def _sweep_row(params: InstanceParams) -> dict:
     }
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> Result:
     for field in ("a", "b", "n"):
         if getattr(args, field) is None:
             raise ValueError(f"missing --{field} (K or LO..HI)")
@@ -222,19 +209,14 @@ def cmd_sweep(args) -> int:
         for n in _parse_range(args.n, "n")
     ]
     rows = [_sweep_row(p) for p in grid]
-    if args.format == "text":
-        header = f"{'a':>3} {'b':>3} {'n':>3} {'gcd':>5} {'mingens':>8} {'unique':>7} {'a<b-1':>6} {'agree':>6}"
-        lines = [header]
-        for r in rows:
-            lines.append(
-                f"{r['a']:>3} {r['b']:>3} {r['n']:>3} {r['gcd']:>5} {r['mingens']:>8} "
-                f"{'yes' if r['unique'] else 'no':>7} "
-                f"{'yes' if r['predicate'] else 'no':>6} {r['agree']:>6}"
-            )
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps({"rows": rows}, indent=2), args.out)
-    return 0
+    lines = [f"{'a':>3} {'b':>3} {'n':>3} {'gcd':>5} {'mingens':>8} {'unique':>7} {'a<b-1':>6} {'agree':>6}"]
+    for r in rows:
+        lines.append(
+            f"{r['a']:>3} {r['b']:>3} {r['n']:>3} {r['gcd']:>5} {r['mingens']:>8} "
+            f"{'yes' if r['unique'] else 'no':>7} "
+            f"{'yes' if r['predicate'] else 'no':>6} {r['agree']:>6}"
+        )
+    return 0, {"rows": rows}, "\n".join(lines)
 
 
 def _resolve_order(args, params: InstanceParams):
@@ -265,24 +247,20 @@ def _source_basis(source: str, params: InstanceParams, order, trace):
     return toric_ideal(grading_of(params), order, trace)
 
 
-def cmd_groebner(args) -> int:
+def cmd_groebner(args) -> Result:
     params = _params_from_args(args)
     label, order = _resolve_order(args, params)
     gb = _source_basis(args.source, params, order, _trace_fn(args))
     listing = [format_binomial(g) for g in gb.elements]
-    if args.format == "text":
-        head = (
-            f"source={args.source} order={label} elements={len(listing)} "
-            f"minimal={'yes' if gb.minimal else 'no'} reduced={'yes' if gb.reduced else 'no'}"
-        )
-        _emit("\n".join([head] + listing), args.out)
-    else:
-        _emit(json.dumps({
-            "source": args.source, "order": label,
-            "minimal": gb.minimal, "reduced": gb.reduced,
-            "elements": listing,
-        }, indent=2), args.out)
-    return 0
+    head = (
+        f"source={args.source} order={label} elements={len(listing)} "
+        f"minimal={'yes' if gb.minimal else 'no'} reduced={'yes' if gb.reduced else 'no'}"
+    )
+    return 0, {
+        "source": args.source, "order": label,
+        "minimal": gb.minimal, "reduced": gb.reduced,
+        "elements": listing,
+    }, "\n".join([head] + listing)
 
 
 def _source_for_oracle(source: str, params: InstanceParams, trace):
@@ -293,39 +271,27 @@ def _source_for_oracle(source: str, params: InstanceParams, trace):
     return list(toric_ideal(grading, trace=trace).elements), grading
 
 
-def cmd_betti(args) -> int:
+def cmd_betti(args) -> Result:
     params = _params_from_args(args)
     gens, grading = _source_for_oracle(args.source, params, _trace_fn(args))
     degs = betti_degrees(gens, grading)
     items = sorted(degs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    if args.format == "text":
-        lines = [f"source={args.source} degrees={len(items)} total={sum(degs.values())}"]
-        for d, k in items:
-            label = d[0] if len(d) == 1 else d
-            lines.append(f"degree {label}: {k}")
-        _emit("\n".join(lines), args.out)
-    else:
-        _emit(json.dumps({
-            "source": args.source,
-            "degrees": [{"degree": list(d), "count": k} for d, k in items],
-            "total": sum(degs.values()),
-        }, indent=2), args.out)
-    return 0
+    total = sum(degs.values())
+    lines = [f"source={args.source} degrees={len(items)} total={total}"]
+    lines += [f"degree {d[0] if len(d) == 1 else d}: {k}" for d, k in items]
+    return 0, {
+        "source": args.source,
+        "degrees": [{"degree": list(d), "count": k} for d, k in items],
+        "total": total,
+    }, "\n".join(lines)
 
 
-def cmd_unique(args) -> int:
+def cmd_unique(args) -> Result:
     params = _params_from_args(args)
     gens, grading = _source_for_oracle(args.source, params, _trace_fn(args))
     unique = has_unique_minimal_system(gens, grading)
-    if args.format == "text":
-        _emit(
-            f"source={args.source} unique minimal binomial system: "
-            f"{'yes' if unique else 'no'}",
-            args.out,
-        )
-    else:
-        _emit(json.dumps({"source": args.source, "unique": unique}, indent=2), args.out)
-    return 0
+    return 0, {"source": args.source, "unique": unique}, (
+        f"source={args.source} unique minimal binomial system: {'yes' if unique else 'no'}")
 
 
 _HANDLERS = {
@@ -341,7 +307,18 @@ _HANDLERS = {
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code, payload, text = _HANDLERS[args.command](args)
+        if args.format != "text":
+            text = json.dumps(payload, indent=2)
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
+        else:
+            print(text)
+        return code
     except (ValueError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -87,16 +87,6 @@ class GroebnerBasis:
         return iter(self.elements)
 
 
-def sort_canonical(elements: Iterable[Binomial], order: MatrixOrder) -> tuple[Binomial, ...]:
-    """Deterministic listing: ascending leading term, then trailing term."""
-    key = order.sort_key()
-
-    def pair_key(g: Binomial):
-        return (key(g.plus), key(g.minus))
-
-    return tuple(sorted(elements, key=pair_key))
-
-
 def _packed(elements: Iterable[Binomial]) -> list[Packed]:
     return [(pack(g.plus), pack(g.minus)) for g in elements]
 
@@ -252,14 +242,16 @@ def is_reduced_basis(elements: Sequence[Binomial]) -> bool:
 def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
     """Reduced basis: minimal, with every trailing term in normal form.
 
-    The nonzero elements are taken in canonical order, and one is kept
-    when no kept lead divides its lead; tail reduction keeps the leads, so
-    the listing stays sorted.
+    The nonzero elements are taken in canonical order (ascending leading
+    term, then trailing term), and one is kept when no kept lead divides
+    its lead; tail reduction keeps the leads, so the listing stays sorted.
     """
     nvars = gb.order.nvars
     guard = guard_bits(nvars)
+    key = gb.order.sort_key()
     rules: list[Packed] = []
-    for g in sort_canonical((g for g in gb.elements if not g.is_zero()), gb.order):
+    for g in sorted((g for g in gb.elements if not g.is_zero()),
+                    key=lambda g: (key(g.plus), key(g.minus))):
         p = pack(g.plus)
         if not _has_divisor(p | guard, (h for h, _ in rules), guard):
             rules.append((p, pack(g.minus)))

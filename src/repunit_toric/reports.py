@@ -1,15 +1,14 @@
 """Structured pass/fail reports for named verification claims.
 
 A report carries the instance it was run on and a list of claim results;
-the JSON rendering carries every field, so downstream tooling reads CLI
-output with json.loads instead of scraping text.
+report_to_dict carries every field, so downstream tooling reads the CLI's
+JSON output with json.loads instead of scraping text.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,10 +72,6 @@ def report_to_dict(report: VerificationReport) -> dict:
         "timing": report.timing(),
         "overall": report.overall(),
     }
-
-
-def render_json(reports: Sequence[VerificationReport]) -> str:
-    return json.dumps([report_to_dict(r) for r in reports], indent=2)
 
 
 def render_text(reports: Iterable[VerificationReport]) -> str:

@@ -328,3 +328,34 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
         codes.append(reused[0])
     assert codes == [0, 2, 2, 0, 0, 0, 0, 0, 0]
     assert cli.build_parser.cache_info().misses == 1
+
+
+def _json_timings_normalised(text):
+    # verify's JSON reports each check's time as "ms" and sums them per check under "timing"
+    return re.sub(r'"ms": \d+|"timing": \{[^}]*\}',
+                  lambda m: re.sub(r": \d+", ": N", m.group()), text)
+
+
+OUT_CALLS = {
+    "info": ("info", "--a", "1", "--b", "3", "--n", "4"),
+    "verify": ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--i", "2"),
+    "verify-refused": ("verify", "cor-gb2", "--a", "3", "--b", "2", "--n", "4"),
+    "sweep": ("sweep", "--a", "1..2", "--b", "3", "--n", "4"),
+    "groebner": ("groebner", "--source", "minors-y", "--order", "prec-1",
+                 "--a", "1", "--b", "2", "--n", "4"),
+    "betti": ("betti", "--source", "toric-i", "--a", "3", "--b", "2", "--n", "4"),
+    "unique": ("unique", "--source", "minors-x", "--a", "1", "--b", "3", "--n", "4"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", OUT_CALLS.values(), ids=OUT_CALLS)
+def test_out_file_holds_exactly_stdout(tmp_path, capsys, argv, fmt):
+    # --out and stdout are one write path: the file gets what stdout would, stdout nothing
+    argv = (*argv, "--format", fmt)
+    target = tmp_path / "out.txt"
+    code, out, err = _outcome(capsys, argv)
+    assert out
+    assert _outcome(capsys, (*argv, "--out", str(target))) == (code, "", err)
+    written = re.sub(r"\(\d+ ms\)", "(N ms)", target.read_text(encoding="utf-8"))
+    assert _json_timings_normalised(written) == _json_timings_normalised(out)
