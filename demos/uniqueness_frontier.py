@@ -2,8 +2,10 @@
 
 The fiber of a degree is the set of monomials with that weight; moves by
 lower-degree generators carve it into components, and the ideal needs one
-new generator per component the full congruence fuses.  The minimal system
-is unique exactly when every fused group is a pair of lone monomials.  For
+new generator per component the full congruence fuses.  The oracle only
+searches the components that hold a side of a generator of the degree; the
+minimal system is unique exactly when every fused group is a pair of lone
+monomials.  For
 fixed digit base b this holds up to a = b - 2 and fails from a = b - 1 on.
 """
 
@@ -13,6 +15,7 @@ from repunit_toric.binomials import format_binomial, format_monomial
 from repunit_toric.families import minors_closed_chain, scalar_grading
 from repunit_toric.fibers import (
     betti_splits,
+    enumerate_fiber,
     forced_generators,
     has_unique_minimal_system,
 )
@@ -52,10 +55,12 @@ def main() -> None:
     degree = min(splits)
     split = splits[degree]
     print()
-    print(f"fiber of degree {degree}: {len(split.fiber)} monomials,",
-          f"{len(split.below)} components below, {len(split.full)} after")
+    print(f"fiber of degree {degree}: {len(enumerate_fiber(grading, degree))} monomials;",
+          f"the generators reach {len(split.below)} components below, {len(split.full)} after")
+    for comp in split.below:
+        print("  below:", ", ".join(format_monomial(m) for m in comp))
     for comp in split.full:
-        print("  component:", ", ".join(format_monomial(m) for m in comp))
+        print("  after:", ", ".join(format_monomial(m) for m in comp))
 
 
 if __name__ == "__main__":

@@ -216,7 +216,8 @@ def cmd_sweep(args) -> Result:
             f"{'yes' if r['unique'] else 'no':>7} "
             f"{'yes' if r['predicate'] else 'no':>6} {r['agree']:>6}"
         )
-    return 0, {"rows": rows}, "\n".join(lines)
+    code = 1 if any(r["agree"] == "NO" for r in rows) else 0
+    return code, {"rows": rows}, "\n".join(lines)
 
 
 def _resolve_order(args, params: InstanceParams):

@@ -1,37 +1,45 @@
-"""Exact fiber enumeration and the graded minimal-generator oracle.
+"""Fiber graphs and the graded minimal-generator oracle.
 
-A fiber is the set of all monomials of one multidegree.  It is listed by
-meeting in the middle (Horowitz & Sahni, JACM 21, 1974): one table holds
-every exponent suffix over the last half of the variables within the
-positive-row budget, keyed by its degree in every grading row, and a
-depth-first walk over the first half looks up, for each prefix, exactly the
-suffixes that complete its degree.  The walk solves each exponent modulo the
-gcd of the positive-row weights after it.  That cut only drops prefixes no
-monomial of the fiber extends, and the lookup is exact, so the result is
-every monomial and nothing else, in lexicographic order; the table's size is
-bounded by the number of last-half monomials within the budget.  Keys carry
-the exact degree, so one table serves every degree within its budget:
-betti_splits builds one per call, at the largest budget among its degrees,
-and its peak memory is that of the largest per-degree table.
+A fiber is the set of all monomials of one multidegree.  Connecting two
+monomials whenever a generator moves one to the other turns it into a graph
+(Diaconis & Sturmfels, Ann. Statist. 26, 1998).  With moves by strictly
+lower-degree generators only, and then again with this degree's generators
+added, the drop in component count is the number of minimal generators the
+ideal needs here; the system is unique exactly when each fused group is two
+single monomials (Charalambous, Katsabekis & Thoma, Proc. AMS 135, 2007).
+A component that holds no side of a generator of this degree is the same
+under both move sets, so it changes neither the count nor the verdict.
+betti_splits therefore lists no whole fiber: from each side of each
+generator of the degree it searches depth first through the lower moves,
+in both directions, and joins the components it reaches along the degree's
+own generators.
 
-Connecting two monomials whenever a generator moves one to the other turns
-each fiber into a graph.  With moves by strictly lower-degree generators
-only, and then again with this degree's generators added, the drop in
-component count is the number of minimal generators the ideal needs here;
-the system is unique exactly when each fused pair is two single monomials.
-Fiber enumeration and the oracle built on it (betti_splits and the counts
-and uniqueness read from it) never call the Groebner engine, so the two can
-check each other; only prune_redundant_generators, the engine's route to
-the same count, runs Buchberger.
+enumerate_fiber lists a whole fiber, the reference the search is tested
+against, by meeting in the middle (Horowitz & Sahni, JACM 21, 1974).  The
+oracle (betti_splits and the counts and uniqueness read from it) never
+calls the Groebner engine, so the two can check each other; only
+prune_redundant_generators, the engine's route to the same count, runs
+Buchberger.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from math import gcd
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
-from .binomials import Binomial, Grading, Monomial, check_int, divides
+from .binomials import (
+    EXPONENT_LIMIT,
+    Binomial,
+    ExponentOverflowError,
+    Grading,
+    Monomial,
+    RuleIndex,
+    check_int,
+    pack,
+    unpack,
+)
 from .groebner import buchberger
 from .orders import MatrixOrder
 
@@ -73,15 +81,17 @@ class Fiber:
 
 @dataclass(frozen=True)
 class DegreeSplit:
-    """Fiber of one generator degree under two move sets.
+    """The fiber of one generator degree, around that degree's generators.
 
-    below: components when only strictly lower-degree generators may move;
-    full: components when the generators of this degree join in.  The ideal
-    needs len(below) - len(full) minimal generators here: each one must
-    fuse two below-components that the full congruence identifies.
+    below: the components, under moves by strictly lower-degree generators,
+    that hold a side of a generator of this degree; full: the same monomials
+    once this degree's generators join in.  Components are sorted by least
+    monomial, each in lexicographic order; the rest of the fiber is left
+    out, since the degree's generators leave it as it was.  The ideal needs
+    len(below) - len(full) minimal generators here: each one must fuse two
+    below-components that the full congruence identifies.
     """
 
-    fiber: Fiber
     below: tuple[tuple[Monomial, ...], ...]
     full: tuple[tuple[Monomial, ...], ...]
 
@@ -114,78 +124,19 @@ class DegreeSplit:
         return pairs
 
 
-class SuffixTable(NamedTuple):
-    """Every exponent suffix over the right half of the variables within a budget.
-
-    entries maps (positive-row degree, other-row degrees) to the suffixes of
-    exactly that degree, in lexicographic order; only suffixes whose
-    positive-row degree is at most budget are listed, so the table serves
-    every degree of grading whose positive-row entry is at most budget.
-    """
-
-    grading: Grading
-    budget: int
-    entries: dict[tuple[int, tuple[int, ...]], list[Monomial]]
-
-
-def _split(grading: Grading) -> tuple[tuple[int, ...], int, list[tuple[int, ...]], int]:
-    """Positive row, its index, each variable's other-row column, and the split point."""
-    pos = grading.positive_row()
-    k = grading.rows.index(pos)
-    others = grading.rows[:k] + grading.rows[k + 1 :]
-    n = grading.nvars
-    cols = [tuple(row[j] for row in others) for j in range(n)]
-    return pos, k, cols, (n + 1) // 2 if n > 1 else 0
-
-
-def suffix_table(grading: Grading, budget: int) -> SuffixTable:
-    """The right-half table enumerate_fiber meets its walk with, up to budget.
-
-    The variables split at half = ceil(n/2), or half = 0 when n = 1.  One
-    pass over half..n-1 lists every exponent suffix whose positive-row degree
-    is at most budget, keyed by its degree in every row.  Its size is the
-    number of right-half monomials within the budget, so one table built at
-    the largest positive-row entry of a set of degrees costs what the table
-    of that largest degree alone does.
-    """
-    pos, _, cols, half = _split(grading)
-    width = len(grading.rows) - 1
-    # suffixes in lexicographic order, with their degrees in every row
-    entries: list[tuple[Monomial, int, tuple[int, ...]]] = [((), 0, (0,) * width)]
-    for j in range(half, grading.nvars - 1):
-        w, col = pos[j], cols[j]
-        entries = [
-            (s + (e,), d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
-            for s, d, ds in entries
-            for e in range((budget - d) // w + 1)
-        ]
-    # the last variable files its entries straight into the table
-    table: dict[tuple[int, tuple[int, ...]], list[Monomial]] = {}
-    w, col = pos[-1], cols[-1]
-    for s, d, ds in entries:
-        for e in range((budget - d) // w + 1):
-            key = (d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
-            table.setdefault(key, []).append(s + (e,))
-    return SuffixTable(grading, budget, table)
-
-
-def enumerate_fiber(
-    grading: Grading, degree: Sequence[int], table: SuffixTable | None = None
-) -> Fiber:
+def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     """All monomials of the given multidegree, in lexicographic order.
 
-    Meet in the middle (Horowitz & Sahni, JACM 21, 1974): a depth-first walk
-    over the left half of the variables, 0..half-1, meets suffix_table's
-    table of the right half: a prefix leaving residuals (rest, res) extends
-    by exactly the suffixes stored under (rest, res).  The lookup is exact,
-    and prefixes come in lexicographic order, so the fiber and its order are
-    those of a walk over all n variables.  Without a table, one is built at
-    this degree's positive-row entry, and only when that entry is divisible
-    by the gcd of the positive row.  betti_splits passes one table, built at
-    the largest budget among its degrees, to every degree, so its peak
-    memory is that of the largest per-degree table.  A table built for
-    another grading, or at a budget below this degree's positive-row entry,
-    would give a partial fiber: ValueError.
+    Meet in the middle (Horowitz & Sahni, JACM 21, 1974).  The variables
+    split at half = ceil(n/2), or half = 0 when n = 1.  One pass lists every
+    exponent suffix over half..n-1 within the positive-row budget, keyed by
+    its degree in every row; a depth-first walk over 0..half-1 then extends
+    a prefix leaving residuals (rest, res) by exactly the suffixes filed
+    under (rest, res).  The lookup is exact, and prefixes come in
+    lexicographic order, so the fiber and its order are those of a walk over
+    all n variables.  The table holds at most the right-half monomials
+    within the budget, and is built only when the positive-row entry is
+    divisible by the gcd of the positive row.
 
     The walk keeps one cut.  The strictly positive row p caps each exponent
     by the rest of its budget, and the exponent e of variable j is solved
@@ -196,23 +147,20 @@ def enumerate_fiber(
     target = tuple(check_int(d, "degree entry") for d in degree)
     if len(target) != len(grading.rows):
         raise ValueError(f"degree has {len(target)} entries, grading has {len(grading.rows)} rows")
-    pos, k, cols, half = _split(grading)
+    pos = grading.positive_row()
+    k = grading.rows.index(pos)
+    others = grading.rows[:k] + grading.rows[k + 1 :]
+    n = grading.nvars
+    cols = [tuple(row[j] for row in others) for j in range(n)]
+    half = (n + 1) // 2 if n > 1 else 0
     rest = target[k]
-    if table is not None:
-        if table.grading != grading:
-            raise ValueError(
-                f"suffix table of budget {table.budget} was built for another grading "
-                f"than degree {target}"
-            )
-        if rest > table.budget:
-            raise ValueError(f"degree {target} is past the suffix table's budget {table.budget}")
 
     # levels[j] for variable j < half, built from the last variable back.
     # With h = gcd(p[j:]) dividing rest, e*p[j] leaves a rest divisible by
     # after = gcd(p[j+1:]) exactly when e = rest/h * inv modulo after/h.
     levels: list[tuple] = [()] * half
     after = pos[-1]
-    for j in range(grading.nvars - 2, -1, -1):
+    for j in range(n - 2, -1, -1):
         w = pos[j]
         h = gcd(w, after)
         if j < half:
@@ -220,9 +168,23 @@ def enumerate_fiber(
         after = h
     if rest < 0 or rest % after:
         return Fiber(target, ())
-    if table is None:
-        table = suffix_table(grading, rest)
-    lookup = table.entries
+
+    # the right-half suffixes in lexicographic order, with their degrees in
+    # every row; the last variable files its entries straight into the table
+    entries: list[tuple[Monomial, int, tuple[int, ...]]] = [((), 0, (0,) * len(others))]
+    for j in range(half, n - 1):
+        w, col = pos[j], cols[j]
+        entries = [
+            (s + (e,), d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
+            for s, d, ds in entries
+            for e in range((rest - d) // w + 1)
+        ]
+    lookup: dict[tuple[int, tuple[int, ...]], list[Monomial]] = {}
+    w, col = pos[-1], cols[-1]
+    for s, d, ds in entries:
+        for e in range((rest - d) // w + 1):
+            key = (d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
+            lookup.setdefault(key, []).append(s + (e,))
     found: list[Monomial] = []
 
     def walk(prefix: Monomial, rest: int, res: tuple[int, ...]) -> None:
@@ -244,36 +206,48 @@ def enumerate_fiber(
     return Fiber(target, tuple(found))
 
 
-def _apply_move(
-    g: Binomial, monomials: Sequence[Monomial], index: dict[Monomial, int], uf: UnionFind
-) -> None:
-    """Join each monomial the move g applies to with its image under g."""
-    for m in monomials:
-        if divides(g.plus, m):
-            target = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
-            uf.union(index[m], index[target])
+def _below_component(seed: Monomial, moves: RuleIndex) -> list[Monomial]:
+    """Every monomial the packed moves reach from seed, in lexicographic order.
 
-
-def _degree_key(d: tuple[int, ...]) -> tuple:
-    return (sum(d), d)
-
-
-def _components(uf: UnionFind, monomials: Sequence[Monomial]) -> tuple:
-    return tuple(tuple(monomials[pos] for pos in grp) for grp in uf.groups())
+    A move (src, dst) takes x to x - src + dst when src divides x; the
+    index lists only the moves whose src support lies inside x's, and the
+    guarded subtraction tests the rest.  An image past EXPONENT_LIMIT
+    raises, as a rewrite in normal_form does.
+    """
+    guard, ones = moves.guard, moves.ones
+    carry = guard >> 1
+    x = pack(seed) | guard
+    seen = {x}
+    stack = [x]
+    while stack:
+        x = stack.pop()
+        for src, dst in moves[(x - ones) & guard]:
+            y = x - src
+            if y & guard == guard:
+                y += dst
+                if y not in seen:
+                    if y & carry:
+                        m = unpack(y, len(seed))
+                        raise ExponentOverflowError(f"move to {m} exceeds {EXPONENT_LIMIT}")
+                    seen.add(y)
+                    stack.append(y)
+    return sorted(unpack(x ^ guard, len(seed)) for x in seen)
 
 
 def betti_splits(
     gens: Sequence[Binomial],
     grading: Grading,
 ) -> dict[tuple[int, ...], DegreeSplit]:
-    """Fiber split at each generator degree.
+    """Fiber split at each generator degree, around that degree's generators.
 
     Degrees are processed along a linear extension of the degree partial
     order (total entry sum first), so "lower" is unambiguous.  Only the
     degrees of the given generators can carry minimal generators: every
-    other graded piece of the ideal is already reachable from below.  One
-    suffix_table, built at the largest positive-row entry among those
-    degrees, serves every degree's enumerate_fiber.
+    other graded piece of the ideal is already reachable from below.  Each
+    generator of a lower degree gives a move in each direction; a
+    depth-first search through them from each side of each generator of
+    the degree lists its below-component, and union-find along the
+    degree's generators joins them into the full components.
     """
     keyed: list[tuple[tuple, Binomial]] = []
     for g in gens:
@@ -282,27 +256,32 @@ def betti_splits(
         d = grading.degree(g.plus)
         if d != grading.degree(g.minus):
             raise ValueError(f"generator {g} is not homogeneous for the grading")
-        keyed.append((_degree_key(d), g))
+        keyed.append(((sum(d), d), g))
+    keyed.sort(key=lambda kg: kg[0])
     out: dict[tuple[int, ...], DegreeSplit] = {}
-    if not keyed:
-        return out
-    pi = grading.rows.index(grading.positive_row())
-    table = suffix_table(grading, max(k[1][pi] for k, _ in keyed))
-    for key in sorted({k for k, _ in keyed}):
-        d = key[1]
-        fiber = enumerate_fiber(grading, d, table)
-        index = {m: pos for pos, m in enumerate(fiber.monomials)}
-        uf = UnionFind(len(fiber.monomials))
-        for k, g in keyed:
-            if k < key:
-                _apply_move(g, fiber.monomials, index, uf)
-        below = _components(uf, fiber.monomials)
-        for k, g in keyed:
-            if k == key:
-                # by the positive row, g.plus divides no other monomial of its degree
-                uf.union(index[g.plus], index[g.minus])
-        full = _components(uf, fiber.monomials)
-        out[d] = DegreeSplit(fiber, below, full)
+    moves = RuleIndex(grading.nvars)
+    for (_, d), group in groupby(keyed, key=lambda kg: kg[0]):
+        here = [g for _, g in group]
+        reached: set[Monomial] = set()
+        below: list[list[Monomial]] = []
+        for g in here:
+            for side in (g.plus, g.minus):
+                if side not in reached:
+                    below.append(_below_component(side, moves))
+                    reached.update(below[-1])
+        below.sort()  # disjoint, so by least monomial
+        comp_of = {m: c for c, comp in enumerate(below) for m in comp}
+        uf = UnionFind(len(below))
+        for g in here:
+            uf.union(comp_of[g.plus], comp_of[g.minus])
+        out[d] = DegreeSplit(
+            tuple(map(tuple, below)),
+            tuple(tuple(sorted(m for c in grp for m in below[c])) for grp in uf.groups()),
+        )
+        for g in here:
+            p, q = pack(g.plus), pack(g.minus)
+            moves.add(p, q)
+            moves.add(q, p)
     return out
 
 

@@ -203,6 +203,28 @@ def test_sweep_frontier_row(capsys):
     assert (row["gcd"], row["mingens"], row["unique"], row["agree"]) == (3, 99, False, "-")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_sweep_exits_1_on_a_disagreeing_row(monkeypatch, capsys, fmt):
+    real = cli._sweep_row
+
+    def one_no(params):
+        row = real(params)
+        if params.a == 2:
+            row["agree"] = "NO"
+        return row
+
+    monkeypatch.setattr(cli, "_sweep_row", one_no)
+    code, out, err = run(capsys, "sweep", "--a", "1..3", "--b", "4", "--n", "4", "--format", fmt)
+    assert code == 1
+    assert err == ""
+    if fmt == "json":
+        assert [r["agree"] for r in json.loads(out)["rows"]] == ["yes", "NO", "yes"]
+    else:
+        lines = out.splitlines()
+        assert len(lines) == 4
+        assert lines[2].split() == ["2", "4", "4", "1", "6", "yes", "yes", "NO"]
+
+
 def test_sweep_bad_range(capsys):
     code, _, err = run(capsys, "sweep", "--a", "x..2", "--b", "2", "--n", "4")
     assert code == 2

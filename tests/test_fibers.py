@@ -8,8 +8,13 @@ from fractions import Fraction
 
 import pytest
 
-from repunit_toric import fibers
-from repunit_toric.binomials import Binomial, Grading, format_binomial
+from repunit_toric.binomials import (
+    Binomial,
+    ExponentOverflowError,
+    Grading,
+    divides,
+    format_binomial,
+)
 from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
@@ -18,6 +23,7 @@ from repunit_toric.families import (
     toric_ideal,
 )
 from repunit_toric.fibers import (
+    DegreeSplit,
     UnionFind,
     betti_degrees,
     betti_splits,
@@ -26,7 +32,6 @@ from repunit_toric.fibers import (
     has_unique_minimal_system,
     minimal_generator_count,
     prune_redundant_generators,
-    suffix_table,
     unique_minimal_system,
 )
 from repunit_toric.groebner import ideal_equal
@@ -172,93 +177,30 @@ def test_enumerate_fiber_rejects_non_int_degree_entries():
             enumerate_fiber(grading, bad)
 
 
-def test_shared_suffix_table_gives_each_degrees_fiber():
-    # One table built past every degree's budget lists the fibers that each
-    # degree's own table and the brute force list: degree 0, negative
-    # degrees, and degrees off the positive row's gcd included.
-    rng = random.Random(19)
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        g = rng.choice((1, 1, 2, 3))
-        pos = tuple(g * rng.randint(1, 5) for _ in range(n))
-        if rng.random() < 0.5:
-            grading = Grading.scalar(pos)
-        else:
-            other = tuple(rng.randint(-3, 3) for _ in range(n))
-            grading = Grading((other, pos) if rng.random() < 0.5 else (pos, other))
-        pi = grading.rows.index(grading.positive_row())
-        degrees = {grading.degree(tuple(rng.randint(0, 2) for _ in range(n))) for _ in range(6)}
-        degrees |= {d[:pi] + (d[pi] + 1,) + d[pi + 1 :] for d in list(degrees)}
-        degrees |= {tuple(0 for _ in grading.rows), tuple(-1 for _ in grading.rows)}
-        table = suffix_table(grading, max(d[pi] for d in degrees) + rng.randint(0, 4))
-        for degree in sorted(degrees):
-            shared = enumerate_fiber(grading, degree, table)
-            assert shared == enumerate_fiber(grading, degree), (grading, degree)
-            assert list(shared.monomials) == brute_fiber(grading, degree), (grading, degree)
-
-
-def test_enumerate_fiber_rejects_a_table_it_cannot_use():
-    grading = Grading.scalar((15, 18, 24, 36))
-    small = suffix_table(grading, 53)
-    with pytest.raises(ValueError, match=r"degree \(54,\) .* budget 53"):
-        enumerate_fiber(grading, (54,), small)
-    assert enumerate_fiber(grading, (54,), suffix_table(grading, 54)).monomials == (
-        (0, 1, 0, 1), (0, 3, 0, 0), (2, 0, 1, 0))
-    other = suffix_table(Grading.scalar((15, 18, 24, 37)), 100)
-    with pytest.raises(ValueError, match=r"budget 100 .*another grading .*degree \(54,\)"):
-        enumerate_fiber(grading, (54,), other)
-
-
-def test_betti_splits_builds_one_table_per_call(monkeypatch):
-    built = []
-
-    def counting(grading, budget):
-        built.append(budget)
-        return suffix_table(grading, budget)
-
-    monkeypatch.setattr(fibers, "suffix_table", counting)
-    p = InstanceParams(1, 3, 5)
-    for family, grading_of in (
-        (minors_closed_chain, scalar_grading),
-        (minors_open_chain, projective_grading),
-    ):
-        grading = grading_of(p)
-        gens = family(p).binomials
-        built.clear()
-        splits = betti_splits(gens, grading)
-        pi = grading.rows.index(grading.positive_row())
-        assert len(splits) > 1
-        assert built == [max(d[pi] for d in splits)]
-    built.clear()
-    assert betti_splits([], scalar_grading(p)) == {}
-    assert betti_splits([Binomial.from_vector((0,) * 5)], scalar_grading(p)) == {}
-    assert built == []
+def _generator_degrees(gens, grading):
+    """The distinct degrees of the nonzero generators, in betti_splits' order."""
+    return sorted({grading.degree(g.plus) for g in gens if not g.is_zero()},
+                  key=lambda d: (sum(d), d))
 
 
 @pytest.mark.parametrize("source", ["minors-x", "minors-y"])
-def test_betti_split_fibers_match_brute_force(monkeypatch, source):
+def test_betti_split_fibers_match_brute_force(source):
     family, grading_of = {
         "minors-x": (minors_closed_chain, scalar_grading),
         "minors-y": (minors_open_chain, projective_grading),
     }[source]
-    requested = []
-
-    def recording(grading, degree, table=None):
-        fib = enumerate_fiber(grading, degree, table)
-        requested.append((grading, fib))
-        return fib
-
-    monkeypatch.setattr(fibers, "enumerate_fiber", recording)
+    count = 0
     for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6)):
         p = InstanceParams(a, b, n)
-        betti_splits(family(p).binomials, grading_of(p))
-    assert len(requested) >= 18  # at least one degree per instance
-    for grading, fib in requested:
-        assert list(fib.monomials) == brute_fiber(grading, fib.degree), (grading, fib.degree)
+        grading = grading_of(p)
+        for d in _generator_degrees(family(p).binomials, grading):
+            assert list(enumerate_fiber(grading, d).monomials) == brute_fiber(grading, d), (grading, d)
+            count += 1
+    assert count >= 18  # at least one degree per instance
 
 
-def test_oracle_fibers_pinned(monkeypatch):
-    """Every fiber betti_splits enumerates on a small oracle box, and every split, by digest.
+def test_oracle_fibers_pinned():
+    """The whole fiber of every generator degree on a small oracle box, and every split, by digest.
 
     The fiber digest covers degree and monomials; the split digest covers
     each degree's below and full components.
@@ -266,26 +208,153 @@ def test_oracle_fibers_pinned(monkeypatch):
     digest = hashlib.sha256()
     split_digest = hashlib.sha256()
     count = 0
-
-    def recording(grading, degree, table=None):
-        nonlocal count
-        fib = enumerate_fiber(grading, degree, table)
-        digest.update(f"{fib.degree} {fib.monomials}\n".encode())
-        count += 1
-        return fib
-
-    monkeypatch.setattr(fibers, "enumerate_fiber", recording)
     for family, grading_of in (
         (minors_closed_chain, scalar_grading),
         (minors_open_chain, projective_grading),
     ):
         for a, b, n in itertools.product(range(1, 5), range(2, 6), range(5, 8)):
             p = InstanceParams(a, b, n)
-            for d, split in betti_splits(family(p).binomials, grading_of(p)).items():
+            gens, grading = family(p).binomials, grading_of(p)
+            for d in _generator_degrees(gens, grading):
+                fib = enumerate_fiber(grading, d)
+                digest.update(f"{fib.degree} {fib.monomials}\n".encode())
+                count += 1
+            for d, split in betti_splits(gens, grading).items():
                 split_digest.update(f"{d} {split.below} {split.full}\n".encode())
     assert count == 1232
     assert digest.hexdigest() == "7640f2f6ea25dab419450a11f6d1c91b8da6e4fb69fecf0025bb51be31d92a93"
-    assert split_digest.hexdigest() == "30fe47098538586e21756c37e54a75a6906f50da663926cddcb820cae68c0bef"
+    assert split_digest.hexdigest() == "ef6a95b37428e1062683bac9ef684cb6f53206deb8da528f2de152c67563a10f"
+
+
+def _whole_fiber_splits(gens, grading):
+    """The reference oracle: each generator degree's whole fiber, joined by every lower move.
+
+    Lists the fiber with enumerate_fiber, union-finds each monomial a lower
+    generator's plus side divides with its image, then joins the sides of
+    the degree's own generators.
+    """
+    keyed = [((sum(d), d), g) for g in gens if not g.is_zero() for d in [grading.degree(g.plus)]]
+    out = {}
+    for key in sorted({k for k, _ in keyed}):
+        fiber = enumerate_fiber(grading, key[1]).monomials
+        index = {m: pos for pos, m in enumerate(fiber)}
+        uf = UnionFind(len(fiber))
+        for k, g in keyed:
+            if k < key:
+                for m in fiber:
+                    if divides(g.plus, m):
+                        image = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
+                        uf.union(index[m], index[image])
+        below = tuple(tuple(fiber[pos] for pos in grp) for grp in uf.groups())
+        for k, g in keyed:
+            if k == key:
+                uf.union(index[g.plus], index[g.minus])
+        full = tuple(tuple(fiber[pos] for pos in grp) for grp in uf.groups())
+        out[key[1]] = DegreeSplit(below, full)
+    return out
+
+
+def _assert_search_matches_whole_fiber(gens, grading):
+    """Per degree: the same count and forced pairs, and each reached component whole."""
+    splits = betti_splits(gens, grading)
+    reference = _whole_fiber_splits(gens, grading)
+    assert list(splits) == list(reference)
+    for d, split in splits.items():
+        whole = reference[d]
+        assert split.new_generators() == whole.new_generators(), (gens, d)
+        assert split.forced_pairs() == whole.forced_pairs(), (gens, d)
+        sides = [m for g in gens if not g.is_zero() and grading.degree(g.plus) == d
+                 for m in (g.plus, g.minus)]
+        for mine, theirs in ((split.below, whole.below), (split.full, whole.full)):
+            holding = {m: comp for comp in theirs for m in comp}
+            # exactly the reference components that hold a side, in the same order
+            assert mine == tuple(c for c in theirs if c in {holding[m] for m in sides}), (gens, d)
+    return splits
+
+
+@pytest.mark.parametrize("source", ["minors-x", "minors-y"])
+def test_search_matches_whole_fiber_on_oracle_box(source):
+    family, grading_of = {
+        "minors-x": (minors_closed_chain, scalar_grading),
+        "minors-y": (minors_open_chain, projective_grading),
+    }[source]
+    for a, b, n in itertools.product(range(1, 7), range(2, 7), range(5, 8)):
+        p = InstanceParams(a, b, n)
+        _assert_search_matches_whole_fiber(family(p).binomials, grading_of(p))
+
+
+def test_search_matches_whole_fiber_on_sweep_toric_bases():
+    # every row of sweep --a 1..8 --b 2..6 --n 4..6, gcd > 1 rows included
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        p = InstanceParams(a, b, n)
+        grading = scalar_grading(p)
+        toric = toric_ideal(grading, build_order_i(generators(p), 1))
+        _assert_search_matches_whole_fiber(list(toric.elements), grading)
+
+
+def _random_oracle_input(rng):
+    # a few degrees with several generators each, under one scalar grading or
+    # a two-row one, mixed with duplicates, opposites, zero binomials,
+    # multiples of a generator and chains u - w of two generators u - v, v - w
+    nvars = rng.randint(3, 5)
+    pos = tuple(rng.randint(1, 4) for _ in range(nvars))
+    if rng.random() < 0.5:
+        grading = Grading.scalar(pos)
+    else:
+        grading = Grading((tuple(rng.randint(-2, 2) for _ in range(nvars)), pos))
+    by_degree: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for e in itertools.product(range(3), repeat=nvars):
+        by_degree.setdefault(grading.degree(e), []).append(e)
+    degrees = sorted(d for d, monos in by_degree.items() if len(monos) > 1)
+    if not degrees:
+        return _random_oracle_input(rng)
+    gens = []
+    for d in rng.sample(degrees, min(len(degrees), rng.randint(1, 4))):
+        for _ in range(rng.randint(1, 4)):
+            gens.append(Binomial(*rng.sample(by_degree[d], 2)))
+    for _ in range(rng.randint(1, 4)):
+        g = rng.choice([g for g in gens if not g.is_zero()])
+        k = rng.randrange(nvars)
+        shifted = (tuple(e + (j == k) for j, e in enumerate(g.plus)),
+                   tuple(e + (j == k) for j, e in enumerate(g.minus)))
+        gens += rng.choice(([g], [g.opposite()], [Binomial(*shifted)],
+                            [Binomial.from_vector((0,) * nvars)]))
+    chains = [Binomial(g.plus, h.minus) for g in gens for h in gens
+              if g.minus == h.plus and g.plus != h.minus]
+    gens += chains[:2]
+    rng.shuffle(gens)
+    return gens, grading
+
+
+def test_search_matches_whole_fiber_on_random_inputs():
+    rng = random.Random(2007)
+    for _ in range(80):
+        _assert_search_matches_whole_fiber(*_random_oracle_input(rng))
+
+
+def test_dropped_lower_generator_changes_count_in_both_routes():
+    # h = x1 * g is redundant: g's move joins its two sides from below.
+    # Drop g, and the search and the whole-fiber reference must both find
+    # h needed (_assert_search_matches_whole_fiber compares them per degree).
+    p = InstanceParams(3, 2, 4)
+    grading = scalar_grading(p)
+    minors = list(minors_closed_chain(p).binomials)
+    g = minors[0]
+    h = Binomial(tuple(e + (k == 0) for k, e in enumerate(g.plus)),
+                 tuple(e + (k == 0) for k, e in enumerate(g.minus)))
+    dh = grading.degree(h.plus)
+    assert _assert_search_matches_whole_fiber(minors + [h], grading)[dh].new_generators() == 0
+    mutant = minors[1:] + [h]
+    assert _assert_search_matches_whole_fiber(mutant, grading)[dh].new_generators() == 1
+
+
+def test_search_reports_an_exponent_past_the_limit():
+    # x1*x2 -> x1^(2^31) by the lower generator x2 - x1^(2^31 - 1), backwards
+    limit = 2**31 - 1
+    grading = Grading.scalar((1, limit, limit + 1))
+    gens = [Binomial((limit, 0, 0), (0, 1, 0)), Binomial((1, 1, 0), (0, 0, 1))]
+    with pytest.raises(ExponentOverflowError, match=r"move to \(2147483648, 0, 0\) exceeds 2147483647"):
+        betti_splits(gens, grading)
 
 
 def test_fiber_invariance_under_variable_permutation():
@@ -308,10 +377,14 @@ def test_fiber_graph_components():
     p = InstanceParams(3, 2, 4)
     grading = scalar_grading(p)
     minor = Binomial((2, 0, 1, 0), (0, 3, 0, 0))
+    # the fiber of 54 also holds (0, 1, 0, 1), which no side of the minor reaches
+    assert len(enumerate_fiber(grading, (54,))) == 3
     split = betti_splits([minor], grading)[(54,)]
-    assert len(split.below) == 3
-    assert len(split.full) == 2
-    assert ((0, 3, 0, 0), (2, 0, 1, 0)) in split.full
+    assert split.below == (((0, 3, 0, 0),), ((2, 0, 1, 0),))
+    assert split.full == (((0, 3, 0, 0), (2, 0, 1, 0)),)
+    assert split.new_generators() == 1
+    assert betti_splits([], grading) == {}
+    assert betti_splits([Binomial.from_vector((0, 0, 0, 0))], grading) == {}
     bad = Binomial((1, 0, 0, 0), (0, 1, 0, 0))
     with pytest.raises(ValueError):
         betti_splits([bad], grading)
