@@ -15,9 +15,12 @@ the packed tail then completes the rewrite, and a set carry bit means an
 exponent went past EXPONENT_LIMIT.  Subtracting one from every field of a
 guarded word likewise leaves set the guard bits of its nonzero fields, its
 support pattern.  A RuleIndex lists the rules whose lead support lies inside
-each pattern, in insertion order, and normal_form tests only the list of the
-monomial's current pattern: no other lead can divide it, so each step
-applies the same rule as a scan of every rule would.  The Buchberger pair
+each pattern, in insertion order, and meet tests only the list of the
+monomial's pattern cut to the union of lead supports: no other lead can
+divide it, so each step applies the same rule as a scan of every rule would.
+Rewriting is deterministic, so two chains that reach one monomial coincide
+from there on; meet steps two chains in turn and stops where they meet
+(Baader & Nipkow, Term Rewriting and All That, 1998).  The Buchberger pair
 update uses the same words: packed_lcm forms an lcm from one guarded
 subtraction and a field mask, and disjoint support patterns mean coprime
 monomials.  A packed word that divides another is never the larger int, so
@@ -56,19 +59,11 @@ def _check_entry(e: int) -> int:
 
 
 def monomial(exponents: Iterable[int]) -> Monomial:
-    """Validated exponent tuple."""
+    """Validated exponent tuple; a tuple of plain ints in range is returned as is."""
+    if type(exponents) is tuple and {*map(type, exponents)} <= {int} and (
+            not exponents or 0 <= min(exponents) and max(exponents) <= EXPONENT_LIMIT):
+        return exponents
     return tuple(_check_entry(e) for e in exponents)
-
-
-def _check_dims(u: Monomial, v: Monomial) -> None:
-    if len(u) != len(v):
-        raise ValueError(f"variable count mismatch: {len(u)} vs {len(v)}")
-
-
-def divides(u: Monomial, v: Monomial) -> bool:
-    """True when u divides v entrywise."""
-    _check_dims(u, v)
-    return all(a <= b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -85,7 +80,8 @@ class Binomial:
     def __post_init__(self) -> None:
         object.__setattr__(self, "plus", monomial(self.plus))
         object.__setattr__(self, "minus", monomial(self.minus))
-        _check_dims(self.plus, self.minus)
+        if len(self.plus) != len(self.minus):
+            raise ValueError(f"variable count mismatch: {len(self.plus)} vs {len(self.minus)}")
         if self.plus == self.minus and any(self.plus):
             raise ValueError(f"plus == minus != 1 is not a binomial: {self.plus}")
 
@@ -147,19 +143,12 @@ class Grading:
         return len(self.rows[0])
 
     def positive_row(self) -> tuple[int, ...]:
-        for r in self.rows:
-            if all(x > 0 for x in r):
-                return r
-        raise ValueError("no strictly positive row")  # unreachable after validation
+        return next(r for r in self.rows if all(x > 0 for x in r))  # one exists, by validation
 
     def degree(self, m: Monomial) -> tuple[int, ...]:
         if len(m) != self.nvars:
             raise ValueError(f"monomial has {len(m)} variables, grading has {self.nvars}")
         return tuple(sum(r * e for r, e in zip(row, m)) for row in self.rows)
-
-
-def is_homogeneous(grading: Grading, f: Binomial) -> bool:
-    return grading.degree(f.plus) == grading.degree(f.minus)
 
 
 def pack(m: Monomial) -> int:
@@ -198,16 +187,17 @@ class RuleIndex(dict):
     """Packed rules lead -> tail in insertion order, listed by lead support.
 
     A support pattern is the guard bits of the nonzero fields of a guarded
-    word x, (x - ones) & guard.  The index maps each pattern looked up to
-    the rules whose lead support lies inside it, in insertion order: only
-    those leads can divide a monomial with that support.  A pattern's list
-    is built on its first lookup and grows with each add.
+    word x, (x - ones) & guard; mask is the union of the lead patterns.  The
+    index maps each pattern looked up to the rules whose lead support lies
+    inside it, in insertion order: only those leads can divide a monomial
+    with that support.  A list is built on first lookup, grows with each add.
     """
 
     def __init__(self, nvars: int, rules: Iterable[tuple[int, int]] = ()) -> None:
         super().__init__()
         self.guard = guard_bits(nvars)
         self.ones = self.guard >> FIELD_BITS - 1
+        self.mask = 0
         self.rules: list[tuple[tuple[int, int], int]] = []  # ((lead, tail), lead pattern)
         for p, q in rules:
             self.add(p, q)
@@ -216,6 +206,7 @@ class RuleIndex(dict):
         rule = (lead, tail)
         s = ((lead | self.guard) - self.ones) & self.guard
         self.rules.append((rule, s))
+        self.mask |= s
         for pattern, rules in self.items():
             if s & pattern == s:
                 rules.append(rule)
@@ -225,31 +216,47 @@ class RuleIndex(dict):
         return rules
 
 
-def normal_form(x: int, index: RuleIndex) -> int:
-    """Normal form of the packed monomial x under the index's rules, taken in order.
+def meet(x: int, y: int | None, index: RuleIndex) -> tuple[int, int]:
+    """Rewrite the packed monomials x and y in turn until their chains meet.
 
     Each step applies the first rule, in insertion order, whose lead
-    divides x; only the rules listed under x's support pattern are tested,
-    as no other lead can divide.  With every rule oriented under a term
-    order each step moves strictly down, so this terminates.  x may come
-    in with a field past EXPONENT_LIMIT but below 2**32, such as the sum
-    of two in-range exponents; that raises just as a rewrite going past
-    the limit does.
+    divides the monomial, from the list under its pattern within index.mask.
+    Once one chain is a normal form the other steps alone.  When a chain
+    reaches a monomial the other has passed, it comes back twice, else the
+    two normal forms, x's first: equal exactly when the normal forms are.
+    With y None only x is rewritten.  A field past EXPONENT_LIMIT, in an
+    input or after a step taken, raises.  Rules oriented under a term order
+    make every step go strictly down, so this terminates.
     """
-    guard, ones = index.guard, index.ones
+    guard, ones, mask = index.guard, index.ones, index.mask
     carry = guard >> 1
-    x |= guard
+    a, b = x | guard, (x if y is None else y) | guard
+    seen_a, seen_b = {a}, (set() if y is None else {b})
+    moving, flip = y is not None, False  # moving: b is not yet a normal form
     while True:
-        if x & carry:
-            m = unpack(x, guard.bit_length() // FIELD_BITS)
+        if (a | b) & carry:
+            m = unpack(a if a & carry else b, guard.bit_length() // FIELD_BITS)
             raise ExponentOverflowError(f"rewrite to {m} exceeds {EXPONENT_LIMIT}")
-        for p, q in index[(x - ones) & guard]:
-            y = x - p
-            if y & guard == guard:
-                x = y + q
+        if a in seen_b:
+            return a ^ guard, a ^ guard
+        if moving:
+            seen_a.add(a)
+            a, b, seen_a, seen_b, flip = b, a, seen_b, seen_a, not flip
+        for p, q in index[(a - ones) & mask]:
+            z = a - p
+            if z & guard == guard:
+                a = z + q
                 break
-        else:
-            return x ^ guard
+        else:  # a is a normal form
+            if not moving:
+                return (b ^ guard, a ^ guard) if flip else (a ^ guard, b ^ guard)
+            moving = False
+            a, b, seen_a, seen_b, flip = b, a, seen_b, seen_a, not flip
+
+
+def normal_form(x: int, index: RuleIndex) -> int:
+    """Normal form of the packed monomial x: meet with no second chain."""
+    return meet(x, None, index)[0]
 
 
 def format_monomial(m: Monomial) -> str:

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from operator import mul, sub
 
 from . import intlinalg
-from .binomials import Binomial, Grading, Monomial, is_homogeneous
+from .binomials import Binomial, Grading, Monomial
 from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
 from .orders import MatrixOrder, _unit_negative_row, build_order_i
 from .semigroup import InstanceParams, generators, repunit
@@ -72,41 +73,39 @@ def minors_open_chain(params: InstanceParams) -> MinorFamily:
     C(n-1, 2) of them.
     """
     n = params.n
-    out = [
-        _adjacent_minor(params, j, k)
-        for j in range(1, n - 1)
-        for k in range(j + 1, n)
-    ]
+    out = [_adjacent_minor(params, j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
     fam = MinorFamily("open-chain", tuple(out), params)
-    _check_minor_family(fam, expected=comb(n - 1, 2), both_gradings=True)
+    _check_minor_family(fam, expected=comb(n - 1, 2), new=fam.binomials, both_gradings=True)
     return fam
 
 
 def minors_closed_chain(params: InstanceParams) -> MinorFamily:
     """Minors of the 2 x n matrix with the closing column appended.
 
-    C(n, 2) minors, homogeneous for the weight grading.
+    C(n, 2) minors, homogeneous for the weight grading; minors_open_chain
+    has checked the open-chain ones, so only the n-1 closing minors are.
     """
     n = params.n
-    out = list(minors_open_chain(params).binomials)
-    out.extend(_closing_minor(params, j) for j in range(1, n))
-    fam = MinorFamily("closed-chain", tuple(out), params)
-    _check_minor_family(fam, expected=comb(n, 2), both_gradings=False)
+    closing = tuple(_closing_minor(params, j) for j in range(1, n))
+    fam = MinorFamily("closed-chain", minors_open_chain(params).binomials + closing, params)
+    _check_minor_family(fam, expected=comb(n, 2), new=closing, both_gradings=False)
     return fam
 
 
-def _check_minor_family(fam: MinorFamily, expected: int, both_gradings: bool) -> None:
+def _check_minor_family(fam: MinorFamily, expected: int, new: tuple[Binomial, ...],
+                        both_gradings: bool) -> None:
+    # count and repeats over the family; homogeneity of the new minors, one dot product a row
     if len(fam.binomials) != expected:
         raise AssertionError(f"{fam.source}: {len(fam.binomials)} minors, expected {expected}")
     if len(set(fam.binomials)) != expected:
         raise AssertionError(f"{fam.source}: repeated minors")
-    gradings = [scalar_grading(fam.params)]
+    rows = scalar_grading(fam.params).rows
     if both_gradings:
-        gradings.append(projective_grading(fam.params))
-    for grading in gradings:
-        for g in fam.binomials:
-            if not is_homogeneous(grading, g):
-                raise AssertionError(f"{fam.source}: inhomogeneous minor {g}")
+        rows += projective_grading(fam.params).rows
+    for g in new:
+        d = tuple(map(sub, g.plus, g.minus))
+        if any(sum(map(mul, row, d)) for row in rows):
+            raise AssertionError(f"{fam.source}: inhomogeneous minor {g}")
 
 
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:
@@ -121,33 +120,19 @@ def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomi
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")
     out: list[Binomial] = []
-    if part == 1:
-        for j in range(i, n - 1):
-            for k in range(j + 1, n):
-                plus = _mono(n, (j + 1, 1), (k, b))
-                minus = _mono(n, (j, b), (k + 1, 1))
-                out.append(Binomial(plus, minus))
-    elif part == 2:
-        for j in range(1, i - 1):
-            for k in range(j + 1, i):
-                plus = _mono(n, (j + 1, 1), (k, b))
-                minus = _mono(n, (j, b), (k + 1, 1))
-                out.append(Binomial(plus, minus))
+    if part in (1, 2):  # the minors on columns j < k of i..n-1, or of 1..i-1
+        lo, hi = (i, n) if part == 1 else (1, i)
+        for j in range(lo, hi - 1):
+            for k in range(j + 1, hi):
+                out.append(Binomial(_mono(n, (j + 1, 1), (k, b)), _mono(n, (j, b), (k + 1, 1))))
     elif part == 3:
         for j in range(1, i):
             for k in range(i, n):
-                plus = _mono(n, (j, b), (k + 1, 1))
-                minus = _mono(n, (j + 1, 1), (k, b))
-                out.append(Binomial(plus, minus))
-    elif part == 4:
-        for ell in range(1, i):
-            plus = _mono(n, (1, a + 1), (ell, b))
-            minus = _mono(n, (ell + 1, 1), (n, b))
-            out.append(Binomial(plus, minus))
-        for ell in range(i, n):
-            plus = _mono(n, (ell + 1, 1), (n, b))
-            minus = _mono(n, (1, a + 1), (ell, b))
-            out.append(Binomial(plus, minus))
+                out.append(Binomial(_mono(n, (j, b), (k + 1, 1)), _mono(n, (j + 1, 1), (k, b))))
+    elif part == 4:  # x_1^(a+1) x_ell^b leads below column i, x_(ell+1) x_n^b from i on
+        for ell in range(1, n):
+            sides = (_mono(n, (1, a + 1), (ell, b)), _mono(n, (ell + 1, 1), (n, b)))
+            out.append(Binomial(*sides) if ell < i else Binomial(*sides[::-1]))
     else:
         raise ValueError(f"part must be 1..4, got {part}")
     return tuple(out)
@@ -155,11 +140,7 @@ def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomi
 
 def structured_open_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3: the open-chain minors oriented for the x_i-cheap order."""
-    return (
-        structured_family(params, i, 1)
-        + structured_family(params, i, 2)
-        + structured_family(params, i, 3)
-    )
+    return sum((structured_family(params, i, part) for part in (1, 2, 3)), ())
 
 
 def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:

@@ -8,13 +8,13 @@ once, and tuples are unpacked only to orient a nonzero remainder, to build
 a heap key or trace text, and to return binomials.
 
 buchberger keeps its rules in one RuleIndex, which pairs name by position
-and normal_form reads by support pattern.  One queue holds inputs and
-S-pairs, keyed by the weight under the order's first row of the input's
-lead or the pair's lcm; at equal weight pairs leave first, in (lcm, index)
-order, then inputs in the order given.  An entry carries two packed sides,
-an input's plus and minus or the one-step rewrites of a pair's lcm; at its
-turn both are brought to normal form, and unless they meet they become a
-rule (the homogeneous Buchberger algorithm; Kreuzer & Robbiano,
+and meet reads by support pattern.  One queue holds inputs and S-pairs,
+keyed by the weight under the order's first row of the input's lead or the
+pair's lcm; at equal weight pairs leave first, in (lcm, index) order, then
+inputs in the order given.  An entry carries two packed sides, an input's
+plus and minus or the one-step rewrites of a pair's lcm; at its turn meet
+rewrites both until their chains meet, or else to two normal forms, which
+become a rule (the homogeneous Buchberger algorithm; Kreuzer & Robbiano,
 Computational Commutative Algebra 2, 2005).  Each new rule runs the
 Gebauer-Moeller pair update (Gebauer & Moeller, JSC 6, 1988) without its
 criterion B: criteria M and F keep one new pair per minimal lcm, pairs
@@ -59,6 +59,7 @@ from .binomials import (
     format_binomial,
     format_monomial,
     guard_bits,
+    meet,
     normal_form,
     pack,
     packed_lcm,
@@ -129,7 +130,7 @@ def buchberger(
     heapq.heapify(heap)
     while heap:
         _, is_input, key, x, y = heapq.heappop(heap)
-        x, y = normal_form(x, index), normal_form(y, index)
+        x, y = meet(x, y, index)
         if trace:
             name = f"input {key}" if is_input else (
                 f"pair ({key[1]},{key[2]}) lcm={format_monomial(key[0])}")
@@ -184,7 +185,8 @@ def is_groebner_basis(
 
     Sound and complete for binomial systems: monomial rewriting is
     terminating here, so confluence is equivalent to all critical pairs
-    joining, and the normal form of each side is unique to compute.
+    joining (Newman's lemma), that is, the rewrite chains of its two sides
+    meeting, as rewriting is deterministic; meet stops where they meet.
     Only pairs of coprime leads are passed over.
     """
     elems = [g for g in elements if not g.is_zero()]
@@ -200,9 +202,10 @@ def is_groebner_basis(
             if not s & t:
                 continue
             # the S-binomial reduces to zero exactly when the one-step
-            # rewrites of the lcm share a normal form
+            # rewrites of the lcm share a normal form, that is, their chains meet
             big = packed_lcm(f[0], g[0], guard)
-            if normal_form(big - f[0] + f[1], index) != normal_form(big - g[0] + g[1], index):
+            x, y = meet(big - f[0] + f[1], big - g[0] + g[1], index)
+            if x != y:
                 return False
     return True
 

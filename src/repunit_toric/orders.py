@@ -2,16 +2,16 @@
 
 An order is a full-rank square integer matrix whose first row is strictly
 positive; monomials compare by the sign of the first nonzero entry of
-matrix @ (u - v).  The weighted reverse-lex constructions used everywhere
-downstream put a weight vector in row one and then single -1 entries along a
-variable cheapness sequence, leaving the most expensive variable without a
-row.
+matrix @ (u - v), the lexicographic order of the row products.  Each row is
+kept as its nonzero (column, entry) terms, so a unit row costs one term.
+The weighted reverse-lex constructions used everywhere downstream put a
+weight vector in row one and then single -1 entries along a variable
+cheapness sequence, leaving the most expensive variable without a row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
 from typing import Sequence
 
 from . import intlinalg
@@ -32,6 +32,8 @@ class MatrixOrder:
             raise ValueError("first row of an order matrix must be strictly positive")
         if intlinalg.rank(rows) != n:
             raise ValueError("order matrix must have full rank")
+        object.__setattr__(self, "terms", tuple(tuple((c, x) for c, x in enumerate(r) if x)
+                                                for r in rows))
 
     @property
     def nvars(self) -> int:
@@ -43,15 +45,21 @@ class MatrixOrder:
             raise ValueError("variable count mismatch with order matrix")
         if u == v:
             return 0
-        d = [a - b for a, b in zip(u, v)]
-        for row in self.rows:
-            s = sum(r * x for r, x in zip(row, d))
+        for row in self.terms:
+            s = 0
+            for c, x in row:
+                s += x * (u[c] - v[c])
             if s:
                 return 1 if s > 0 else -1
         return 0  # unreachable: full rank forces a nonzero row product
 
     def sort_key(self):
-        return cmp_to_key(self.compare)
+        """Key ordering monomials as compare does: the tuple of row products."""
+        def key(m: Monomial) -> tuple[int, ...]:
+            if len(m) != len(self.terms):
+                raise ValueError("variable count mismatch with order matrix")
+            return tuple(sum(x * m[c] for c, x in row) for row in self.terms)
+        return key
 
 
 def _unit_negative_row(n: int, col: int) -> tuple[int, ...]:

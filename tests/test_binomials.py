@@ -1,6 +1,8 @@
 """Monomial arithmetic, binomial objects and gradings."""
 
+import enum
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +13,10 @@ from repunit_toric.binomials import (
     ExponentOverflowError,
     Grading,
     RuleIndex,
-    divides,
     format_binomial,
     format_monomial,
     guard_bits,
-    is_homogeneous,
+    meet,
     monomial,
     normal_form,
     pack,
@@ -34,6 +35,11 @@ edge_exps = st.tuples(*[st.one_of(
 def oriented(f, order):
     # f with its order-larger side as plus
     return f if order.compare(f.plus, f.minus) > 0 else f.opposite()
+
+
+def divides(u, v):
+    # u divides v entrywise
+    return all(a <= b for a, b in zip(u, v))
 
 
 def _support_pattern(m):
@@ -109,6 +115,45 @@ def test_exponent_overflow_guard():
         monomial((-1, 0))
 
 
+class _Small(enum.IntEnum):
+    TWO = 2
+
+
+@pytest.mark.parametrize("exponents, error, message", [
+    ((True, 0), ValueError, "exponent must be an int, got True"),
+    ((0, False), ValueError, "exponent must be an int, got False"),
+    ((1.0, 0), ValueError, "exponent must be an int, got 1.0"),
+    ((2, "3"), ValueError, "exponent must be an int, got '3'"),
+    ((0, -1), ValueError, "exponent must be >= 0, got -1"),
+    ((EXPONENT_LIMIT + 1, 0), ExponentOverflowError,
+     f"exponent {EXPONENT_LIMIT + 1} exceeds {EXPONENT_LIMIT}"),
+    # the first bad entry in order decides
+    ((EXPONENT_LIMIT + 1, -1), ExponentOverflowError, f"exponent {EXPONENT_LIMIT + 1} exceeds"),
+    ((-1, EXPONENT_LIMIT + 1), ValueError, "exponent must be >= 0, got -1"),
+    ((1.5, -1), ValueError, "exponent must be an int, got 1.5"),
+    ((e for e in (1, -2)), ValueError, "exponent must be >= 0, got -2"),
+    ([3, True], ValueError, "exponent must be an int, got True"),
+])
+def test_monomial_rejects_at_the_boundaries(exponents, error, message):
+    with pytest.raises(error) as info:
+        monomial(exponents)
+    assert type(info.value) is error
+    assert str(info.value).startswith(message)
+
+
+def test_monomial_accepts_at_the_boundaries():
+    assert monomial(()) == ()
+    assert monomial((0, EXPONENT_LIMIT)) == (0, EXPONENT_LIMIT)
+    assert monomial((EXPONENT_LIMIT - 1,)) == (EXPONENT_LIMIT - 1,)
+    assert monomial(e for e in (1, 0, 2)) == (1, 0, 2)
+    assert monomial([4, 5]) == (4, 5)
+    # an IntEnum member is an int that is not a bool: kept as given
+    m = monomial((_Small.TWO, 1))
+    assert m == (2, 1) and type(m) is tuple and type(m[0]) is _Small
+    for given in ((EXPONENT_LIMIT, 0, 3), [1, 2], range(3)):
+        assert type(monomial(given)) is tuple
+
+
 def test_binomial_construction():
     f = Binomial((2, 0, 1, 0), (0, 3, 0, 0))
     assert f.nvars == 4
@@ -136,8 +181,8 @@ def test_grading_degrees():
     two = Grading(((0, 1, 3, 7), (1, 1, 1, 1)))
     assert two.degree((0, 0, 1, 0)) == (3, 1)
     assert two.positive_row() == (1, 1, 1, 1)
-    assert is_homogeneous(w, Binomial((0, 1, 0, 1), (0, 3, 0, 0)))
-    assert not is_homogeneous(w, Binomial((1, 0, 0, 0), (0, 1, 0, 0)))
+    assert w.degree((0, 1, 0, 1)) == w.degree((0, 3, 0, 0))
+    assert w.degree((1, 0, 0, 0)) != w.degree((0, 1, 0, 0))
     with pytest.raises(ValueError):
         Grading(((1, 0), (0, -1)))
     with pytest.raises(ValueError):
@@ -176,17 +221,26 @@ def test_reduce_monomial_single_rule():
     assert _normal_form((5, 0, 1, 0), [(rule.plus, rule.minus)]) == (5, 0, 1, 0)
 
 
-def _reference_normal_form(m, rules):
-    # Plain tuple rewriting: first applicable rule, then restart.
-    while True:
+def _reference_chain(m, rules):
+    # Plain tuple rewriting, first applicable rule, then restart: the chain
+    # from m, and whether it goes past the limit.
+    chain = []
+    while max(m) <= EXPONENT_LIMIT:
+        chain.append(m)
         for p, q in rules:
             if all(a <= b for a, b in zip(p, m)):
                 m = tuple(b - a + c for a, b, c in zip(p, m, q))
-                if max(m) > EXPONENT_LIMIT:
-                    raise ExponentOverflowError(m)
                 break
         else:
-            return m
+            return chain, False
+    return chain, True
+
+
+def _reference_normal_form(m, rules):
+    chain, past_limit = _reference_chain(m, rules)
+    if past_limit:
+        raise ExponentOverflowError(m)
+    return chain[-1]
 
 
 def _deglex_key(m):
@@ -250,6 +304,65 @@ def test_normal_form_matches_tuple_rewriting():
                         normal_form(pack(m), index)
                     continue
                 assert unpack(normal_form(pack(m), index), nvars) == want, (m, rules[:k])
+
+
+def _pairs(rng, rules, monomials):
+    # random pairs of monomials, the S-pair sides of random pairs of rules
+    # (one-step rewrites of the lcm of their leads, which often meet), and
+    # sums of two monomials, whose fields may lie past the limit
+    out = [(rng.choice(monomials), rng.choice(monomials)) for _ in range(12)]
+    for _ in range(6):
+        (p1, q1), (p2, q2) = rng.choice(rules), rng.choice(rules)
+        lcm = tuple(map(max, p1, p2))
+        out.append((tuple(l - a + c for l, a, c in zip(lcm, p1, q1)),
+                    tuple(l - a + c for l, a, c in zip(lcm, p2, q2))))
+    for _ in range(4):
+        u, v, w = (rng.choice(monomials) for _ in range(3))
+        out.append((tuple(map(sum, zip(u, v))), w))
+    return out
+
+
+def test_meet_matches_normal_form():
+    # On the same 300 seeded rule lists: meet's two results are equal
+    # exactly when the two normal forms are, and are those normal forms
+    # when they differ.  It raises only where normal_form raises on a side,
+    # always on an input past the limit, and otherwise returns only a
+    # monomial that both chains reach before either goes past the limit.
+    rng = random.Random(20211)
+    pick = random.Random(20214)
+    seen = Counter()
+    for _ in range(300):
+        nvars = rng.randint(3, 6)
+        rules = _random_rules(rng, nvars)
+        monomials = _random_monomials(rng, nvars, rules)
+        index = RuleIndex(nvars, [(pack(p), pack(q)) for p, q in rules])
+        for u, v in _pairs(pick, rules, monomials):
+            x, y = pack(u), pack(v)
+            try:
+                nf = (normal_form(x, index), normal_form(y, index))
+            except ExponentOverflowError:
+                nf = None
+            try:
+                got = meet(x, y, index)
+            except ExponentOverflowError:
+                assert nf is None, (u, v, rules)
+                seen["raised"] += 1
+                continue
+            assert max(u + v) <= EXPONENT_LIMIT, (u, v, rules)
+            if nf is None:
+                # an overflow past the meeting point is never reached
+                assert got[0] == got[1], (u, v, rules)
+                (cu, _), (cv, _) = _reference_chain(u, rules), _reference_chain(v, rules)
+                assert unpack(got[0], nvars) in set(cu) & set(cv), (u, v, rules)
+                seen["met before an overflow"] += 1
+            elif nf[0] == nf[1]:
+                assert got[0] == got[1], (u, v, rules)
+                seen["met"] += 1
+            else:
+                assert got == nf, (u, v, rules)
+                seen["apart"] += 1
+    assert min(seen["raised"], seen["met"], seen["apart"]) >= 300, seen
+    assert seen["met before an overflow"] > 0, seen
 
 
 def test_normal_form_raises_past_the_limit():

@@ -9,7 +9,7 @@ from math import comb
 import pytest
 
 from repunit_toric import families
-from repunit_toric.binomials import Binomial, Grading, format_binomial, is_homogeneous
+from repunit_toric.binomials import Binomial, Grading, format_binomial
 from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
@@ -76,6 +76,42 @@ def test_minor_counts_and_degenerate_cases():
     p2 = InstanceParams(1, 3, 2)
     assert minors_open_chain(p2).binomials == ()
     assert minors_closed_chain(p2).binomials == (Binomial((5, 0), (0, 4)),)
+
+
+def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
+    # Count and repeats are checked over each whole family; homogeneity once
+    # per minor: the open-chain minors under both gradings when the open
+    # family is built, the closing minors under the weights when the closed
+    # family adds them.
+    p = InstanceParams(2, 3, 5)
+    adjacent, closing = families._adjacent_minor, families._closing_minor
+
+    def times_x1(g):
+        return Binomial((g.plus[0] + 1,) + g.plus[1:], g.minus)
+
+    monkeypatch.setattr(families, "_closing_minor", lambda params, j: (
+        times_x1(closing(params, j)) if j == 3 else closing(params, j)))
+    with pytest.raises(AssertionError, match="closed-chain: inhomogeneous minor x1\\^4"):
+        minors_closed_chain(p)
+    monkeypatch.setattr(families, "_closing_minor", lambda params, j: closing(params, 1))
+    with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
+        minors_closed_chain(p)
+    monkeypatch.setattr(families, "_closing_minor", closing)
+    # an open-chain minor times x1 is off both gradings
+    monkeypatch.setattr(families, "_adjacent_minor", lambda params, j, k: (
+        times_x1(adjacent(params, j, k)) if (j, k) == (1, 2) else adjacent(params, j, k)))
+    for build in (minors_open_chain, minors_closed_chain):
+        with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
+            build(p)
+    # x1^a2 - x2^a1 is homogeneous for the weights, not for the projective grading
+    w = generators(p)
+    swap = Binomial((w[1], 0, 0, 0, 0), (0, w[0], 0, 0, 0))
+    monkeypatch.setattr(families, "_adjacent_minor",
+                        lambda params, j, k: swap if (j, k) == (1, 2) else adjacent(params, j, k))
+    with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
+        minors_open_chain(p)
+    monkeypatch.setattr(families, "_adjacent_minor", adjacent)
+    assert len(minors_closed_chain(p).binomials) == comb(5, 2)
 
 
 def test_structured_parts_partition_the_minors():
@@ -190,7 +226,7 @@ def test_toric_ideal_of_grading_with_negative_entries(rows):
     order = build_order_i(grading.positive_row(), 1)
     gb = toric_ideal(grading, order)
     assert gb.elements
-    assert all(is_homogeneous(grading, g) for g in gb)
+    assert all(grading.degree(g.plus) == grading.degree(g.minus) for g in gb)
     assert gb.elements == _saturation_route(grading, order)
 
 
@@ -255,7 +291,7 @@ def test_toric_ideal_membership_oracle():
     grading = scalar_grading(p)
     gb = toric_ideal(grading)
     for g in gb:
-        assert is_homogeneous(grading, g)
+        assert grading.degree(g.plus) == grading.degree(g.minus)
     by_weight: dict[int, list[tuple[int, ...]]] = {}
     for e in itertools.product(range(4), repeat=4):
         by_weight.setdefault(dot(w, e), []).append(e)

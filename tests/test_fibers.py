@@ -12,7 +12,6 @@ from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
     Grading,
-    divides,
     format_binomial,
 )
 from repunit_toric.families import (
@@ -242,7 +241,7 @@ def _whole_fiber_splits(gens, grading):
         for k, g in keyed:
             if k < key:
                 for m in fiber:
-                    if divides(g.plus, m):
+                    if all(a <= b for a, b in zip(g.plus, m)):
                         image = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
                         uf.union(index[m], index[image])
         below = tuple(tuple(fiber[pos] for pos in grp) for grp in uf.groups())

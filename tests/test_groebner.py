@@ -17,8 +17,6 @@ from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
     Grading,
-    divides,
-    is_homogeneous,
 )
 from repunit_toric.families import (
     minors_closed_chain,
@@ -48,6 +46,11 @@ from repunit_toric.semigroup import InstanceParams, generators
 def oriented(f, order):
     # f with its order-larger side as plus
     return f if order.compare(f.plus, f.minus) > 0 else f.opposite()
+
+
+def divides(u, v):
+    # u divides v entrywise
+    return all(a <= b for a, b in zip(u, v))
 
 
 def _member(f, gb):
@@ -139,8 +142,8 @@ def test_groebner_preserves_homogeneity():
             order = build_order_i(generators(params), i)
             gb = buchberger(minors_open_chain(params).binomials, order)
             for g in gb:
-                assert is_homogeneous(w, g)
-                assert is_homogeneous(proj, g)
+                assert w.degree(g.plus) == w.degree(g.minus)
+                assert proj.degree(g.plus) == proj.degree(g.minus)
 
 
 def test_saturate_variable_strips_cofactor():
@@ -395,6 +398,31 @@ def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
         toric_ideal(scalar_grading(InstanceParams(a, b, n)))
         elim = runs[0]
         assert is_groebner_basis(elim.elements, elim.order)
+
+
+def _leads_cover(elements, order):
+    # the definition: every lead of the reduced basis of the ideal of
+    # elements is divisible by a lead of elements
+    leads = [g.plus for g in elements if not g.is_zero()]
+    return all(any(divides(p, g.plus) for p in leads)
+               for g in groebner_reduced(elements, order))
+
+
+def test_is_groebner_basis_matches_the_lead_definition():
+    # The exhaustive S-pair check stops where the two sides' rewrite
+    # chains meet; it must still agree with the definition on raw engine
+    # output (a basis) and on each list with one element left out, which
+    # is mostly not a basis.
+    seen = Counter()
+    for gens, order, _ in _random_ideals():
+        raw = list(buchberger(gens, order).elements)
+        assert is_groebner_basis(raw, order) and _leads_cover(raw, order)
+        for k in range(len(raw)):
+            rest = raw[:k] + raw[k + 1:]
+            want = _leads_cover(rest, order)
+            assert is_groebner_basis(rest, order) == want, (rest, order.rows)
+            seen[want] += 1
+    assert seen[False] >= 50 and seen[True] >= 20, seen
 
 
 def test_raw_output_has_no_superseded_rule(monkeypatch):

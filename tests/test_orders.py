@@ -1,10 +1,16 @@
 """Matrix term orders and the per-index comparison rules."""
 
 import itertools
+import random
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repunit_toric import families
+from repunit_toric.binomials import Grading
+from repunit_toric.families import scalar_grading, toric_ideal
+from repunit_toric.groebner import buchberger
 from repunit_toric.orders import (
     MatrixOrder,
     build_order_i,
@@ -152,3 +158,54 @@ def test_minor_side_predicate_matches_order():
                 high[k - 1] += b
                 got = order.compare(tuple(low), tuple(high)) < 0
                 assert got == minor_side_predicate(n, i, j, k), (i, j, k)
+
+
+def _dense_compare(order, u, v):
+    # the definition: the sign of the first nonzero entry of rows @ (u - v)
+    for row in order.rows:
+        s = sum(r * (a - b) for r, a, b in zip(row, u, v))
+        if s:
+            return 1 if s > 0 else -1
+    return 0
+
+
+def _elimination_orders(monkeypatch):
+    # the order of toric_ideal's elimination run, whose rows below the first
+    # are not unit rows, for scalar and two-row gradings
+    orders = []
+
+    def recording(gens, order, trace=None):
+        orders.append(order)
+        return buchberger(gens, order, trace)
+
+    monkeypatch.setattr(families, "buchberger", recording)
+    for a, b, n in ((1, 2, 4), (3, 2, 5), (2, 3, 6)):
+        toric_ideal(scalar_grading(InstanceParams(a, b, n)))
+    toric_ideal(Grading(((0, 1, 3, 7), (1, 1, 1, 1))))
+    toric_ideal(Grading(((1, 2, 3, 4, 5), (2, -1, 0, 3, 1))))
+    return orders
+
+
+def test_sparse_compare_and_sort_key_match_the_dense_order(monkeypatch):
+    rng = random.Random(20215)
+    orders = []
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        orders.append(build_order_i(tuple(rng.randint(1, 40) for _ in range(n)),
+                                    rng.randint(1, n)))
+    orders.append(five_variable_order(generators(InstanceParams(1, 5, 5))))
+    orders.append(five_variable_order((1, 1, 1, 1, 1)))
+    elimination = _elimination_orders(monkeypatch)
+    assert any(sum(map(bool, row)) > 1 for order in elimination for row in order.rows[1:])
+    orders += elimination
+    for order in orders:
+        n = order.nvars
+        monos = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(30)]
+        monos += [tuple(rng.choice((0, 0, 1, 7)) for _ in range(n)) for _ in range(10)]
+        monos += monos[:5]  # repeats, which compare equal
+        for u, v in itertools.product(monos[::3], monos[1::2]):
+            assert order.compare(u, v) == _dense_compare(order, u, v), (order.rows, u, v)
+        rng.shuffle(monos)
+        assert sorted(monos, key=order.sort_key()) == sorted(monos, key=cmp_to_key(order.compare))
+    with pytest.raises(ValueError, match="variable count mismatch"):
+        build_order_i((3, 5), 2).sort_key()((1, 0, 0))
