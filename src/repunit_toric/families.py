@@ -7,16 +7,19 @@ matrices of monomials, and the kernel-lattice matrices give small integer
 relation bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
+The weights are a * (repunit row) + r_b(n) * (ones row), so the weight map
+factors through k[t^a, t^r_b(n)]; toric_ideal(..., via=projective_grading)
+eliminates through it and keeps far fewer rules than one t of weight a_i.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from operator import mul, sub
 
 from . import intlinalg
-from .binomials import Binomial, Grading, Monomial
+from .binomials import Binomial, Grading, Monomial, format_binomial
 from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
 from .orders import MatrixOrder, _unit_negative_row, build_order_i
 from .semigroup import InstanceParams, generators, repunit
@@ -235,6 +238,7 @@ def toric_ideal(
     grading: Grading,
     order: MatrixOrder | None = None,
     trace: TraceFn | None = None,
+    via: Grading | None = None,
 ) -> GroebnerBasis:
     """Reduced basis of the toric ideal of the grading's monomial map.
 
@@ -242,39 +246,72 @@ def toric_ideal(
     ch. 4): with one variable t_k per grading row, the toric ideal is the
     t-free part of the ideal of the x_i - t^(A_i).  A row with a negative
     entry is first shifted by a multiple of the positive row, which keeps
-    the integer kernel and so the toric ideal.  Order row one, the column
-    sums followed by ones, makes every generator homogeneous; row two, the
-    t-degree, puts every monomial involving t above every t-free monomial
-    of the same weight, so one Buchberger run eliminates t.  The requested
-    order's rows follow, then -1 unit rows on t_1..t_(d-1).  Every element
-    is homogeneous for row one, and on t-free monomials of equal row-one
-    weight this is the requested order, so the t-free part is already a
-    Groebner basis under it and is only reduced.  The order's rows span the
-    column sums, so one of them depends on the rows above it: it never
-    breaks a tie, and leaving it out keeps the matrix square.
+    the integer kernel and so the toric ideal.
+
+    With via, a two-row grading whose rows combine to the grading's row w
+    as c_1 * via_1 + c_2 * via_2 for positive integers c (else ValueError),
+    x_i -> t^(w_i) factors through x_i -> t_1^(via_1i) * t_2^(via_2i) into
+    k[t_1, t_2] / (t_1^(c_2/g) - t_2^(c_1/g)), g = gcd(c), which is the
+    domain k[t^(c_1), t^(c_2)] since c_1/g and c_2/g are coprime.  The toric
+    ideal is then the t-free part of the ideal of those binomials and that
+    relation (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms: the
+    kernel of a map into a quotient ring, by elimination).
+
+    Order row one, the t-rows combined by c (all ones without via) followed
+    by c, makes every input homogeneous; row two, the t-degree, puts every
+    monomial involving t above every t-free monomial of the same weight,
+    so one Buchberger run eliminates t.  The requested order's rows follow,
+    then -1 unit rows on t_1..t_(d-1).  Every element is homogeneous for
+    row one, and on t-free monomials of equal row-one weight this is the
+    requested order, so the t-free part is already a Groebner basis under
+    it and is only reduced.  Rows that depend on the rows above them never
+    break a tie, and leaving them out keeps the matrix square.
     """
-    n, d = grading.nvars, len(grading.rows)
+    n = grading.nvars
     pos = grading.positive_row()
-    shifted = []
-    for row in grading.rows:
-        c = max(0, *(-(x // p) for x, p in zip(row, pos)))
-        shifted.append([x + c * p for x, p in zip(row, pos)])
+    relations: list[Binomial] = []
+    if via is None:
+        t_rows = []
+        for row in grading.rows:
+            c = max(0, *(-(x // p) for x, p in zip(row, pos)))
+            t_rows.append([x + c * p for x, p in zip(row, pos)])
+        coeffs = (1,) * len(t_rows)
+    else:
+        t_rows, coeffs = via.rows, _combination(grading, via)
+        g = gcd(*coeffs)
+        relations.append(Binomial(_mono(n + 2, (n + 1, coeffs[1] // g)),
+                                  _mono(n + 2, (n + 2, coeffs[0] // g))))
+    d = len(t_rows)
     gens = [
-        Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in shifted))
+        Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in t_rows))
         for i in range(1, n + 1)
-    ]
+    ] + relations
     if order is None:
         order = build_order_i(pos, n)
     rows: list[tuple[int, ...]] = []
-    for row in [tuple(map(sum, zip(*shifted))) + (1,) * d, (0,) * n + (1,) * d,
+    for row in [tuple(sum(map(mul, coeffs, col)) for col in zip(*t_rows)) + coeffs,
+                (0,) * n + (1,) * d,
                 *(r + (0,) * d for r in order.rows),
                 *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))]:
         if intlinalg.rank([*rows, row]) > len(rows):
             rows.append(row)
     if trace:
         names = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
-        trace(f"elimination run over x1..x{n + d}, where {names}")
+        trace(f"elimination run over x1..x{n + d}, where {names}"
+              + "".join(f"; input {n} is the relation {format_binomial(r)}" for r in relations))
     elim = buchberger(gens, MatrixOrder(tuple(rows)), trace)
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
     return reduce_gb(GroebnerBasis(tuple(kept), order))
+
+
+def _combination(grading: Grading, via: Grading) -> tuple[int, int]:
+    # the positive integers (c_1, c_2) with c_1 * via_1 + c_2 * via_2 == the grading's row
+    if len(grading.rows) == 1 and len(via.rows) == 2 and via.nvars == grading.nvars:
+        kernel = intlinalg.kernel_basis(list(zip(*via.rows, *grading.rows)))
+        if len(kernel) == 1 and kernel[0][2] in (1, -1):
+            c = tuple(-x * kernel[0][2] for x in kernel[0][:2])
+            if min(c) > 0:
+                return c
+    raise ValueError(f"the rows of {via.rows} do not combine to {grading.rows} "
+                     "with two positive integer coefficients")

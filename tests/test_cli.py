@@ -1,11 +1,13 @@
 """End-to-end command line behavior through cli.main."""
 
+import inspect
 import json
 import re
+import sys
 
 import pytest
 
-from repunit_toric import cli
+from repunit_toric import cli, families, fibers, groebner
 from repunit_toric.cli import main
 
 
@@ -160,6 +162,19 @@ def test_groebner_trace_goes_to_stderr(capsys):
     assert code == 0
     assert "trace:" in err
     assert "trace:" not in out
+
+
+def test_toric_i_trace_names_both_t_and_the_relation(capsys):
+    # the weights 15, 16, 18, 22 are 1 * (0, 1, 3, 7) + 15 * ones, so the
+    # run eliminates t_1, t_2 and the relation t_1^15 - t_2
+    code, _, err = run(
+        capsys, "groebner", "--source", "toric-i", "--order", "prec-1",
+        "--a", "1", "--b", "2", "--n", "4", "--trace",
+    )
+    assert code == 0
+    assert err.splitlines()[0] == (
+        "trace: elimination run over x1..x6, where x5 = t_1, x6 = t_2; "
+        "input 4 is the relation x5^15 - x6")
 
 
 @pytest.mark.parametrize("command", ["info", "verify", "sweep"])
@@ -381,3 +396,52 @@ def test_out_file_holds_exactly_stdout(tmp_path, capsys, argv, fmt):
     assert _outcome(capsys, (*argv, "--out", str(target))) == (code, "", err)
     written = re.sub(r"\(\d+ ms\)", "(N ms)", target.read_text(encoding="utf-8"))
     assert _json_timings_normalised(written) == _json_timings_normalised(out)
+
+
+def _module_functions(mod):
+    return [fn for fn in vars(mod).values()
+            if inspect.isfunction(fn) and fn.__module__ == mod.__name__]
+
+
+def _forbid(monkeypatch, functions):
+    """Rebind every repunit_toric name of each function to one that records and raises."""
+    called = []
+
+    def forbidden(fn):
+        def raiser(*args, **kwargs):
+            called.append(f"{fn.__module__}.{fn.__name__}")
+            raise AssertionError(f"{fn.__name__} called")
+        return raiser
+
+    stand_ins = {id(fn): forbidden(fn) for fn in functions}
+    for name, mod in list(sys.modules.items()):
+        if name == "repunit_toric" or name.startswith("repunit_toric."):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in stand_ins:
+                    monkeypatch.setattr(mod, attr, stand_ins[id(value)])
+    return called
+
+
+# The layers each command must bypass: the benchmark's workloads are
+# chosen for these, and a call into one shows as a broken prediction there.
+BYPASSES = [
+    (("sweep", "--a", "1..3", "--b", "2", "--n", "4..5"),
+     lambda: [groebner.is_groebner_basis, groebner.saturate_torus]),
+    *[(("verify", "--claim", claim, "--i", "2", "--a", "1", "--b", "3", "--n", "5"),
+       lambda: [families.toric_ideal, groebner.saturate_torus, *_module_functions(fibers)])
+      for claim in ("prop-gb1", "thm-gb2")],
+    *[((command, "--source", source, "--a", "3", "--b", "2", "--n", "5"),
+       lambda: _module_functions(groebner))
+      for command, source in (("betti", "minors-x"), ("betti", "minors-y"),
+                              ("unique", "minors-x"), ("unique", "minors-y"))],
+]
+
+
+@pytest.mark.parametrize("argv,functions", BYPASSES, ids=[" ".join(a[:3]) for a, _ in BYPASSES])
+def test_commands_bypass_the_predicted_idle_layers(monkeypatch, capsys, argv, functions):
+    called = _forbid(monkeypatch, functions())
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, called, err) == (0, [], "")
+    if argv[0] == "sweep":
+        for row in json.loads(out)["rows"]:
+            assert list(row) == ["a", "b", "n", "gcd", "mingens", "unique", "predicate", "agree"]

@@ -281,6 +281,10 @@ def test_toric_ideal_runs_buchberger_once(monkeypatch):
         toric_ideal(grading)
         assert len(calls) == 1
         assert calls[0].nvars == grading.nvars + len(grading.rows)
+    calls.clear()
+    p = InstanceParams(1, 2, 5)
+    toric_ideal(scalar_grading(p), via=projective_grading(p))
+    assert [order.nvars for order in calls] == [p.n + 2]
 
 
 def test_toric_ideal_membership_oracle():
@@ -324,3 +328,35 @@ def test_toric_ideal_bases_pinned():
             lines.append(f"{a} {b} {n} {i}: " + ", ".join(map(format_binomial, gb)))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "ab0f481cad25a4829a96dcc7883c313d666bba3f918e7c26c11ece7acc512b6b"
+
+
+@pytest.mark.parametrize("a,b,n", list(itertools.product(range(1, 9), range(2, 7), range(4, 7))))
+def test_toric_ideal_via_projective_grading_matches_single_t(a, b, n):
+    # the weights are a * repunit row + r_b(n) * ones row, so elimination
+    # through the projective grading and its relation gives the same
+    # reduced basis as one t of weight a_i, gcd > 1 rows included
+    p = InstanceParams(a, b, n)
+    grading = scalar_grading(p)
+    for i in (1, n):
+        order = build_order_i(grading.positive_row(), i)
+        gb = toric_ideal(grading, order, via=projective_grading(p))
+        single_t = toric_ideal(grading, order)
+        assert gb.reduced
+        assert list(map(format_binomial, gb)) == list(map(format_binomial, single_t))
+
+
+@pytest.mark.parametrize("grading,via", [
+    # another instance's projective grading: no integer combination
+    (scalar_grading(InstanceParams(1, 2, 4)), projective_grading(InstanceParams(1, 3, 4))),
+    # a one-row via, even the grading itself
+    (scalar_grading(InstanceParams(1, 2, 4)), scalar_grading(InstanceParams(1, 2, 4))),
+    # a coefficient that is not positive: the ones row is 0 * repunit + 1 * ones
+    (Grading(((1, 1, 1, 1),)), projective_grading(InstanceParams(1, 2, 4))),
+    # a two-row grading has no single row to combine to
+    (projective_grading(InstanceParams(1, 2, 4)), projective_grading(InstanceParams(1, 2, 4))),
+    # rational but not integer coefficients: (2, 3, 4, 5) = (0, 2, 4, 6) / 2 + 2 * ones
+    (Grading(((2, 3, 4, 5),)), Grading(((0, 2, 4, 6), (1, 1, 1, 1)))),
+])
+def test_toric_ideal_via_refuses_a_grading_its_rows_do_not_combine_to(grading, via):
+    with pytest.raises(ValueError, match="do not combine"):
+        toric_ideal(grading, via=via)

@@ -120,10 +120,10 @@ def test_noncoprime_counts_times_its_toric_ideal(monkeypatch):
     """example-gcd3 computes its toric ideal once, inside a timed sub-check."""
     calls = []
 
-    def slow(grading, order=None):
+    def slow(grading, order=None, via=None):
         calls.append(grading)
         time.sleep(0.03)
-        return toric_ideal(grading, order)
+        return toric_ideal(grading, order, via=via)
 
     monkeypatch.setattr(verify, "toric_ideal", slow)
     (report,) = run_claim("example-gcd3", InstanceParams(3, 2, 4))
