@@ -37,13 +37,12 @@ from .reports import exit_code, render_text, report_to_dict
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
 from .verify import CLAIMS, claim_spec, run_claim
 
-# --source name -> (minor family, or None for the toric ideal; its grading; the
-# grading the toric ideal eliminates through: the weights factor through the projective one)
+# --source name -> (minor family, or None for the toric ideal; its grading)
 SOURCES = {
-    "minors-x": (minors_closed_chain, scalar_grading, None),
-    "minors-y": (minors_open_chain, projective_grading, None),
-    "toric-i": (None, scalar_grading, projective_grading),
-    "toric-j": (None, projective_grading, None),
+    "minors-x": (minors_closed_chain, scalar_grading),
+    "minors-y": (minors_open_chain, projective_grading),
+    "toric-i": (None, scalar_grading),
+    "toric-j": (None, projective_grading),
 }
 
 
@@ -184,7 +183,7 @@ def _sweep_row(params: InstanceParams) -> dict:
     g = gcd_of_generators(params)
     grading = scalar_grading(params)
     order = build_order_i(generators(params), 1)
-    tor = toric_ideal(grading, order, via=projective_grading(params))
+    tor = toric_ideal(grading, order)
     splits = betti_splits(list(tor.elements), grading)
     count = sum(s.new_generators() for s in splits.values())
     unique = unique_minimal_system(splits)
@@ -243,10 +242,10 @@ def _resolve_order(args, params: InstanceParams):
 
 
 def _source_basis(source: str, params: InstanceParams, order, trace):
-    family, grading_of, via = SOURCES[source]
+    family, grading_of = SOURCES[source]
     if family:
         return groebner_reduced(family(params).binomials, order, trace)
-    return toric_ideal(grading_of(params), order, trace, via and via(params))
+    return toric_ideal(grading_of(params), order, trace)
 
 
 def cmd_groebner(args) -> Result:
@@ -266,11 +265,11 @@ def cmd_groebner(args) -> Result:
 
 
 def _source_for_oracle(source: str, params: InstanceParams, trace):
-    family, grading_of, via = SOURCES[source]
+    family, grading_of = SOURCES[source]
     grading = grading_of(params)
     if family:
         return list(family(params).binomials), grading
-    return list(toric_ideal(grading, None, trace, via and via(params)).elements), grading
+    return list(toric_ideal(grading, trace=trace).elements), grading
 
 
 def cmd_betti(args) -> Result:

@@ -7,9 +7,9 @@ matrices of monomials, and the kernel-lattice matrices give small integer
 relation bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
-The weights are a * (repunit row) + r_b(n) * (ones row), so the weight map
-factors through k[t^a, t^r_b(n)]; toric_ideal(..., via=projective_grading)
-eliminates through it and keeps far fewer rules than one t of weight a_i.
+A one-row grading w eliminates two t's: with m = min(w) and c = gcd(w_i - m),
+x_i -> t^(w_i) factors through the domain k[t^c, t^m], which for the paper's
+weights is k[t^a, t^r_b(n)]; far fewer rules are kept than with one t.
 """
 
 from __future__ import annotations
@@ -238,49 +238,52 @@ def toric_ideal(
     grading: Grading,
     order: MatrixOrder | None = None,
     trace: TraceFn | None = None,
-    via: Grading | None = None,
 ) -> GroebnerBasis:
     """Reduced basis of the toric ideal of the grading's monomial map.
 
     Route (Conti-Traverso; Sturmfels, Groebner Bases and Convex Polytopes,
-    ch. 4): with one variable t_k per grading row, the toric ideal is the
-    t-free part of the ideal of the x_i - t^(A_i).  A row with a negative
-    entry is first shifted by a multiple of the positive row, which keeps
-    the integer kernel and so the toric ideal.
+    ch. 4): the toric ideal is the t-free part of the ideal of the
+    x_i - t^(A_i).  With d >= 2 rows there is one variable t_k per row, and
+    a row with a negative entry is first shifted by a multiple of the
+    positive row, which keeps the integer kernel and so the toric ideal.
 
-    With via, a two-row grading whose rows combine to the grading's row w
-    as c_1 * via_1 + c_2 * via_2 for positive integers c (else ValueError),
-    x_i -> t^(w_i) factors through x_i -> t_1^(via_1i) * t_2^(via_2i) into
-    k[t_1, t_2] / (t_1^(c_2/g) - t_2^(c_1/g)), g = gcd(c), which is the
-    domain k[t^(c_1), t^(c_2)] since c_1/g and c_2/g are coprime.  The toric
-    ideal is then the t-free part of the ideal of those binomials and that
-    relation (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms: the
-    kernel of a map into a quotient ring, by elimination).
+    A one-row grading w is split into two t's.  With m = min(w),
+    c = gcd(w_i - m) (1 when all weights are equal) and v = (w - m) / c,
+    x_i -> t^(w_i) factors through x_i -> t_1^(v_i) * t_2 and
+    t_1 -> t^c, t_2 -> t^m.  The kernel of k[t_1, t_2] -> k[t] is generated
+    by t_1^(m/g) - t_2^(c/g), g = gcd(c, m), and its image is the domain
+    k[t^c, t^m], so the toric ideal is the t-free part of the ideal of
+    those binomials and that relation (Cox, Little & O'Shea, Ideals,
+    Varieties, and Algorithms: the kernel of a map into a quotient ring, by
+    elimination).  For the paper's weights v is the repunit row and (c, m)
+    is (a, r_b(n)); the run keeps far fewer rules than one t of weight w_i.
 
-    Order row one, the t-rows combined by c (all ones without via) followed
-    by c, makes every input homogeneous; row two, the t-degree, puts every
-    monomial involving t above every t-free monomial of the same weight,
-    so one Buchberger run eliminates t.  The requested order's rows follow,
-    then -1 unit rows on t_1..t_(d-1).  Every element is homogeneous for
-    row one, and on t-free monomials of equal row-one weight this is the
-    requested order, so the t-free part is already a Groebner basis under
-    it and is only reduced.  Rows that depend on the rows above them never
-    break a tie, and leaving them out keeps the matrix square.
+    Order row one, the t-rows combined by c and m (all ones with d rows)
+    followed by those coefficients, makes every input homogeneous; row two,
+    the t-degree, puts every monomial involving t above every t-free
+    monomial of the same weight, so one Buchberger run eliminates t.  The
+    requested order's rows follow, then -1 unit rows on t_1..t_(d-1).
+    Every element is homogeneous for row one, and on t-free monomials of
+    equal row-one weight this is the requested order, so the t-free part is
+    already a Groebner basis under it and is only reduced.  Rows that
+    depend on the rows above them never break a tie, and leaving them out
+    keeps the matrix square.
     """
     n = grading.nvars
     pos = grading.positive_row()
     relations: list[Binomial] = []
-    if via is None:
+    if len(grading.rows) == 1:
+        m = min(pos)
+        c = gcd(*(w - m for w in pos)) or 1
+        t_rows, coeffs = [[(w - m) // c for w in pos], [1] * n], (c, m)
+        g = gcd(c, m)
+        relations.append(Binomial(_mono(n + 2, (n + 1, m // g)), _mono(n + 2, (n + 2, c // g))))
+    else:
         t_rows = []
         for row in grading.rows:
             c = max(0, *(-(x // p) for x, p in zip(row, pos)))
             t_rows.append([x + c * p for x, p in zip(row, pos)])
         coeffs = (1,) * len(t_rows)
-    else:
-        t_rows, coeffs = via.rows, _combination(grading, via)
-        g = gcd(*coeffs)
-        relations.append(Binomial(_mono(n + 2, (n + 1, coeffs[1] // g)),
-                                  _mono(n + 2, (n + 2, coeffs[0] // g))))
     d = len(t_rows)
     gens = [
         Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in t_rows))
@@ -303,15 +306,3 @@ def toric_ideal(
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
     return reduce_gb(GroebnerBasis(tuple(kept), order))
-
-
-def _combination(grading: Grading, via: Grading) -> tuple[int, int]:
-    # the positive integers (c_1, c_2) with c_1 * via_1 + c_2 * via_2 == the grading's row
-    if len(grading.rows) == 1 and len(via.rows) == 2 and via.nvars == grading.nvars:
-        kernel = intlinalg.kernel_basis(list(zip(*via.rows, *grading.rows)))
-        if len(kernel) == 1 and kernel[0][2] in (1, -1):
-            c = tuple(-x * kernel[0][2] for x in kernel[0][:2])
-            if min(c) > 0:
-                return c
-    raise ValueError(f"the rows of {via.rows} do not combine to {grading.rows} "
-                     "with two positive integer coefficients")

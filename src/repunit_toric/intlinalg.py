@@ -1,8 +1,8 @@
 """Exact integer linear algebra on plain Python ints.
 
 Small dense matrices only (the widest, toric_ideal's elimination, has
-n + 2 <= 12 columns up to n = 10: the weight grading eliminates through the
-two-row projective grading), so clarity wins over asymptotics: the
+n + 2 <= 12 columns up to n = 10: every one-row grading eliminates through
+two t's), so clarity wins over asymptotics: the
 kernel, determinant, rank and lattice comparison all read one xgcd row
 elimination, which ends in the canonical row-style Hermite form.
 """

@@ -137,7 +137,7 @@ def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors
 def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minors,
                          order) -> None:
     def toric_route() -> tuple[bool, str]:
-        tor = toric_ideal(grading, order, via=projective_grading(minors.params))
+        tor = toric_ideal(grading, order)
         ref = groebner_reduced(minors.binomials, order)
         return tor.elements == ref.elements, detail
 
@@ -391,7 +391,7 @@ def verify_noncoprime_counts(check: _Checks, params: InstanceParams) -> None:
             f"generators {generators(params)} with gcd {gcd_of_generators(params)}",
         ),
     )
-    tor = cache(lambda: toric_ideal(grading, order, via=projective_grading(params)))
+    tor = cache(lambda: toric_ideal(grading, order))
     check(
         "toric-minimal-count",
         lambda: (

@@ -23,10 +23,12 @@ from repunit_toric.families import (
     weight_relation_matrix,
 )
 from repunit_toric.groebner import (
+    GroebnerBasis,
     buchberger,
     groebner_reduced,
     ideal_equal,
     is_groebner_basis,
+    reduce_gb,
     saturate_torus,
 )
 from repunit_toric.intlinalg import dot, kernel_basis, rank, row_hnf
@@ -205,14 +207,22 @@ def _saturation_route(grading, order):
     return groebner_reduced(_saturated_kernel(grading), order).elements
 
 
+# one-row gradings off the paper's family: one variable and all weights
+# equal (the split's gcd is 0, so c = 1), a gcd > 1 shared by the relation's
+# exponents, weights listed largest first, and repeated weights
+EDGE_WEIGHTS = [(7,), (3, 3, 3), (4, 6, 10), (10, 6, 4), (2, 2, 5, 5)]
+
+
 @pytest.mark.parametrize(
-    "kind,a,b,n",
-    [("scalar", a, b, n) for a in range(1, 6) for b in range(2, 6) for n in (4, 5)]
-    + [("projective", 1, b, n) for b in (2, 3, 4) for n in (4, 5)],
+    "grading",
+    [pytest.param(scalar_grading(InstanceParams(a, b, n)), id=f"scalar-{a}-{b}-{n}")
+     for a in range(1, 6) for b in range(2, 6) for n in (4, 5)]
+    + [pytest.param(projective_grading(InstanceParams(1, b, n)), id=f"projective-1-{b}-{n}")
+       for b in (2, 3, 4) for n in (4, 5)]
+    + [pytest.param(Grading.scalar(w), id="weights-" + "-".join(map(str, w)))
+       for w in EDGE_WEIGHTS],
 )
-def test_toric_ideal_elimination_matches_saturation(kind, a, b, n):
-    p = InstanceParams(a, b, n)
-    grading = scalar_grading(p) if kind == "scalar" else projective_grading(p)
+def test_toric_ideal_elimination_matches_saturation(grading):
     gb = toric_ideal(grading)
     assert gb.elements == _saturation_route(grading, gb.order)
 
@@ -275,16 +285,16 @@ def test_toric_ideal_runs_buchberger_once(monkeypatch):
         return buchberger(*args, **kwargs)
 
     monkeypatch.setattr(families, "buchberger", counted)
-    for grading in (scalar_grading(InstanceParams(1, 2, 5)),
-                    projective_grading(InstanceParams(1, 2, 5)), Grading(NEGATIVE_GRADINGS[0])):
+    # a one-row grading eliminates two t's, a grading of d >= 2 rows one t per row
+    one_row = [scalar_grading(InstanceParams(1, 2, 5)), *map(Grading.scalar, EDGE_WEIGHTS)]
+    for grading in one_row:
         calls.clear()
         toric_ideal(grading)
-        assert len(calls) == 1
-        assert calls[0].nvars == grading.nvars + len(grading.rows)
-    calls.clear()
-    p = InstanceParams(1, 2, 5)
-    toric_ideal(scalar_grading(p), via=projective_grading(p))
-    assert [order.nvars for order in calls] == [p.n + 2]
+        assert [order.nvars for order in calls] == [grading.nvars + 2]
+    for grading in (projective_grading(InstanceParams(1, 2, 5)), *map(Grading, NEGATIVE_GRADINGS)):
+        calls.clear()
+        toric_ideal(grading)
+        assert [order.nvars for order in calls] == [grading.nvars + len(grading.rows)]
 
 
 def test_toric_ideal_membership_oracle():
@@ -330,33 +340,30 @@ def test_toric_ideal_bases_pinned():
     assert digest == "ab0f481cad25a4829a96dcc7883c313d666bba3f918e7c26c11ece7acc512b6b"
 
 
+def _one_t_route(grading, order):
+    # the independent reference: eliminate one t of weight w_i from the
+    # x_i - t^(w_i), with the t-free monomials ordered by w and then order
+    n, w = grading.nvars, grading.rows[0]
+    gens = [Binomial(tuple(int(j == i) for j in range(n)) + (0,), (0,) * n + (w[i],))
+            for i in range(n)]
+    rows = [w + (1,), (0,) * n + (1,)]
+    for row in order.rows:
+        if rank([*rows, row + (0,)]) > len(rows):
+            rows.append(row + (0,))
+    elim = buchberger(gens, MatrixOrder(tuple(rows)))
+    kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
+    return reduce_gb(GroebnerBasis(tuple(kept), order))
+
+
 @pytest.mark.parametrize("a,b,n", list(itertools.product(range(1, 9), range(2, 7), range(4, 7))))
 def test_toric_ideal_via_projective_grading_matches_single_t(a, b, n):
-    # the weights are a * repunit row + r_b(n) * ones row, so elimination
-    # through the projective grading and its relation gives the same
-    # reduced basis as one t of weight a_i, gcd > 1 rows included
-    p = InstanceParams(a, b, n)
-    grading = scalar_grading(p)
+    # the weights are a * repunit row + r_b(n) * ones row, so toric_ideal
+    # eliminates t_1, t_2 through the projective grading and its relation;
+    # the reduced basis is that of one t of weight a_i, gcd > 1 rows included
+    grading = scalar_grading(InstanceParams(a, b, n))
     for i in (1, n):
         order = build_order_i(grading.positive_row(), i)
-        gb = toric_ideal(grading, order, via=projective_grading(p))
-        single_t = toric_ideal(grading, order)
+        gb = toric_ideal(grading, order)
+        one_t = _one_t_route(grading, order)
         assert gb.reduced
-        assert list(map(format_binomial, gb)) == list(map(format_binomial, single_t))
-
-
-@pytest.mark.parametrize("grading,via", [
-    # another instance's projective grading: no integer combination
-    (scalar_grading(InstanceParams(1, 2, 4)), projective_grading(InstanceParams(1, 3, 4))),
-    # a one-row via, even the grading itself
-    (scalar_grading(InstanceParams(1, 2, 4)), scalar_grading(InstanceParams(1, 2, 4))),
-    # a coefficient that is not positive: the ones row is 0 * repunit + 1 * ones
-    (Grading(((1, 1, 1, 1),)), projective_grading(InstanceParams(1, 2, 4))),
-    # a two-row grading has no single row to combine to
-    (projective_grading(InstanceParams(1, 2, 4)), projective_grading(InstanceParams(1, 2, 4))),
-    # rational but not integer coefficients: (2, 3, 4, 5) = (0, 2, 4, 6) / 2 + 2 * ones
-    (Grading(((2, 3, 4, 5),)), Grading(((0, 2, 4, 6), (1, 1, 1, 1)))),
-])
-def test_toric_ideal_via_refuses_a_grading_its_rows_do_not_combine_to(grading, via):
-    with pytest.raises(ValueError, match="do not combine"):
-        toric_ideal(grading, via=via)
+        assert list(map(format_binomial, gb)) == list(map(format_binomial, one_t))

@@ -208,9 +208,10 @@ def test_trace_pins_pair_outcomes():
 
     lines.clear()
     toric_ideal(scalar_grading(InstanceParams(1, 2, 4)), trace=lines.append)
-    assert lines[0] == "elimination run over x1..x5, where x5 = t_1"
+    assert lines[0] == ("elimination run over x1..x6, where x5 = t_1, x6 = t_2; "
+                        "input 4 is the relation x5^15 - x6")
     assert _pair_outcomes(lines[1:]) == {
-        "input": 4, "added": 10, "zero": 26, "M": 14, "F": 2, "coprime": 39}
+        "input": 5, "added": 10, "zero": 26, "M": 14, "F": 2, "coprime": 53}
 
 
 def _pair_outcomes(lines):
@@ -234,10 +235,10 @@ def _pair_outcomes(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"input": 5, "added": 33, "zero": 164, "M": 322, "F": 6, "coprime": 178},
-     "837d48ab2bb71ab44035074157ea26ca2c85f3423ba18b63e9e81f3ade342fc7"),
-    ((5, 6, 6), {"input": 6, "added": 162, "zero": 1614, "M": 10956, "F": 267, "coprime": 1029},
-     "739b717a067d4a6c51a928f71428bc5bb07ac11e0139fd9bf9ac8c21cd0e20d7"),
+    ((2, 3, 5), {"input": 6, "added": 19, "zero": 66, "M": 67, "F": 3, "coprime": 145},
+     "c5ba4e19b37bc7b645406d821b26c7cfaf02a5546a89c296defc9c152e85651b"),
+    ((5, 6, 6), {"input": 7, "added": 41, "zero": 185, "M": 441, "F": 4, "coprime": 457},
+     "a9c832c0b2c0544470814289fb2b5890bdf8a3314b48cd21f49a266fed8426c3"),
 ], ids=["2-3-5", "5-6-6"])
 def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
@@ -263,20 +264,22 @@ def _recorded_runs(monkeypatch):
 def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     # The (2,3,5) weights listed largest first: the inputs enter the queue
     # lightest first, last to first, and each is reduced by the rules of
-    # the lighter ones.  No rule is superseded, so every input and every
-    # added remainder stays in the output.  The whole trace is pinned in
-    # order, so every rewrite is checked step by step.
+    # the lighter ones; the relation x6^121 - x7^2, heavier than them all,
+    # enters last.  No rule is superseded, so every input and every added
+    # remainder stays in the output.  The whole trace is pinned in order,
+    # so every rewrite is checked step by step.
     runs = _recorded_runs(monkeypatch)
     grading = Grading.scalar(tuple(reversed(generators(InstanceParams(2, 3, 5)))))
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
     counts = _pair_outcomes(lines[1:])
-    assert counts == {"input": 5, "added": 32, "zero": 157, "M": 322, "F": 1, "coprime": 154}
-    assert [s.split(" -> ")[0] for s in lines[1:6]] == [f"input {k}" for k in (4, 3, 2, 1, 0)]
-    assert runs[0].inputs == (4, 3, 2, 1, 0)
+    assert counts == {"input": 6, "added": 19, "zero": 66, "M": 78, "coprime": 137}
+    inputs = [s.split(" -> ")[0] for s in lines[1:] if s.startswith("input ")]
+    assert inputs == [f"input {k}" for k in (4, 3, 2, 1, 0, 5)]
+    assert runs[0].inputs == (4, 3, 2, 1, 0, 5)
     assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "827f4912bf1164caebb6964d5e84ab6e26394ecfdb3c2d8eb8be1b4496395a9b")
+        "c8463e20a8aaa4e97bcfadfe24e5857ecc130b7c73635e83afd0e6b48cc0c230")
 
 
 def _tuple_is_minimal(elements):

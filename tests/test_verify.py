@@ -120,10 +120,10 @@ def test_noncoprime_counts_times_its_toric_ideal(monkeypatch):
     """example-gcd3 computes its toric ideal once, inside a timed sub-check."""
     calls = []
 
-    def slow(grading, order=None, via=None):
+    def slow(grading, order=None):
         calls.append(grading)
         time.sleep(0.03)
-        return toric_ideal(grading, order, via=via)
+        return toric_ideal(grading, order)
 
     monkeypatch.setattr(verify, "toric_ideal", slow)
     (report,) = run_claim("example-gcd3", InstanceParams(3, 2, 4))
