@@ -2,6 +2,7 @@
 
 import enum
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -113,6 +114,58 @@ def test_exponent_overflow_guard():
         normal_form(pack((big, 0)) + pack((1, 0)), RuleIndex(2))
     with pytest.raises(ValueError):
         monomial((-1, 0))
+
+
+def _unit(nvars, k, e=1):
+    # x_k^e in nvars variables, k counted from 1
+    return tuple(e if v == k else 0 for v in range(1, nvars + 1))
+
+
+@pytest.mark.parametrize("nvars", [2, 14])
+def test_rewriting_overflow_names_the_whole_monomial(nvars):
+    # the wide field is the last one, where a message cut to n - 1 entries
+    # would drop it
+    past = _unit(nvars, nvars, EXPONENT_LIMIT + 1)
+    message = re.escape(f"rewrite to {past} exceeds {EXPONENT_LIMIT}")
+    # an input past the limit, with no rule to apply
+    with pytest.raises(ExponentOverflowError, match=f"^{message}$"):
+        normal_form(pack(_unit(nvars, nvars, EXPONENT_LIMIT)) + pack(_unit(nvars, nvars)),
+                    RuleIndex(nvars))
+    # a rewrite x1 -> x_n that takes x_n past the limit, on either chain of meet
+    index = RuleIndex(nvars, [(pack(_unit(nvars, 1)), pack(_unit(nvars, nvars)))])
+    start = pack(_unit(nvars, 1)) + pack(_unit(nvars, nvars, EXPONENT_LIMIT))
+    other = pack(_unit(nvars, 2))
+    with pytest.raises(ExponentOverflowError, match=f"^{message}$"):
+        normal_form(start, index)
+    for x, y in ((start, other), (other, start)):
+        with pytest.raises(ExponentOverflowError, match=f"^{message}$"):
+            meet(x, y, index)
+
+
+@pytest.mark.parametrize("nvars", range(15))
+def test_pack_round_trips_at_every_width(nvars):
+    rng = random.Random(nvars)
+    edge = (0, 1, EXPONENT_LIMIT)
+    cases = [(e,) * nvars for e in edge]
+    cases += [tuple(rng.choice(edge) for _ in range(nvars)) for _ in range(40)]
+    guard = guard_bits(nvars)
+    for u in cases:
+        assert unpack(pack(u), nvars) == u
+        # guard bits are ignored
+        assert unpack(pack(u) | guard, nvars) == u
+        for v in cases[:8]:
+            # a field sum past the limit keeps its carry bit
+            assert unpack(pack(u) + pack(v), nvars) == tuple(map(sum, zip(u, v)))
+
+
+@given(st.integers(min_value=0, max_value=14).flatmap(lambda n: st.tuples(
+    *[st.lists(st.sampled_from((0, 1, 2, EXPONENT_LIMIT - 1, EXPONENT_LIMIT)),
+               min_size=n, max_size=n).map(tuple)] * 2)))
+def test_packed_order_is_reverse_lex(uv):
+    # the int order of packed words compares the last variable first
+    u, v = uv
+    assert (pack(u) < pack(v)) == (u[::-1] < v[::-1])
+    assert (pack(u) == pack(v)) == (u == v)
 
 
 class _Small(enum.IntEnum):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -354,6 +355,21 @@ def test_search_reports_an_exponent_past_the_limit():
     gens = [Binomial((limit, 0, 0), (0, 1, 0)), Binomial((1, 1, 0), (0, 0, 1))]
     with pytest.raises(ExponentOverflowError, match=r"move to \(2147483648, 0, 0\) exceeds 2147483647"):
         betti_splits(gens, grading)
+
+
+@pytest.mark.parametrize("nvars", [2, 14])
+def test_search_overflow_names_the_whole_monomial(nvars):
+    # the move x1^LIMIT -> x_n^LIMIT from x1^LIMIT * x_n reaches x_n^(LIMIT + 1)
+    limit = 2**31 - 1
+
+    def mono(e1, en):
+        return (e1,) + (0,) * (nvars - 2) + (en,)
+
+    gens = [Binomial(mono(limit, 0), mono(0, limit)), Binomial(mono(limit, 1), mono(1, limit))]
+    past = mono(0, limit + 1)
+    with pytest.raises(ExponentOverflowError,
+                       match=rf"^move to {re.escape(str(past))} exceeds {limit}$"):
+        betti_splits(gens, Grading.scalar((1,) * nvars))
 
 
 def test_fiber_invariance_under_variable_permutation():
