@@ -7,8 +7,11 @@ with coefficients +1 and -1.  Exponent arithmetic is checked against a fixed
 limit so silent wraparound can never occur.
 
 Rewriting runs on packed words (Monagan & Pearce, CASC 2007): one Python int
-holds a 33-bit field per variable, x_1 lowest, with 31 value bits, a carry
-bit and a guard bit.  With the guard bit set in every field of the monomial
+holds a byte-aligned 64-bit field per variable, x_1 lowest: bits 0-30 hold
+the value, bit 31 is the carry bit, bit 32 the guard bit, and bits 33-63
+stay zero, so pack and unpack are one struct call each.  The int order of
+packed words is the order of their reversed tuples.  With the guard bit set
+in every field of the monomial
 being rewritten, one subtraction of a packed lead never borrows across
 fields and leaves every guard bit set exactly when the lead divides; adding
 the packed tail then completes the rewrite, and a set carry bit means an
@@ -29,11 +32,14 @@ sorting packed lcms lists every proper divisor before its multiples.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 EXPONENT_LIMIT = 2**31 - 1
-FIELD_BITS = 33  # per variable in a packed word: 31 value bits, carry, guard
+FIELD_BITS = 64  # per variable in a packed word: 31 value bits, carry, guard, 31 zero bits
+GUARD_SHIFT = 32  # position of the guard bit in its field; the carry bit sits just below
 
 Monomial = tuple
 
@@ -148,26 +154,37 @@ class Grading:
     def degree(self, m: Monomial) -> tuple[int, ...]:
         if len(m) != self.nvars:
             raise ValueError(f"monomial has {len(m)} variables, grading has {self.nvars}")
-        return tuple(sum(r * e for r, e in zip(row, m)) for row in self.rows)
+        return tuple([sum(map(mul, row, m)) for row in self.rows])
+
+
+class _Layout(dict):
+    # nvars -> (pack, unpack, value-and-carry mask, byte count) of an nvars-variable word
+    def __missing__(self, nvars: int) -> tuple:
+        fields = struct.Struct(f"<{nvars}Q")  # Q: one unsigned FIELD_BITS-bit field
+        value = (1 << GUARD_SHIFT) - 1
+        layout = self[nvars] = (fields.pack, fields.unpack,
+                                int.from_bytes(fields.pack(*[value] * nvars), "little"),
+                                FIELD_BITS // 8 * nvars)
+        return layout
+
+
+_LAYOUT = _Layout()
 
 
 def pack(m: Monomial) -> int:
     """m as a packed word, x_1 in the lowest field; entries must be in range."""
-    x = 0
-    for e in reversed(m):
-        x = x << FIELD_BITS | e
-    return x
+    return int.from_bytes(_LAYOUT[len(m)][0](*m), "little")
 
 
 def unpack(x: int, nvars: int) -> Monomial:
     """Exponents of the packed word x, carry bit included; guard bits are ignored."""
-    mask = (1 << FIELD_BITS - 1) - 1
-    return tuple(x >> s & mask for s in range(0, FIELD_BITS * nvars, FIELD_BITS))
+    _, fields, mask, size = _LAYOUT[nvars]
+    return fields((x & mask).to_bytes(size, "little"))
 
 
 def guard_bits(nvars: int) -> int:
     """The guard bit of every field of an nvars-variable word."""
-    return pack((1 << FIELD_BITS - 1,) * nvars)
+    return pack((1 << GUARD_SHIFT,) * nvars)
 
 
 def packed_lcm(u: int, v: int, guard: int) -> int:
@@ -179,7 +196,7 @@ def packed_lcm(u: int, v: int, guard: int) -> int:
     and the mask then takes those fields from u and the rest from v.
     """
     g = ((u | guard) - v) & guard
-    m = g - (g >> FIELD_BITS - 1)
+    m = g - (g >> GUARD_SHIFT)
     return v ^ ((u ^ v) & m)
 
 
@@ -195,8 +212,9 @@ class RuleIndex(dict):
 
     def __init__(self, nvars: int, rules: Iterable[tuple[int, int]] = ()) -> None:
         super().__init__()
+        self.nvars = nvars
         self.guard = guard_bits(nvars)
-        self.ones = self.guard >> FIELD_BITS - 1
+        self.ones = self.guard >> GUARD_SHIFT
         self.mask = 0
         self.rules: list[tuple[tuple[int, int], int]] = []  # ((lead, tail), lead pattern)
         for p, q in rules:
@@ -235,7 +253,7 @@ def meet(x: int, y: int | None, index: RuleIndex) -> tuple[int, int]:
     moving, flip = y is not None, False  # moving: b is not yet a normal form
     while True:
         if (a | b) & carry:
-            m = unpack(a if a & carry else b, guard.bit_length() // FIELD_BITS)
+            m = unpack(a if a & carry else b, index.nvars)
             raise ExponentOverflowError(f"rewrite to {m} exceeds {EXPONENT_LIMIT}")
         if a in seen_b:
             return a ^ guard, a ^ guard

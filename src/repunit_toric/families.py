@@ -291,13 +291,11 @@ def toric_ideal(
     ] + relations
     if order is None:
         order = build_order_i(pos, n)
-    rows: list[tuple[int, ...]] = []
-    for row in [tuple(sum(map(mul, coeffs, col)) for col in zip(*t_rows)) + coeffs,
-                (0,) * n + (1,) * d,
-                *(r + (0,) * d for r in order.rows),
-                *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))]:
-        if intlinalg.rank([*rows, row]) > len(rows):
-            rows.append(row)
+    rows = intlinalg.independent_rows([
+        tuple(sum(map(mul, coeffs, col)) for col in zip(*t_rows)) + coeffs,
+        (0,) * n + (1,) * d,
+        *(r + (0,) * d for r in order.rows),
+        *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))])
     if trace:
         names = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
         trace(f"elimination run over x1..x{n + d}, where {names}"

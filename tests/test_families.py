@@ -31,7 +31,7 @@ from repunit_toric.groebner import (
     reduce_gb,
     saturate_torus,
 )
-from repunit_toric.intlinalg import dot, kernel_basis, rank, row_hnf
+from repunit_toric.intlinalg import dot, independent_rows, kernel_basis, rank, row_hnf
 from repunit_toric.orders import MatrixOrder, build_order_i, five_variable_order
 from repunit_toric.semigroup import InstanceParams, gcd_of_generators, generators
 
@@ -295,6 +295,50 @@ def test_toric_ideal_runs_buchberger_once(monkeypatch):
         calls.clear()
         toric_ideal(grading)
         assert [order.nvars for order in calls] == [grading.nvars + len(grading.rows)]
+
+
+def _rank_choice(rows):
+    # the reference: keep a row when it raises the rank of the rows kept
+    kept = []
+    for row in rows:
+        if rank([*kept, row]) > len(kept):
+            kept.append(row)
+    return kept
+
+
+def test_toric_ideal_keeps_the_order_rows_the_rank_keeps(monkeypatch):
+    # the one-pass choice of elimination order rows against the rank-based
+    # one, on every candidate stack toric_ideal builds: scalar and
+    # projective gradings of the acceptance grid under every order index,
+    # gradings of d >= 2 rows with negative entries, and random orders
+    stacks = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(rows):
+        # record the stack and stop before the Buchberger run
+        stacks.append([tuple(r) for r in rows])
+        raise Stop
+
+    monkeypatch.setattr(families.intlinalg, "independent_rows", spy)
+    gradings = [(grading, build_order_i(grading.positive_row(), i))
+                for a, b, n in itertools.product(range(1, 6), range(2, 6), range(4, 8))
+                for grading in (scalar_grading(InstanceParams(a, b, n)),
+                                projective_grading(InstanceParams(a, b, n)))
+                for i in range(1, n + 1)]
+    for rows in NEGATIVE_GRADINGS:
+        grading = Grading(rows)
+        gradings += [(grading, order) for order in
+                     _random_orders(grading) + [build_order_i(grading.positive_row(), 1)]]
+    for grading, order in gradings:
+        with pytest.raises(Stop):
+            toric_ideal(grading, order)
+    assert len(stacks) == 5 * 4 * 2 * (4 + 5 + 6 + 7) + 2 * 3
+    for rows in stacks:
+        kept = independent_rows(rows)
+        assert kept == _rank_choice(rows), rows
+        assert rank(kept) == len(kept) == len(rows[0])
 
 
 def test_toric_ideal_membership_oracle():
