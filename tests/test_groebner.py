@@ -6,6 +6,7 @@ lean on the constructors from families.py.
 
 import hashlib
 import itertools
+import operator
 import random
 from collections import Counter
 
@@ -234,6 +235,10 @@ def _pair_outcomes(lines):
     return outcomes
 
 
+def _sorted_digest(lines):
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("abn, counts, digest", [
     ((2, 3, 5), {"input": 6, "added": 19, "zero": 66, "M": 67, "F": 3, "coprime": 145},
      "c5ba4e19b37bc7b645406d821b26c7cfaf02a5546a89c296defc9c152e85651b"),
@@ -246,7 +251,45 @@ def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     lines: list[str] = []
     toric_ideal(scalar_grading(InstanceParams(*abn)), trace=lines.append)
     assert _pair_outcomes(lines[1:]) == counts
-    assert hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest() == digest
+    assert _sorted_digest(lines) == digest
+
+
+@pytest.mark.parametrize("family, i, counts, digest", [
+    (minors_closed_chain, 1, {"input": 45, "zero": 240, "M": 84, "coprime": 666},
+     "7dee8f7d512cf0c52262bbacd1c0da4c96bf2458da0bb191b93a5fbdfe45984f"),
+    (minors_closed_chain, 5, {"input": 45, "zero": 240, "M": 29, "F": 55, "coprime": 666},
+     "b20fc61a8b7d2de043064f28648638b9750a7e0e0bbe0fbbe6e6a7e18fae3d57"),
+    (minors_closed_chain, 10, {"input": 45, "zero": 240, "M": 84, "coprime": 666},
+     "018e293d6cdf23b539453b0102094fb707222f33ab6674a48d322c30397e095a"),
+    (minors_open_chain, 1, {"input": 36, "zero": 168, "M": 56, "coprime": 406},
+     "e683b68b4106e6a36044f9cb13ca0ae26cf8345d2c560894ad29adf01e5642fa"),
+    (minors_open_chain, 5, {"input": 36, "zero": 168, "M": 20, "F": 24, "coprime": 418},
+     "ed7fef6a93de2c35d3040d2e2f2531d2e725226cd3589d5187dd24cce5cdf42a"),
+    (minors_open_chain, 10, {"input": 36, "zero": 168, "M": 56, "coprime": 406},
+     "e683b68b4106e6a36044f9cb13ca0ae26cf8345d2c560894ad29adf01e5642fa"),
+], ids=["closed-1", "closed-5", "closed-10", "open-1", "open-5", "open-10"])
+def test_trace_pins_minor_runs(family, i, counts, digest):
+    # the minors at (3,4,10) are a Groebner basis already: every pair that
+    # is not skipped reduces to zero
+    p = InstanceParams(3, 4, 10)
+    lines: list[str] = []
+    buchberger(family(p).binomials, build_order_i(generators(p), i), trace=lines.append)
+    assert _pair_outcomes(lines) == counts
+    assert _sorted_digest(lines) == digest
+
+
+def test_trace_pins_the_random_ideal_runs():
+    counts = Counter()
+    digest = hashlib.sha256()
+    for gens, order, _ in _random_ideals():
+        lines: list[str] = []
+        buchberger(gens, order, trace=lines.append)
+        counts += _pair_outcomes(lines)
+        digest.update("\n".join(sorted(lines)).encode() + b"\n\n")
+    assert counts == {"input": 125, "input_zero": 30, "added": 103, "zero": 192,
+                      "M": 309, "F": 55, "coprime": 25}
+    assert digest.hexdigest() == (
+        "0f8a182209676d3ea75fd2a383bae192e3ebb1e8ce9853de52c2cc63df630662")
 
 
 def _recorded_runs(monkeypatch):
@@ -366,27 +409,63 @@ def _binomial_of(expr, xs, sympy):
     return Binomial(tuple(map(int, plus)), tuple(map(int, minus)))
 
 
+def _agrees_with_sympy(gens, order, shuffled, sympy):
+    # the reduced basis against sympy's grevlex basis of the same ideal
+    xs = sympy.symbols(f"x1:{order.nvars + 1}")
+
+    def to_expr(g):
+        return sympy.Mul(*(x**p for x, p in zip(xs, g.plus))) - sympy.Mul(
+            *(x**p for x, p in zip(xs, g.minus))
+        )
+
+    gb = groebner_reduced(gens, order)
+    assert is_groebner_basis(gb.elements, order)
+    assert is_reduced_basis(gb.elements)
+    other = sympy.groebner([to_expr(g) for g in gens], *xs, order="grevlex")
+    for g in gb:
+        assert other.reduce(to_expr(g))[1] == 0
+    for expr in other.exprs:
+        assert _member(_binomial_of(expr, xs, sympy), gb)
+    for g in gens:
+        assert _member(g, gb)
+    assert groebner_reduced(shuffled, order).elements == gb.elements
+
+
 def test_random_homogeneous_ideals_against_sympy():
     sympy = pytest.importorskip("sympy")
     for gens, order, shuffled in _random_ideals():
-        xs = sympy.symbols(f"x1:{order.nvars + 1}")
+        _agrees_with_sympy(gens, order, shuffled, sympy)
 
-        def to_expr(g):
-            return sympy.Mul(*(x**p for x, p in zip(xs, g.plus))) - sympy.Mul(
-                *(x**p for x, p in zip(xs, g.minus))
-            )
 
-        gb = groebner_reduced(gens, order)
-        assert is_groebner_basis(gb.elements, order)
-        assert is_reduced_basis(gb.elements)
-        other = sympy.groebner([to_expr(g) for g in gens], *xs, order="grevlex")
-        for g in gb:
-            assert other.reduce(to_expr(g))[1] == 0
-        for expr in other.exprs:
-            assert _member(_binomial_of(expr, xs, sympy), gb)
-        for g in gens:
-            assert _member(g, gb)
-        assert groebner_reduced(shuffled, order).elements == gb.elements
+def _random_inhomogeneous_ideals():
+    # 30 seeded (gens, order, shuffled gens) triples whose binomials join
+    # monomials of different weight under the order's first row
+    rng = random.Random(20216)
+    for _ in range(30):
+        nvars = rng.randint(2, 4)
+        w = tuple(rng.randint(1, 4) for _ in range(nvars))
+        order = build_order_i(w, rng.randint(1, nvars))
+        gens = []
+        while len(gens) < rng.randint(2, 4):
+            u, v = (tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(2))
+            if sum(map(operator.mul, w, u)) != sum(map(operator.mul, w, v)):
+                gens.append(oriented(Binomial(u, v), order))
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        yield gens, order, shuffled
+
+
+def test_random_inhomogeneous_ideals_against_sympy():
+    # off the program's paths: leads may divide one another and rules may
+    # be superseded, but the raw output must still be a Groebner basis
+    sympy = pytest.importorskip("sympy")
+    superseded = 0
+    for gens, order, shuffled in _random_inhomogeneous_ideals():
+        raw = buchberger(gens, order).elements
+        assert is_groebner_basis(raw, order), gens
+        superseded += not is_minimal_basis(raw)
+        _agrees_with_sympy(gens, order, shuffled, sympy)
+    assert superseded >= 10
 
 
 def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
