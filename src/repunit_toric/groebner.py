@@ -17,8 +17,12 @@ rewrites both until their chains meet, or else to two normal forms, which
 become a rule (the homogeneous Buchberger algorithm; Kreuzer & Robbiano,
 Computational Commutative Algebra 2, 2005).  Each new rule runs the
 Gebauer-Moeller pair update (Gebauer & Moeller, JSC 6, 1988) without its
-criterion B: criteria M and F keep one new pair per minimal lcm, pairs
-with coprime leads are never queued, and a queued pair is never dropped.
+criterion B, and only over the new pairs whose leads share a variable:
+pairs with coprime leads are never formed, criteria M and F keep one of
+the rest per minimal lcm, and a queued pair is never dropped.  Leaving
+the coprime pairs out of criterion M changes no skip when no lead divides
+another, as a coprime lcm f_k * x divides lcm(f_i, x) only when f_k
+divides f_i; on other input fewer pairs are skipped, which stays sound.
 A pair that criterion B would skip has two sub-pairs with strictly smaller
 lcms, which leave the queue first, so for graded input it reduces to zero.
 Each new lead is a normal form and enlarges the leading-term ideal
@@ -38,11 +42,11 @@ the rules in insertion order; reduce_gb lists a basis canonically.
 The pair update runs on packed words: coprime leads are one AND of support
 patterns, a pair's lcm is one packed_lcm, and each divisibility test in
 criteria M and F, is_minimal_basis, is_reduced_basis and reduce_gb is one
-guarded subtraction.  New pairs are sorted by (packed lcm, shared support,
-index): a proper divisor is a smaller packed int, so it comes first as in
-a sort by weighted degree.  In a trace, the skipped-pair lines of one
-insertion follow packed-lcm order; which pairs are skipped, and by which
-criterion, does not depend on it.
+guarded subtraction.  New pairs are sorted by (packed lcm, index): a
+proper divisor is a smaller packed int, so it comes first as in a sort by
+weighted degree.  In a trace, the coprime lines of one insertion come
+first, in rule order, then its M and F lines in packed-lcm order; which
+pairs are skipped, and by which criterion, does not depend on it.
 """
 
 from __future__ import annotations
@@ -146,31 +150,33 @@ def buchberger(
         if is_input:
             inputs.append(key)
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
-        # without criterion B, on packed words.  Criteria M and F: a new pair
-        # whose lcm a kept lcm divides is superfluous.  A proper divisor is a
-        # smaller packed int, so it sorts first; among equal lcms a coprime
-        # pair does.
+        # without criterion B, on packed words, over the pairs whose leads
+        # share a variable.  Criteria M and F: a new pair whose lcm a kept
+        # lcm divides is superfluous.  A proper divisor is a smaller packed
+        # int, so it sorts first.  A coprime lcm f_k * x divides lcm(f_i, x)
+        # only when f_k divides f_i, so leaving coprime pairs out of kept
+        # skips no fewer pairs when no lead divides another.
         j = len(rules)
         s = ((x | guard) - ones) & guard
-        new = sorted((packed_lcm(f[0], x, guard), r & s != 0, i)
-                     for i, (f, r) in enumerate(rules))
+        if trace:
+            for i, ((f, _), r) in enumerate(rules):
+                if not r & s:
+                    trace(f"pair ({i},{j}) lcm={format_monomial(unpack(f + x, nvars))}"
+                          " skipped: coprime leads")
         kept: list[int] = []
-        for big, shared, i in new:
-            if shared and _has_divisor(big | guard, kept, guard):
+        for big, i in sorted((packed_lcm(f[0], x, guard), i)
+                             for i, (f, r) in enumerate(rules) if r & s):
+            if _has_divisor(big | guard, kept, guard):
                 if trace:
                     crit = "F" if big in kept else "M"
                     trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
                           f" skipped: criterion {crit}")
                 continue
             kept.append(big)
-            if shared:
-                lcm = unpack(big, nvars)
-                f = rules[i][0]
-                heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j),
-                                      big - f[0] + f[1], big - x + y))
-            elif trace:
-                trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
-                      " skipped: coprime leads")
+            lcm = unpack(big, nvars)
+            f = rules[i][0]
+            heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j),
+                                  big - f[0] + f[1], big - x + y))
         index.add(x, y)
 
     return GroebnerBasis(tuple(Binomial(unpack(p, nvars), unpack(q, nvars))

@@ -322,7 +322,7 @@ def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     assert runs[0].inputs == (4, 3, 2, 1, 0, 5)
     assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "c8463e20a8aaa4e97bcfadfe24e5857ecc130b7c73635e83afd0e6b48cc0c230")
+        "708ae104707cae228caf3bc56ac130c90f4a0c6540f727a209c0236621dec1e0")
 
 
 def _tuple_is_minimal(elements):
