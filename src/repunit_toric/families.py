@@ -7,9 +7,11 @@ matrices of monomials, and the kernel-lattice matrices give small integer
 relation bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
-A one-row grading w eliminates two t's: with m = min(w) and c = gcd(w_i - m),
-x_i -> t^(w_i) factors through the domain k[t^c, t^m], which for the paper's
-weights is k[t^a, t^r_b(n)]; far fewer rules are kept than with one t.
+A one-row grading w is split into two t's: with m = min(w) and
+c = gcd(w_i - m), x_i -> t^(w_i) factors through the domain k[t^c, t^m],
+which for the paper's weights is k[t^a, t^r_b(n)]; far fewer rules are kept
+than with one t.  The t of weight m is a variable of least weight, so the
+run eliminates t_1 alone.
 """
 
 from __future__ import annotations
@@ -247,59 +249,64 @@ def toric_ideal(
     a row with a negative entry is first shifted by a multiple of the
     positive row, which keeps the integer kernel and so the toric ideal.
 
-    A one-row grading w is split into two t's.  With m = min(w),
-    c = gcd(w_i - m) (1 when all weights are equal) and v = (w - m) / c,
-    x_i -> t^(w_i) factors through x_i -> t_1^(v_i) * t_2 and
-    t_1 -> t^c, t_2 -> t^m.  The kernel of k[t_1, t_2] -> k[t] is generated
-    by t_1^(m/g) - t_2^(c/g), g = gcd(c, m), and its image is the domain
-    k[t^c, t^m], so the toric ideal is the t-free part of the ideal of
-    those binomials and that relation (Cox, Little & O'Shea, Ideals,
-    Varieties, and Algorithms: the kernel of a map into a quotient ring, by
-    elimination).  For the paper's weights v is the repunit row and (c, m)
-    is (a, r_b(n)); the run keeps far fewer rules than one t of weight w_i.
+    A one-row grading w is split into two t's, and one of them is a
+    variable already.  With m = min(w), c = gcd(w_i - m) (1 when all
+    weights are equal) and v = (w - m) / c, x_i -> t^(w_i) factors through
+    x_i -> t_1^(v_i) * t_2 and t_1 -> t^c, t_2 -> t^m.  The kernel of
+    k[t_1, t_2] -> k[t] is generated by t_1^(m/g) - t_2^(c/g),
+    g = gcd(c, m), and its image is the domain k[t^c, t^m], so the toric
+    ideal is the t-free part of the ideal of those binomials and that
+    relation (Cox, Little & O'Shea, Ideals, Varieties, and Algorithms: the
+    kernel of a map into a quotient ring, by elimination).  With k the
+    first variable of least weight, v_k = 0 and x_k - t_2 is one of the
+    binomials, so t_2 = x_k is substituted: the run has the n + 1
+    variables x_1..x_n, t_1, the inputs x_i - t_1^(v_i) * x_k for i != k
+    and the relation t_1^(m/g) - x_k^(c/g), and eliminates t_1 alone.
+    For the paper's weights v is the repunit row, (c, m) is (a, r_b(n))
+    and k = 1; the run keeps far fewer rules than one t of weight w_i.
 
-    Order row one, the t-rows combined by c and m (all ones with d rows)
-    followed by those coefficients, makes every input homogeneous; row two,
-    the t-degree, puts every monomial involving t above every t-free
-    monomial of the same weight, so one Buchberger run eliminates t.  The
-    requested order's rows follow, then -1 unit rows on t_1..t_(d-1).
-    Every element is homogeneous for row one, and on t-free monomials of
-    equal row-one weight this is the requested order, so the t-free part is
-    already a Groebner basis under it and is only reduced.  Rows that
-    depend on the rows above them never break a tie, and leaving them out
-    keeps the matrix square.
+    Order row one, the weights of the images of the x_i followed by the
+    weights of the t's (c; all ones with d rows), makes every input
+    homogeneous; row two, the t-degree, puts every monomial involving t
+    above every t-free monomial of the same weight, so one Buchberger run
+    eliminates t.  The requested order's rows follow, then -1 unit rows on
+    t_1..t_(d-1).  Every element is homogeneous for row one, and on t-free
+    monomials of equal row-one weight this is the requested order, so the
+    t-free part is already a Groebner basis under it and is only reduced.
+    Rows that depend on the rows above them never break a tie, and leaving
+    them out keeps the matrix square.
     """
     n = grading.nvars
     pos = grading.positive_row()
-    relations: list[Binomial] = []
     if len(grading.rows) == 1:
         m = min(pos)
+        k = pos.index(m) + 1
         c = gcd(*(w - m for w in pos)) or 1
-        t_rows, coeffs = [[(w - m) // c for w in pos], [1] * n], (c, m)
         g = gcd(c, m)
-        relations.append(Binomial(_mono(n + 2, (n + 1, m // g)), _mono(n + 2, (n + 2, c // g))))
+        d, x_weights, coeffs = 1, pos, (c,)
+        gens = [Binomial(_mono(n + 1, (i, 1)), _mono(n + 1, (n + 1, (w - m) // c), (k, 1)))
+                for i, w in enumerate(pos, 1) if i != k]
+        gens.append(Binomial(_mono(n + 1, (n + 1, m // g)), _mono(n + 1, (k, c // g))))
+        header = f"x{n + 1} = t_1, t_2 = x{k}; input {n - 1} is the relation {format_binomial(gens[-1])}"
     else:
         t_rows = []
         for row in grading.rows:
             c = max(0, *(-(x // p) for x, p in zip(row, pos)))
             t_rows.append([x + c * p for x, p in zip(row, pos)])
-        coeffs = (1,) * len(t_rows)
-    d = len(t_rows)
-    gens = [
-        Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in t_rows))
-        for i in range(1, n + 1)
-    ] + relations
+        d = len(t_rows)
+        x_weights, coeffs = tuple(map(sum, zip(*t_rows))), (1,) * d
+        gens = [Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in t_rows))
+                for i in range(1, n + 1)]
+        header = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
     if order is None:
         order = build_order_i(pos, n)
     rows = intlinalg.independent_rows([
-        tuple(sum(map(mul, coeffs, col)) for col in zip(*t_rows)) + coeffs,
+        tuple(x_weights) + coeffs,
         (0,) * n + (1,) * d,
         *(r + (0,) * d for r in order.rows),
         *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))])
     if trace:
-        names = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
-        trace(f"elimination run over x1..x{n + d}, where {names}"
-              + "".join(f"; input {n} is the relation {format_binomial(r)}" for r in relations))
+        trace(f"elimination run over x1..x{n + d}, where {header}")
     elim = buchberger(gens, MatrixOrder(tuple(rows)), trace)
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]

@@ -166,15 +166,15 @@ def test_groebner_trace_goes_to_stderr(capsys):
 
 def test_toric_i_trace_names_both_t_and_the_relation(capsys):
     # the weights 15, 16, 18, 22 are 1 * (0, 1, 3, 7) + 15 * ones, so the
-    # run eliminates t_1, t_2 and the relation t_1^15 - t_2
+    # run eliminates t_1, with t_2 = x1, and the relation t_1^15 - x1
     code, _, err = run(
         capsys, "groebner", "--source", "toric-i", "--order", "prec-1",
         "--a", "1", "--b", "2", "--n", "4", "--trace",
     )
     assert code == 0
     assert err.splitlines()[0] == (
-        "trace: elimination run over x1..x6, where x5 = t_1, x6 = t_2; "
-        "input 4 is the relation x5^15 - x6")
+        "trace: elimination run over x1..x5, where x5 = t_1, t_2 = x1; "
+        "input 3 is the relation x5^15 - x1")
 
 
 @pytest.mark.parametrize("command", ["info", "verify", "sweep"])

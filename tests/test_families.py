@@ -285,12 +285,13 @@ def test_toric_ideal_runs_buchberger_once(monkeypatch):
         return buchberger(*args, **kwargs)
 
     monkeypatch.setattr(families, "buchberger", counted)
-    # a one-row grading eliminates two t's, a grading of d >= 2 rows one t per row
+    # a one-row grading eliminates one t, its second t being a variable of
+    # least weight; a grading of d >= 2 rows eliminates one t per row
     one_row = [scalar_grading(InstanceParams(1, 2, 5)), *map(Grading.scalar, EDGE_WEIGHTS)]
     for grading in one_row:
         calls.clear()
         toric_ideal(grading)
-        assert [order.nvars for order in calls] == [grading.nvars + 2]
+        assert [order.nvars for order in calls] == [grading.nvars + 1]
     for grading in (projective_grading(InstanceParams(1, 2, 5)), *map(Grading, NEGATIVE_GRADINGS)):
         calls.clear()
         toric_ideal(grading)
@@ -402,7 +403,7 @@ def _one_t_route(grading, order):
 @pytest.mark.parametrize("a,b,n", list(itertools.product(range(1, 9), range(2, 7), range(4, 7))))
 def test_toric_ideal_via_projective_grading_matches_single_t(a, b, n):
     # the weights are a * repunit row + r_b(n) * ones row, so toric_ideal
-    # eliminates t_1, t_2 through the projective grading and its relation;
+    # eliminates t_1 through the projective grading and its relation;
     # the reduced basis is that of one t of weight a_i, gcd > 1 rows included
     grading = scalar_grading(InstanceParams(a, b, n))
     for i in (1, n):

@@ -209,10 +209,10 @@ def test_trace_pins_pair_outcomes():
 
     lines.clear()
     toric_ideal(scalar_grading(InstanceParams(1, 2, 4)), trace=lines.append)
-    assert lines[0] == ("elimination run over x1..x6, where x5 = t_1, x6 = t_2; "
-                        "input 4 is the relation x5^15 - x6")
+    assert lines[0] == ("elimination run over x1..x5, where x5 = t_1, t_2 = x1; "
+                        "input 3 is the relation x5^15 - x1")
     assert _pair_outcomes(lines[1:]) == {
-        "input": 5, "added": 10, "zero": 26, "M": 14, "F": 2, "coprime": 53}
+        "input": 4, "added": 10, "zero": 26, "M": 14, "F": 2, "coprime": 39}
 
 
 def _pair_outcomes(lines):
@@ -240,10 +240,10 @@ def _sorted_digest(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"input": 6, "added": 19, "zero": 66, "M": 67, "F": 3, "coprime": 145},
-     "c5ba4e19b37bc7b645406d821b26c7cfaf02a5546a89c296defc9c152e85651b"),
-    ((5, 6, 6), {"input": 7, "added": 41, "zero": 185, "M": 441, "F": 4, "coprime": 457},
-     "a9c832c0b2c0544470814289fb2b5890bdf8a3314b48cd21f49a266fed8426c3"),
+    ((2, 3, 5), {"input": 5, "added": 19, "zero": 66, "M": 67, "F": 3, "coprime": 121},
+     "574f3999e205dd852ac1f086a17fafedf9f4351b930bccf7c8fa0d0ef66b3a6d"),
+    ((5, 6, 6), {"input": 6, "added": 41, "zero": 185, "M": 441, "F": 4, "coprime": 410},
+     "50fa72cabadb1481ccec171b638b2ce24d40e6740e0047237e82f56bad5511a5"),
 ], ids=["2-3-5", "5-6-6"])
 def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
@@ -305,10 +305,10 @@ def _recorded_runs(monkeypatch):
 
 
 def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
-    # The (2,3,5) weights listed largest first: the inputs enter the queue
-    # lightest first, last to first, and each is reduced by the rules of
-    # the lighter ones; the relation x6^121 - x7^2, heavier than them all,
-    # enters last.  No rule is superseded, so every input and every added
+    # The (2,3,5) weights listed largest first: x5, the lightest, stands
+    # for t_2, and the other inputs enter the queue lightest first, last
+    # to first, each reduced by the rules of the lighter ones; the
+    # relation x6^121 - x5^2, heavier than them all, enters last.  No rule is superseded, so every input and every added
     # remainder stays in the output.  The whole trace is pinned in order,
     # so every rewrite is checked step by step.
     runs = _recorded_runs(monkeypatch)
@@ -316,13 +316,13 @@ def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
     counts = _pair_outcomes(lines[1:])
-    assert counts == {"input": 6, "added": 19, "zero": 66, "M": 78, "coprime": 137}
+    assert counts == {"input": 5, "added": 19, "zero": 66, "M": 78, "coprime": 113}
     inputs = [s.split(" -> ")[0] for s in lines[1:] if s.startswith("input ")]
-    assert inputs == [f"input {k}" for k in (4, 3, 2, 1, 0, 5)]
-    assert runs[0].inputs == (4, 3, 2, 1, 0, 5)
+    assert inputs == [f"input {k}" for k in (3, 2, 1, 0, 4)]
+    assert runs[0].inputs == (3, 2, 1, 0, 4)
     assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "708ae104707cae228caf3bc56ac130c90f4a0c6540f727a209c0236621dec1e0")
+        "cbea6185c49e30792a805e5c85c967e74bce9d4472385132c6cd69d0b7a82fea")
 
 
 def _tuple_is_minimal(elements):
