@@ -287,7 +287,8 @@ def toric_ideal(
         gens = [Binomial(_mono(n + 1, (i, 1)), _mono(n + 1, (n + 1, (w - m) // c), (k, 1)))
                 for i, w in enumerate(pos, 1) if i != k]
         gens.append(Binomial(_mono(n + 1, (n + 1, m // g)), _mono(n + 1, (k, c // g))))
-        header = f"x{n + 1} = t_1, t_2 = x{k}; input {n - 1} is the relation {format_binomial(gens[-1])}"
+        header = (f"x{n + 1} = t_1, t_2 = x{k}; "
+                  f"input {n - 1} is the relation {format_binomial(gens[-1])}")
     else:
         t_rows = []
         for row in grading.rows:
@@ -301,7 +302,7 @@ def toric_ideal(
     if order is None:
         order = build_order_i(pos, n)
     rows = intlinalg.independent_rows([
-        tuple(x_weights) + coeffs,
+        x_weights + coeffs,
         (0,) * n + (1,) * d,
         *(r + (0,) * d for r in order.rows),
         *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))])

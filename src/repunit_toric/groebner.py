@@ -155,7 +155,8 @@ def buchberger(
         # lcm divides is superfluous.  A proper divisor is a smaller packed
         # int, so it sorts first.  A coprime lcm f_k * x divides lcm(f_i, x)
         # only when f_k divides f_i, so leaving coprime pairs out of kept
-        # skips no fewer pairs when no lead divides another.
+        # changes no skip when no lead divides another, and otherwise only
+        # skips fewer pairs.
         j = len(rules)
         s = ((x | guard) - ones) & guard
         if trace:

@@ -1,10 +1,11 @@
 """Exact integer linear algebra on plain Python ints.
 
 Small dense matrices only (the widest, toric_ideal's elimination, has
-n + 2 <= 12 columns up to n = 10: every one-row grading eliminates through
-two t's), so clarity wins over asymptotics: the
-kernel, determinant, rank and lattice comparison all read one xgcd row
-elimination, which ends in the canonical row-style Hermite form.
+n + 2 <= 12 columns up to n = 10 for a two-row grading, and n + 1 for a
+one-row grading, whose second t is a variable), so clarity wins over
+asymptotics: the kernel, determinant, rank and lattice comparison all read
+one xgcd row elimination, which ends in the canonical row-style Hermite
+form.
 independent_rows needs only to know when the rank grows, so it reduces
 each row fraction free against the rows kept, in one pass.
 """

@@ -308,9 +308,10 @@ def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     # The (2,3,5) weights listed largest first: x5, the lightest, stands
     # for t_2, and the other inputs enter the queue lightest first, last
     # to first, each reduced by the rules of the lighter ones; the
-    # relation x6^121 - x5^2, heavier than them all, enters last.  No rule is superseded, so every input and every added
-    # remainder stays in the output.  The whole trace is pinned in order,
-    # so every rewrite is checked step by step.
+    # relation x6^121 - x5^2, heavier than them all, enters last.  No rule
+    # is superseded, so every input and every added remainder stays in the
+    # output.  The whole trace is pinned in order, so every rewrite is
+    # checked step by step.
     runs = _recorded_runs(monkeypatch)
     grading = Grading.scalar(tuple(reversed(generators(InstanceParams(2, 3, 5)))))
     lines: list[str] = []
@@ -445,8 +446,8 @@ def _random_inhomogeneous_ideals():
         nvars = rng.randint(2, 4)
         w = tuple(rng.randint(1, 4) for _ in range(nvars))
         order = build_order_i(w, rng.randint(1, nvars))
-        gens = []
-        while len(gens) < rng.randint(2, 4):
+        gens, size = [], rng.randint(2, 4)
+        while len(gens) < size:
             u, v = (tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(2))
             if sum(map(operator.mul, w, u)) != sum(map(operator.mul, w, v)):
                 gens.append(oriented(Binomial(u, v), order))
