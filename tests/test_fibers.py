@@ -283,13 +283,44 @@ def test_search_matches_whole_fiber_on_oracle_box(source):
         _assert_search_matches_whole_fiber(family(p).binomials, grading_of(p))
 
 
-def test_search_matches_whole_fiber_on_sweep_toric_bases():
-    # every row of sweep --a 1..8 --b 2..6 --n 4..6, gcd > 1 rows included
+@pytest.fixture(scope="module")
+def sweep_toric_bases():
+    """(basis, grading) for every row of sweep --a 1..8 --b 2..6 --n 4..6, gcd > 1 rows included."""
+    out = []
     for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
         p = InstanceParams(a, b, n)
         grading = scalar_grading(p)
-        toric = toric_ideal(grading, build_order_i(generators(p), 1))
-        _assert_search_matches_whole_fiber(list(toric.elements), grading)
+        out.append((list(toric_ideal(grading, build_order_i(generators(p), 1)).elements), grading))
+    return out
+
+
+def test_search_matches_whole_fiber_on_sweep_toric_bases(sweep_toric_bases):
+    for gens, grading in sweep_toric_bases:
+        _assert_search_matches_whole_fiber(gens, grading)
+
+
+def test_betti_splits_pinned_on_larger_minors_and_toric_bases(sweep_toric_bases):
+    """Every split of closed- and open-chain minors at n = 8, 10, 12, and of the sweep box's toric bases.
+
+    The a >= b - 1 rows have below-components of more than one monomial.
+    """
+    digest = hashlib.sha256()
+    count = multi = 0
+    inputs = [
+        (family(p).binomials, grading_of(p))
+        for family, grading_of in (
+            (minors_closed_chain, scalar_grading),
+            (minors_open_chain, projective_grading),
+        )
+        for p in itertools.starmap(InstanceParams, itertools.product((1, 3, 5), (2, 4, 6), (8, 10, 12)))
+    ]
+    for gens, grading in inputs + sweep_toric_bases:
+        for d, split in betti_splits(gens, grading).items():
+            digest.update(f"{d} {split.below} {split.full}\n".encode())
+            count += 1
+            multi += any(len(comp) > 1 for comp in split.below)
+    assert (count, multi) == (3728, 431)
+    assert digest.hexdigest() == "a6dca015597a5a8354771d73cfe0516ec272075da598a114f5c11687bdfef432"
 
 
 def _random_oracle_input(rng):
