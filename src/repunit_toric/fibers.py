@@ -12,7 +12,8 @@ under both move sets, so it changes neither the count nor the verdict.
 betti_splits therefore lists no whole fiber: from each side of each
 generator of the degree it searches depth first through the lower moves,
 in both directions, and joins the components it reaches along the degree's
-own generators.
+own generators.  The lower moves are one flat list of packed words, and
+each monomial reached tests every move by one guarded subtraction.
 
 enumerate_fiber lists a whole fiber, the reference the search is tested
 against, by meeting in the middle (Horowitz & Sahni, JACM 21, 1974).  The
@@ -35,8 +36,8 @@ from .binomials import (
     ExponentOverflowError,
     Grading,
     Monomial,
-    RuleIndex,
     check_int,
+    guard_bits,
     pack,
     unpack,
 )
@@ -206,32 +207,30 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     return Fiber(target, tuple(found))
 
 
-def _below_component(seed: Monomial, moves: RuleIndex) -> list[Monomial]:
-    """Every monomial the packed moves reach from seed, in lexicographic order.
+def _below_component(seed: int, moves: Sequence[tuple[int, int]], guard: int,
+                     nvars: int) -> list[Monomial]:
+    """Every monomial the packed moves reach from the guarded word seed, in lexicographic order.
 
-    A move (src, dst) takes x to x - src + dst when src divides x; the
-    index lists only the moves whose src support lies inside x's, and the
-    guarded subtraction tests the rest.  An image past EXPONENT_LIMIT
-    raises, as a rewrite in normal_form does.
+    A move (src, dst) takes x to x - src + dst when src divides x, which
+    one guarded subtraction tests.  An image past EXPONENT_LIMIT raises, as
+    a rewrite in normal_form does.
     """
-    guard, ones = moves.guard, moves.ones
     carry = guard >> 1
-    x = pack(seed) | guard
-    seen = {x}
-    stack = [x]
+    seen = {seed}
+    stack = [seed]
     while stack:
         x = stack.pop()
-        for src, dst in moves[(x - ones) & guard]:
+        for src, dst in moves:
             y = x - src
             if y & guard == guard:
                 y += dst
                 if y not in seen:
                     if y & carry:
-                        m = unpack(y, len(seed))
+                        m = unpack(y, nvars)
                         raise ExponentOverflowError(f"move to {m} exceeds {EXPONENT_LIMIT}")
                     seen.add(y)
                     stack.append(y)
-    return sorted(unpack(x ^ guard, len(seed)) for x in seen)
+    return sorted(unpack(x ^ guard, nvars) for x in seen)
 
 
 def betti_splits(
@@ -244,10 +243,11 @@ def betti_splits(
     order (total entry sum first), so "lower" is unambiguous.  Only the
     degrees of the given generators can carry minimal generators: every
     other graded piece of the ideal is already reachable from below.  Each
-    generator of a lower degree gives a move in each direction; a
-    depth-first search through them from each side of each generator of
-    the degree lists its below-component, and union-find along the
-    degree's generators joins them into the full components.
+    generator's sides are packed once; a generator of a lower degree gives
+    a move in each direction, kept in one flat list.  A depth-first search
+    through them from each side of each generator of the degree lists its
+    below-component, and union-find along the degree's generators joins
+    them into the full components.
     """
     keyed: list[tuple[tuple, Binomial]] = []
     for g in gens:
@@ -259,29 +259,29 @@ def betti_splits(
         keyed.append(((sum(d), d), g))
     keyed.sort(key=lambda kg: kg[0])
     out: dict[tuple[int, ...], DegreeSplit] = {}
-    moves = RuleIndex(grading.nvars)
+    nvars = grading.nvars
+    guard = guard_bits(nvars)
+    moves: list[tuple[int, int]] = []
     for (_, d), group in groupby(keyed, key=lambda kg: kg[0]):
-        here = [g for _, g in group]
+        here = [(g, pack(g.plus), pack(g.minus)) for _, g in group]
         reached: set[Monomial] = set()
         below: list[list[Monomial]] = []
-        for g in here:
-            for side in (g.plus, g.minus):
+        for g, p, q in here:
+            for side, word in ((g.plus, p), (g.minus, q)):
                 if side not in reached:
-                    below.append(_below_component(side, moves))
+                    below.append(_below_component(word | guard, moves, guard, nvars))
                     reached.update(below[-1])
         below.sort()  # disjoint, so by least monomial
         comp_of = {m: c for c, comp in enumerate(below) for m in comp}
         uf = UnionFind(len(below))
-        for g in here:
+        for g, _, _ in here:
             uf.union(comp_of[g.plus], comp_of[g.minus])
         out[d] = DegreeSplit(
             tuple(map(tuple, below)),
             tuple(tuple(sorted(m for c in grp for m in below[c])) for grp in uf.groups()),
         )
-        for g in here:
-            p, q = pack(g.plus), pack(g.minus)
-            moves.add(p, q)
-            moves.add(q, p)
+        for _, p, q in here:
+            moves += ((p, q), (q, p))
     return out
 
 
