@@ -273,11 +273,15 @@ def toric_ideal(
     t_1..t_(d-1).  Every element is homogeneous for row one, and on t-free
     monomials of equal row-one weight this is the requested order, so the
     t-free part is already a Groebner basis under it and is only reduced.
-    Rows that depend on the rows above them never break a tie, and leaving
-    them out keeps the matrix square.
+    A row that depends on the rows above it never breaks a tie, so the
+    stack is used as it is.
     """
     n = grading.nvars
     pos = grading.positive_row()
+    if order is None:
+        order = build_order_i(pos, n)
+    elif order.nvars != n:
+        raise ValueError(f"order has {order.nvars} variables, grading has {n}")
     if len(grading.rows) == 1:
         m = min(pos)
         k = pos.index(m) + 1
@@ -299,16 +303,14 @@ def toric_ideal(
         gens = [Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in t_rows))
                 for i in range(1, n + 1)]
         header = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
-    if order is None:
-        order = build_order_i(pos, n)
-    rows = intlinalg.independent_rows([
+    rows = (
         x_weights + coeffs,
         (0,) * n + (1,) * d,
         *(r + (0,) * d for r in order.rows),
-        *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1))])
+        *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1)))
     if trace:
         trace(f"elimination run over x1..x{n + d}, where {header}")
-    elim = buchberger(gens, MatrixOrder(tuple(rows)), trace)
+    elim = buchberger(gens, MatrixOrder(rows), trace)
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
     return reduce_gb(GroebnerBasis(tuple(kept), order))

@@ -129,8 +129,12 @@ def buchberger(
         return sum(map(operator.mul, weights, m))
 
     # (weight, 0, (lcm, i, j), side, side) for a pair, (weight, 1, k, plus, minus) for input k
-    heap: list[tuple] = [(max(weight(g.plus), weight(g.minus)), 1, k, pack(g.plus), pack(g.minus))
-                         for k, g in enumerate(gens) if not g.is_zero()]
+    heap: list[tuple] = []
+    for k, g in enumerate(gens):
+        if len(g.plus) != nvars:
+            raise ValueError("variable count mismatch with order matrix")
+        if not g.is_zero():
+            heap.append((max(weight(g.plus), weight(g.minus)), 1, k, pack(g.plus), pack(g.minus)))
     heapq.heapify(heap)
     while heap:
         _, is_input, key, x, y = heapq.heappop(heap)

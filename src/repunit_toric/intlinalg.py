@@ -6,13 +6,10 @@ one-row grading, whose second t is a variable), so clarity wins over
 asymptotics: the kernel, determinant, rank and lattice comparison all read
 one xgcd row elimination, which ends in the canonical row-style Hermite
 form.
-independent_rows needs only to know when the rank grows, so it reduces
-each row fraction free against the rows kept, in one pass.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 IntMatrix = Sequence[Sequence[int]]
@@ -112,31 +109,6 @@ def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
         if r == m:
             break
     return a, r, sign
-
-
-def independent_rows(rows: IntMatrix) -> list[tuple[int, ...]]:
-    """The rows that raise the rank of the rows before them, in order.
-
-    One pass: each row is reduced, fraction free, against an echelon of
-    the rows kept so far, and is kept when something is left.  A kept
-    reduced row is zero at every earlier pivot, so reducing by it keeps
-    those entries zero, and what is left is zero at every pivot.  Kept
-    rows are divided by the gcd of their entries, so entries stay small.
-    """
-    kept: list[tuple[int, ...]] = []
-    echelon: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    for row in rows:
-        r = list(row)
-        for c, e in echelon:
-            if r[c]:
-                p, q = e[c], r[c]
-                r = [p * x - q * y for x, y in zip(r, e)]
-        piv = next((c for c, x in enumerate(r) if x), None)
-        if piv is not None:
-            g = gcd(*r)
-            echelon.append((piv, [x // g for x in r]))
-            kept.append(tuple(row))
-    return kept
 
 
 def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:

@@ -1,12 +1,12 @@
 """Matrix-defined monomial term orders.
 
-An order is a full-rank square integer matrix whose first row is strictly
-positive; monomials compare by the sign of the first nonzero entry of
-matrix @ (u - v), the lexicographic order of the row products.  Each row is
-kept as its nonzero (column, entry) terms, so a unit row costs one term.
-The weighted reverse-lex constructions used everywhere downstream put a
-weight vector in row one and then single -1 entries along a variable
-cheapness sequence, leaving the most expensive variable without a row.
+An order is an integer matrix of rank n with n columns, n or more rows and a
+strictly positive first row; monomials compare by the sign of the first
+nonzero entry of matrix @ (u - v), the lexicographic order of the row
+products, and a row the rows above it span never breaks a tie.  Each row is
+kept as its nonzero (column, entry) terms, so a unit row costs one term.  The
+weighted reverse-lex orders put weights in row one, then single -1 entries
+along a variable cheapness sequence; the costliest variable gets none.
 """
 
 from __future__ import annotations
@@ -25,19 +25,19 @@ class MatrixOrder:
     def __post_init__(self) -> None:
         rows = tuple(tuple(check_int(x, "order entry") for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
-        n = len(rows)
+        n = len(rows[0]) if rows else 0
         if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("order matrix must be square and nonempty")
+            raise ValueError("order matrix must be nonempty and rectangular")
         if any(w <= 0 for w in rows[0]):
             raise ValueError("first row of an order matrix must be strictly positive")
         if intlinalg.rank(rows) != n:
-            raise ValueError("order matrix must have full rank")
+            raise ValueError("order matrix must have full column rank")
         object.__setattr__(self, "terms", tuple(tuple((c, x) for c, x in enumerate(r) if x)
                                                 for r in rows))
 
     @property
     def nvars(self) -> int:
-        return len(self.rows)
+        return len(self.rows[0])
 
     def compare(self, u: Monomial, v: Monomial) -> int:
         """-1, 0 or 1 as u is smaller than, equal to, or larger than v."""
@@ -51,12 +51,12 @@ class MatrixOrder:
                 s += x * (u[c] - v[c])
             if s:
                 return 1 if s > 0 else -1
-        return 0  # unreachable: full rank forces a nonzero row product
+        return 0  # unreachable: rank n forces a nonzero row product
 
     def sort_key(self):
         """Key ordering monomials as compare does: the tuple of row products."""
         def key(m: Monomial) -> tuple[int, ...]:
-            if len(m) != len(self.terms):
+            if len(m) != len(self.rows[0]):
                 raise ValueError("variable count mismatch with order matrix")
             return tuple(sum(x * m[c] for c, x in row) for row in self.terms)
         return key

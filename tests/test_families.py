@@ -4,7 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
-from math import comb
+from math import comb, gcd
 
 import pytest
 
@@ -31,7 +31,7 @@ from repunit_toric.groebner import (
     reduce_gb,
     saturate_torus,
 )
-from repunit_toric.intlinalg import dot, independent_rows, kernel_basis, rank, row_hnf
+from repunit_toric.intlinalg import dot, kernel_basis, rank, row_hnf
 from repunit_toric.orders import MatrixOrder, build_order_i, five_variable_order
 from repunit_toric.semigroup import InstanceParams, gcd_of_generators, generators
 
@@ -242,7 +242,8 @@ def test_toric_ideal_of_grading_with_negative_entries(rows):
 
 def _random_orders(grading, count=2):
     # seeded full-rank orders whose positive first row lies outside the
-    # grading's row space, so the row left out is not the order's first
+    # grading's row space, so the elimination stack's dependent row is not
+    # the order's first
     rng = random.Random(repr(grading.rows))
     n, r = grading.nvars, rank(grading.rows)
     out = []
@@ -307,39 +308,48 @@ def _rank_choice(rows):
     return kept
 
 
-def test_toric_ideal_keeps_the_order_rows_the_rank_keeps(monkeypatch):
-    # the one-pass choice of elimination order rows against the rank-based
-    # one, on every candidate stack toric_ideal builds: scalar and
-    # projective gradings of the acceptance grid under every order index,
-    # gradings of d >= 2 rows with negative entries, and random orders
-    stacks = []
+def test_order_stacks_with_dependent_rows_order_as_their_rank_raising_rows():
+    # a row in the span of the rows above it is zero wherever they all are,
+    # so inserting such rows anywhere below the first changes no comparison
+    rng = random.Random(30)
+    stacks = 0
+    for grading in map(Grading, NEGATIVE_GRADINGS):
+        n = grading.nvars
+        for order in _random_orders(grading, count=6):
+            for _ in range(4):
+                stack = list(order.rows)
+                for _ in range(rng.randint(1, 4)):
+                    at = rng.randint(1, len(stack))
+                    coeffs = [rng.randint(-3, 3) for _ in range(at)]
+                    row = [sum(k * r[c] for k, r in zip(coeffs, stack)) for c in range(n)]
+                    g = gcd(*row) or 1  # a rational combination, still in the span
+                    stack.insert(at, tuple(x // g for x in row))
+                square = MatrixOrder(tuple(_rank_choice(stack)))
+                assert square.rows == order.rows
+                tall = MatrixOrder(tuple(stack))
+                assert tall.nvars == n and len(tall.rows) > n
+                # every pair of equal first-row weight, where the lower rows
+                # decide, and every pair with one of the first few monomials
+                monos = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(60)]
+                key = dict(zip(monos, map(tall.sort_key(), monos)))
+                weight = {m: square.sort_key()(m)[0] for m in monos}
+                pairs = [(u, v) for u, v in itertools.product(monos, repeat=2)
+                         if weight[u] == weight[v]]
+                for u, v in pairs + list(itertools.product(monos[:6], monos)):
+                    want = square.compare(u, v)
+                    assert tall.compare(u, v) == want, (stack, u, v)
+                    assert (key[u] > key[v]) - (key[u] < key[v]) == want, (stack, u, v)
+                stacks += 1
+    assert stacks == 2 * 6 * 4
 
-    class Stop(Exception):
-        pass
 
-    def spy(rows):
-        # record the stack and stop before the Buchberger run
-        stacks.append([tuple(r) for r in rows])
-        raise Stop
-
-    monkeypatch.setattr(families.intlinalg, "independent_rows", spy)
-    gradings = [(grading, build_order_i(grading.positive_row(), i))
-                for a, b, n in itertools.product(range(1, 6), range(2, 6), range(4, 8))
-                for grading in (scalar_grading(InstanceParams(a, b, n)),
-                                projective_grading(InstanceParams(a, b, n)))
-                for i in range(1, n + 1)]
-    for rows in NEGATIVE_GRADINGS:
-        grading = Grading(rows)
-        gradings += [(grading, order) for order in
-                     _random_orders(grading) + [build_order_i(grading.positive_row(), 1)]]
-    for grading, order in gradings:
-        with pytest.raises(Stop):
+@pytest.mark.parametrize("rows", [((2, 3, 5, 7),), ((2, 3, 5, 7), (1, -1, 2, 0))])
+def test_toric_ideal_rejects_an_order_of_another_variable_count(rows):
+    grading = Grading(rows)
+    for n in (3, 5):
+        order = build_order_i(tuple(range(1, n + 1)), 1)
+        with pytest.raises(ValueError, match=f"^order has {n} variables, grading has 4$"):
             toric_ideal(grading, order)
-    assert len(stacks) == 5 * 4 * 2 * (4 + 5 + 6 + 7) + 2 * 3
-    for rows in stacks:
-        kept = independent_rows(rows)
-        assert kept == _rank_choice(rows), rows
-        assert rank(kept) == len(kept) == len(rows[0])
 
 
 def test_toric_ideal_membership_oracle():

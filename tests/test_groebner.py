@@ -28,6 +28,7 @@ from repunit_toric.families import (
     structured_open_family,
     toric_ideal,
 )
+from repunit_toric.fibers import prune_redundant_generators
 from repunit_toric.groebner import (
     GroebnerBasis,
     buchberger,
@@ -90,6 +91,26 @@ def test_is_groebner_rejects_misoriented_input():
     wrong = Binomial((0, 1, 0), (1, 0, 0))  # lead sits on the minus side
     with pytest.raises(ValueError):
         is_groebner_basis((wrong,), order)
+
+
+@pytest.mark.parametrize("gens", [
+    [Binomial((1, 0, 0, 0, 1), (0, 1, 0, 0, 0))],  # an x5 the order has no column for
+    [Binomial((1, 0, 0), (0, 1, 0))],  # no x4
+    [Binomial((0, 1, 0, 0), (2, 0, 0, 0)), Binomial((0, 0, 1, 0, 0), (0, 0, 0, 0, 3))],
+], ids=["five", "three", "four-then-five"])
+def test_variable_count_mismatch_raises_at_every_entry_point(gens):
+    order = build_order_i((1, 2, 3, 4), 1)
+    entry_points = [
+        lambda: buchberger(gens, order),
+        lambda: groebner_reduced(gens, order),
+        lambda: ideal_equal(gens, gens, order),
+        lambda: prune_redundant_generators(gens, order),
+        lambda: saturate_variable(gens, 1, Grading.scalar((1, 2, 3, 4))),
+        lambda: is_groebner_basis(gens, order),
+    ]
+    for call in entry_points:
+        with pytest.raises(ValueError, match="variable count mismatch with order matrix"):
+            call()
 
 
 def test_reduced_basis_ignores_generator_shuffles():

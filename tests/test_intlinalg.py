@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from repunit_toric.intlinalg import (
     det,
     dot,
-    independent_rows,
     kernel_basis,
     maximal_minors,
     rank,
@@ -54,23 +53,6 @@ def test_det_matches_leibniz_expansion():
         mats.append(tuple(tuple(rng.randint(-9, 9) for _ in range(n)) for _ in range(n)))
     for rows in mats:
         assert det(rows) == _leibniz(rows), rows
-
-
-def test_independent_rows_keep_the_rows_that_raise_the_rank():
-    assert independent_rows([]) == []
-    assert independent_rows([(0, 0), (1, 2), (2, 4), (0, 0), (0, 3), (5, 5)]) == [(1, 2), (0, 3)]
-    # low-rank stacks with repeats and combinations of earlier rows
-    rng = random.Random(11)
-    for _ in range(300):
-        n = rng.randint(1, 5)
-        basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(1, n))]
-        rows = [tuple(sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n))
-                for _ in range(rng.randint(1, 7))]
-        want = []
-        for row in rows:
-            if rank([*want, row]) > len(want):
-                want.append(row)
-        assert independent_rows(rows) == want, rows
 
 
 def test_kernel_basis_of_weight_row():

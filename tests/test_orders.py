@@ -86,6 +86,21 @@ def test_matrix_order_validation():
         MatrixOrder(((0, 1), (1, 0)))
     with pytest.raises(ValueError):
         MatrixOrder(((1, 1, 1), (1, 0, 0)))
+    # any stack of n columns, at least n rows and rank n is an order
+    tall = MatrixOrder(((1, 2), (2, 4), (0, -1), (3, 3)))
+    assert tall.nvars == 2 and tall.compare((2, 0), (0, 1)) == 1
+    for rows, match in [
+        (((1, 2, 3), (0, 0, -1)), "full column rank"),  # fewer rows than columns
+        (((1, 2, 3), (2, 4, 6), (0, 0, -1), (1, 2, 2)), "full column rank"),
+        (((1, 2), (0, -1), (1,)), "rectangular"),
+        (((1, 2), (0, -1, 0), (1, 0, 0)), "rectangular"),
+        ((), "nonempty"),
+        (((),), "nonempty"),
+        (((1, 0), (0, 1), (1, 1)), "strictly positive"),
+        (((1, -2), (0, 1), (1, 0)), "strictly positive"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            MatrixOrder(rows)
     order = build_order_i((3, 5), 2)
     with pytest.raises(ValueError):
         order.compare((1, 0, 0), (0, 1, 0))
