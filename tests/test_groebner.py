@@ -97,7 +97,9 @@ def test_is_groebner_rejects_misoriented_input():
     [Binomial((1, 0, 0, 0, 1), (0, 1, 0, 0, 0))],  # an x5 the order has no column for
     [Binomial((1, 0, 0), (0, 1, 0))],  # no x4
     [Binomial((0, 1, 0, 0), (2, 0, 0, 0)), Binomial((0, 0, 1, 0, 0), (0, 0, 0, 0, 3))],
-], ids=["five", "three", "four-then-five"])
+    [Binomial((0,) * 5, (0,) * 5)],  # a zero element is checked too
+    [Binomial((0, 1, 0, 0), (2, 0, 0, 0)), Binomial((0,) * 5, (0,) * 5)],
+], ids=["five", "three", "four-then-five", "zero-five", "four-then-zero-five"])
 def test_variable_count_mismatch_raises_at_every_entry_point(gens):
     order = build_order_i((1, 2, 3, 4), 1)
     entry_points = [
@@ -107,10 +109,16 @@ def test_variable_count_mismatch_raises_at_every_entry_point(gens):
         lambda: prune_redundant_generators(gens, order),
         lambda: saturate_variable(gens, 1, Grading.scalar((1, 2, 3, 4))),
         lambda: is_groebner_basis(gens, order),
+        lambda: reduce_gb(GroebnerBasis(tuple(gens), order)),
     ]
     for call in entry_points:
         with pytest.raises(ValueError, match="variable count mismatch with order matrix"):
             call()
+    # the order-free checks compare the elements' counts with one another
+    if len({g.nvars for g in gens}) > 1:
+        for check in (is_minimal_basis, is_reduced_basis):
+            with pytest.raises(ValueError, match=r"variable count mismatch: \[4, 5\]"):
+                check(gens)
 
 
 def test_reduced_basis_ignores_generator_shuffles():
