@@ -328,10 +328,11 @@ def prune_redundant_generators(
 ) -> list[Binomial]:
     """Groebner route to a minimal generating set, in one Buchberger run.
 
-    gens must be homogeneous for order.rows[0].  The distinct nonzero
-    generators are sorted, and buchberger gets them last first: an input
-    is kept when it does not reduce to zero at its turn, modulo the lower
-    weights and the inputs of its own weight kept before it.  This keeps
+    gens must be homogeneous for order.rows[0].  The distinct generators
+    are sorted, and buchberger gets them last first; it checks each one's
+    variable count and skips a zero one.  An input is kept when it does
+    not reduce to zero at its turn, modulo the lower weights and the
+    inputs of its own weight kept before it.  This keeps
     the list that deleting from the front would, dropping any generator in
     the ideal of the kept ones and those after it: a degree-d element lies
     in the ideal of the generators of degree <= d, and within one degree's
@@ -339,7 +340,7 @@ def prune_redundant_generators(
     pick the same spanning forest.  Graded Nakayama makes the count
     independent of choices, so this agrees with the fiber oracle.
     """
-    current = sorted({g.canonical() for g in gens if not g.is_zero()},
+    current = sorted({g.canonical() for g in gens},
                      key=lambda g: (sum(g.plus) + sum(g.minus), g.plus, g.minus))
     kept = buchberger(current[::-1], order).inputs
     return [current[-1 - k] for k in sorted(kept, reverse=True)]

@@ -200,10 +200,11 @@ def is_groebner_basis(
     meeting, as rewriting is deterministic; meet stops where they meet.
     Only pairs of coprime leads are passed over.
     """
-    elems = [g for g in elements if not g.is_zero()]
-    for g in elems:
-        if order.compare(g.plus, g.minus) <= 0:
+    for g in elements:
+        # compare checks every element's variable count; only zero compares equal
+        if order.compare(g.plus, g.minus) < 0:
             raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
+    elems = [g for g in elements if not g.is_zero()]
     index = RuleIndex(order.nvars, _packed(elems))
     guard = index.guard
     rules = index.rules  # (rule, support pattern of its lead)
@@ -222,11 +223,12 @@ def is_groebner_basis(
 
 
 def _packed_nonzero(elements: Sequence[Binomial]) -> tuple[list[Packed], int]:
-    # the nonzero elements as packed (plus, minus) words, and their guard bits
-    elems = [g for g in elements if not g.is_zero()]
-    nvars = {g.nvars for g in elems}
+    # the nonzero elements as packed (plus, minus) words, and their guard
+    # bits; every element's variable count is checked, zero ones included
+    nvars = {g.nvars for g in elements}
     if len(nvars) > 1:
         raise ValueError(f"variable count mismatch: {sorted(nvars)}")
+    elems = [g for g in elements if not g.is_zero()]
     return _packed(elems), guard_bits(nvars.pop() if nvars else 0)
 
 
@@ -264,10 +266,10 @@ def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
     guard = guard_bits(nvars)
     key = gb.order.sort_key()
     rules: list[Packed] = []
-    for g in sorted((g for g in gb.elements if not g.is_zero()),
-                    key=lambda g: (key(g.plus), key(g.minus))):
+    # key checks every element's variable count, zero ones included
+    for g in sorted(gb.elements, key=lambda g: (key(g.plus), key(g.minus))):
         p = pack(g.plus)
-        if not _has_divisor(p | guard, (h for h, _ in rules), guard):
+        if not g.is_zero() and not _has_divisor(p | guard, (h for h, _ in rules), guard):
             rules.append((p, pack(g.minus)))
     index = RuleIndex(nvars, rules)
     out = tuple(Binomial(unpack(p, nvars), unpack(normal_form(q, index), nvars))
