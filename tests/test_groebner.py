@@ -241,7 +241,7 @@ def test_trace_pins_pair_outcomes():
     assert lines[0] == ("elimination run over x1..x5, where x5 = t_1, t_2 = x1; "
                         "input 3 is the relation x5^15 - x1")
     assert _pair_outcomes(lines[1:]) == {
-        "input": 4, "added": 10, "zero": 26, "M": 14, "F": 2, "coprime": 39}
+        "input": 4, "added": 10, "zero": 7, "common": 19, "M": 14, "F": 2, "coprime": 39}
 
 
 def _pair_outcomes(lines):
@@ -256,6 +256,8 @@ def _pair_outcomes(lines):
             outcomes["M"] += 1
         elif s.endswith("skipped: criterion F"):
             outcomes["F"] += 1
+        elif s.endswith("skipped: common factor"):
+            outcomes["common"] += 1
         elif s.endswith("-> 0"):
             outcomes["zero"] += 1
         else:
@@ -269,10 +271,12 @@ def _sorted_digest(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"input": 5, "added": 19, "zero": 66, "M": 67, "F": 3, "coprime": 121},
-     "574f3999e205dd852ac1f086a17fafedf9f4351b930bccf7c8fa0d0ef66b3a6d"),
-    ((5, 6, 6), {"input": 6, "added": 41, "zero": 185, "M": 441, "F": 4, "coprime": 410},
-     "50fa72cabadb1481ccec171b638b2ce24d40e6740e0047237e82f56bad5511a5"),
+    ((2, 3, 5), {"input": 5, "added": 19, "zero": 19, "common": 47, "M": 67, "F": 3,
+                 "coprime": 121},
+     "d1649db5544526d5c9499a3ba0145ba0c456cd12968a7d2094305ad1ab469eab"),
+    ((5, 6, 6), {"input": 6, "added": 41, "zero": 61, "common": 124, "M": 441, "F": 4,
+                 "coprime": 410},
+     "14afacb5c690cabc2b81d69d21e22bb26e0c4b84fdf712b78f96dff0370032d2"),
 ], ids=["2-3-5", "5-6-6"])
 def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
@@ -325,8 +329,8 @@ def _recorded_runs(monkeypatch):
     # the raw buchberger result of each later toric_ideal call, in order
     runs = []
 
-    def recording(gens, order, trace=None):
-        runs.append(buchberger(gens, order, trace))
+    def recording(gens, order, trace=None, **kwargs):
+        runs.append(buchberger(gens, order, trace, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(families, "buchberger", recording)
@@ -346,13 +350,14 @@ def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
     counts = _pair_outcomes(lines[1:])
-    assert counts == {"input": 5, "added": 19, "zero": 66, "M": 78, "coprime": 113}
+    assert counts == {"input": 5, "added": 19, "zero": 15, "common": 51, "M": 78,
+                      "coprime": 113}
     inputs = [s.split(" -> ")[0] for s in lines[1:] if s.startswith("input ")]
     assert inputs == [f"input {k}" for k in (3, 2, 1, 0, 4)]
     assert runs[0].inputs == (3, 2, 1, 0, 4)
     assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "cbea6185c49e30792a805e5c85c967e74bce9d4472385132c6cd69d0b7a82fea")
+        "a4f1a68c458ed518c17ef49ca61c8991353fd69ae1bdc7831dd74593b9578253")
 
 
 def _tuple_is_minimal(elements):

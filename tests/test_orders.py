@@ -189,9 +189,9 @@ def _elimination_orders(monkeypatch):
     # are not unit rows, for scalar and two-row gradings
     orders = []
 
-    def recording(gens, order, trace=None):
+    def recording(gens, order, trace=None, **kwargs):
         orders.append(order)
-        return buchberger(gens, order, trace)
+        return buchberger(gens, order, trace, **kwargs)
 
     monkeypatch.setattr(families, "buchberger", recording)
     for a, b, n in ((1, 2, 4), (3, 2, 5), (2, 3, 6)):
