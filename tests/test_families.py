@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import random
+from collections import Counter
 from math import comb, gcd
 
 import pytest
@@ -276,6 +277,66 @@ def test_toric_ideal_matches_saturation_under_every_order(rows):
         gb = toric_ideal(grading, order)
         assert gb.reduced and gb.order == order
         assert gb.elements == _saturation_route(grading, order), order.rows
+
+
+def _random_gradings(count):
+    # seeded gradings of 3..5 variables: a positive row, and half the time
+    # a second row with entries of either sign
+    rng = random.Random(20232)
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        rows = (tuple(rng.randint(1, 9) for _ in range(n)),)
+        if rng.random() < 0.5:
+            rows += (tuple(rng.randint(-3, 3) for _ in range(n)),)
+        yield Grading(rows)
+
+
+def test_common_factor_skip_keeps_every_elimination_run(monkeypatch):
+    # toric_ideal's elimination run is done with and without the skip of
+    # S-pairs whose sides share a variable: the number of rules and the
+    # reduced basis must agree on the sweep box (order prec-1), on
+    # projective gradings and on gradings with negative entries under
+    # seeded orders
+    seen = Counter()
+
+    def both(gens, order, trace=None, *, saturated=False):
+        assert saturated
+        lines: list[str] = []
+        skipping = buchberger(gens, order, lines.append, saturated=True)
+        plain = buchberger(gens, order)
+        assert len(skipping) == len(plain), order.rows
+        assert reduce_gb(skipping).elements == reduce_gb(plain).elements, order.rows
+        seen["runs"] += 1
+        seen["common"] += sum(s.endswith("skipped: common factor") for s in lines)
+        return skipping
+
+    monkeypatch.setattr(families, "buchberger", both)
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        grading = scalar_grading(InstanceParams(a, b, n))
+        toric_ideal(grading, build_order_i(grading.positive_row(), 1))
+    for a, b, n in itertools.product(range(1, 4), range(2, 5), (4, 5)):
+        toric_ideal(projective_grading(InstanceParams(a, b, n)))
+    for grading in [*map(Grading, NEGATIVE_GRADINGS), *_random_gradings(30)]:
+        for order in _random_orders(grading):
+            toric_ideal(grading, order)
+    assert seen["runs"] == 120 + 18 + 2 * 32
+    assert seen["common"] > 10000, seen
+
+
+def test_common_factor_skip_needs_a_saturated_ideal():
+    # The lattice ideal of the weight relations at (1,2,4) is not
+    # saturated, and there the skip drops S-pairs that the Groebner basis
+    # needs: under x4 cheapest the flagged run stops at 3 leads of the 7,
+    # and its rules fail the exhaustive S-pair check.  Only toric_ideal,
+    # whose ideal is prime, sets the flag.
+    p = InstanceParams(1, 2, 4)
+    gens = [Binomial.from_vector(r) for r in weight_relation_matrix(p).rows]
+    order = build_order_i(generators(p), 4)
+    plain = buchberger(gens, order)
+    flagged = buchberger(gens, order, saturated=True)
+    assert is_groebner_basis(plain.elements, order)
+    assert not is_groebner_basis(flagged.elements, order)
+    assert (len(reduce_gb(plain)), len(reduce_gb(flagged))) == (7, 3)
 
 
 def test_toric_ideal_runs_buchberger_once(monkeypatch):

@@ -44,6 +44,8 @@ from repunit_toric.groebner import (
 from repunit_toric.orders import MatrixOrder, build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
 
+from test_families import NEGATIVE_GRADINGS
+
 
 def oriented(f, order):
     # f with its order-larger side as plus
@@ -504,17 +506,25 @@ def test_random_inhomogeneous_ideals_against_sympy():
 
 
 def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
-    # The pair criteria may only skip pairs whose S-binomials reduce to
-    # zero; the exhaustive check sees every pair of the unreduced output.
+    # The pair criteria, and on toric_ideal's elimination runs the skip of
+    # pairs whose sides share a variable, may only skip pairs whose
+    # S-binomials have standard representations; the exhaustive check sees
+    # every pair of the unreduced output.  The elimination runs cover
+    # scalar and projective gradings and gradings with negative entries.
     for gens, order, _ in _random_ideals():
         assert is_groebner_basis(buchberger(gens, order).elements, order)
 
     runs = _recorded_runs(monkeypatch)
-    for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6)):
+    gradings = [scalar_grading(InstanceParams(a, b, n))
+                for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6))]
+    gradings += [projective_grading(InstanceParams(a, b, n))
+                 for a, b, n in itertools.product((1, 2), range(2, 5), range(4, 6))]
+    gradings += map(Grading, NEGATIVE_GRADINGS)
+    for grading in gradings:
         runs.clear()
-        toric_ideal(scalar_grading(InstanceParams(a, b, n)))
+        toric_ideal(grading)
         elim = runs[0]
-        assert is_groebner_basis(elim.elements, elim.order)
+        assert is_groebner_basis(elim.elements, elim.order), grading.rows
 
 
 def _leads_cover(elements, order):
