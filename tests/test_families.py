@@ -323,6 +323,43 @@ def test_common_factor_skip_keeps_every_elimination_run(monkeypatch):
     assert seen["common"] > 10000, seen
 
 
+def test_toric_runs_keep_their_queue_and_bases(monkeypatch):
+    # sha256 of every elimination run on the sweep box (order prec-1) and
+    # on the projective gradings (orders prec-1 and prec-n): the trace's
+    # "->" lines, one per input and per queued pair in queue order, the
+    # raw rules in insertion order and the reduced basis.  A change to the
+    # pair update that queues another pair, or to the route from raw rules
+    # to reduced basis, changes a digest; the skipped-pair lines may move.
+    runs = []
+
+    def recording(gens, order, trace=None, **kwargs):
+        runs.append(buchberger(gens, order, trace, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(families, "buchberger", recording)
+    cases = []
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        grading = scalar_grading(InstanceParams(a, b, n))
+        cases.append((grading, build_order_i(grading.positive_row(), 1)))
+    for b, n in itertools.product(range(2, 7), range(4, 7)):
+        grading = projective_grading(InstanceParams(1, b, n))
+        cases += [(grading, build_order_i(grading.positive_row(), i)) for i in (1, n)]
+    queued, raw, reduced = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    for grading, order in cases:
+        runs.clear()
+        lines: list[str] = []
+        gb = toric_ideal(grading, order, lines.append)
+        queued.update("\n".join(s for s in lines if " -> " in s).encode() + b"\n\n")
+        raw.update(f"{runs[0].inputs}: {', '.join(map(format_binomial, runs[0]))}\n".encode())
+        reduced.update((", ".join(map(format_binomial, gb)) + "\n").encode())
+    assert len(cases) == 120 + 30
+    assert [queued.hexdigest(), raw.hexdigest(), reduced.hexdigest()] == [
+        "32e9d6a8f5bd3ccf5947a16826a1bf22656a8275af60a1c3949c04f782a0cf47",
+        "7cc40f94ba5195b6c8239b5bc5bf53f4a64764f0f3042889bca1078c15b7e730",
+        "83d192ccf95b46457e002a610c002ab10296d2d4f59c811c3f8580c79677281a",
+    ]
+
+
 def test_common_factor_skip_needs_a_saturated_ideal():
     # The lattice ideal of the weight relations at (1,2,4) is not
     # saturated, and there the skip drops S-pairs that the Groebner basis
