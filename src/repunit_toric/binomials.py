@@ -27,7 +27,10 @@ from there on; meet steps two chains in turn and stops where they meet
 update uses the same words: packed_lcm forms an lcm from one guarded
 subtraction and a field mask, and disjoint support patterns mean coprime
 monomials.  A packed word that divides another is never the larger int, so
-sorting packed lcms lists every proper divisor before its multiples.
+sorting packed lcms lists every proper divisor before its multiples.  A
+word of n + d variables whose top d fields are zero is the same int as the
+n-variable word of its first n fields, so x >> (FIELD_BITS * n) == 0 tests
+that the last d variables are absent, and the word needs no repacking.
 """
 
 from __future__ import annotations

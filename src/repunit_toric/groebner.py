@@ -2,10 +2,12 @@
 
 Everything stays binomial: S-polynomials of binomials are binomials, and
 dividing a binomial by oriented binomials is monomial rewriting applied to
-its two sides separately.  Inside this module a rule has one form, a pair
-(lead, tail) of packed words (see binomials): each input element is packed
-once, and tuples are unpacked only to orient a nonzero remainder, to build
-a heap key or trace text, and to return binomials.
+its two sides separately.  A rule has one form, a pair (lead, tail) of
+packed words (see binomials), and a GroebnerBasis holds its rules so: each
+input element is packed once, tuples are unpacked only to orient a nonzero
+remainder, to build a heap key or trace text and to sort leads in
+reduce_gb, and binomials are built once, when a caller first reads a
+basis's elements.
 
 buchberger keeps its rules in one RuleIndex, which pairs name by position
 and meet reads by support pattern.  One queue holds inputs and S-pairs,
@@ -19,9 +21,10 @@ Computational Commutative Algebra 2, 2005).  Each new rule runs the
 Gebauer-Moeller pair update (Gebauer & Moeller, JSC 6, 1988) without its
 criterion B, and only over the new pairs whose leads share a variable:
 pairs with coprime leads are never formed, and criteria M and F keep one
-of the rest per minimal lcm.  Every pair they keep is queued, with one
-exception: when the caller promises a saturated ideal, a kept pair whose
-two sides share a variable is not queued (see buchberger).  Leaving
+of the rest per minimal lcm; every pair they keep is queued.  When the
+caller promises a saturated ideal, a pair whose two rules' tails share a
+variable is settled before criteria M and F: its lcm joins the kept ones,
+and it is not queued (see buchberger).  Leaving
 the coprime pairs out of criterion M changes no skip when no lead divides
 another, as a coprime lcm f_k * x divides lcm(f_i, x) only when f_k
 divides f_i; on other input fewer pairs are skipped, which stays sound.
@@ -41,10 +44,10 @@ the inputs that became rules a minimal generating system.  Other input
 still gets a Groebner basis, just not a minimal one.  buchberger returns
 the rules in insertion order; reduce_gb lists a basis canonically.
 
-The pair update runs on packed words: coprime leads are one AND of support
-patterns, a pair's lcm is one packed_lcm, and each divisibility test in
-criteria M and F, is_minimal_basis, is_reduced_basis and reduce_gb is one
-guarded subtraction.  New pairs are sorted by (packed lcm, index): a
+The pair update runs on packed words: coprime leads and shared tails are
+one AND of support patterns, a pair's lcm is one packed_lcm, and each
+divisibility test in criteria M and F, is_minimal_basis, is_reduced_basis
+and reduce_gb is one guarded subtraction.  New pairs are sorted by (packed lcm, index): a
 proper divisor is a smaller packed int, so it comes first as in a sort by
 weighted degree.  In a trace, the coprime lines of one insertion come
 first, in rule order, then its M, F and common-factor lines in packed-lcm
@@ -57,6 +60,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .binomials import (
@@ -80,16 +84,24 @@ Packed = tuple[int, int]  # a rule as packed words
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Oriented basis elements together with the order that oriented them."""
+    """Oriented basis rules, as packed (lead, tail) words, and their order.
 
-    elements: tuple[Binomial, ...]
+    elements lists the rules as binomials, built on first read.
+    """
+
+    rules: tuple[Packed, ...]
     order: MatrixOrder
     minimal: bool = False
     reduced: bool = False
     inputs: tuple[int, ...] = ()  # from buchberger: positions in gens of the inputs kept as rules
 
+    @cached_property
+    def elements(self) -> tuple[Binomial, ...]:
+        nvars = self.order.nvars
+        return tuple(Binomial(unpack(p, nvars), unpack(q, nvars)) for p, q in self.rules)
+
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rules)
 
     def __iter__(self):
         return iter(self.elements)
@@ -125,14 +137,10 @@ def buchberger(
 
     With saturated set, the caller promises that gens are homogeneous for
     order.rows[0] and that their ideal I equals its saturation by every
-    variable, as a prime ideal without monomials does.  A pair that
-    criteria M and F keep is then not queued when its two sides u and v,
-    the one-step rewrites of its lcm, share a variable; one AND of their
-    support patterns tests it.  Its lcm stays in the kept list, so later M
-    and F decisions do not change, and a trace gets the line
-    "pair (i,j) lcm=... skipped: common factor".  The truncated-basis
-    argument of the homogeneous algorithm (Kreuzer & Robbiano, 2005)
-    shows this is sound:
+    variable, as a prime ideal without monomials does.  A pair whose two
+    sides u and v, the one-step rewrites of its lcm, share a variable then
+    needs no reduction, by the truncated-basis argument of the
+    homogeneous algorithm (Kreuzer & Robbiano, 2005):
     1. Row one is strictly positive, every input is homogeneous for it,
        and the queue leaves in nondecreasing weight.
     2. If x_s divides u and v, then u - v = x_s * (u' - v'); u' - v' lies
@@ -144,14 +152,34 @@ def buchberger(
        or without the skip no rule is superseded, so the leads are the
        minimal generators of the same leading ideal: the number of rules
        and the reduced basis are the same.
-    On an ideal that is not saturated the skip is unsound and can change
-    the reduced basis, so every caller but toric_ideal keeps the default.
+
+    The sides need not be formed for the test.  By the same argument no
+    rule's lead and tail share a variable: both are normal forms when the
+    rule is added, and were x_s to divide both, their quotients by x_s,
+    two distinct monomials, would rewrite to one normal form, so one of
+    them rewrites, and the lead or the tail with it.  The cofactors
+    lcm / lead_i and lcm / lead_j have disjoint supports, and lcm / lead_i
+    is nonzero only where lead_j exceeds lead_i, so only off tail_j.
+    Hence u and v share a variable exactly when the two rules' tails do,
+    and one AND of the tails' support patterns, one kept per rule, tests
+    it before criteria M and F.  Such a pair gets the trace line
+    "pair (i,j) lcm=... skipped: common factor", also where criterion M
+    or F would have skipped it, and its lcm joins the kept list.  That
+    changes no later M or F decision: had M or F skipped the pair, a kept
+    lcm divides its lcm, and otherwise its lcm would have been kept.  So
+    the pairs queued are those M and F keep whose sides share no
+    variable.  On the sweep box (order prec-1) the update forms 62,559
+    pairs: 47,837 share a tail variable, criteria M and F skip 8,352,
+    and of the 6,370 queued 3,019 reduce to zero.  On an ideal that is
+    not saturated the skip is unsound and can change the reduced basis,
+    so every caller but toric_ideal keeps the default.
     """
     weights = order.rows[0]
     nvars = order.nvars
     index = RuleIndex(nvars)
     rules = index.rules  # ((lead, tail), lead support pattern); pairs name rules by position
     guard, ones = index.guard, index.ones
+    tails: list[int] = []  # tail support pattern of each rule when saturated, else 0
     inputs: list[int] = []
 
     def weight(m):
@@ -192,6 +220,7 @@ def buchberger(
         # skips fewer pairs.
         j = len(rules)
         s = ((x | guard) - ones) & guard
+        t = ((y | guard) - ones) & guard if saturated else 0
         if trace:
             for i, ((f, _), r) in enumerate(rules):
                 if not r & s:
@@ -200,6 +229,12 @@ def buchberger(
         kept: list[int] = []
         for big, i in sorted((packed_lcm(f[0], x, guard), i)
                              for i, (f, r) in enumerate(rules) if r & s):
+            if tails[i] & t:  # the two sides share a variable of both tails
+                kept.append(big)
+                if trace:
+                    trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
+                          " skipped: common factor")
+                continue
             if _has_divisor(big | guard, kept, guard):
                 if trace:
                     crit = "F" if big in kept else "M"
@@ -208,18 +243,12 @@ def buchberger(
                 continue
             kept.append(big)
             f = rules[i][0]
-            u, v = big - f[0] + f[1], big - x + y
-            if saturated and ((u | guard) - ones) & ((v | guard) - ones) & guard:
-                if trace:
-                    trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
-                          " skipped: common factor")
-                continue
             lcm = unpack(big, nvars)
-            heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j), u, v))
+            heapq.heappush(heap, (weight(lcm), 0, (lcm, i, j), big - f[0] + f[1], big - x + y))
         index.add(x, y)
+        tails.append(t)
 
-    return GroebnerBasis(tuple(Binomial(unpack(p, nvars), unpack(q, nvars))
-                               for (p, q), _ in rules), order, inputs=tuple(inputs))
+    return GroebnerBasis(tuple(rule for rule, _ in rules), order, inputs=tuple(inputs))
 
 
 def is_groebner_basis(
@@ -290,24 +319,24 @@ def is_reduced_basis(elements: Sequence[Binomial]) -> bool:
 
 
 def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
-    """Reduced basis: minimal, with every trailing term in normal form.
+    """Reduced basis of the Groebner basis gb: minimal, tails in normal form.
 
-    The nonzero elements are taken in canonical order (ascending leading
-    term, then trailing term), and one is kept when no kept lead divides
-    its lead; tail reduction keeps the leads, so the listing stays sorted.
+    The nonzero rules are taken in ascending order of their leads, and one
+    is kept when no kept lead divides its lead; tail reduction keeps the
+    leads, so the listing stays sorted.  Of rules with equal leads the
+    first is kept: their tails differ by an element of the ideal, so they
+    have one normal form.
     """
     nvars = gb.order.nvars
     guard = guard_bits(nvars)
     key = gb.order.sort_key()
     rules: list[Packed] = []
-    # key checks every element's variable count, zero ones included
-    for g in sorted(gb.elements, key=lambda g: (key(g.plus), key(g.minus))):
-        p = pack(g.plus)
-        if not g.is_zero() and not _has_divisor(p | guard, (h for h, _ in rules), guard):
-            rules.append((p, pack(g.minus)))
+    for p, q in sorted((r for r in gb.rules if r[0] != r[1]),
+                       key=lambda r: key(unpack(r[0], nvars))):
+        if not _has_divisor(p | guard, (h for h, _ in rules), guard):
+            rules.append((p, q))
     index = RuleIndex(nvars, rules)
-    out = tuple(Binomial(unpack(p, nvars), unpack(normal_form(q, index), nvars))
-                for p, q in rules)
+    out = tuple((p, normal_form(q, index)) for p, q in rules)
     return GroebnerBasis(out, gb.order, minimal=True, reduced=True)
 
 
@@ -322,9 +351,7 @@ def ideal_equal(
     order: MatrixOrder,
 ) -> bool:
     """Compare two binomial ideals through their reduced bases under order."""
-    r1 = groebner_reduced(gens1, order)
-    r2 = groebner_reduced(gens2, order)
-    return r1.elements == r2.elements
+    return groebner_reduced(gens1, order).rules == groebner_reduced(gens2, order).rules
 
 
 def _strip_variable(g: Binomial, idx: int) -> Binomial:

@@ -10,7 +10,7 @@ from math import comb, gcd
 import pytest
 
 from repunit_toric import families
-from repunit_toric.binomials import Binomial, Grading, format_binomial
+from repunit_toric.binomials import Binomial, Grading, format_binomial, pack
 from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
@@ -504,7 +504,7 @@ def _one_t_route(grading, order):
         if rank([*rows, row + (0,)]) > len(rows):
             rows.append(row + (0,))
     elim = buchberger(gens, MatrixOrder(tuple(rows)))
-    kept = [Binomial(g.plus[:n], g.minus[:n]) for g in elim if not any(g.plus[n:])]
+    kept = [(pack(g.plus[:n]), pack(g.minus[:n])) for g in elim if not any(g.plus[n:])]
     return reduce_gb(GroebnerBasis(tuple(kept), order))
 
 

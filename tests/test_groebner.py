@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -18,6 +19,8 @@ from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
     Grading,
+    format_monomial,
+    pack,
 )
 from repunit_toric.families import (
     minors_closed_chain,
@@ -44,7 +47,7 @@ from repunit_toric.groebner import (
 from repunit_toric.orders import MatrixOrder, build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
 
-from test_families import NEGATIVE_GRADINGS
+from test_families import NEGATIVE_GRADINGS, _random_orders
 
 
 def oriented(f, order):
@@ -111,7 +114,6 @@ def test_variable_count_mismatch_raises_at_every_entry_point(gens):
         lambda: prune_redundant_generators(gens, order),
         lambda: saturate_variable(gens, 1, Grading.scalar((1, 2, 3, 4))),
         lambda: is_groebner_basis(gens, order),
-        lambda: reduce_gb(GroebnerBasis(tuple(gens), order)),
     ]
     for call in entry_points:
         with pytest.raises(ValueError, match="variable count mismatch with order matrix"):
@@ -243,7 +245,7 @@ def test_trace_pins_pair_outcomes():
     assert lines[0] == ("elimination run over x1..x5, where x5 = t_1, t_2 = x1; "
                         "input 3 is the relation x5^15 - x1")
     assert _pair_outcomes(lines[1:]) == {
-        "input": 4, "added": 10, "zero": 7, "common": 19, "M": 14, "F": 2, "coprime": 39}
+        "input": 4, "added": 10, "zero": 7, "common": 33, "M": 2, "coprime": 39}
 
 
 def _pair_outcomes(lines):
@@ -273,12 +275,12 @@ def _sorted_digest(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"input": 5, "added": 19, "zero": 19, "common": 47, "M": 67, "F": 3,
+    ((2, 3, 5), {"input": 5, "added": 19, "zero": 19, "common": 105, "M": 12,
                  "coprime": 121},
-     "d1649db5544526d5c9499a3ba0145ba0c456cd12968a7d2094305ad1ab469eab"),
-    ((5, 6, 6), {"input": 6, "added": 41, "zero": 61, "common": 124, "M": 441, "F": 4,
+     "52a934c1341243fa46bed2b57e6f6084d466ca1790444707a9e5e1dd1dd92c26"),
+    ((5, 6, 6), {"input": 6, "added": 41, "zero": 61, "common": 514, "M": 55,
                  "coprime": 410},
-     "14afacb5c690cabc2b81d69d21e22bb26e0c4b84fdf712b78f96dff0370032d2"),
+     "d54193582bfd360268c9fb9e97ace8f7cf9dc640283bbf511d817cb860614466"),
 ], ids=["2-3-5", "5-6-6"])
 def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
@@ -339,6 +341,45 @@ def _recorded_runs(monkeypatch):
     return runs
 
 
+def test_every_common_factor_skip_has_sides_sharing_a_variable(monkeypatch):
+    # Each "skipped: common factor" line of a toric run names a pair (i,j)
+    # of the run's raw rules and its lcm; the pair's two sides, the lcm
+    # rewritten one step by each rule, must share a variable.  The engine
+    # tests the rules' tails only, which is enough when no raw rule's lead
+    # and tail share a variable; that is checked too.  On the sweep box
+    # (order prec-1), the projective gradings of its b and n (prec-1 and
+    # prec-n) and gradings with negative entries under seeded orders.
+    runs = _recorded_runs(monkeypatch)
+    cases = []
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        grading = scalar_grading(InstanceParams(a, b, n))
+        cases.append((grading, build_order_i(grading.positive_row(), 1)))
+    for b, n in itertools.product(range(2, 7), range(4, 7)):
+        grading = projective_grading(InstanceParams(1, b, n))
+        cases += [(grading, build_order_i(grading.positive_row(), i)) for i in (1, n)]
+    for grading in map(Grading, NEGATIVE_GRADINGS):
+        cases += [(grading, order) for order in _random_orders(grading)]
+    skips = 0
+    for grading, order in cases:
+        runs.clear()
+        lines: list[str] = []
+        toric_ideal(grading, order, lines.append)
+        rules = runs[0].elements
+        assert not any(p and q for g in rules for p, q in zip(g.plus, g.minus)), grading.rows
+        for s in lines:
+            m = re.fullmatch(r"pair \((\d+),(\d+)\) lcm=(\S+) skipped: common factor", s)
+            if not m:
+                continue
+            f, g = rules[int(m[1])], rules[int(m[2])]
+            lcm = tuple(map(max, f.plus, g.plus))
+            assert format_monomial(lcm) == m[3], s
+            u = tuple(e - p + q for e, p, q in zip(lcm, f.plus, f.minus))
+            v = tuple(e - p + q for e, p, q in zip(lcm, g.plus, g.minus))
+            assert any(x and y for x, y in zip(u, v)), (grading.rows, order.rows, s)
+            skips += 1
+    assert skips > 50000, skips
+
+
 def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     # The (2,3,5) weights listed largest first: x5, the lightest, stands
     # for t_2, and the other inputs enter the queue lightest first, last
@@ -352,14 +393,14 @@ def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     lines: list[str] = []
     toric_ideal(grading, trace=lines.append)
     counts = _pair_outcomes(lines[1:])
-    assert counts == {"input": 5, "added": 19, "zero": 15, "common": 51, "M": 78,
+    assert counts == {"input": 5, "added": 19, "zero": 15, "common": 113, "M": 16,
                       "coprime": 113}
     inputs = [s.split(" -> ")[0] for s in lines[1:] if s.startswith("input ")]
     assert inputs == [f"input {k}" for k in (3, 2, 1, 0, 4)]
     assert runs[0].inputs == (3, 2, 1, 0, 4)
     assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "a4f1a68c458ed518c17ef49ca61c8991353fd69ae1bdc7831dd74593b9578253")
+        "06b67bc60bb9dacba1d2fa687b7f2cffc0dcc578b222f109fb2e4b62f077649c")
 
 
 def _tuple_is_minimal(elements):
@@ -582,29 +623,41 @@ def _tuple_minimal_leads(elements, order):
 
 
 def test_reduce_gb_matches_tuple_minimalization():
-    # Raw buchberger output padded with zero elements, duplicates and
-    # multiples of its elements, then shuffled: the reduced basis keeps
-    # exactly the minimal leads and does not depend on the padding.
+    # Raw buchberger output padded with zero elements, duplicates,
+    # multiples of its elements and elements with the same lead and a tail
+    # one rewrite step away, either way, still below the lead, then
+    # shuffled: the reduced basis keeps exactly the minimal leads and does
+    # not depend on the padding.
     rng = random.Random(20213)
-    dropped = 0
+    dropped = retailed = 0
     for gens, order, _ in _random_ideals():
-        raw = list(buchberger(gens, order).elements)
-        want = reduce_gb(GroebnerBasis(tuple(raw), order)).elements
+        run = buchberger(gens, order)
+        raw, want = list(run.elements), reduce_gb(run).elements
+        stepped = []
+        for g, h in itertools.product(raw, repeat=2):
+            for u, v in ((h.plus, h.minus), (h.minus, h.plus)):
+                if divides(u, g.minus):
+                    q = tuple(e - a + b for e, a, b in zip(g.minus, u, v))
+                    if order.compare(g.plus, q) > 0:
+                        stepped.append(Binomial(g.plus, q))
+        retailed += len(stepped)
         for _ in range(3):
-            padded = raw + rng.sample(raw, rng.randint(0, len(raw)))
+            padded = raw + stepped + rng.sample(raw, rng.randint(0, len(raw)))
             padded += [Binomial.from_vector((0,) * order.nvars)] * rng.randint(0, 2)
             for g in rng.sample(raw, min(len(raw), rng.randint(0, 2))):
                 m = tuple(rng.randint(0, 2) for _ in range(order.nvars))
                 padded.append(Binomial(tuple(map(sum, zip(g.plus, m))),
                                        tuple(map(sum, zip(g.minus, m)))))
             rng.shuffle(padded)
-            gb = reduce_gb(GroebnerBasis(tuple(padded), order))
+            gb = reduce_gb(GroebnerBasis(tuple((pack(g.plus), pack(g.minus)) for g in padded),
+                                         order))
             leads = _tuple_minimal_leads(padded, order)
             assert [g.plus for g in gb] == leads
             assert gb.minimal and gb.reduced and is_reduced_basis(gb.elements)
             assert gb.elements == want
             dropped += len({g.plus for g in padded if not g.is_zero()}) > len(leads)
     assert dropped >= 50
+    assert retailed >= 50, retailed
 
 
 def test_cross_check_against_sympy():
