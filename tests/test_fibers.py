@@ -76,6 +76,8 @@ def test_enumerate_fiber_frozen_values():
     assert enumerate_fiber(w, (0,)).monomials == ((0, 0, 0, 0),)
     assert enumerate_fiber(w, (7,)).monomials == ()
     assert enumerate_fiber(w, (-5,)).monomials == ()
+    # a degree outside gcd(weights)*Z is empty at once, however large
+    assert enumerate_fiber(Grading.scalar((2, 4, 6, 8, 10, 12)), (100001,)).monomials == ()
 
     proj = projective_grading(InstanceParams(1, 2, 4))
     assert enumerate_fiber(proj, (3, 3)).monomials == ((0, 3, 0, 0), (2, 0, 1, 0))
