@@ -15,12 +15,11 @@ in both directions, and joins the components it reaches along the degree's
 own generators.  The lower moves are one flat list of packed words, and
 each monomial reached tests every move by one guarded subtraction.
 
-enumerate_fiber lists a whole fiber, the reference the search is tested
-against, by meeting in the middle (Horowitz & Sahni, JACM 21, 1974).  The
-oracle (betti_splits and the counts and uniqueness read from it) never
-calls the Groebner engine, so the two can check each other; only
-prune_redundant_generators, the engine's route to the same count, runs
-Buchberger.
+enumerate_fiber lists a whole fiber by a plain walk, the reference the
+search is tested against.  The oracle (betti_splits and the counts and
+uniqueness read from it) never calls the Groebner engine, so the two can
+check each other; only prune_redundant_generators, the engine's route to
+the same count, runs Buchberger.
 """
 
 from __future__ import annotations
@@ -128,82 +127,33 @@ class DegreeSplit:
 def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     """All monomials of the given multidegree, in lexicographic order.
 
-    Meet in the middle (Horowitz & Sahni, JACM 21, 1974).  The variables
-    split at half = ceil(n/2), or half = 0 when n = 1.  One pass lists every
-    exponent suffix over half..n-1 within the positive-row budget, keyed by
-    its degree in every row; a depth-first walk over 0..half-1 then extends
-    a prefix leaving residuals (rest, res) by exactly the suffixes filed
-    under (rest, res).  The lookup is exact, and prefixes come in
-    lexicographic order, so the fiber and its order are those of a walk over
-    all n variables.  The table holds at most the right-half monomials
-    within the budget, and is built only when the positive-row entry is
-    divisible by the gcd of the positive row.
-
-    The walk keeps one cut.  The strictly positive row p caps each exponent
-    by the rest of its budget, and the exponent e of variable j is solved
-    modulo gcd(p[j+1:]), so e steps through one residue class.  The other
-    rows' residuals only ride down the walk to the lookup, which drops
-    every prefix no suffix completes.
+    A plain walk: each exponent runs up to the rest of the budget in the
+    strictly positive row p, the last is that rest over its weight, and
+    each candidate's full degree is checked.  A degree whose p entry is
+    negative or outside gcd(p)*Z is empty at once.  Every prefix of n - 1
+    variables within the budget is visited, so large multi-row degrees are
+    slow; no program path lists a whole fiber, only tests and a demo do.
     """
     target = tuple(check_int(d, "degree entry") for d in degree)
     if len(target) != len(grading.rows):
         raise ValueError(f"degree has {len(target)} entries, grading has {len(grading.rows)} rows")
     pos = grading.positive_row()
-    k = grading.rows.index(pos)
-    others = grading.rows[:k] + grading.rows[k + 1 :]
-    n = grading.nvars
-    cols = [tuple(row[j] for row in others) for j in range(n)]
-    half = (n + 1) // 2 if n > 1 else 0
-    rest = target[k]
-
-    # levels[j] for variable j < half, built from the last variable back.
-    # With h = gcd(p[j:]) dividing rest, e*p[j] leaves a rest divisible by
-    # after = gcd(p[j+1:]) exactly when e = rest/h * inv modulo after/h.
-    levels: list[tuple] = [()] * half
-    after = pos[-1]
-    for j in range(n - 2, -1, -1):
-        w = pos[j]
-        h = gcd(w, after)
-        if j < half:
-            levels[j] = (w, h, after // h, pow(w // h, -1, after // h), cols[j])
-        after = h
-    if rest < 0 or rest % after:
+    rest = target[grading.rows.index(pos)]
+    if rest < 0 or rest % gcd(*pos):
         return Fiber(target, ())
-
-    # the right-half suffixes in lexicographic order, with their degrees in
-    # every row; the last variable files its entries straight into the table
-    entries: list[tuple[Monomial, int, tuple[int, ...]]] = [((), 0, (0,) * len(others))]
-    for j in range(half, n - 1):
-        w, col = pos[j], cols[j]
-        entries = [
-            (s + (e,), d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
-            for s, d, ds in entries
-            for e in range((rest - d) // w + 1)
-        ]
-    lookup: dict[tuple[int, tuple[int, ...]], list[Monomial]] = {}
-    w, col = pos[-1], cols[-1]
-    for s, d, ds in entries:
-        for e in range((rest - d) // w + 1):
-            key = (d + e * w, tuple([x + c * e for x, c in zip(ds, col)]) if col else ds)
-            lookup.setdefault(key, []).append(s + (e,))
     found: list[Monomial] = []
 
-    def walk(prefix: Monomial, rest: int, res: tuple[int, ...]) -> None:
-        j = len(prefix)
-        w, h, step, inv, col = levels[j]
-        for e in range(rest // h * inv % step, rest // w + 1, step):
-            child = tuple([x - c * e for x, c in zip(res, col)]) if col else res
-            if j + 1 < half:
-                walk(prefix + (e,), rest - e * w, child)
-            else:
-                for suffix in lookup.get((rest - e * w, child), ()):
-                    found.append(prefix + (e,) + suffix)
+    def walk(prefix: Monomial, rest: int) -> None:
+        w = pos[len(prefix)]
+        if len(prefix) == len(pos) - 1:
+            e, r = divmod(rest, w)
+            if not r and grading.degree(prefix + (e,)) == target:
+                found.append(prefix + (e,))
+            return
+        for e in range(rest // w + 1):
+            walk(prefix + (e,), rest - e * w)
 
-    res = target[:k] + target[k + 1 :]
-    if half:
-        walk((), rest, res)
-    else:
-        found.extend(lookup.get((rest, res), ()))
+    walk((), rest)
     return Fiber(target, tuple(found))
 
 

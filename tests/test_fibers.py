@@ -110,13 +110,14 @@ def test_enumerate_fiber_against_brute_force():
                 fib = enumerate_fiber(grading, shifted)
                 assert list(fib.monomials) == brute_fiber(grading, shifted)
 
-    # one and two variables; closing-pair weights sharing a factor, so only
-    # one residue class of the next-to-last exponent closes; a positive row
-    # that is not the first; other rows with zero, negative and equal ratios
-    # (one a multiple of the positive row).  Degrees: those of small
-    # exponents, one more in the positive row (outside the residue class
-    # when weights share a factor), and other-row entries on and just past
-    # the ends of the interval the positive-row budget can reach.
+    # one and two variables; last weights sharing a factor with the others,
+    # so the exact division for the last exponent leaves a remainder after
+    # many prefixes; a positive row that is not the first; other rows with
+    # zero, negative and equal ratios (one a multiple of the positive row).
+    # Degrees: those of small exponents, one more in the positive row
+    # (outside gcd(p)*Z when weights share a factor), and other-row entries
+    # on and just past the ends of the interval the positive-row budget can
+    # reach.
     cases = [
         Grading.scalar((3,)),
         Grading(((2,), (-1,))),
@@ -149,11 +150,12 @@ def test_enumerate_fiber_against_brute_force():
             if degree in reached:
                 assert fib.monomials
 
-    # five to seven variables, so both halves of the split hold several: scalar
-    # weights drawn unsorted (the looked-up half sometimes holds the small
-    # ones), projective gradings and a two-row grading with a mixed-sign first
-    # row whose positive row is the second.  Degrees: those of small exponents
-    # and each of them one off in each row.
+    # five to seven variables, so the walk runs several levels deep before
+    # the last exponent's division: scalar weights drawn unsorted (the last
+    # weight sometimes small, sometimes large), projective gradings (a zero
+    # entry in the repunit row) and a two-row grading with a mixed-sign first
+    # row whose positive row is the second.  Degrees: those of small
+    # exponents and each of them one off in each row.
     rng = random.Random(5)
     split = [Grading.scalar(tuple(rng.randint(1, 9) for _ in range(n))) for n in (5, 5, 6, 6, 7, 7)]
     split += [projective_grading(InstanceParams(1, 3, 5)), projective_grading(InstanceParams(2, 2, 6))]
