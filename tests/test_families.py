@@ -9,7 +9,7 @@ from math import comb, gcd
 
 import pytest
 
-from repunit_toric import families
+from repunit_toric import families, intlinalg
 from repunit_toric.binomials import Binomial, Grading, format_binomial, pack
 from repunit_toric.families import (
     minors_closed_chain,
@@ -186,6 +186,32 @@ def test_weight_relation_matrix():
         assert all(dot(w, row) == 0 for row in mat.rows)
         full = row_hnf(mat.rows) == row_hnf(kernel_basis((w,)))
         assert full == (gcd_of_generators(p) == 1)
+
+
+def test_relation_matrix_checks_catch_a_bad_row(monkeypatch):
+    # Each self-check of the two relation builders fails with its own
+    # message when the integer helper it relies on is made to disagree.
+    p = InstanceParams(2, 3, 5)
+    dot, det = intlinalg.dot, intlinalg.det
+    monkeypatch.setattr(intlinalg, "dot", lambda u, v: dot(u, v) + 1)
+    with pytest.raises(AssertionError,
+                       match=r"relation row \(3, -1, -3, 1, 0\) is not in the kernel"):
+        projective_relation_matrix(p)
+    with pytest.raises(AssertionError,
+                       match=r"relation row \(3, -4, 1, 0, 0\) is not weight homogeneous"):
+        weight_relation_matrix(p)
+    monkeypatch.setattr(intlinalg, "dot", dot)
+    monkeypatch.setattr(intlinalg, "det", lambda m: -det(m))
+    with pytest.raises(AssertionError,
+                       match="trailing block of the relation matrix must have det 1"):
+        projective_relation_matrix(p)
+    monkeypatch.setattr(intlinalg, "det", det)
+    monkeypatch.setattr(intlinalg, "maximal_minors", lambda m: [1])
+    with pytest.raises(AssertionError, match=r"maximal minors \{1\} do not reproduce"):
+        weight_relation_matrix(p)
+    monkeypatch.undo()
+    projective_relation_matrix(p)
+    weight_relation_matrix(p)
 
 
 def test_toric_ideal_route_matches_minors():
