@@ -6,6 +6,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from operator import sub
 
 import pytest
 
@@ -50,21 +51,25 @@ def test_union_find():
 
 
 def brute_fiber(grading, degree):
-    """Every exponent vector within the positive-row budget whose degree matches, in lex order."""
+    """Every exponent vector within the positive-row budget whose degree matches, in lex order.
+
+    Meet in the middle, so it shares no step with enumerate_fiber's walk:
+    each half of the variables runs over the whole product of its ranges,
+    nothing pruned, and a left part joins every right part whose degree
+    makes up the rest.  Both products run in lex order, so the join does.
+    """
     pos = grading.positive_row()
     budget = degree[list(grading.rows).index(pos)]
+    ranges = [range(budget // w + 1) for w in pos]
+    h = len(ranges) // 2
+    left_zeros, right_zeros = (0,) * h, (0,) * (len(ranges) - h)
+    right = {}
+    for m in itertools.product(*ranges[h:]):
+        right.setdefault(grading.degree(left_zeros + m), []).append(m)
     out = []
-
-    def extend(prefix, rest):
-        if len(prefix) == len(pos):
-            if rest == 0 and grading.degree(prefix) == tuple(degree):
-                out.append(prefix)
-            return
-        w = pos[len(prefix)]
-        for e in range(rest // w + 1):
-            extend(prefix + (e,), rest - e * w)
-
-    extend((), budget)
+    for m in itertools.product(*ranges[:h]):
+        rest = tuple(map(sub, degree, grading.degree(m + right_zeros)))
+        out += [m + r for r in right.get(rest, ())]
     return out
 
 
