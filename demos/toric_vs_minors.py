@@ -20,14 +20,14 @@ for a, b, n in [(1, 2, 4), (3, 2, 4)]:
 
     toric = toric_ideal(grading, order)
     minors = minors_closed_chain(p)
-    reduced_minors = groebner_reduced(minors.binomials, order)
+    reduced_minors = groebner_reduced(minors, order)
     same = toric.elements == reduced_minors.elements
 
     print(f"a={a} b={b} n={n}: weights {w}, gcd {gcd_of_generators(p)}")
     print(f"  toric ideal == closed-chain minors: {same}")
 
     toric_betti = betti_degrees(toric.elements, grading)
-    minor_betti = betti_degrees(minors.binomials, grading)
+    minor_betti = betti_degrees(minors, grading)
     print(f"  toric needs {sum(toric_betti.values())} minimal generators,",
           f"minors span an ideal needing {sum(minor_betti.values())}")
 

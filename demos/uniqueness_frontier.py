@@ -36,7 +36,7 @@ def main() -> None:
             print(f"  a={a}: skipped, generators not coprime")
             continue
         fam = minors_closed_chain(p)
-        unique = has_unique_minimal_system(fam.binomials, scalar_grading(p))
+        unique = has_unique_minimal_system(fam, scalar_grading(p))
         marker = "unique" if unique else "not unique"
         print(f"  a={a}: {marker} (predicted {'unique' if a < args.b - 1 else 'not unique'})")
 
@@ -45,7 +45,7 @@ def main() -> None:
     grading = scalar_grading(p)
     print()
     print(f"forced generators for a=1 b=3 n=4 (weights {generators(p)}):")
-    splits = betti_splits(fam.binomials, grading)
+    splits = betti_splits(fam, grading)
     forced = forced_generators(splits)
     assert forced is not None
     for g in forced:

@@ -31,7 +31,7 @@ from .fibers import (
     has_unique_minimal_system,
     unique_minimal_system,
 )
-from .groebner import groebner_reduced
+from .groebner import groebner_reduced, is_minimal_basis, is_reduced_basis
 from .orders import build_order_i, five_variable_order
 from .reports import exit_code, render_text, report_to_dict
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
@@ -244,7 +244,7 @@ def _resolve_order(args, params: InstanceParams):
 def _source_basis(source: str, params: InstanceParams, order, trace):
     family, grading_of = SOURCES[source]
     if family:
-        return groebner_reduced(family(params).binomials, order, trace)
+        return groebner_reduced(family(params), order, trace)
     return toric_ideal(grading_of(params), order, trace)
 
 
@@ -253,13 +253,14 @@ def cmd_groebner(args) -> Result:
     label, order = _resolve_order(args, params)
     gb = _source_basis(args.source, params, order, _trace_fn(args))
     listing = [format_binomial(g) for g in gb.elements]
+    minimal, reduced = is_minimal_basis(gb.elements), is_reduced_basis(gb.elements)
     head = (
         f"source={args.source} order={label} elements={len(listing)} "
-        f"minimal={'yes' if gb.minimal else 'no'} reduced={'yes' if gb.reduced else 'no'}"
+        f"minimal={'yes' if minimal else 'no'} reduced={'yes' if reduced else 'no'}"
     )
-    return 0, {
+    return 0 if minimal and reduced else 1, {
         "source": args.source, "order": label,
-        "minimal": gb.minimal, "reduced": gb.reduced,
+        "minimal": minimal, "reduced": reduced,
         "elements": listing,
     }, "\n".join([head] + listing)
 
@@ -268,7 +269,7 @@ def _source_for_oracle(source: str, params: InstanceParams, trace):
     family, grading_of = SOURCES[source]
     grading = grading_of(params)
     if family:
-        return list(family(params).binomials), grading
+        return list(family(params)), grading
     return list(toric_ideal(grading, trace=trace).elements), grading
 
 

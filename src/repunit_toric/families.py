@@ -16,7 +16,6 @@ run eliminates t_1 alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul, sub
 
@@ -62,29 +61,20 @@ def _closing_minor(params: InstanceParams, j: int) -> Binomial:
     return Binomial(_mono(n, (j, b), (1, a + 1)), _mono(n, (j + 1, 1), (n, b))).canonical()
 
 
-@dataclass(frozen=True)
-class MinorFamily:
-    """All 2 x 2 minors of one of the two structured monomial matrices."""
-
-    source: str
-    binomials: tuple[Binomial, ...]
-    params: InstanceParams
-
-
-def minors_open_chain(params: InstanceParams) -> MinorFamily:
+def minors_open_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     """Minors of the 2 x (n-1) matrix; empty when n == 2.
 
     Every minor is homogeneous for both gradings, and there are
     C(n-1, 2) of them.
     """
     n = params.n
-    out = [_adjacent_minor(params, j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
-    fam = MinorFamily("open-chain", tuple(out), params)
-    _check_minor_family(fam, expected=comb(n - 1, 2), new=fam.binomials, both_gradings=True)
+    fam = tuple(_adjacent_minor(params, j, k) for j in range(1, n - 1) for k in range(j + 1, n))
+    _check_minor_family("open-chain", params, fam, expected=comb(n - 1, 2), new=fam,
+                        both_gradings=True)
     return fam
 
 
-def minors_closed_chain(params: InstanceParams) -> MinorFamily:
+def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     """Minors of the 2 x n matrix with the closing column appended.
 
     C(n, 2) minors, homogeneous for the weight grading; minors_open_chain
@@ -92,25 +82,26 @@ def minors_closed_chain(params: InstanceParams) -> MinorFamily:
     """
     n = params.n
     closing = tuple(_closing_minor(params, j) for j in range(1, n))
-    fam = MinorFamily("closed-chain", minors_open_chain(params).binomials + closing, params)
-    _check_minor_family(fam, expected=comb(n, 2), new=closing, both_gradings=False)
+    fam = minors_open_chain(params) + closing
+    _check_minor_family("closed-chain", params, fam, expected=comb(n, 2), new=closing,
+                        both_gradings=False)
     return fam
 
 
-def _check_minor_family(fam: MinorFamily, expected: int, new: tuple[Binomial, ...],
-                        both_gradings: bool) -> None:
+def _check_minor_family(name: str, params: InstanceParams, fam: tuple[Binomial, ...],
+                        expected: int, new: tuple[Binomial, ...], both_gradings: bool) -> None:
     # count and repeats over the family; homogeneity of the new minors, one dot product a row
-    if len(fam.binomials) != expected:
-        raise AssertionError(f"{fam.source}: {len(fam.binomials)} minors, expected {expected}")
-    if len(set(fam.binomials)) != expected:
-        raise AssertionError(f"{fam.source}: repeated minors")
-    rows = scalar_grading(fam.params).rows
+    if len(fam) != expected:
+        raise AssertionError(f"{name}: {len(fam)} minors, expected {expected}")
+    if len(set(fam)) != expected:
+        raise AssertionError(f"{name}: repeated minors")
+    rows = scalar_grading(params).rows
     if both_gradings:
-        rows += projective_grading(fam.params).rows
+        rows += projective_grading(params).rows
     for g in new:
         d = tuple(map(sub, g.plus, g.minus))
         if any(sum(map(mul, row, d)) for row in rows):
-            raise AssertionError(f"{fam.source}: inhomogeneous minor {g}")
+            raise AssertionError(f"{name}: inhomogeneous minor {g}")
 
 
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:
@@ -153,20 +144,7 @@ def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, 
     return structured_open_family(params, i) + structured_family(params, i, 4)
 
 
-@dataclass(frozen=True)
-class LatticeMatrix:
-    """Integer relation matrix whose rows span a kernel lattice."""
-
-    kind: str
-    rows: tuple[tuple[int, ...], ...]
-
-    def binomials(self) -> tuple[Binomial, ...]:
-        return tuple(
-            Binomial.from_vector(r).canonical() for r in self.rows if any(r)
-        )
-
-
-def projective_relation_matrix(params: InstanceParams) -> LatticeMatrix:
+def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:
     """(n-2) x n sliding-window relations for the two-row grading; n >= 4.
 
     Rows 1..n-3 slide (b, -1, -b, 1); the last row is (b, -(b+1), 1).  The
@@ -190,18 +168,16 @@ def projective_relation_matrix(params: InstanceParams) -> LatticeMatrix:
     last[n - 2] = -(b + 1)
     last[n - 1] = 1
     rows.append(tuple(last))
-    mat = LatticeMatrix("projective-kernel", tuple(rows))
     grading = projective_grading(params)
-    for row in mat.rows:
+    for row in rows:
         if any(intlinalg.dot(grow, row) != 0 for grow in grading.rows):
             raise AssertionError(f"relation row {row} is not in the kernel")
-    block = [row[2:] for row in mat.rows]
-    if intlinalg.det(block) != 1:
+    if intlinalg.det([row[2:] for row in rows]) != 1:
         raise AssertionError("trailing block of the relation matrix must have det 1")
-    return mat
+    return tuple(rows)
 
 
-def weight_relation_matrix(params: InstanceParams) -> LatticeMatrix:
+def weight_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:
     """(n-1) x n relations for the weight grading; n >= 3.
 
     Rows 1..n-2 slide (b, -(b+1), 1); the last row has a+1 in column 1 and
@@ -225,15 +201,14 @@ def weight_relation_matrix(params: InstanceParams) -> LatticeMatrix:
     last[n - 2] = b
     last[n - 1] = -(b + 1)
     rows.append(tuple(last))
-    mat = LatticeMatrix("weight-kernel", tuple(rows))
     gens = generators(params)
-    for row in mat.rows:
+    for row in rows:
         if intlinalg.dot(gens, row) != 0:
             raise AssertionError(f"relation row {row} is not weight homogeneous")
-    minors = {abs(m) for m in intlinalg.maximal_minors(mat.rows)}
+    minors = {abs(m) for m in intlinalg.maximal_minors(rows)}
     if minors != set(gens):
         raise AssertionError(f"maximal minors {minors} do not reproduce {set(gens)}")
-    return mat
+    return tuple(rows)
 
 
 def toric_ideal(

@@ -91,8 +91,6 @@ class GroebnerBasis:
 
     rules: tuple[Packed, ...]
     order: MatrixOrder
-    minimal: bool = False
-    reduced: bool = False
     inputs: tuple[int, ...] = ()  # from buchberger: positions in gens of the inputs kept as rules
 
     @cached_property
@@ -337,7 +335,7 @@ def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
             rules.append((p, q))
     index = RuleIndex(nvars, rules)
     out = tuple((p, normal_form(q, index)) for p, q in rules)
-    return GroebnerBasis(out, gb.order, minimal=True, reduced=True)
+    return GroebnerBasis(out, gb.order)
 
 
 def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,

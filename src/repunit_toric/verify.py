@@ -121,14 +121,15 @@ def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors
     check(
         "relation-matrix",
         lambda: (
-            kernel_basis(grading.rows) == row_hnf(rel.rows),
-            f"{len(rel.rows)} rows span the full kernel lattice",
+            kernel_basis(grading.rows) == row_hnf(rel),
+            f"{len(rel)} rows span the full kernel lattice",
         ),
     )
     check(
         label,
         lambda: (
-            ideal_equal(saturate_torus(list(rel.binomials()), grading), minors.binomials, order),
+            ideal_equal(saturate_torus([Binomial.from_vector(r).canonical() for r in rel],
+                                       grading), minors, order),
             detail,
         ),
     )
@@ -138,7 +139,7 @@ def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minor
                          order) -> None:
     def toric_route() -> tuple[bool, str]:
         tor = toric_ideal(grading, order)
-        ref = groebner_reduced(minors.binomials, order)
+        ref = groebner_reduced(minors, order)
         return tor.rules == ref.rules, detail
 
     check(label, toric_route)
@@ -146,7 +147,7 @@ def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minor
 
 def _shared_splits(minors, grading) -> Callable[[], dict[tuple[int, ...], DegreeSplit]]:
     """Fiber splits of the minors, computed by the first check that asks."""
-    return cache(lambda: betti_splits(minors.binomials, grading))
+    return cache(lambda: betti_splits(minors, grading))
 
 
 def _oracle_count(check: _Checks, label: str, splits, expected: int) -> None:
@@ -221,7 +222,7 @@ def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -
           lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
 
     def engine_agrees() -> tuple[bool, str]:
-        computed = groebner_reduced(minors.binomials, order)
+        computed = groebner_reduced(minors, order)
         same = {(g.plus, g.minus) for g in computed} == {(g.plus, g.minus) for g in family}
         return same, "engine reduced basis of the minors equals the family"
 
@@ -244,7 +245,7 @@ def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int)
     check(
         "coverage",
         lambda: (
-            {g.canonical() for g in family} == set(minors.binomials),
+            {g.canonical() for g in family} == set(minors),
             "family equals the minor set up to orientation",
         ),
     )
@@ -272,7 +273,7 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
     check(
         "pruning-agreement",
         lambda: (
-            len(prune_redundant_generators(minors.binomials, order)) == expected,
+            len(prune_redundant_generators(minors, order)) == expected,
             "greedy Groebner pruning keeps the same count",
         ),
     )
@@ -313,7 +314,7 @@ def verify_five_variable_growth(check: _Checks, params: InstanceParams) -> None:
     minors = minors_open_chain(params)
 
     def reduced_size() -> tuple[bool, str]:
-        gb = groebner_reduced(minors.binomials, order)
+        gb = groebner_reduced(minors, order)
         return len(gb.elements) == 8, f"reduced basis has {len(gb.elements)} elements"
 
     check("reduced-size", reduced_size)
@@ -351,7 +352,7 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
     check(
         "printed-set",
         lambda: (
-            set(printed) == set(minors.binomials),
+            set(printed) == set(minors),
             "printed binomials are exactly the closed-chain minors",
         ),
     )
@@ -362,7 +363,7 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
     check(
         "pruning",
         lambda: (
-            {h.canonical() for h in prune_redundant_generators(minors.binomials, order)}
+            {h.canonical() for h in prune_redundant_generators(minors, order)}
             == set(printed),
             "greedy pruning keeps all six",
         ),
@@ -402,14 +403,14 @@ def verify_noncoprime_counts(check: _Checks, params: InstanceParams) -> None:
     check(
         "minor-minimal-count",
         lambda: (
-            minimal_generator_count(minors.binomials, grading) == 6,
+            minimal_generator_count(minors, grading) == 6,
             "minor ideal needs 6 minimal generators",
         ),
     )
     check(
         "ideals-differ",
         lambda: (
-            tor().rules != groebner_reduced(minors.binomials, order).rules,
+            tor().rules != groebner_reduced(minors, order).rules,
             "toric ideal is not the minor ideal",
         ),
     )
@@ -422,14 +423,14 @@ def verify_nonminor_lead(check: _Checks, params: InstanceParams) -> None:
     target = Binomial((0, 0, 0, 4), (1, 4, 2, 0))
 
     def in_reduced() -> tuple[bool, str]:
-        gb = groebner_reduced(minors.binomials, order)
+        gb = groebner_reduced(minors, order)
         return target in gb.elements, "x4^4 - x1*x2^4*x3^2 appears in the reduced basis"
 
     check("reduced-member", in_reduced)
     check(
         "not-a-minor",
         lambda: (
-            target.canonical() not in set(minors.binomials),
+            target.canonical() not in set(minors),
             "the new element is not a 2x2 minor",
         ),
     )

@@ -75,12 +75,12 @@ def order_for(a: int, b: int, n: int, i: int):
 
 @lru_cache(maxsize=None)
 def open_minors(a: int, b: int, n: int):
-    return minors_open_chain(params(a, b, n)).binomials
+    return minors_open_chain(params(a, b, n))
 
 
 @lru_cache(maxsize=None)
 def closed_minors(a: int, b: int, n: int):
-    return minors_closed_chain(params(a, b, n)).binomials
+    return minors_closed_chain(params(a, b, n))
 
 
 @lru_cache(maxsize=None)
@@ -132,7 +132,7 @@ def test_criterion_03_projective_saturation_and_uniqueness():
     for b, n in J_GRID:
         p = params(1, b, n)
         grading = projective_grading(p)
-        rel = projective_relation_matrix(p).binomials()
+        rel = [Binomial.from_vector(r).canonical() for r in projective_relation_matrix(p)]
         sat = saturate_torus(rel, grading)
         order = build_order_i(grading.positive_row(), 1)
         assert ideal_equal(sat, open_minors(1, b, n), order), (b, n)
@@ -260,7 +260,8 @@ def test_criterion_10_engine_self_consistency():
     for b, n in J_GRID:
         p = params(1, b, n)
         grading = projective_grading(p)
-        sat = saturate_torus(projective_relation_matrix(p).binomials(), grading)
+        rel = [Binomial.from_vector(r).canonical() for r in projective_relation_matrix(p)]
+        sat = saturate_torus(rel, grading)
         again = saturate_torus(sat, grading)
         order = build_order_i(grading.positive_row(), 1)
         assert ideal_equal(sat, again, order), (b, n)

@@ -202,7 +202,7 @@ def test_betti_split_fibers_match_brute_force(source):
     for a, b, n in itertools.product(range(1, 4), range(2, 5), range(4, 6)):
         p = InstanceParams(a, b, n)
         grading = grading_of(p)
-        for d in _generator_degrees(family(p).binomials, grading):
+        for d in _generator_degrees(family(p), grading):
             assert list(enumerate_fiber(grading, d).monomials) == brute_fiber(grading, d), (grading, d)
             count += 1
     assert count >= 18  # at least one degree per instance
@@ -223,7 +223,7 @@ def test_oracle_fibers_pinned():
     ):
         for a, b, n in itertools.product(range(1, 5), range(2, 6), range(5, 8)):
             p = InstanceParams(a, b, n)
-            gens, grading = family(p).binomials, grading_of(p)
+            gens, grading = family(p), grading_of(p)
             for d in _generator_degrees(gens, grading):
                 fib = enumerate_fiber(grading, d)
                 digest.update(f"{fib.degree} {fib.monomials}\n".encode())
@@ -289,7 +289,7 @@ def test_search_matches_whole_fiber_on_oracle_box(source):
     }[source]
     for a, b, n in itertools.product(range(1, 7), range(2, 7), range(5, 8)):
         p = InstanceParams(a, b, n)
-        _assert_search_matches_whole_fiber(family(p).binomials, grading_of(p))
+        _assert_search_matches_whole_fiber(family(p), grading_of(p))
 
 
 @pytest.fixture(scope="module")
@@ -316,7 +316,7 @@ def test_betti_splits_pinned_on_larger_minors_and_toric_bases(sweep_toric_bases)
     digest = hashlib.sha256()
     count = multi = 0
     inputs = [
-        (family(p).binomials, grading_of(p))
+        (family(p), grading_of(p))
         for family, grading_of in (
             (minors_closed_chain, scalar_grading),
             (minors_open_chain, projective_grading),
@@ -378,7 +378,7 @@ def test_dropped_lower_generator_changes_count_in_both_routes():
     # h needed (_assert_search_matches_whole_fiber compares them per degree).
     p = InstanceParams(3, 2, 4)
     grading = scalar_grading(p)
-    minors = list(minors_closed_chain(p).binomials)
+    minors = list(minors_closed_chain(p))
     g = minors[0]
     h = Binomial(tuple(e + (k == 0) for k, e in enumerate(g.plus)),
                  tuple(e + (k == 0) for k, e in enumerate(g.minus)))
@@ -457,7 +457,7 @@ def test_betti_counts_noncoprime_instance():
     grading = scalar_grading(p)
     toric = tuple(toric_ideal(grading))
     assert betti_degrees(toric, grading) == {(36,): 1, (48,): 1, (54,): 1, (60,): 1}
-    minors = minors_closed_chain(p).binomials
+    minors = minors_closed_chain(p)
     assert betti_degrees(minors, grading) == {
         (54,): 1, (66,): 1, (72,): 1, (90,): 1, (96,): 1, (108,): 1,
     }
@@ -469,7 +469,7 @@ def test_betti_counts_noncoprime_instance():
 def test_betti_ignores_redundant_multiples():
     p = InstanceParams(3, 2, 4)
     grading = scalar_grading(p)
-    minors = list(minors_closed_chain(p).binomials)
+    minors = list(minors_closed_chain(p))
     g = minors[0]
     padded = minors + [Binomial(
         tuple(e + (k == 0) for k, e in enumerate(g.plus)),
@@ -481,7 +481,7 @@ def test_betti_ignores_redundant_multiples():
 def test_forced_generators_coprime_n4():
     p = InstanceParams(1, 3, 4)
     grading = scalar_grading(p)
-    minors = minors_closed_chain(p).binomials
+    minors = minors_closed_chain(p)
     assert has_unique_minimal_system(minors, grading)
     splits = betti_splits(minors, grading)
     assert unique_minimal_system(splits)
@@ -499,9 +499,9 @@ def test_uniqueness_boundary():
     # a == b - 1 sits just outside the unique range
     p = InstanceParams(1, 2, 4)
     assert not has_unique_minimal_system(
-        minors_closed_chain(p).binomials, scalar_grading(p)
+        minors_closed_chain(p), scalar_grading(p)
     )
-    splits = betti_splits(minors_closed_chain(p).binomials, scalar_grading(p))
+    splits = betti_splits(minors_closed_chain(p), scalar_grading(p))
     assert not unique_minimal_system(splits)
     assert forced_generators(splits) is None
 
@@ -509,7 +509,7 @@ def test_uniqueness_boundary():
 def test_projective_side_betti():
     p = InstanceParams(1, 3, 4)
     grading = projective_grading(p)
-    minors = minors_open_chain(p).binomials
+    minors = minors_open_chain(p)
     assert betti_degrees(minors, grading) == {(4, 4): 1, (13, 4): 1, (16, 4): 1}
     assert has_unique_minimal_system(minors, grading)
 
@@ -517,7 +517,7 @@ def test_projective_side_betti():
 def test_prune_redundant_generators():
     p = InstanceParams(3, 2, 4)
     order = build_order_i(generators(p), 1)
-    minors = list(minors_closed_chain(p).binomials)
+    minors = list(minors_closed_chain(p))
     g = minors[0]
     multiple = Binomial(
         tuple(e + (k == 1) for k, e in enumerate(g.plus)),
@@ -533,7 +533,7 @@ def _mixed_generators():
     # the closed-chain minors at (3,2,4) with zero, duplicate, opposite and
     # multiple generators mixed in
     p = InstanceParams(3, 2, 4)
-    minors = list(minors_closed_chain(p).binomials)
+    minors = list(minors_closed_chain(p))
     g = minors[0]
     multiple = Binomial(tuple(e + 1 for e in g.plus), tuple(e + 1 for e in g.minus))
     zero = Binomial.from_vector((0, 0, 0, 0))
@@ -544,7 +544,7 @@ def _mixed_generators():
 
 def _minors_case(family, abn):
     p = InstanceParams(*abn)
-    return list(family(p).binomials), build_order_i(generators(p), 1)
+    return list(family(p)), build_order_i(generators(p), 1)
 
 
 def _toric_case(abn):
