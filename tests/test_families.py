@@ -81,6 +81,25 @@ def test_minor_counts_and_degenerate_cases():
     assert minors_closed_chain(p2) == (Binomial((5, 0), (0, 4)),)
 
 
+def test_families_and_relation_matrices_pinned():
+    # sha256 over the repr of both minor families, every structured part for
+    # every i, and both relation matrices where defined, on a 1..8, b 1..6,
+    # n 2..10: any change to an element, its orientation or the listing order
+    # changes the digest
+    lines = []
+    for a, b, n in itertools.product(range(1, 9), range(1, 7), range(2, 11)):
+        p = InstanceParams(a, b, n)
+        vals = [minors_open_chain(p), minors_closed_chain(p)]
+        vals += [structured_family(p, i, part) for i in range(1, n + 1) for part in (1, 2, 3, 4)]
+        if n >= 3:
+            vals.append(weight_relation_matrix(p))
+        if n >= 4:
+            vals.append(projective_relation_matrix(p))
+        lines.append(f"{a} {b} {n}: {vals!r}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "36238f39f922ed1e0affcf347be7e33393fd46573e659569ceb9ec6163857362"
+
+
 def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
     # Count and repeats are checked over each whole family; homogeneity once
     # per minor: the open-chain minors under both gradings when the open
