@@ -2,9 +2,12 @@
 
 Variables x_1 .. x_n carry the semigroup weights; the two-row grading stacks
 the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
-families come from 2 x 2 minors of a pair of structured 2 x (n-1) and 2 x n
-matrices of monomials, and the kernel-lattice matrices give small integer
-relation bases whose saturations recover the toric ideals.  The toric ideal
+families, the structured families and the rows of the kernel-lattice
+matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
+matrix, chain_matrix, whose first n - 1 columns are the open chain.  The
+structured families are oriented by orders.minor_side_predicate, so lemma3
+checks the very rule they are built with.  The relation rows are small
+integer bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
 A one-row grading w is split into two t's: with m = min(w) and
@@ -17,12 +20,12 @@ run eliminates t_1 alone.
 from __future__ import annotations
 
 from math import comb, gcd
-from operator import mul, sub
+from operator import add, mul, sub
 
 from . import intlinalg
 from .binomials import FIELD_BITS, Binomial, Grading, Monomial, format_binomial
 from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
-from .orders import MatrixOrder, _unit_negative_row, build_order_i
+from .orders import MatrixOrder, _unit_negative_row, build_order_i, minor_side_predicate
 from .semigroup import InstanceParams, generators, repunit
 
 
@@ -49,39 +52,46 @@ def _mono(n: int, *factors: tuple[int, int]) -> Monomial:
     return tuple(e)
 
 
-def _adjacent_minor(params: InstanceParams, j: int, k: int) -> Binomial:
-    # columns j < k of the 2 x (n-1) matrix with column t = (x_t^b ; x_{t+1})
-    n, b = params.n, params.b
-    return Binomial(_mono(n, (j, b), (k + 1, 1)), _mono(n, (j + 1, 1), (k, b))).canonical()
+def chain_matrix(params: InstanceParams) -> tuple[tuple[Monomial, Monomial], ...]:
+    """The paper's 2 x n monomial matrix as n (top, bottom) columns.
 
-
-def _closing_minor(params: InstanceParams, j: int) -> Binomial:
-    # column j against the extra column (x_n^b ; x_1^(a+1))
+    Column t < n is (x_t^b ; x_(t+1)) and the closing column n is
+    (x_n^b ; x_1^(a+1)); the open chain is the first n - 1 columns.
+    """
     n, b, a = params.n, params.b, params.a
-    return Binomial(_mono(n, (j, b), (1, a + 1)), _mono(n, (j + 1, 1), (n, b))).canonical()
+    cols = [(_mono(n, (t, b)), _mono(n, (t + 1, 1))) for t in range(1, n)]
+    cols.append((_mono(n, (n, b)), _mono(n, (1, a + 1))))
+    return tuple(cols)
+
+
+def _minor_sides(cols: tuple, j: int, k: int) -> tuple[Monomial, Monomial]:
+    # the minor on columns j < k is top_j * bot_k - bot_j * top_k
+    (top_j, bot_j), (top_k, bot_k) = cols[j - 1], cols[k - 1]
+    return tuple(map(add, top_j, bot_k)), tuple(map(add, bot_j, top_k))
 
 
 def minors_open_chain(params: InstanceParams) -> tuple[Binomial, ...]:
-    """Minors of the 2 x (n-1) matrix; empty when n == 2.
+    """Minors of the open chain, the first n - 1 columns; empty when n == 2.
 
     Every minor is homogeneous for both gradings, and there are
     C(n-1, 2) of them.
     """
-    n = params.n
-    fam = tuple(_adjacent_minor(params, j, k) for j in range(1, n - 1) for k in range(j + 1, n))
+    n, cols = params.n, chain_matrix(params)
+    fam = tuple(Binomial(*_minor_sides(cols, j, k)).canonical()
+                for j in range(1, n - 1) for k in range(j + 1, n))
     _check_minor_family("open-chain", params, fam, expected=comb(n - 1, 2), new=fam,
                         both_gradings=True)
     return fam
 
 
 def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
-    """Minors of the 2 x n matrix with the closing column appended.
+    """Minors of the 2 x n matrix: the open chain's, then each column with column n.
 
     C(n, 2) minors, homogeneous for the weight grading; minors_open_chain
     has checked the open-chain ones, so only the n-1 closing minors are.
     """
-    n = params.n
-    closing = tuple(_closing_minor(params, j) for j in range(1, n))
+    n, cols = params.n, chain_matrix(params)
+    closing = tuple(Binomial(*_minor_sides(cols, j, n)).canonical() for j in range(1, n))
     fam = minors_open_chain(params) + closing
     _check_minor_family("closed-chain", params, fam, expected=comb(n, 2), new=closing,
                         both_gradings=False)
@@ -107,67 +117,66 @@ def _check_minor_family(name: str, params: InstanceParams, fam: tuple[Binomial, 
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:
     """One block of the structured generating family for the x_i-cheap order.
 
-    The plus monomial of every element is its leading term under that order.
-    Parts 1..3 rewrite the open-chain minors; part 4 holds the closing
-    minors, split at column i.  Sizes: C(n-i, 2), C(i-1, 2), (i-1)(n-i)
-    and n-1.
+    A part is a set of column pairs j < k of chain_matrix: part 1 pairs the
+    columns i..n-1, part 2 the columns 1..i-1, part 3 one of each, part 4
+    each column with column n.  Sizes: C(n-i, 2), C(i-1, 2), (i-1)(n-i) and
+    n-1.  The plus monomial of every element is its leading term under that
+    order.  Parts 1..3 are oriented by orders.minor_side_predicate, the rule
+    lemma3 checks against the order; in part 4 x_1^(a+1) x_j^b leads below
+    column i, x_(j+1) x_n^b from i on.
     """
-    n, b, a = params.n, params.b, params.a
+    return _structured(params, i, (part,))
+
+
+def _structured(params: InstanceParams, i: int, parts: tuple[int, ...]) -> tuple[Binomial, ...]:
+    # the parts in turn, all read from one chain_matrix
+    n = params.n
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")
-    out: list[Binomial] = []
-    if part in (1, 2):  # the minors on columns j < k of i..n-1, or of 1..i-1
-        lo, hi = (i, n) if part == 1 else (1, i)
-        for j in range(lo, hi - 1):
-            for k in range(j + 1, hi):
-                out.append(Binomial(_mono(n, (j + 1, 1), (k, b)), _mono(n, (j, b), (k + 1, 1))))
-    elif part == 3:
-        for j in range(1, i):
-            for k in range(i, n):
-                out.append(Binomial(_mono(n, (j, b), (k + 1, 1)), _mono(n, (j + 1, 1), (k, b))))
-    elif part == 4:  # x_1^(a+1) x_ell^b leads below column i, x_(ell+1) x_n^b from i on
-        for ell in range(1, n):
-            sides = (_mono(n, (1, a + 1), (ell, b)), _mono(n, (ell + 1, 1), (n, b)))
-            out.append(Binomial(*sides) if ell < i else Binomial(*sides[::-1]))
-    else:
-        raise ValueError(f"part must be 1..4, got {part}")
+    cols = chain_matrix(params)
+    out = []
+    for part in parts:
+        if part in (1, 2):
+            lo, hi = (i, n) if part == 1 else (1, i)
+            pairs = [(j, k) for j in range(lo, hi - 1) for k in range(j + 1, hi)]
+        elif part == 3:
+            pairs = [(j, k) for j in range(1, i) for k in range(i, n)]
+        elif part == 4:
+            pairs = [(j, n) for j in range(1, n)]
+        else:
+            raise ValueError(f"part must be 1..4, got {part}")
+        for j, k in pairs:
+            u, v = _minor_sides(cols, j, k)
+            u_leads = j < i if k == n else not minor_side_predicate(n, i, j, k)
+            out.append(Binomial(u, v) if u_leads else Binomial(v, u))
     return tuple(out)
 
 
 def structured_open_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3: the open-chain minors oriented for the x_i-cheap order."""
-    return sum((structured_family(params, i, part) for part in (1, 2, 3)), ())
+    return _structured(params, i, (1, 2, 3))
 
 
 def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3+4: all closed-chain minors oriented for the x_i-cheap order."""
-    return structured_open_family(params, i) + structured_family(params, i, 4)
+    return _structured(params, i, (1, 2, 3, 4))
 
 
 def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:
     """(n-2) x n sliding-window relations for the two-row grading; n >= 4.
 
-    Rows 1..n-3 slide (b, -1, -b, 1); the last row is (b, -(b+1), 1).  The
-    rows are checked to annihilate the grading columns, and the last n-2
-    columns form a determinant-one block, so the rows are a basis of the
-    full kernel lattice.
+    The rows are the exponent vectors of the minors on columns (t, t+2),
+    t = 1..n-3, which slide (b, -1, -b, 1), then on (n-2, n-1), which is
+    (b, -(b+1), 1).  The rows are checked to annihilate the grading
+    columns, and the last n-2 columns form a determinant-one block, so the
+    rows are a basis of the full kernel lattice.
     """
-    n, b = params.n, params.b
+    n = params.n
     if n < 4:
         raise ValueError(f"the sliding-window pattern needs n >= 4, got {n}")
-    rows = []
-    for t in range(n - 3):
-        row = [0] * n
-        row[t] = b
-        row[t + 1] = -1
-        row[t + 2] = -b
-        row[t + 3] = 1
-        rows.append(tuple(row))
-    last = [0] * n
-    last[n - 3] = b
-    last[n - 2] = -(b + 1)
-    last[n - 1] = 1
-    rows.append(tuple(last))
+    cols = chain_matrix(params)
+    pairs = [(t, t + 2) for t in range(1, n - 2)] + [(n - 2, n - 1)]
+    rows = [tuple(map(sub, *_minor_sides(cols, j, k))) for j, k in pairs]
     grading = projective_grading(params)
     for row in rows:
         if any(intlinalg.dot(grow, row) != 0 for grow in grading.rows):
@@ -180,27 +189,18 @@ def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...],
 def weight_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:
     """(n-1) x n relations for the weight grading; n >= 3.
 
-    Rows 1..n-2 slide (b, -(b+1), 1); the last row has a+1 in column 1 and
-    (b, -(b+1)) in the last two columns.  Maximal minors reproduce the
-    semigroup generators up to sign, so the row span sits inside the weight
-    kernel with index gcd(a_1, ..., a_n); it is the full kernel lattice
-    exactly when the generators are coprime.
+    The rows are the exponent vectors of the adjacent minors on columns
+    (t, t+1), t = 1..n-1: rows 1..n-2 slide (b, -(b+1), 1), and the last
+    row has a+1 in column 1 and (b, -(b+1)) in the last two columns.
+    Maximal minors reproduce the semigroup generators up to sign, so the
+    row span sits inside the weight kernel with index gcd(a_1, ..., a_n);
+    it is the full kernel lattice exactly when the generators are coprime.
     """
-    n, b, a = params.n, params.b, params.a
+    n = params.n
     if n < 3:
         raise ValueError(f"the relation pattern needs n >= 3, got {n}")
-    rows = []
-    for t in range(n - 2):
-        row = [0] * n
-        row[t] = b
-        row[t + 1] = -(b + 1)
-        row[t + 2] = 1
-        rows.append(tuple(row))
-    last = [0] * n
-    last[0] = a + 1
-    last[n - 2] = b
-    last[n - 1] = -(b + 1)
-    rows.append(tuple(last))
+    cols = chain_matrix(params)
+    rows = [tuple(map(sub, *_minor_sides(cols, t, t + 1))) for t in range(1, n)]
     gens = generators(params)
     for row in rows:
         if intlinalg.dot(gens, row) != 0:

@@ -16,6 +16,8 @@ from typing import Callable
 
 from .binomials import Binomial
 from .families import (
+    _minor_sides,
+    chain_matrix,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
@@ -179,7 +181,7 @@ def verify_homogeneity_identity(check: _Checks, params: InstanceParams) -> None:
 
 def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None:
     """lemma3: the index predicate picks the smaller minor side for every i."""
-    n, b = params.n, params.b
+    n, cols = params.n, chain_matrix(params)
     weights = generators(params)
 
     def classifier() -> tuple[bool, str]:
@@ -189,16 +191,9 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
             order = build_order_i(weights, i)
             for j in range(1, n - 1):
                 for k in range(j + 1, n):
-                    u = [0] * n
-                    v = [0] * n
-                    u[j - 1] += b
-                    u[k] += 1
-                    v[j] += 1
-                    v[k - 1] += b
-                    predicted_smaller = minor_side_predicate(n, i, j, k)
-                    actually_smaller = order.compare(tuple(u), tuple(v)) < 0
+                    u, v = _minor_sides(cols, j, k)  # u is top_j * bot_k = x_j^b * x_(k+1)
                     count += 1
-                    if predicted_smaller != actually_smaller:
+                    if minor_side_predicate(n, i, j, k) != (order.compare(u, v) < 0):
                         bad.append((i, j, k))
         if bad:
             return False, f"disagrees at (i, j, k) = {bad[:3]}"

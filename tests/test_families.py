@@ -104,36 +104,67 @@ def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
     # Count and repeats are checked over each whole family; homogeneity once
     # per minor: the open-chain minors under both gradings when the open
     # family is built, the closing minors under the weights when the closed
-    # family adds them.
+    # family adds them.  Each fault enters where a minor's two sides are
+    # formed from two columns of the matrix; column n is the closing column.
     p = InstanceParams(2, 3, 5)
-    adjacent, closing = families._adjacent_minor, families._closing_minor
+    sides = families._minor_sides
 
-    def times_x1(g):
-        return Binomial((g.plus[0] + 1,) + g.plus[1:], g.minus)
+    def times_x1(u):
+        return (u[0] + 1,) + u[1:]
 
-    monkeypatch.setattr(families, "_closing_minor", lambda params, j: (
-        times_x1(closing(params, j)) if j == 3 else closing(params, j)))
+    def side_times_x1(at):
+        def patched(cols, j, k):
+            u, v = sides(cols, j, k)
+            return (times_x1(u), v) if (j, k) == at else (u, v)
+        return patched
+
+    monkeypatch.setattr(families, "_minor_sides", side_times_x1((3, 5)))
     with pytest.raises(AssertionError, match="closed-chain: inhomogeneous minor x1\\^4"):
         minors_closed_chain(p)
-    monkeypatch.setattr(families, "_closing_minor", lambda params, j: closing(params, 1))
+    monkeypatch.setattr(families, "_minor_sides", lambda cols, j, k: (
+        sides(cols, 1, k) if k == 5 else sides(cols, j, k)))
     with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
         minors_closed_chain(p)
-    monkeypatch.setattr(families, "_closing_minor", closing)
     # an open-chain minor times x1 is off both gradings
-    monkeypatch.setattr(families, "_adjacent_minor", lambda params, j, k: (
-        times_x1(adjacent(params, j, k)) if (j, k) == (1, 2) else adjacent(params, j, k)))
+    monkeypatch.setattr(families, "_minor_sides", side_times_x1((1, 2)))
     for build in (minors_open_chain, minors_closed_chain):
         with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
             build(p)
     # x1^a2 - x2^a1 is homogeneous for the weights, not for the projective grading
     w = generators(p)
-    swap = Binomial((w[1], 0, 0, 0, 0), (0, w[0], 0, 0, 0))
-    monkeypatch.setattr(families, "_adjacent_minor",
-                        lambda params, j, k: swap if (j, k) == (1, 2) else adjacent(params, j, k))
+    swap = ((w[1], 0, 0, 0, 0), (0, w[0], 0, 0, 0))
+    monkeypatch.setattr(families, "_minor_sides",
+                        lambda cols, j, k: swap if (j, k) == (1, 2) else sides(cols, j, k))
     with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
         minors_open_chain(p)
-    monkeypatch.setattr(families, "_adjacent_minor", adjacent)
+    monkeypatch.setattr(families, "_minor_sides", sides)
     assert len(minors_closed_chain(p)) == comb(5, 2)
+
+
+@pytest.mark.parametrize("a,b,n", [(1, 1, 2), (2, 1, 3), (3, 1, 5), (1, 2, 2), (2, 3, 3),
+                                   (1, 2, 4), (3, 2, 6)])
+def test_minors_match_sympy_determinants(a, b, n):
+    # the paper's 2 x n matrix written out as a sympy Matrix, its 2 x 2
+    # determinants expanded by sympy: the same minors up to sign, with no
+    # code shared with families
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f"x1:{n + 1}")
+    mat = sympy.Matrix([[xs[t] ** b for t in range(n)],
+                        [*xs[1:], xs[0] ** (a + 1)]])
+
+    def canonical_minors(cols):
+        out = set()
+        for j, k in itertools.combinations(cols, 2):
+            terms = sympy.Poly(sympy.expand(mat[:, [j, k]].det()), *xs).terms()
+            assert sorted(c for _, c in terms) == [-1, 1]
+            out.add(Binomial(*(m for m, _ in terms)).canonical())
+        return out
+
+    p = InstanceParams(a, b, n)
+    open_set = canonical_minors(range(n - 1))
+    assert len(open_set) == comb(n - 1, 2)
+    assert set(minors_open_chain(p)) == open_set
+    assert set(minors_closed_chain(p)) == canonical_minors(range(n))
 
 
 def test_structured_parts_partition_the_minors():

@@ -5,11 +5,12 @@ import time
 
 import pytest
 
-from repunit_toric import fibers, verify
+from repunit_toric import families, fibers, orders, verify
 from repunit_toric.binomials import Binomial
 from repunit_toric.families import toric_ideal
 from repunit_toric.fibers import betti_splits
 from repunit_toric.reports import (
+    FAIL,
     ClaimResult,
     InstanceRef,
     VerificationReport,
@@ -52,6 +53,31 @@ def test_example_claims_pass_on_pinned_instances():
     assert all_pass(run_claim("example-n4-minors", InstanceParams(1, 3, 4)))
     assert all_pass(run_claim("example-gcd3", InstanceParams(3, 2, 4)))
     assert all_pass(run_claim("example-a3b3", InstanceParams(3, 3, 4)))
+
+
+def test_a_flipped_side_rule_fails_lemma3_and_the_orientation_gate(monkeypatch):
+    # the structured families are oriented by the side rule lemma3 checks, so
+    # one wrong (i, j, k) fails lemma3 and the orientation gate at that i
+    rule = orders.minor_side_predicate
+
+    def flipped(n, i, j, k):
+        return rule(n, i, j, k) != ((i, j, k) == (3, 1, 2))
+
+    monkeypatch.setattr(families, "minor_side_predicate", flipped)
+    monkeypatch.setattr(verify, "minor_side_predicate", flipped)
+    p = InstanceParams(2, 3, 5)
+    (report,) = run_claim("lemma3", p)
+    (lemma3,) = report.claims
+    assert (lemma3.status, lemma3.detail) == (
+        FAIL, "side classifier: disagrees at (i, j, k) = [(3, 1, 2)]")
+    for claim in ("prop-gb1", "thm-gb2"):
+        reports = run_claim(claim, p)
+        assert [r.overall() for r in reports] == ["pass", "pass", "fail", "pass", "pass"]
+        gate = reports[2].claims
+        assert [(c.status, c.detail) for c in gate] == [
+            (FAIL, "orientation: plus side of every element is its leading term")]
+    monkeypatch.undo()
+    assert all_pass(run_claim("lemma3", p) + run_claim("thm-gb2", p, 3))
 
 
 def test_n4_minors_walks_the_fibers_once(monkeypatch):
