@@ -332,6 +332,26 @@ def test_betti_splits_pinned_on_larger_minors_and_toric_bases(sweep_toric_bases)
     assert digest.hexdigest() == "a6dca015597a5a8354771d73cfe0516ec272075da598a114f5c11687bdfef432"
 
 
+@pytest.mark.parametrize("abn, degree, below", [
+    ((8, 3, 4), (144,), (((0, 0, 0, 1),), ((0, 0, 2, 0),), ((0, 3, 0, 0),))),
+    ((7, 2, 6), (252,), (((0, 0, 1, 0, 1, 0), (0, 0, 3, 0, 0, 0)),
+                         ((0, 2, 0, 1, 0, 0),), ((4, 0, 0, 0, 0, 0),))),
+], ids=["8-3-4", "7-2-6"])
+def test_three_below_components_fuse_into_one(abn, degree, below):
+    # two of the few splits with more than two below-components: the sweep
+    # row's toric basis has two generators at this degree, sharing a side,
+    # that join three below-components into one full component; both are
+    # needed, but any two of the three joins would do, so none is forced
+    p = InstanceParams(*abn)
+    grading = scalar_grading(p)
+    gens = toric_ideal(grading, build_order_i(generators(p), 1)).elements
+    split = betti_splits(gens, grading)[degree]
+    assert split.below == below
+    assert split.full == (tuple(sorted(m for comp in below for m in comp)),)
+    assert split.new_generators() == 2
+    assert split.forced_pairs() is None
+
+
 def _random_oracle_input(rng):
     # a few degrees with several generators each, under one scalar grading or
     # a two-row one, mixed with duplicates, opposites, zero binomials,
