@@ -276,14 +276,13 @@ def _source_for_oracle(source: str, params: InstanceParams, trace):
 def cmd_betti(args) -> Result:
     params = _params_from_args(args)
     gens, grading = _source_for_oracle(args.source, params, _trace_fn(args))
-    degs = betti_degrees(gens, grading)
-    items = sorted(degs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    degs = betti_degrees(gens, grading)  # in (sum, degree) order
     total = sum(degs.values())
-    lines = [f"source={args.source} degrees={len(items)} total={total}"]
-    lines += [f"degree {d[0] if len(d) == 1 else d}: {k}" for d, k in items]
+    lines = [f"source={args.source} degrees={len(degs)} total={total}"]
+    lines += [f"degree {d[0] if len(d) == 1 else d}: {k}" for d, k in degs.items()]
     return 0, {
         "source": args.source,
-        "degrees": [{"degree": list(d), "count": k} for d, k in items],
+        "degrees": [{"degree": list(d), "count": k} for d, k in degs.items()],
         "total": total,
     }, "\n".join(lines)
 

@@ -11,9 +11,9 @@ A component that holds no side of a generator of this degree is the same
 under both move sets, so it changes neither the count nor the verdict.
 betti_splits therefore lists no whole fiber: from each side of each
 generator of the degree it searches depth first through the lower moves,
-in both directions, and joins the components it reaches along the degree's
-own generators.  The lower moves are one flat list of packed words, and
-each monomial reached tests every move by one guarded subtraction.
+in both directions, and relabels the components it reaches to join them
+along the degree's own generators; no union-find.  The lower moves are one
+flat list of packed words, each tested by one guarded subtraction.
 
 enumerate_fiber lists a whole fiber by a plain walk, the reference the
 search is tested against.  The oracle (betti_splits and the counts and
@@ -44,32 +44,6 @@ from .groebner import buchberger
 from .orders import MatrixOrder
 
 
-class UnionFind:
-    """Disjoint sets over range(n) with path compression."""
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[max(rx, ry)] = min(rx, ry)
-
-    def groups(self) -> list[list[int]]:
-        out: dict[int, list[int]] = {}
-        for x in range(len(self.parent)):
-            out.setdefault(self.find(x), []).append(x)
-        return [out[r] for r in sorted(out)]
-
-
 @dataclass(frozen=True)
 class Fiber:
     degree: tuple[int, ...]
@@ -89,7 +63,9 @@ class DegreeSplit:
     monomial, each in lexicographic order; the rest of the fiber is left
     out, since the degree's generators leave it as it was.  The ideal needs
     len(below) - len(full) minimal generators here: each one must fuse two
-    below-components that the full congruence identifies.
+    below-components that the full congruence identifies.  betti_splits
+    joins below into full by relabelling, with no union-find, and
+    forced_pairs reads full directly.
     """
 
     below: tuple[tuple[Monomial, ...], ...]
@@ -101,26 +77,19 @@ class DegreeSplit:
     def forced_pairs(self) -> list[tuple[Monomial, Monomial]] | None:
         """Forced generator pairs of this degree, or None when a choice exists.
 
-        Group the below-components by the full component containing them.  A
-        full component made of one below-component needs nothing.  One made of
-        exactly two isolated monomials forces the binomial joining them.  Any
-        other shape leaves a choice of monomials or of tree shape, so the
-        minimal system is not unique.
+        A full component that is itself a below-component needs nothing.  One
+        of two monomials that is not fuses two isolated monomials and forces
+        the binomial joining them.  Any other shape leaves a choice of
+        monomials or of tree shape, so the minimal system is not unique.
         """
-        root_of: dict[Monomial, int] = {}
-        for pos, comp in enumerate(self.full):
-            for m in comp:
-                root_of[m] = pos
-        grouped: dict[int, list[tuple[Monomial, ...]]] = {}
-        for comp in self.below:
-            grouped.setdefault(root_of[comp[0]], []).append(comp)
+        below = set(self.below)
         pairs = []
-        for comps in grouped.values():
-            if len(comps) == 1:
+        for comp in self.full:
+            if comp in below:
                 continue
-            if len(comps) != 2 or any(len(c) != 1 for c in comps):
+            if len(comp) != 2:
                 return None
-            pairs.append((comps[0][0], comps[1][0]))
+            pairs.append(comp)
         return pairs
 
 
@@ -196,8 +165,9 @@ def betti_splits(
     generator's sides are packed once; a generator of a lower degree gives
     a move in each direction, kept in one flat list.  A depth-first search
     through them from each side of each generator of the degree lists its
-    below-component, and union-find along the degree's generators joins
-    them into the full components.
+    below-component, and one dict maps every monomial reached to its
+    component.  The degree's generators join components by relabelling a
+    list of the k labels, in O(k * generators of the degree).
     """
     keyed: list[tuple[tuple, Binomial]] = []
     for g in gens:
@@ -214,21 +184,26 @@ def betti_splits(
     moves: list[tuple[int, int]] = []
     for (_, d), group in groupby(keyed, key=lambda kg: kg[0]):
         here = [(g, pack(g.plus), pack(g.minus)) for _, g in group]
-        reached: set[Monomial] = set()
+        comp_of: dict[Monomial, int] = {}  # every monomial reached -> its below-component
         below: list[list[Monomial]] = []
         for g, p, q in here:
             for side, word in ((g.plus, p), (g.minus, q)):
-                if side not in reached:
-                    below.append(_below_component(word | guard, moves, guard, nvars))
-                    reached.update(below[-1])
-        below.sort()  # disjoint, so by least monomial
-        comp_of = {m: c for c, comp in enumerate(below) for m in comp}
-        uf = UnionFind(len(below))
+                if side not in comp_of:
+                    comp = _below_component(word | guard, moves, guard, nvars)
+                    comp_of.update(dict.fromkeys(comp, len(below)))
+                    below.append(comp)
+        label = list(range(len(below)))
         for g, _, _ in here:
-            uf.union(comp_of[g.plus], comp_of[g.minus])
+            keep, gone = label[comp_of[g.plus]], label[comp_of[g.minus]]
+            if keep != gone:
+                label = [keep if x == gone else x for x in label]
+        full: dict[int, list[Monomial]] = {}
+        for c, x in enumerate(label):
+            full.setdefault(x, []).extend(below[c])
+        # components are disjoint, so sorting them sorts by least monomial
         out[d] = DegreeSplit(
-            tuple(map(tuple, below)),
-            tuple(tuple(sorted(m for c in grp for m in below[c])) for grp in uf.groups()),
+            tuple(map(tuple, sorted(below))),
+            tuple(sorted(tuple(sorted(comp)) for comp in full.values())),
         )
         for _, p, q in here:
             moves += ((p, q), (q, p))
