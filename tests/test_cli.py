@@ -1,6 +1,8 @@
 """End-to-end command line behavior through cli.main."""
 
+import hashlib
 import inspect
+import itertools
 import json
 import re
 import sys
@@ -12,6 +14,7 @@ from repunit_toric.binomials import pack
 from repunit_toric.cli import main
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
+from repunit_toric.verify import CLAIMS
 
 
 def run(capsys, *argv):
@@ -433,6 +436,24 @@ def test_out_file_holds_exactly_stdout(tmp_path, capsys, argv, fmt):
     assert _outcome(capsys, (*argv, "--out", str(target))) == (code, "", err)
     written = re.sub(r"\(\d+ ms\)", "(N ms)", target.read_text(encoding="utf-8"))
     assert _json_timings_normalised(written) == _json_timings_normalised(out)
+
+
+def test_verify_output_digest_is_pinned(capsys):
+    # Every claim at a 1..3, b 1..4, n 2..6, in text and json, with no index,
+    # --i 1 and --all-i: 3,600 calls whose stdout, stderr and exit code, timings
+    # normalised, hash to one pinned digest.
+    digest = hashlib.sha256()
+    for claim in sorted(CLAIMS):
+        for a, b, n in itertools.product(range(1, 4), range(1, 5), range(2, 7)):
+            for fmt in ("text", "json"):
+                for index in ((), ("--i", "1"), ("--all-i",)):
+                    argv = ["verify", claim, "--a", str(a), "--b", str(b), "--n", str(n),
+                            "--format", fmt, *index]
+                    code, out, err = _outcome(capsys, argv)
+                    outcome = (argv, _json_timings_normalised(out), err, code)
+                    digest.update(repr(outcome).encode())
+    assert digest.hexdigest() == (
+        "482097754af6ca047e37b4ed55fd5e78a6c9d225f82d2a40612b7025ea6e0712")
 
 
 def _module_functions(mod):

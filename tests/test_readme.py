@@ -12,7 +12,8 @@ import pytest
 
 from repunit_toric.cli import main
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+README_PATH = Path(__file__).resolve().parent.parent / "README.md"
+README = README_PATH.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, re.M | re.S)
 PROMPT = "$ repunit-toric "
 TRANSCRIPTS = [text for lang, text in BLOCKS if text.startswith(PROMPT)]
@@ -37,3 +38,13 @@ def test_transcript(capsys, transcript):
 def test_library_snippet():
     (snippet,) = [text for lang, text in BLOCKS if lang == "python"]
     exec(compile(snippet, "README.md", "exec"), {})
+
+
+def test_module_layout_names_every_module():
+    # the bullets under "Module layout" open with the module names they describe
+    layout = README.partition("Module layout")[2].partition("\n\n")[2].partition("\n\n")[0]
+    named = [name for bullet in re.findall(r"^\* ((?:`\w+`, )*`\w+`)", layout, re.M)
+             for name in re.findall(r"`(\w+)`", bullet)]
+    package = README_PATH.parent / "src" / "repunit_toric"
+    modules = sorted(p.stem for p in package.glob("*.py") if p.stem != "__init__")
+    assert sorted(named) == modules
