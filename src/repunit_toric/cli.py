@@ -4,8 +4,9 @@ Subcommands: info, verify, sweep, groebner, betti, unique.  Each handler
 returns data, (exit code, JSON payload, text view); main alone renders the
 chosen format, writes stdout or --out and returns the code.  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage error (exponent
-overflow included) or a claim refused the instance, 3 internal error.
-The argument parser is built once per process, on the first main call.
+overflow and an unwritable --out or stdout, such as a closed pipe,
+included) or a claim refused the instance, 3 internal error.  The argument
+parser is built once per process, on the first main call.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 from .binomials import ExponentOverflowError, format_binomial
@@ -33,9 +36,11 @@ from .fibers import (
 )
 from .groebner import groebner_reduced, is_minimal_basis, is_reduced_basis
 from .orders import build_order_i, five_variable_order
-from .reports import exit_code, render_text, report_to_dict
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
-from .verify import CLAIMS, claim_spec, run_claim
+from .verify import CLAIMS, FAIL, PASS, REFUSED, VerificationReport, claim_spec, run_claim
+
+# a verify run's exit code: a refusal outweighs a failure, which outweighs a pass
+VERDICT_CODES = {PASS: 0, FAIL: 1, REFUSED: 2}
 
 # --source name -> (minor family, or None for the toric ideal; its grading)
 SOURCES = {
@@ -149,6 +154,38 @@ def cmd_info(args) -> Result:
         "gcd": g,
         "unique_predicted": predicted,
     }, "\n".join(lines)
+
+
+def report_to_dict(report: VerificationReport) -> dict:
+    p = report.params
+    inst = {"a": p.a, "b": p.b, "n": p.n}
+    if report.i is not None:
+        inst["i"] = report.i
+    return {
+        "instance": inst,
+        "claims": [
+            {"name": report.name, "status": c.status, "detail": c.detail, "ms": c.ms}
+            for c in report.claims
+        ],
+        "timing": {report.name: sum(c.ms for c in report.claims)},
+        "overall": report.overall(),
+    }
+
+
+def render_text(reports: Sequence[VerificationReport]) -> str:
+    lines = []
+    for report in reports:
+        p = report.params
+        index = "" if report.i is None else f" i={report.i}"
+        lines.append(f"instance: a={p.a} b={p.b} n={p.n}{index}")
+        for c in report.claims:
+            lines.append(f"  [{c.status}] {report.name}: {c.detail} ({c.ms} ms)")
+        lines.append(f"overall: {report.overall()}")
+    return "\n".join(lines)
+
+
+def exit_code(reports: Sequence[VerificationReport]) -> int:
+    return max((VERDICT_CODES[r.overall()] for r in reports), default=0)
 
 
 def cmd_verify(args) -> Result:
@@ -311,14 +348,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         code, payload, text = _HANDLERS[args.command](args)
         if args.format != "text":
             text = json.dumps(payload, indent=2)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text + "\n")
-            except OSError as exc:
-                raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from None
-        else:
-            print(text)
+        try:
+            sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+            with sink as fh:
+                fh.write(text + "\n")
+                fh.flush()
+        except OSError as exc:
+            if not args.out:
+                # what stays buffered goes nowhere, not into an error at interpreter exit
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+            target = f"--out {args.out}" if args.out else "stdout"
+            raise ValueError(f"cannot write {target}: {exc.strerror or exc}") from None
         return code
     except (ValueError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

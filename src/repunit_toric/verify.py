@@ -1,7 +1,8 @@
 """Claim verifiers: each named claim checks one statement mechanically.
 
 Verifiers return structured reports rather than booleans so callers can see
-which sub-check failed and how long it took.  A claim's hypotheses are the
+which sub-check failed and how long it took; `cli` renders them and maps
+them to exit codes.  A claim's hypotheses are the
 `requires` entries of its `ClaimSpec`; instances outside them are refused
 before any check runs, never silently recomputed.
 """
@@ -38,7 +39,6 @@ from .fibers import (
 )
 from .groebner import (
     groebner_reduced,
-    ideal_equal,
     is_groebner_basis,
     is_minimal_basis,
     is_reduced_basis,
@@ -46,14 +46,6 @@ from .groebner import (
 )
 from .intlinalg import kernel_basis, row_hnf
 from .orders import build_order_i, five_variable_order, minor_side_predicate
-from .reports import (
-    FAIL,
-    PASS,
-    REFUSED,
-    ClaimResult,
-    InstanceRef,
-    VerificationReport,
-)
 from .semigroup import (
     InstanceParams,
     gcd_of_generators,
@@ -62,21 +54,49 @@ from .semigroup import (
     repunit,
 )
 
+PASS = "pass"
+FAIL = "fail"
+REFUSED = "refused"
+STATUSES = (PASS, FAIL, REFUSED)  # rising precedence: a report takes its claims' highest
+
+
+@dataclass(frozen=True)
+class ClaimResult:
+    """One sub-check of a claim run, or the refusal that stood in for them."""
+
+    status: str
+    detail: str
+    ms: int = 0
+
+    def __post_init__(self) -> None:
+        if self.status not in STATUSES:
+            raise ValueError(f"unknown status {self.status!r}")
+
+
+@dataclass(frozen=True)
+class VerificationReport:
+    """One run of the claim `name` on `params`, at order index `i` if it takes one."""
+
+    name: str
+    params: InstanceParams
+    i: int | None
+    claims: tuple[ClaimResult, ...]
+
+    def overall(self) -> str:
+        return max((c.status for c in self.claims), key=STATUSES.index, default=PASS)
+
+
 CheckFn = Callable[[], tuple[bool, str]]
 
 
-class _Checks:
+class _Checks(list):
     """Collects the timed sub-checks of one claim run, in the order they ran."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.results: list[ClaimResult] = []
 
     def __call__(self, label: str, fn: CheckFn) -> bool:
         t0 = time.perf_counter()
         ok, detail = fn()
         ms = int(round((time.perf_counter() - t0) * 1000))
-        self.results.append(ClaimResult(self.name, PASS if ok else FAIL, f"{label}: {detail}", ms))
+        self.append(ClaimResult(PASS if ok else FAIL, f"{label}: {detail}", ms))
         return ok
 
 
@@ -117,8 +137,7 @@ def _oriented_groebner(check: _Checks, family, order) -> bool:
     return oriented
 
 
-def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors,
-                   order) -> None:
+def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors_gb) -> None:
     """The relation rows span the kernel lattice; their ideal saturates to the minors."""
     check(
         "relation-matrix",
@@ -127,24 +146,13 @@ def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors
             f"{len(rel)} rows span the full kernel lattice",
         ),
     )
-    check(
-        label,
-        lambda: (
-            ideal_equal(saturate_torus([Binomial.from_vector(r).canonical() for r in rel],
-                                       grading), minors, order),
-            detail,
-        ),
-    )
 
+    def saturation_route() -> tuple[bool, str]:
+        ref = minors_gb()
+        sat = saturate_torus([Binomial.from_vector(r).canonical() for r in rel], grading)
+        return groebner_reduced(sat, ref.order).rules == ref.rules, detail
 
-def _toric_equals_minors(check: _Checks, label: str, detail: str, grading, minors,
-                         order) -> None:
-    def toric_route() -> tuple[bool, str]:
-        tor = toric_ideal(grading, order)
-        ref = groebner_reduced(minors, order)
-        return tor.rules == ref.rules, detail
-
-    check(label, toric_route)
+    check(label, saturation_route)
 
 
 def _shared_splits(minors, grading) -> Callable[[], dict[tuple[int, ...], DegreeSplit]]:
@@ -254,7 +262,8 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
 
     _lattice_route(check, "saturation",
                    "torus saturation of the relation ideal equals the minor ideal",
-                   projective_relation_matrix(params), grading, minors, order)
+                   projective_relation_matrix(params), grading,
+                   cache(lambda: groebner_reduced(minors, order)))
     expected = comb(params.n - 1, 2)
     splits = _shared_splits(minors, grading)
     _oracle_count(check, "minimal-generation", splits, expected)
@@ -280,11 +289,13 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
     minors = minors_closed_chain(params)
     order = build_order_i(generators(params), 1)
 
+    minors_gb = cache(lambda: groebner_reduced(minors, order))  # both routes compare to it
     if params.n >= 3:
         _lattice_route(check, "lattice-route", "saturated relation ideal equals the minor ideal",
-                       weight_relation_matrix(params), grading, minors, order)
-    _toric_equals_minors(check, "toric-equals-minors", "toric ideal equals the minor ideal",
-                         grading, minors, order)
+                       weight_relation_matrix(params), grading, minors_gb)
+    check("toric-equals-minors",
+          lambda: (toric_ideal(grading, order).rules == minors_gb().rules,
+                   "toric ideal equals the minor ideal"))
     splits = _shared_splits(minors, grading)
     _oracle_count(check, "minimal-generation", splits, comb(params.n, 2))
     if params.n > 3:
@@ -351,8 +362,9 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
             "printed binomials are exactly the closed-chain minors",
         ),
     )
-    _toric_equals_minors(check, "toric-equality", "printed set generates the toric ideal",
-                         grading, minors, order)
+    check("toric-equality",
+          lambda: (toric_ideal(grading, order).rules == groebner_reduced(minors, order).rules,
+                   "printed set generates the toric ideal"))
     splits = _shared_splits(minors, grading)
     _oracle_count(check, "oracle-count", splits, 6)
     check(
@@ -529,17 +541,15 @@ def run_claim(
     else:
         indices = list(range(1, params.n + 1))
     why = next((why for holds, why in spec.requires if not holds(params)), None)
-    refused = None if why is None else (ClaimResult(name, REFUSED, why(params)),)
+    if why is not None:
+        refused = (ClaimResult(REFUSED, why(params)),)
+        return [VerificationReport(name, params, idx, refused) for idx in indices]
     reports = []
     for idx in indices:
-        if refused is not None:
-            results = refused
+        check = _Checks()
+        if idx is None:
+            spec.runner(check, params)
         else:
-            check = _Checks(name)
-            if idx is None:
-                spec.runner(check, params)
-            else:
-                spec.runner(check, params, idx)
-            results = tuple(check.results)
-        reports.append(VerificationReport(InstanceRef(params.a, params.b, params.n, idx), results))
+            spec.runner(check, params, idx)
+        reports.append(VerificationReport(name, params, idx, tuple(check)))
     return reports

@@ -4,8 +4,11 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +18,8 @@ from repunit_toric.cli import main
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
 from repunit_toric.verify import CLAIMS
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -454,6 +459,26 @@ def test_verify_output_digest_is_pinned(capsys):
                     digest.update(repr(outcome).encode())
     assert digest.hexdigest() == (
         "482097754af6ca047e37b4ed55fd5e78a6c9d225f82d2a40612b7025ea6e0712")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv", [OUT_CALLS["info"], OUT_CALLS["sweep"], OUT_CALLS["verify"]],
+                         ids=["info", "sweep", "verify"])
+def test_closed_stdout_is_a_write_error(argv, unbuffered):
+    # stdout is a pipe nobody reads: one error line, exit 2, and nothing more
+    # on stderr when the interpreter flushes its streams at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repunit_toric.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, b"error: cannot write stdout: Broken pipe\n")
 
 
 def _module_functions(mod):

@@ -5,21 +5,20 @@ import time
 
 import pytest
 
-from repunit_toric import families, fibers, orders, verify
+from repunit_toric import families, fibers, groebner, orders, verify
 from repunit_toric.binomials import Binomial
 from repunit_toric.families import toric_ideal
 from repunit_toric.fibers import betti_splits
-from repunit_toric.reports import (
+from repunit_toric.cli import exit_code, render_text, report_to_dict
+from repunit_toric.semigroup import InstanceParams
+from repunit_toric.verify import (
+    CLAIMS,
     FAIL,
     ClaimResult,
-    InstanceRef,
     VerificationReport,
-    exit_code,
-    render_text,
-    report_to_dict,
+    four_variable_generators,
+    run_claim,
 )
-from repunit_toric.semigroup import InstanceParams
-from repunit_toric.verify import CLAIMS, four_variable_generators, run_claim
 
 
 def all_pass(reports):
@@ -34,7 +33,7 @@ def test_lemma_claims_pass():
 def test_basis_claims_pass_per_index():
     reports = run_claim("prop-gb1", InstanceParams(1, 3, 5))
     assert len(reports) == 5
-    assert [r.instance.i for r in reports] == [1, 2, 3, 4, 5]
+    assert [r.i for r in reports] == [1, 2, 3, 4, 5]
     assert all_pass(reports)
     assert all_pass(run_claim("thm-gb2", InstanceParams(1, 3, 5), i=2))
 
@@ -126,8 +125,8 @@ def test_refusals(claim, params):
     detail = REFUSALS[claim, params]
     indices = list(range(1, params.n + 1)) if CLAIMS[claim].per_index else [None]
     reports = run_claim(claim, params)
-    assert [r.instance.i for r in reports] == indices
-    assert [(c.name, c.status, c.detail) for r in reports for c in r.claims] == [
+    assert [(r.name, r.params, r.i) for r in reports] == [(claim, params, i) for i in indices]
+    assert [(r.name, c.status, c.detail) for r in reports for c in r.claims] == [
         (claim, "refused", detail)
     ] * len(indices)
     assert exit_code(reports) == 2
@@ -140,6 +139,25 @@ def test_run_claim_argument_errors():
         run_claim("prop-gb1", InstanceParams(1, 2, 4), i=9)
     with pytest.raises(ValueError):
         run_claim("lemma2", InstanceParams(1, 2, 4), i=1)
+
+
+def test_weight_toric_reduces_the_minors_once(monkeypatch):
+    """cor-gb2's lattice route and toric route share one reduced basis of the minors."""
+    runs = []
+
+    def counted(run):
+        def wrapper(*args, **kwargs):
+            runs.append(run)
+            return run(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(groebner, "buchberger", counted(groebner.buchberger))
+    monkeypatch.setattr(families, "buchberger", counted(families.buchberger))
+    (report,) = run_claim("cor-gb2", InstanceParams(1, 5, 6))
+    assert report.overall() == "pass"
+    # six one-variable saturations, the saturated ideal, the minors and the
+    # elimination run
+    assert len(runs) == 9
 
 
 def test_noncoprime_counts_times_its_toric_ideal(monkeypatch):
@@ -176,43 +194,44 @@ def test_report_round_trip():
         {"a": 1, "b": 3, "n": 4, "i": 2}, {"a": 3, "b": 2, "n": 4}]
     for d, r in zip(data, reports, strict=True):
         assert d["claims"] == [
-            {"name": c.name, "status": c.status, "detail": c.detail, "ms": c.ms}
+            {"name": r.name, "status": c.status, "detail": c.detail, "ms": c.ms}
             for c in r.claims
         ]
-        assert d["timing"] == r.timing()
+        assert d["timing"] == {r.name: sum(c.ms for c in r.claims)}
         assert d["overall"] == r.overall() == "pass"
 
 
 def test_report_rendering_and_exit_codes():
-    ok = ClaimResult("check-a", "pass", "fine", 3)
-    bad = ClaimResult("check-b", "fail", "broke")
-    refused = ClaimResult("check-c", "refused", "not applicable")
-    inst = InstanceRef(1, 2, 4)
-    assert VerificationReport(inst, (ok, bad)).overall() == "fail"
-    assert VerificationReport(inst, (ok, bad, refused)).overall() == "refused"
-    assert VerificationReport(inst, (ok,)).overall() == "pass"
+    ok = ClaimResult("pass", "check-a: fine", 3)
+    bad = ClaimResult("fail", "check-b: broke")
+    refused = ClaimResult("refused", "not applicable")
+    params = InstanceParams(1, 2, 4)
 
-    text = render_text([VerificationReport(InstanceRef(1, 2, 4, 2), (ok, bad))])
+    def report(*results, i=None):
+        return VerificationReport("lemma2", params, i, results)
+
+    assert report(ok, bad).overall() == "fail"
+    assert report(ok, bad, refused).overall() == "refused"
+    assert report(ok).overall() == "pass"
+
+    text = render_text([report(ok, bad, i=2)])
     assert text.splitlines() == [
         "instance: a=1 b=2 n=4 i=2",
-        "  [pass] check-a: fine (3 ms)",
-        "  [fail] check-b: broke (0 ms)",
+        "  [pass] lemma2: check-a: fine (3 ms)",
+        "  [fail] lemma2: check-b: broke (0 ms)",
         "overall: fail",
     ]
 
-    assert exit_code([VerificationReport(inst, (ok,))]) == 0
-    assert exit_code([VerificationReport(inst, (ok, bad))]) == 1
-    assert exit_code([
-        VerificationReport(inst, (ok, bad)),
-        VerificationReport(inst, (refused,)),
-    ]) == 2
+    assert exit_code([report(ok)]) == 0
+    assert exit_code([report(ok, bad)]) == 1
+    assert exit_code([report(ok, bad), report(refused)]) == 2
     with pytest.raises(ValueError):
-        ClaimResult("x", "maybe", "")
+        ClaimResult("maybe", "")
 
 
 def test_timing_accumulates_by_claim_name():
     r = VerificationReport(
-        InstanceRef(1, 2, 4),
-        (ClaimResult("c", "pass", "", 5), ClaimResult("c", "pass", "", 7)),
+        "c", InstanceParams(1, 2, 4), None,
+        (ClaimResult("pass", "", 5), ClaimResult("pass", "", 7)),
     )
-    assert r.timing() == {"c": 12}
+    assert report_to_dict(r)["timing"] == {"c": 12}
