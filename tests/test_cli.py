@@ -528,3 +528,33 @@ def test_commands_bypass_the_predicted_idle_layers(monkeypatch, capsys, argv, fu
     if argv[0] == "sweep":
         for row in json.loads(out)["rows"]:
             assert list(row) == ["a", "b", "n", "gcd", "mingens", "unique", "predicate", "agree"]
+
+
+def _engine_calls():
+    # sweep; betti and unique on every source; groebner on every source under
+    # every prec-k order and example5; groebner --trace on both toric sources
+    yield ("sweep", "--a", "1..4", "--b", "1..4", "--n", "2..6")
+    for a, b, n in itertools.product(range(1, 4), range(1, 5), range(2, 7)):
+        for command, source in itertools.product(("betti", "unique"), cli.SOURCES):
+            yield (command, "--source", source, "--a", str(a), "--b", str(b), "--n", str(n))
+    for a, b, n in itertools.product(range(1, 4), range(1, 4), range(2, 6)):
+        orders = [f"prec-{k}" for k in range(1, n + 1)] + ["example5"] * (n == 5)
+        for source, order in itertools.product(cli.SOURCES, orders):
+            yield ("groebner", "--source", source, "--order", order,
+                   "--a", str(a), "--b", str(b), "--n", str(n))
+        if n <= 4:
+            for source in ("toric-i", "toric-j"):
+                yield ("groebner", "--source", source, "--order", "prec-1", "--trace",
+                       "--a", str(a), "--b", str(b), "--n", str(n))
+
+
+def test_engine_command_output_digest_is_pinned(capsys):
+    # sweep, betti, unique and groebner over small boxes, in text and json:
+    # about 2,100 calls whose stdout, stderr and exit code hash to one digest
+    digest = hashlib.sha256()
+    for argv in _engine_calls():
+        for fmt in ("text", "json"):
+            outcome = _outcome(capsys, (*argv, "--format", fmt))
+            digest.update(repr((argv, fmt, outcome)).encode())
+    assert digest.hexdigest() == (
+        "3d0c1ebf825628ebccc3c2497da7fbf39373a2abbe288af8c7dd9a646d33d503")
