@@ -5,8 +5,9 @@ returns data, (exit code, JSON payload, text view); main alone renders the
 chosen format, writes stdout or --out and returns the code.  Exit codes:
 0 all checks passed, 1 a verification failed, 2 usage error (exponent
 overflow and an unwritable --out or stdout, such as a closed pipe,
-included) or a claim refused the instance, 3 internal error.  The argument
-parser is built once per process, on the first main call.
+included) or a claim refused the instance, 3 internal error, 130
+interrupted (Ctrl-C).  The argument parser is built once per process, on
+the first main call.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _sweep_row(params: InstanceParams) -> dict:
     grading = scalar_grading(params)
     order = build_order_i(generators(params), 1)
     tor = toric_ideal(grading, order)
-    splits = betti_splits(list(tor.elements), grading)
+    splits = betti_splits(tor.elements, grading)
     count = sum(s.new_generators() for s in splits.values())
     unique = unique_minimal_system(splits)
     predicate = params.a < params.b - 1
@@ -306,8 +307,8 @@ def _source_for_oracle(source: str, params: InstanceParams, trace):
     family, grading_of = SOURCES[source]
     grading = grading_of(params)
     if family:
-        return list(family(params)), grading
-    return list(toric_ideal(grading, trace=trace).elements), grading
+        return family(params), grading
+    return toric_ideal(grading, trace=trace).elements, grading
 
 
 def cmd_betti(args) -> Result:
@@ -365,6 +366,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, ExponentOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:
         # a fault in the program, never to be read as "a check failed" (1)
         msg = " ".join(str(exc).splitlines())

@@ -79,8 +79,9 @@ def minors_open_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     n, cols = params.n, chain_matrix(params)
     fam = tuple(Binomial(*_minor_sides(cols, j, k)).canonical()
                 for j in range(1, n - 1) for k in range(j + 1, n))
-    _check_minor_family("open-chain", params, fam, expected=comb(n - 1, 2), new=fam,
-                        both_gradings=True)
+    # w = a * r + r_b(n) * 1 with a >= 1, so the weights and the ones row
+    # have the kernel of both gradings: the repunit row r is (w - r_b(n) * 1) / a
+    _check_minor_family("open-chain", fam, comb(n - 1, 2), fam, (generators(params), (1,) * n))
     return fam
 
 
@@ -93,21 +94,17 @@ def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     n, cols = params.n, chain_matrix(params)
     closing = tuple(Binomial(*_minor_sides(cols, j, n)).canonical() for j in range(1, n))
     fam = minors_open_chain(params) + closing
-    _check_minor_family("closed-chain", params, fam, expected=comb(n, 2), new=closing,
-                        both_gradings=False)
+    _check_minor_family("closed-chain", fam, comb(n, 2), closing, (generators(params),))
     return fam
 
 
-def _check_minor_family(name: str, params: InstanceParams, fam: tuple[Binomial, ...],
-                        expected: int, new: tuple[Binomial, ...], both_gradings: bool) -> None:
+def _check_minor_family(name: str, fam: tuple[Binomial, ...], expected: int,
+                        new: tuple[Binomial, ...], rows: tuple[tuple[int, ...], ...]) -> None:
     # count and repeats over the family; homogeneity of the new minors, one dot product a row
     if len(fam) != expected:
         raise AssertionError(f"{name}: {len(fam)} minors, expected {expected}")
     if len(set(fam)) != expected:
         raise AssertionError(f"{name}: repeated minors")
-    rows = scalar_grading(params).rows
-    if both_gradings:
-        rows += projective_grading(params).rows
     for g in new:
         d = tuple(map(sub, g.plus, g.minus))
         if any(sum(map(mul, row, d)) for row in rows):

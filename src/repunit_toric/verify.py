@@ -30,7 +30,6 @@ from .families import (
     weight_relation_matrix,
 )
 from .fibers import (
-    DegreeSplit,
     betti_splits,
     forced_generators,
     minimal_generator_count,
@@ -155,11 +154,6 @@ def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors
     check(label, saturation_route)
 
 
-def _shared_splits(minors, grading) -> Callable[[], dict[tuple[int, ...], DegreeSplit]]:
-    """Fiber splits of the minors, computed by the first check that asks."""
-    return cache(lambda: betti_splits(minors, grading))
-
-
 def _oracle_count(check: _Checks, label: str, splits, expected: int) -> None:
     check(
         label,
@@ -224,12 +218,9 @@ def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -
     check("cardinality",
           lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
 
-    def engine_agrees() -> tuple[bool, str]:
-        computed = groebner_reduced(minors, order)
-        same = {(g.plus, g.minus) for g in computed} == {(g.plus, g.minus) for g in family}
-        return same, "engine reduced basis of the minors equals the family"
-
-    check("engine-equality", engine_agrees)
+    check("engine-equality",
+          lambda: (set(groebner_reduced(minors, order)) == set(family),
+                   "engine reduced basis of the minors equals the family"))
 
 
 def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int) -> None:
@@ -265,7 +256,7 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
                    projective_relation_matrix(params), grading,
                    cache(lambda: groebner_reduced(minors, order)))
     expected = comb(params.n - 1, 2)
-    splits = _shared_splits(minors, grading)
+    splits = cache(lambda: betti_splits(minors, grading))
     _oracle_count(check, "minimal-generation", splits, expected)
     check(
         "uniqueness",
@@ -296,7 +287,7 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
     check("toric-equals-minors",
           lambda: (toric_ideal(grading, order).rules == minors_gb().rules,
                    "toric ideal equals the minor ideal"))
-    splits = _shared_splits(minors, grading)
+    splits = cache(lambda: betti_splits(minors, grading))
     _oracle_count(check, "minimal-generation", splits, comb(params.n, 2))
     if params.n > 3:
         def frontier() -> tuple[bool, str]:
@@ -365,7 +356,7 @@ def verify_four_variable_generators(check: _Checks, params: InstanceParams) -> N
     check("toric-equality",
           lambda: (toric_ideal(grading, order).rules == groebner_reduced(minors, order).rules,
                    "printed set generates the toric ideal"))
-    splits = _shared_splits(minors, grading)
+    splits = cache(lambda: betti_splits(minors, grading))
     _oracle_count(check, "oracle-count", splits, 6)
     check(
         "pruning",
@@ -403,7 +394,7 @@ def verify_noncoprime_counts(check: _Checks, params: InstanceParams) -> None:
     check(
         "toric-minimal-count",
         lambda: (
-            minimal_generator_count(list(tor().elements), grading) == 4,
+            minimal_generator_count(tor().elements, grading) == 4,
             "toric ideal needs 4 minimal generators",
         ),
     )

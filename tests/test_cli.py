@@ -558,3 +558,19 @@ def test_engine_command_output_digest_is_pinned(capsys):
             digest.update(repr((argv, fmt, outcome)).encode())
     assert digest.hexdigest() == (
         "3d0c1ebf825628ebccc3c2497da7fbf39373a2abbe288af8c7dd9a646d33d503")
+
+
+def test_interrupt_is_one_line_and_exit_130():
+    # Ctrl-C inside a handler: one error line and exit 130, no traceback.  It
+    # is raised in a child process, so an escaping KeyboardInterrupt ends the child alone.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = ("import sys\n"
+              "from repunit_toric import cli\n"
+              "def interrupted(args):\n"
+              "    raise KeyboardInterrupt\n"
+              "cli._HANDLERS['info'] = interrupted\n"
+              "sys.exit(cli.main(['info', '--a', '1', '--b', '2', '--n', '4']))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, b"", b"error: interrupted\n")
