@@ -23,18 +23,14 @@ from typing import Sequence
 
 from .binomials import ExponentOverflowError, format_binomial
 from .families import (
+    minor_words,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
     scalar_grading,
     toric_ideal,
 )
-from .fibers import (
-    betti_degrees,
-    betti_splits,
-    has_unique_minimal_system,
-    unique_minimal_system,
-)
+from .fibers import rule_words, unique_minimal_system, word_splits
 from .groebner import groebner_reduced, is_minimal_basis, is_reduced_basis
 from .orders import build_order_i, five_variable_order
 from .semigroup import InstanceParams, gcd_of_generators, generators, repunit
@@ -43,10 +39,10 @@ from .verify import CLAIMS, FAIL, PASS, REFUSED, VerificationReport, claim_spec,
 # a verify run's exit code: a refusal outweighs a failure, which outweighs a pass
 VERDICT_CODES = {PASS: 0, FAIL: 1, REFUSED: 2}
 
-# --source name -> (minor family, or None for the toric ideal; its grading)
+# --source name -> (closed or open chain minors, or None for the toric ideal; its grading)
 SOURCES = {
-    "minors-x": (minors_closed_chain, scalar_grading),
-    "minors-y": (minors_open_chain, projective_grading),
+    "minors-x": (True, scalar_grading),
+    "minors-y": (False, projective_grading),
     "toric-i": (None, scalar_grading),
     "toric-j": (None, projective_grading),
 }
@@ -221,8 +217,7 @@ def _sweep_row(params: InstanceParams) -> dict:
     g = gcd_of_generators(params)
     grading = scalar_grading(params)
     order = build_order_i(generators(params), 1)
-    tor = toric_ideal(grading, order)
-    splits = betti_splits(tor.elements, grading)
+    splits = word_splits(rule_words(toric_ideal(grading, order).rules, grading), params.n)
     count = sum(s.new_generators() for s in splits.values())
     unique = unique_minimal_system(splits)
     predicate = params.a < params.b - 1
@@ -280,10 +275,11 @@ def _resolve_order(args, params: InstanceParams):
 
 
 def _source_basis(source: str, params: InstanceParams, order, trace):
-    family, grading_of = SOURCES[source]
-    if family:
-        return groebner_reduced(family(params), order, trace)
-    return toric_ideal(grading_of(params), order, trace)
+    closed, grading_of = SOURCES[source]
+    if closed is None:
+        return toric_ideal(grading_of(params), order, trace)
+    family = minors_closed_chain if closed else minors_open_chain
+    return groebner_reduced(family(params), order, trace)
 
 
 def cmd_groebner(args) -> Result:
@@ -303,18 +299,21 @@ def cmd_groebner(args) -> Result:
     }, "\n".join([head] + listing)
 
 
-def _source_for_oracle(source: str, params: InstanceParams, trace):
-    family, grading_of = SOURCES[source]
-    grading = grading_of(params)
-    if family:
-        return family(params), grading
-    return toric_ideal(grading, trace=trace).elements, grading
+def _oracle_splits(source: str, params: InstanceParams, trace):
+    closed, grading_of = SOURCES[source]
+    if closed is None:
+        grading = grading_of(params)
+        words = rule_words(toric_ideal(grading, trace=trace).rules, grading)
+    else:
+        words = minor_words(params, closed)
+    return word_splits(words, params.n)
 
 
 def cmd_betti(args) -> Result:
     params = _params_from_args(args)
-    gens, grading = _source_for_oracle(args.source, params, _trace_fn(args))
-    degs = betti_degrees(gens, grading)  # in (sum, degree) order
+    splits = _oracle_splits(args.source, params, _trace_fn(args))
+    # in (sum, degree) order
+    degs = {d: k for d, s in splits.items() if (k := s.new_generators()) > 0}
     total = sum(degs.values())
     lines = [f"source={args.source} degrees={len(degs)} total={total}"]
     lines += [f"degree {d[0] if len(d) == 1 else d}: {k}" for d, k in degs.items()]
@@ -327,8 +326,7 @@ def cmd_betti(args) -> Result:
 
 def cmd_unique(args) -> Result:
     params = _params_from_args(args)
-    gens, grading = _source_for_oracle(args.source, params, _trace_fn(args))
-    unique = has_unique_minimal_system(gens, grading)
+    unique = unique_minimal_system(_oracle_splits(args.source, params, _trace_fn(args)))
     return 0, {"source": args.source, "unique": unique}, (
         f"source={args.source} unique minimal binomial system: {'yes' if unique else 'no'}")
 

@@ -4,8 +4,10 @@ Variables x_1 .. x_n carry the semigroup weights; the two-row grading stacks
 the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
 families, the structured families and the rows of the kernel-lattice
 matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
-matrix, chain_matrix, whose first n - 1 columns are the open chain.  The
-structured families are oriented by orders.minor_side_predicate, so lemma3
+matrix, chain_matrix, whose first n - 1 columns are the open chain.  Each
+chain minor is formed and its family checked once, then returned as a
+Binomial or, by minor_words, as packed words with its degree, the fiber
+oracle's input.  The structured families are oriented by orders.minor_side_predicate, so lemma3
 checks the very rule they are built with.  The relation rows are small
 integer bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
@@ -23,7 +25,17 @@ from math import comb, gcd
 from operator import add, mul, sub
 
 from . import intlinalg
-from .binomials import FIELD_BITS, Binomial, Grading, Monomial, format_binomial
+from .binomials import (
+    EXPONENT_LIMIT,
+    FIELD_BITS,
+    Binomial,
+    Grading,
+    Monomial,
+    format_binomial,
+    format_monomial,
+    monomial,
+    pack,
+)
 from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
 from .orders import MatrixOrder, _unit_negative_row, build_order_i, minor_side_predicate
 from .semigroup import InstanceParams, generators, repunit
@@ -70,45 +82,76 @@ def _minor_sides(cols: tuple, j: int, k: int) -> tuple[Monomial, Monomial]:
     return tuple(map(add, top_j, bot_k)), tuple(map(add, bot_j, top_k))
 
 
+def _chain_minors(params: InstanceParams, closed: bool) -> list[tuple[Monomial, Monomial]]:
+    """Both sides of every chain minor, larger side first, each formed and checked once.
+
+    The open chain's minors, then for the closed chain each column with
+    column n, all read from one chain_matrix.  The largest exponent of any
+    side is a + b + 1, x_1's in the minor on columns 1 and n, so only past
+    that bound are the sides checked entry by entry, closing minors first:
+    the first exponent past EXPONENT_LIMIT raises as a Binomial would.
+    """
+    n, cols, w = params.n, chain_matrix(params), generators(params)
+    sides = [_minor_sides(cols, j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
+    closing = [_minor_sides(cols, j, n) for j in range(1, n)] if closed else []
+    if params.a + params.b + 1 > EXPONENT_LIMIT:
+        for u, v in closing + sides:
+            monomial(u)
+            monomial(v)
+    fam = [(u, v) if u >= v else (v, u) for u, v in sides]
+    # w = a * r + r_b(n) * 1 with a >= 1, so the weights and the ones row
+    # have the kernel of both gradings: the repunit row r is (w - r_b(n) * 1) / a
+    _check_minor_family("open-chain", fam, comb(n - 1, 2), fam, (w, (1,) * n))
+    if closed:
+        closing = [(u, v) if u >= v else (v, u) for u, v in closing]
+        fam += closing
+        _check_minor_family("closed-chain", fam, comb(n, 2), closing, (w,))
+    return fam
+
+
 def minors_open_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     """Minors of the open chain, the first n - 1 columns; empty when n == 2.
 
     Every minor is homogeneous for both gradings, and there are
     C(n-1, 2) of them.
     """
-    n, cols = params.n, chain_matrix(params)
-    fam = tuple(Binomial(*_minor_sides(cols, j, k)).canonical()
-                for j in range(1, n - 1) for k in range(j + 1, n))
-    # w = a * r + r_b(n) * 1 with a >= 1, so the weights and the ones row
-    # have the kernel of both gradings: the repunit row r is (w - r_b(n) * 1) / a
-    _check_minor_family("open-chain", fam, comb(n - 1, 2), fam, (generators(params), (1,) * n))
-    return fam
+    return tuple(Binomial(u, v) for u, v in _chain_minors(params, False))
 
 
 def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     """Minors of the 2 x n matrix: the open chain's, then each column with column n.
 
-    C(n, 2) minors, homogeneous for the weight grading; minors_open_chain
-    has checked the open-chain ones, so only the n-1 closing minors are.
+    C(n, 2) minors, homogeneous for the weight grading.
     """
-    n, cols = params.n, chain_matrix(params)
-    closing = tuple(Binomial(*_minor_sides(cols, j, n)).canonical() for j in range(1, n))
-    fam = minors_open_chain(params) + closing
-    _check_minor_family("closed-chain", fam, comb(n, 2), closing, (generators(params),))
-    return fam
+    return tuple(Binomial(u, v) for u, v in _chain_minors(params, True))
 
 
-def _check_minor_family(name: str, fam: tuple[Binomial, ...], expected: int,
-                        new: tuple[Binomial, ...], rows: tuple[tuple[int, ...], ...]) -> None:
-    # count and repeats over the family; homogeneity of the new minors, one dot product a row
+def minor_words(params: InstanceParams, closed: bool) -> tuple[tuple[tuple, int, int], ...]:
+    """The closed- or open-chain minors as (degree, plus word, minus word), for fibers.word_splits.
+
+    The same minors, in the same order, as minors_closed_chain or
+    minors_open_chain, each side packed once.  The degree is under the
+    weights for the closed chain, under the repunit and ones rows for the
+    open one.
+    """
+    rows = (generators(params),) if closed else projective_grading(params).rows
+    return tuple((tuple([sum(map(mul, row, u)) for row in rows]), pack(u), pack(v))
+                 for u, v in _chain_minors(params, closed))
+
+
+def _check_minor_family(name: str, fam: list, expected: int, new: list,
+                        rows: tuple[tuple[int, ...], ...]) -> None:
+    # fam and new list (plus, minus) sides; count and repeats over the family,
+    # homogeneity of the new minors, one dot product a row
     if len(fam) != expected:
         raise AssertionError(f"{name}: {len(fam)} minors, expected {expected}")
     if len(set(fam)) != expected:
         raise AssertionError(f"{name}: repeated minors")
-    for g in new:
-        d = tuple(map(sub, g.plus, g.minus))
+    for u, v in new:
+        d = tuple(map(sub, u, v))
         if any(sum(map(mul, row, d)) for row in rows):
-            raise AssertionError(f"{name}: inhomogeneous minor {g}")
+            raise AssertionError(
+                f"{name}: inhomogeneous minor {format_monomial(u)} - {format_monomial(v)}")
 
 
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:

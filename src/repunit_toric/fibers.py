@@ -9,14 +9,19 @@ ideal needs here; the system is unique exactly when each fused group is two
 single monomials (Charalambous, Katsabekis & Thoma, Proc. AMS 135, 2007).
 A component that holds no side of a generator of this degree is the same
 under both move sets, so it changes neither the count nor the verdict.
-betti_splits therefore lists no whole fiber: from each side of each
+word_splits therefore lists no whole fiber: from each side of each
 generator of the degree it searches depth first through the lower moves,
 in both directions, and relabels the components it reaches to join them
-along the degree's own generators; no union-find.  The lower moves are one
-flat list of packed words, each tested by one guarded subtraction.
+along the degree's own generators; no union-find.  Its input and working
+form are packed words: each generator comes as its degree and two packed
+sides, the lower moves are one flat list of them, each tested by one
+guarded subtraction, and a split keeps its components as packed words,
+unpacked into sorted monomials only when below or full is read.
+betti_splits is the Binomial entry and rule_words reads an engine basis's
+packed rules; families.minor_words hands the minors over packed.
 
 enumerate_fiber lists a whole fiber by a plain walk, the reference the
-search is tested against.  The oracle (betti_splits and the counts and
+search is tested against.  The oracle (word_splits and the counts and
 uniqueness read from it) never calls the Groebner engine, so the two can
 check each other; only prune_redundant_generators, the engine's route to
 the same count, runs Buchberger.
@@ -25,9 +30,11 @@ the same count, runs Buchberger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from functools import cached_property
+from itertools import chain, groupby
 from math import gcd
-from typing import Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .binomials import (
     EXPONENT_LIMIT,
@@ -36,12 +43,16 @@ from .binomials import (
     Grading,
     Monomial,
     check_int,
+    format_monomial,
     guard_bits,
     pack,
     unpack,
 )
 from .groebner import buchberger
 from .orders import MatrixOrder
+
+# one nonzero generator for word_splits: its degree and its plus and minus sides, packed
+Word = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -57,40 +68,62 @@ class Fiber:
 class DegreeSplit:
     """The fiber of one generator degree, around that degree's generators.
 
-    below: the components, under moves by strictly lower-degree generators,
-    that hold a side of a generator of this degree; full: the same monomials
-    once this degree's generators join in.  Components are sorted by least
-    monomial, each in lexicographic order; the rest of the fiber is left
-    out, since the degree's generators leave it as it was.  The ideal needs
-    len(below) - len(full) minimal generators here: each one must fuse two
-    below-components that the full congruence identifies.  betti_splits
-    joins below into full by relabelling, with no union-find, and
-    forced_pairs reads full directly.
+    comps: the components, under moves by strictly lower-degree generators,
+    that hold a side of a generator of this degree, each the set of its
+    guarded packed words; joins: for each, the label of the component it
+    lies in once this degree's generators join in; nvars: the variable
+    count of the words.  The rest of the fiber is left out, since the
+    degree's generators leave it as it was.  The ideal needs
+    len(comps) - (distinct labels) minimal generators here: each one must
+    fuse two below-components that the full congruence identifies.
+
+    below and full list the same components as monomials, built on first
+    read: below the comps, full the unions of comps under one label, each
+    sorted, and sorted by least monomial.
     """
 
-    below: tuple[tuple[Monomial, ...], ...]
-    full: tuple[tuple[Monomial, ...], ...]
+    comps: tuple[set[int], ...]
+    joins: tuple[int, ...]
+    nvars: int
+
+    def _listing(self, groups) -> tuple[tuple[Monomial, ...], ...]:
+        # components are disjoint, so sorting them sorts by least monomial
+        return tuple(sorted(tuple(sorted(unpack(x, self.nvars) for x in g)) for g in groups))
+
+    def _joined(self):
+        # the below-components under each label
+        groups: dict[int, list[set[int]]] = {}
+        for comp, label in zip(self.comps, self.joins):
+            groups.setdefault(label, []).append(comp)
+        return groups.values()
+
+    @cached_property
+    def below(self) -> tuple[tuple[Monomial, ...], ...]:
+        return self._listing(self.comps)
+
+    @cached_property
+    def full(self) -> tuple[tuple[Monomial, ...], ...]:
+        return self._listing([x for comp in group for x in comp] for group in self._joined())
 
     def new_generators(self) -> int:
-        return len(self.below) - len(self.full)
+        return len(self.joins) - len(set(self.joins))
 
     def forced_pairs(self) -> list[tuple[Monomial, Monomial]] | None:
-        """Forced generator pairs of this degree, or None when a choice exists.
+        """Forced generator pairs of this degree, by least monomial, or None when a choice exists.
 
-        A full component that is itself a below-component needs nothing.  One
-        of two monomials that is not fuses two isolated monomials and forces
-        the binomial joining them.  Any other shape leaves a choice of
-        monomials or of tree shape, so the minimal system is not unique.
+        A label over one below-component needs nothing.  One over two
+        single monomials forces the binomial joining them.  Any other shape
+        leaves a choice of monomials or of tree shape, so the minimal
+        system is not unique.
         """
-        below = set(self.below)
         pairs = []
-        for comp in self.full:
-            if comp in below:
+        for group in self._joined():
+            if len(group) == 1:
                 continue
-            if len(comp) != 2:
+            if len(group) != 2 or len(group[0]) != 1 or len(group[1]) != 1:
                 return None
-            pairs.append(comp)
-        return pairs
+            pairs.append(tuple(sorted(unpack(x, self.nvars) for comp in group for x in comp)))
+        return sorted(pairs)
 
 
 def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
@@ -127,8 +160,8 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
 
 
 def _below_component(seed: int, moves: Sequence[tuple[int, int]], guard: int,
-                     nvars: int) -> list[Monomial]:
-    """Every monomial the packed moves reach from the guarded word seed, in lexicographic order.
+                     nvars: int) -> set[int]:
+    """Every guarded word the packed moves reach from the guarded word seed.
 
     A move (src, dst) takes x to x - src + dst when src divides x, which
     one guarded subtraction tests.  An image past EXPONENT_LIMIT raises, as
@@ -149,75 +182,76 @@ def _below_component(seed: int, moves: Sequence[tuple[int, int]], guard: int,
                         raise ExponentOverflowError(f"move to {m} exceeds {EXPONENT_LIMIT}")
                     seen.add(y)
                     stack.append(y)
-    return sorted(unpack(x ^ guard, nvars) for x in seen)
+    return seen
+
+
+def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], DegreeSplit]:
+    """Fiber split at each generator degree, from nonzero generators as (degree, plus, minus) words.
+
+    Degrees are processed along a linear extension of the degree partial
+    order (total entry sum first), so "lower" is unambiguous.  Only the
+    degrees of the given generators can carry minimal generators: every
+    other graded piece of the ideal is already reachable from below.  A
+    generator of a lower degree gives a move in each direction, kept in one
+    flat list.  A depth-first search through them from each side of each
+    generator of the degree finds its below-component, and one dict maps
+    every guarded word reached to its component.  The degree's generators
+    join components by relabelling a list of the k labels, in
+    O(k * generators of the degree).
+    """
+    guard = guard_bits(nvars)
+    out: dict[tuple[int, ...], DegreeSplit] = {}
+    moves: list[tuple[int, int]] = []
+    for d, group in groupby(sorted(words, key=lambda w: (sum(w[0]), w[0])), key=itemgetter(0)):
+        here = [(p | guard, q | guard) for _, p, q in group]
+        comp_of: dict[int, int] = {}  # every guarded word reached -> its below-component
+        comps: list[set[int]] = []
+        for side in chain.from_iterable(here):
+            if side not in comp_of:
+                comp = _below_component(side, moves, guard, nvars)
+                comp_of.update(dict.fromkeys(comp, len(comps)))
+                comps.append(comp)
+        label = list(range(len(comps)))
+        for p, q in here:
+            keep, gone = label[comp_of[p]], label[comp_of[q]]
+            if keep != gone:
+                label = [keep if x == gone else x for x in label]
+            # the degree's own moves serve the degrees above it
+            moves += ((p ^ guard, q ^ guard), (q ^ guard, p ^ guard))
+        out[d] = DegreeSplit(tuple(comps), tuple(label), nvars)
+    return out
+
+
+def _graded_degree(grading: Grading, plus: Monomial, minus: Monomial) -> tuple[int, ...]:
+    d = grading.degree(plus)
+    if d != grading.degree(minus):
+        raise ValueError(f"generator {format_monomial(plus)} - {format_monomial(minus)} "
+                         "is not homogeneous for the grading")
+    return d
 
 
 def betti_splits(
     gens: Sequence[Binomial],
     grading: Grading,
 ) -> dict[tuple[int, ...], DegreeSplit]:
-    """Fiber split at each generator degree, around that degree's generators.
+    """word_splits of the nonzero generators, each checked homogeneous and its sides packed once."""
+    return word_splits([(_graded_degree(grading, g.plus, g.minus), pack(g.plus), pack(g.minus))
+                        for g in gens if not g.is_zero()], grading.nvars)
 
-    Degrees are processed along a linear extension of the degree partial
-    order (total entry sum first), so "lower" is unambiguous.  Only the
-    degrees of the given generators can carry minimal generators: every
-    other graded piece of the ideal is already reachable from below.  Each
-    generator's sides are packed once; a generator of a lower degree gives
-    a move in each direction, kept in one flat list.  A depth-first search
-    through them from each side of each generator of the degree lists its
-    below-component, and one dict maps every monomial reached to its
-    component.  The degree's generators join components by relabelling a
-    list of the k labels, in O(k * generators of the degree).
+
+def rule_words(rules: Iterable[tuple[int, int]], grading: Grading) -> list[Word]:
+    """word_splits' input from packed (lead, tail) rules over the grading's variables.
+
+    Each side is unpacked for its degree only; both degrees are compared,
+    as betti_splits compares them.
     """
-    keyed: list[tuple[tuple, Binomial]] = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        d = grading.degree(g.plus)
-        if d != grading.degree(g.minus):
-            raise ValueError(f"generator {g} is not homogeneous for the grading")
-        keyed.append(((sum(d), d), g))
-    keyed.sort(key=lambda kg: kg[0])
-    out: dict[tuple[int, ...], DegreeSplit] = {}
-    nvars = grading.nvars
-    guard = guard_bits(nvars)
-    moves: list[tuple[int, int]] = []
-    for (_, d), group in groupby(keyed, key=lambda kg: kg[0]):
-        here = [(g, pack(g.plus), pack(g.minus)) for _, g in group]
-        comp_of: dict[Monomial, int] = {}  # every monomial reached -> its below-component
-        below: list[list[Monomial]] = []
-        for g, p, q in here:
-            for side, word in ((g.plus, p), (g.minus, q)):
-                if side not in comp_of:
-                    comp = _below_component(word | guard, moves, guard, nvars)
-                    comp_of.update(dict.fromkeys(comp, len(below)))
-                    below.append(comp)
-        label = list(range(len(below)))
-        for g, _, _ in here:
-            keep, gone = label[comp_of[g.plus]], label[comp_of[g.minus]]
-            if keep != gone:
-                label = [keep if x == gone else x for x in label]
-        full: dict[int, list[Monomial]] = {}
-        for c, x in enumerate(label):
-            full.setdefault(x, []).extend(below[c])
-        # components are disjoint, so sorting them sorts by least monomial
-        out[d] = DegreeSplit(
-            tuple(map(tuple, sorted(below))),
-            tuple(sorted(tuple(sorted(comp)) for comp in full.values())),
-        )
-        for _, p, q in here:
-            moves += ((p, q), (q, p))
-    return out
+    n = grading.nvars
+    return [(_graded_degree(grading, unpack(p, n), unpack(q, n)), p, q) for p, q in rules]
 
 
 def betti_degrees(gens: Sequence[Binomial], grading: Grading) -> dict[tuple[int, ...], int]:
     """Minimal generator count of the ideal per degree, zero entries omitted."""
-    out = {}
-    for d, split in betti_splits(gens, grading).items():
-        k = split.new_generators()
-        if k > 0:
-            out[d] = k
-    return out
+    return {d: k for d, s in betti_splits(gens, grading).items() if (k := s.new_generators()) > 0}
 
 
 def minimal_generator_count(gens: Sequence[Binomial], grading: Grading) -> int:
@@ -225,7 +259,7 @@ def minimal_generator_count(gens: Sequence[Binomial], grading: Grading) -> int:
 
 
 def unique_minimal_system(splits: Mapping[tuple[int, ...], DegreeSplit]) -> bool:
-    """True when every minimal generator is forced by its split in betti_splits."""
+    """True when every minimal generator is forced by its split."""
     return all(s.forced_pairs() is not None for s in splits.values())
 
 

@@ -67,7 +67,9 @@ def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
 def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
     """Row Hermite form with its zero rows last, the rank, and the determinant sign.
 
-    Each xgcd step replaces two rows by a determinant-1 combination of them;
+    Each xgcd step replaces two rows by a determinant-1 combination of them,
+    [[x, y], [-a_ic/g, a_rc/g]] with x*a_rc + y*a_ic = g, which leaves
+    exactly zero in the lower row's pivot column, so one step a row does;
     a row swap or a row negation flips the sign, and reducing the rows above
     a pivot keeps it.  Pivots are positive and entries above each pivot lie
     in [0, pivot).
@@ -93,7 +95,7 @@ def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         for i in range(r + 1, m):
-            while a[i][c]:
+            if a[i][c]:
                 g, x, y = xgcd(a[r][c], a[i][c])
                 pr = [x * p + y * q for p, q in zip(a[r], a[i])]
                 qr = [(-(a[i][c] // g)) * p + (a[r][c] // g) * q for p, q in zip(a[r], a[i])]

@@ -12,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from repunit_toric import cli, families, fibers, groebner
-from repunit_toric.binomials import pack
+from repunit_toric import cli, families, fibers, groebner, verify
+from repunit_toric.binomials import Binomial, pack
 from repunit_toric.cli import main
 from repunit_toric.orders import build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
@@ -34,6 +34,14 @@ def test_info_text(capsys):
     assert "generators: 15 18 24 36" in out
     assert "gcd: 3 (not coprime)" in out
     assert "n/a (generators not coprime)" in out
+
+
+def test_info_predicts_nothing_at_n3(capsys):
+    code, out, _ = run(capsys, "info", "--a", "1", "--b", "2", "--n", "3")
+    assert code == 0
+    assert "generators: 7 8 10" in out
+    assert "gcd: 1 (coprime)" in out
+    assert "unique minimal system predicted (a < b-1): n/a (n <= 3)" in out.splitlines()
 
 
 def test_info_json(capsys):
@@ -104,6 +112,18 @@ def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "lemma9", "--a", "1", "--b", "2", "--n", "4")
     assert code == 2
     assert "unknown claim" in err
+    # no claim at all, neither positional nor --claim
+    code, out, err = run(capsys, "verify", "--a", "1", "--b", "2", "--n", "4")
+    assert (code, out, err) == (2, "", "error: verify needs a claim name (positional or --claim)\n")
+
+
+def test_verify_failed_check_exits_1(monkeypatch, capsys):
+    monkeypatch.setattr(verify, "homogeneity_identity_holds", lambda p, j, k: (j, k) != (2, 3))
+    code, out, err = run(capsys, "verify", "lemma2", "--a", "1", "--b", "2", "--n", "4")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[1].startswith("  [fail] lemma2: weight identity: fails at (j, k) = [(2, 3)] (")
+    assert lines[-1] == "overall: fail"
 
 
 def test_verify_index_on_plain_claim(capsys):
@@ -173,6 +193,13 @@ def test_groebner_order_errors(capsys):
     )
     assert code == 2
     assert "needs --i" in err
+
+    code, out, err = run(
+        capsys, "groebner", "--source", "minors-x", "--order", "prec-x",
+        "--a", "1", "--b", "2", "--n", "4",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: unknown order 'prec-x'; use prec-i, prec-<k>, or example5\n"
 
     # --i is read only by prec-i; with another order it is a usage error
     for order, n in (("prec-3", "4"), ("example5", "5")):
@@ -295,6 +322,9 @@ def test_sweep_bad_range(capsys):
     assert out == ""
     assert err == "error: --a range '3..1' is empty\n"
 
+    code, out, err = run(capsys, "sweep", "--a", "1", "--b", "2")
+    assert (code, out, err) == (2, "", "error: missing --n (K or LO..HI)\n")
+
 
 def test_exponent_overflow_is_a_usage_error(capsys):
     code, out, err = run(
@@ -304,6 +334,34 @@ def test_exponent_overflow_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: exponent 3000000003 exceeds 2147483647\n"
+    # the oracle's minor words are checked as the Binomial minors are
+    for command in ("betti", "unique"):
+        outcome = run(capsys, command, "--source", "minors-x",
+                      "--a", "3000000000", "--b", "2", "--n", "4")
+        assert outcome == (2, "", "error: exponent 3000000003 exceeds 2147483647\n")
+    outcome = run(capsys, "unique", "--source", "minors-y",
+                  "--a", "1", "--b", "2147483647", "--n", "4")
+    assert outcome == (2, "", "error: exponent 2147483648 exceeds 2147483647\n")
+
+
+def test_minor_oracle_builds_no_binomial(monkeypatch, capsys):
+    # betti and unique on the minor sources hand packed words to the fiber
+    # search; the counter is seen to work on the Binomial entry point
+    built = []
+    check = Binomial.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Binomial, "__post_init__", counted)
+    for command, source in (("betti", "minors-x"), ("unique", "minors-y")):
+        code, out, err = run(capsys, command, "--source", source,
+                             "--a", "2", "--b", "3", "--n", "6")
+        assert (code, err) == (0, "") and out
+    assert built == []
+    families.minors_open_chain(InstanceParams(2, 3, 6))
+    assert len(built) == 10
 
 
 def test_betti_counts(capsys):

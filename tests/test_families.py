@@ -12,6 +12,7 @@ import pytest
 from repunit_toric import families, intlinalg
 from repunit_toric.binomials import Binomial, Grading, format_binomial, pack
 from repunit_toric.families import (
+    minor_words,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
@@ -118,16 +119,22 @@ def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
             return (times_x1(u), v) if (j, k) == at else (u, v)
         return patched
 
+    # the oracle's packed minors come from the same sides and the same checks
+    closed_builds = (minors_closed_chain, functools.partial(minor_words, closed=True))
+    open_builds = (minors_open_chain, functools.partial(minor_words, closed=False))
+
     monkeypatch.setattr(families, "_minor_sides", side_times_x1((3, 5)))
-    with pytest.raises(AssertionError, match="closed-chain: inhomogeneous minor x1\\^4"):
-        minors_closed_chain(p)
+    for build in closed_builds:
+        with pytest.raises(AssertionError, match="closed-chain: inhomogeneous minor x1\\^4"):
+            build(p)
     monkeypatch.setattr(families, "_minor_sides", lambda cols, j, k: (
         sides(cols, 1, k) if k == 5 else sides(cols, j, k)))
-    with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
-        minors_closed_chain(p)
+    for build in closed_builds:
+        with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
+            build(p)
     # an open-chain minor times x1 is off both gradings
     monkeypatch.setattr(families, "_minor_sides", side_times_x1((1, 2)))
-    for build in (minors_open_chain, minors_closed_chain):
+    for build in open_builds + closed_builds:
         with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
             build(p)
     # x1^a2 - x2^a1 is homogeneous for the weights, not for the projective grading
@@ -135,10 +142,12 @@ def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
     swap = ((w[1], 0, 0, 0, 0), (0, w[0], 0, 0, 0))
     monkeypatch.setattr(families, "_minor_sides",
                         lambda cols, j, k: swap if (j, k) == (1, 2) else sides(cols, j, k))
-    with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
-        minors_open_chain(p)
+    for build in open_builds:
+        with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
+            build(p)
     monkeypatch.setattr(families, "_minor_sides", sides)
     assert len(minors_closed_chain(p)) == comb(5, 2)
+    assert len(minor_words(p, closed=True)) == comb(5, 2)
 
 
 @pytest.mark.parametrize("a,b,n", [(1, 1, 2), (2, 1, 3), (3, 1, 5), (1, 2, 2), (2, 3, 3),

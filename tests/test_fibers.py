@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+from collections import namedtuple
 from fractions import Fraction
 from operator import sub
 
@@ -15,8 +16,10 @@ from repunit_toric.binomials import (
     ExponentOverflowError,
     Grading,
     format_binomial,
+    pack,
 )
 from repunit_toric.families import (
+    minor_words,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
@@ -24,7 +27,6 @@ from repunit_toric.families import (
     toric_ideal,
 )
 from repunit_toric.fibers import (
-    DegreeSplit,
     betti_degrees,
     betti_splits,
     enumerate_fiber,
@@ -32,7 +34,9 @@ from repunit_toric.fibers import (
     has_unique_minimal_system,
     minimal_generator_count,
     prune_redundant_generators,
+    rule_words,
     unique_minimal_system,
+    word_splits,
 )
 from repunit_toric.groebner import ideal_equal
 from repunit_toric.orders import build_order_i
@@ -237,14 +241,17 @@ def test_oracle_fibers_pinned():
     """The whole fiber of every generator degree on a small oracle box, and every split, by digest.
 
     The fiber digest covers degree and monomials; the split digest covers
-    each degree's below and full components.
+    each degree's below and full components, reached from the Binomial
+    minors through betti_splits and from the packed minors through
+    word_splits alike.
     """
     digest = hashlib.sha256()
     split_digest = hashlib.sha256()
+    word_digest = hashlib.sha256()
     count = 0
-    for family, grading_of in (
-        (minors_closed_chain, scalar_grading),
-        (minors_open_chain, projective_grading),
+    for family, grading_of, closed in (
+        (minors_closed_chain, scalar_grading, True),
+        (minors_open_chain, projective_grading, False),
     ):
         for a, b, n in itertools.product(range(1, 5), range(2, 6), range(5, 8)):
             p = InstanceParams(a, b, n)
@@ -255,9 +262,16 @@ def test_oracle_fibers_pinned():
                 count += 1
             for d, split in betti_splits(gens, grading).items():
                 split_digest.update(f"{d} {split.below} {split.full}\n".encode())
+            for d, split in word_splits(minor_words(p, closed), n).items():
+                word_digest.update(f"{d} {split.below} {split.full}\n".encode())
     assert count == 1232
     assert digest.hexdigest() == "7640f2f6ea25dab419450a11f6d1c91b8da6e4fb69fecf0025bb51be31d92a93"
     assert split_digest.hexdigest() == "ef6a95b37428e1062683bac9ef684cb6f53206deb8da528f2de152c67563a10f"
+    assert word_digest.hexdigest() == split_digest.hexdigest()
+
+
+# one degree of the reference oracle: its below and full components
+WholeSplit = namedtuple("WholeSplit", "below full")
 
 
 def _whole_fiber_splits(gens, grading):
@@ -284,7 +298,7 @@ def _whole_fiber_splits(gens, grading):
             if k == key:
                 uf.union(index[g.plus], index[g.minus])
         full = tuple(tuple(fiber[pos] for pos in grp) for grp in uf.groups())
-        out[key[1]] = DegreeSplit(below, full)
+        out[key[1]] = WholeSplit(below, full)
     return out
 
 
@@ -506,8 +520,12 @@ def test_fiber_graph_components():
     assert betti_splits([], grading) == {}
     assert betti_splits([Binomial.from_vector((0, 0, 0, 0))], grading) == {}
     bad = Binomial((1, 0, 0, 0), (0, 1, 0, 0))
-    with pytest.raises(ValueError):
+    message = "generator x1 - x2 is not homogeneous for the grading"
+    with pytest.raises(ValueError, match=message):
         betti_splits([bad], grading)
+    # an engine rule's sides are compared the same way, with the same message
+    with pytest.raises(ValueError, match=message):
+        rule_words([(pack(bad.plus), pack(bad.minus))], grading)
 
 
 def test_betti_principal_ideal():
