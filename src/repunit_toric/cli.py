@@ -28,6 +28,7 @@ from .families import (
     minors_open_chain,
     projective_grading,
     scalar_grading,
+    toric_basis,
     toric_ideal,
 )
 from .fibers import rule_words, unique_minimal_system, word_splits
@@ -217,7 +218,7 @@ def _sweep_row(params: InstanceParams) -> dict:
     g = gcd_of_generators(params)
     grading = scalar_grading(params)
     order = build_order_i(generators(params), 1)
-    splits = word_splits(rule_words(toric_ideal(grading, order).rules, grading), params.n)
+    splits = word_splits(rule_words(toric_basis(grading, order).rules, grading), params.n)
     count = sum(s.new_generators() for s in splits.values())
     unique = unique_minimal_system(splits)
     predicate = params.a < params.b - 1
@@ -303,7 +304,7 @@ def _oracle_splits(source: str, params: InstanceParams, trace):
     closed, grading_of = SOURCES[source]
     if closed is None:
         grading = grading_of(params)
-        words = rule_words(toric_ideal(grading, trace=trace).rules, grading)
+        words = rule_words(toric_basis(grading, trace=trace).rules, grading)
     else:
         words = minor_words(params, closed)
     return word_splits(words, params.n)

@@ -16,7 +16,11 @@ A one-row grading w is split into two t's: with m = min(w) and
 c = gcd(w_i - m), x_i -> t^(w_i) factors through the domain k[t^c, t^m],
 which for the paper's weights is k[t^a, t^r_b(n)]; far fewer rules are kept
 than with one t.  The t of weight m is a variable of least weight, so the
-run eliminates t_1 alone.
+run eliminates t_1 alone.  toric_basis returns the run's t-free rules, a
+minimal Groebner basis left unreduced, which the fiber oracle reads, as
+minimal generator count and uniqueness are invariants of the ideal;
+toric_ideal reduces it, for every caller that compares or lists reduced
+bases.
 """
 
 from __future__ import annotations
@@ -251,12 +255,12 @@ def weight_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...
     return tuple(rows)
 
 
-def toric_ideal(
+def toric_basis(
     grading: Grading,
     order: MatrixOrder | None = None,
     trace: TraceFn | None = None,
 ) -> GroebnerBasis:
-    """Reduced basis of the toric ideal of the grading's monomial map.
+    """Minimal Groebner basis of the toric ideal of the grading's monomial map, unreduced.
 
     Route (Conti-Traverso; Sturmfels, Groebner Bases and Convex Polytopes,
     ch. 4): the toric ideal is the t-free part of the ideal of the
@@ -287,11 +291,14 @@ def toric_ideal(
     eliminates t.  The requested order's rows follow, then -1 unit rows on
     t_1..t_(d-1).  Every element is homogeneous for row one, and on t-free
     monomials of equal row-one weight this is the requested order, so the
-    t-free part is already a Groebner basis under it and is only reduced.
-    A row that depends on the rows above it never breaks a tie, so the
-    stack is used as it is.  The t's are the last d variables, so a rule
-    whose lead has no t field set is already a packed n-variable rule (see
-    binomials) and passes to reduce_gb as it is.
+    t-free part is already a Groebner basis under it.  A row that depends
+    on the rows above it never breaks a tie, so the stack is used as it
+    is.  The t's are the last d variables, so a rule whose lead has no t
+    field set is already a packed n-variable rule (see binomials).  No
+    lead of the run divides another, so the t-free rules are a minimal
+    basis; their tails are left as the run made them.  Minimal generator
+    count and uniqueness are invariants of the ideal, so the fiber oracle
+    reads these rules as they are.
 
     The run's ideal is prime: it is the kernel of a map into a domain,
     x_i -> t^(A_i) into k[t] with d rows, and into k[t^c, t^m] on the
@@ -315,8 +322,6 @@ def toric_ideal(
         gens = [Binomial(_mono(n + 1, (i, 1)), _mono(n + 1, (n + 1, (w - m) // c), (k, 1)))
                 for i, w in enumerate(pos, 1) if i != k]
         gens.append(Binomial(_mono(n + 1, (n + 1, m // g)), _mono(n + 1, (k, c // g))))
-        header = (f"x{n + 1} = t_1, t_2 = x{k}; "
-                  f"input {n - 1} is the relation {format_binomial(gens[-1])}")
     else:
         t_rows = []
         for row in grading.rows:
@@ -326,16 +331,26 @@ def toric_ideal(
         x_weights, coeffs = tuple(map(sum, zip(*t_rows))), (1,) * d
         gens = [Binomial(_mono(n + d, (i, 1)), (0,) * n + tuple(r[i - 1] for r in t_rows))
                 for i in range(1, n + 1)]
-        header = ", ".join(f"x{n + k} = t_{k}" for k in range(1, d + 1))
     rows = (
         x_weights + coeffs,
         (0,) * n + (1,) * d,
         *(r + (0,) * d for r in order.rows),
         *(_unit_negative_row(n + d, c) for c in range(n, n + d - 1)))
     if trace:
+        header = (f"x{n + 1} = t_1, t_2 = x{k}; "
+                  f"input {n - 1} is the relation {format_binomial(gens[-1])}" if d == 1
+                  else ", ".join(f"x{n + t} = t_{t}" for t in range(1, d + 1)))
         trace(f"elimination run over x1..x{n + d}, where {header}")
     elim = buchberger(gens, MatrixOrder(rows), trace, saturated=True)
     # a t-free leading term has a t-free trailing term under this order, and
     # a rule whose t fields are zero is already an n-variable rule
-    kept = tuple(r for r in elim.rules if not r[0] >> (FIELD_BITS * n))
-    return reduce_gb(GroebnerBasis(kept, order))
+    return GroebnerBasis(tuple(r for r in elim.rules if not r[0] >> (FIELD_BITS * n)), order)
+
+
+def toric_ideal(
+    grading: Grading,
+    order: MatrixOrder | None = None,
+    trace: TraceFn | None = None,
+) -> GroebnerBasis:
+    """Reduced basis of the toric ideal of the grading's monomial map: toric_basis, reduced."""
+    return reduce_gb(toric_basis(grading, order, trace))

@@ -12,13 +12,17 @@ under both move sets, so it changes neither the count nor the verdict.
 word_splits therefore lists no whole fiber: from each side of each
 generator of the degree it searches depth first through the lower moves,
 in both directions, and relabels the components it reaches to join them
-along the degree's own generators; no union-find.  Its input and working
+along the degree's own generators; no union-find.  Only a generator that
+joins two labels adds its moves for the degrees above: one whose sides
+were joined already lies in the ideal of the moves kept, so it changes no
+component.  Its input and working
 form are packed words: each generator comes as its degree and two packed
 sides, the lower moves are one flat list of them, each tested by one
 guarded subtraction, and a split keeps its components as packed words,
 unpacked into sorted monomials only when below or full is read.
 betti_splits is the Binomial entry and rule_words reads an engine basis's
-packed rules; families.minor_words hands the minors over packed.
+packed rules, such as families.toric_basis's unreduced ones;
+families.minor_words hands the minors over packed.
 
 enumerate_fiber lists a whole fiber by a plain walk, the reference the
 search is tested against.  The oracle (word_splits and the counts and
@@ -192,8 +196,11 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
     order (total entry sum first), so "lower" is unambiguous.  Only the
     degrees of the given generators can carry minimal generators: every
     other graded piece of the ideal is already reachable from below.  A
-    generator of a lower degree gives a move in each direction, kept in one
-    flat list.  A depth-first search through them from each side of each
+    generator of a lower degree that joined two labels at its turn gives a
+    move in each direction, kept in one flat list; one whose sides were
+    joined already adds none, since the moves kept join its sides, and
+    their multiples its multiples.  So a redundant generator changes no
+    split.  A depth-first search through them from each side of each
     generator of the degree finds its below-component, and one dict maps
     every guarded word reached to its component.  The degree's generators
     join components by relabelling a list of the k labels, in
@@ -216,8 +223,8 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
             keep, gone = label[comp_of[p]], label[comp_of[q]]
             if keep != gone:
                 label = [keep if x == gone else x for x in label]
-            # the degree's own moves serve the degrees above it
-            moves += ((p ^ guard, q ^ guard), (q ^ guard, p ^ guard))
+                # the degree's joining moves serve the degrees above it
+                moves += ((p ^ guard, q ^ guard), (q ^ guard, p ^ guard))
         out[d] = DegreeSplit(tuple(comps), tuple(label), nvars)
     return out
 

@@ -23,8 +23,10 @@ criterion B, and only over the new pairs whose leads share a variable:
 pairs with coprime leads are never formed, and criteria M and F keep one
 of the rest per minimal lcm; every pair they keep is queued.  When the
 caller promises a saturated ideal, a pair whose two rules' tails share a
-variable is settled before criteria M and F: its lcm joins the kept ones,
-and it is not queued (see buchberger).  Leaving
+variable is settled before criteria M and F and is not queued; it gets no
+lcm, and its rule's lead f joins the criterion-M witnesses instead, as the
+new lead x divides every new lcm L, so lcm(f, x) divides L exactly when f
+does (see buchberger).  Leaving
 the coprime pairs out of criterion M changes no skip when no lead divides
 another, as a coprime lcm f_k * x divides lcm(f_i, x) only when f_k
 divides f_i; on other input fewer pairs are skipped, which stays sound.
@@ -45,14 +47,14 @@ still gets a Groebner basis, just not a minimal one.  buchberger returns
 the rules in insertion order; reduce_gb lists a basis canonically.
 
 The pair update runs on packed words: coprime leads and shared tails are
-one AND of support patterns, a pair's lcm is one packed_lcm, and each
-divisibility test in criteria M and F, is_minimal_basis, is_reduced_basis
-and reduce_gb is one guarded subtraction.  New pairs are sorted by (packed lcm, index): a
-proper divisor is a smaller packed int, so it comes first as in a sort by
-weighted degree.  In a trace, the coprime lines of one insertion come
-first, in rule order, then its M, F and common-factor lines in packed-lcm
-order; which pairs are skipped, and by which criterion, does not depend
-on it.
+one AND of support patterns, a formed pair's lcm is one packed_lcm, and
+each divisibility test in criteria M and F, is_minimal_basis,
+is_reduced_basis and reduce_gb is one guarded subtraction.  Formed pairs
+are sorted by (packed lcm, index): a proper divisor is a smaller packed
+int, so it comes first as in a sort by weighted degree.  In a trace, the
+coprime and common-factor lines of one insertion come first, in rule
+order, then its M and F lines in packed-lcm order; which pairs are
+skipped, and by which criterion, does not depend on it.
 """
 
 from __future__ import annotations
@@ -162,15 +164,22 @@ def buchberger(
     and one AND of the tails' support patterns, one kept per rule, tests
     it before criteria M and F.  Such a pair gets the trace line
     "pair (i,j) lcm=... skipped: common factor", also where criterion M
-    or F would have skipped it, and its lcm joins the kept list.  That
-    changes no later M or F decision: had M or F skipped the pair, a kept
-    lcm divides its lcm, and otherwise its lcm would have been kept.  So
-    the pairs queued are those M and F keep whose sides share no
-    variable.  On the sweep box (order prec-1) the update forms 62,559
-    pairs: 47,837 share a tail variable, criteria M and F skip 8,352,
-    and of the 6,370 queued 3,019 reduce to zero.  On an ideal that is
-    not saturated the skip is unsound and can change the reduced basis,
-    so every caller but toric_ideal keeps the default.
+    or F would have skipped it; its lcm is formed for that line alone.
+    In its stead its rule's lead f_i joins the criterion-M witnesses: the
+    new lead x divides every new lcm L, so lcm(f_i, x) divides L exactly
+    when f_i does.  The witnesses are all in place before the first
+    formed pair is tested, so a formed pair whose lcm equals a settled
+    pair's is skipped by criterion M whatever their indices, which is
+    sound, as the settled pair stands for that lcm as a queued one would.
+    So the pairs queued are those whose sides share no variable and whose
+    lcm neither a settled pair's lcm nor an earlier queued pair's
+    divides.  On the sweep box (order prec-1) 62,559 pairs have leads
+    that share a variable: 47,837 share a tail variable and are settled
+    with no lcm, criteria M and F skip 8,404 of the 14,722 formed, and of
+    the 6,318 queued 2,967 reduce to zero.  On an ideal that is not
+    saturated the skip is unsound and can change the reduced basis, so
+    every caller but families.toric_basis keeps the default, under which
+    no pair is settled and no lead is a witness.
     """
     weights = order.rows[0]
     nvars = order.nvars
@@ -211,28 +220,30 @@ def buchberger(
         # Gebauer-Moeller UPDATE (Becker & Weispfenning, Groebner Bases, 1993)
         # without criterion B, on packed words, over the pairs whose leads
         # share a variable.  Criteria M and F: a new pair whose lcm a kept
-        # lcm divides is superfluous.  A proper divisor is a smaller packed
-        # int, so it sorts first.  A coprime lcm f_k * x divides lcm(f_i, x)
-        # only when f_k divides f_i, so leaving coprime pairs out of kept
-        # changes no skip when no lead divides another, and otherwise only
-        # skips fewer pairs.
+        # lcm or a settled pair's lead divides is superfluous.  A proper
+        # divisor is a smaller packed int, so it sorts first.  A coprime lcm
+        # f_k * x divides lcm(f_i, x) only when f_k divides f_i, so leaving
+        # coprime pairs out of kept changes no skip when no lead divides
+        # another, and otherwise only skips fewer pairs.
         j = len(rules)
         s = ((x | guard) - ones) & guard
         t = ((y | guard) - ones) & guard if saturated else 0
-        if trace:
-            for i, ((f, _), r) in enumerate(rules):
-                if not r & s:
+        kept: list[int] = []  # the settled pairs' leads, then the queued pairs' lcms
+        formed: list[tuple[int, int]] = []
+        for i, (((f, _), r), u) in enumerate(zip(rules, tails)):
+            if not r & s:
+                if trace:
                     trace(f"pair ({i},{j}) lcm={format_monomial(unpack(f + x, nvars))}"
                           " skipped: coprime leads")
-        kept: list[int] = []
-        for big, i in sorted((packed_lcm(f[0], x, guard), i)
-                             for i, (f, r) in enumerate(rules) if r & s):
-            if tails[i] & t:  # the two sides share a variable of both tails
-                kept.append(big)
+            elif u & t:  # the two sides share a variable of both tails
+                kept.append(f)  # x divides every new lcm: f divides one iff lcm(f, x) does
                 if trace:
+                    big = packed_lcm(f, x, guard)
                     trace(f"pair ({i},{j}) lcm={format_monomial(unpack(big, nvars))}"
                           " skipped: common factor")
-                continue
+            else:
+                formed.append((packed_lcm(f, x, guard), i))
+        for big, i in sorted(formed):
             if _has_divisor(big | guard, kept, guard):
                 if trace:
                     crit = "F" if big in kept else "M"

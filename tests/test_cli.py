@@ -631,7 +631,7 @@ def test_engine_trace_output_digest_is_pinned(capsys):
     # the trace lines move with the pair update's skip decisions and their
     # order, which leave the non-trace outputs as they are; so they hash apart
     assert _calls_digest(capsys, _trace_calls()) == (
-        "d10ae980cefd6ba697012ca036af0847db6f3aaae963d24845049136ccd68e7c")
+        "fe8ce49950a71c5d481fed27664d3de4a2683f5faf0903539ce6b815457eeff4")
 
 
 def test_interrupt_is_one_line_and_exit_130():

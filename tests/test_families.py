@@ -21,9 +21,11 @@ from repunit_toric.families import (
     structured_closed_family,
     structured_family,
     structured_open_family,
+    toric_basis,
     toric_ideal,
     weight_relation_matrix,
 )
+from repunit_toric.fibers import rule_words, word_splits
 from repunit_toric.groebner import (
     GroebnerBasis,
     buchberger,
@@ -439,7 +441,7 @@ def test_toric_runs_keep_their_queue_and_bases(monkeypatch):
         reduced.update((", ".join(map(format_binomial, gb)) + "\n").encode())
     assert len(cases) == 120 + 30
     assert [queued.hexdigest(), raw.hexdigest(), reduced.hexdigest()] == [
-        "32e9d6a8f5bd3ccf5947a16826a1bf22656a8275af60a1c3949c04f782a0cf47",
+        "dc4ffc6ad3e61ed14bd1a0c175290b0635185a22e0fc075857c5d9b454dcc6be",
         "7cc40f94ba5195b6c8239b5bc5bf53f4a64764f0f3042889bca1078c15b7e730",
         "83d192ccf95b46457e002a610c002ab10296d2d4f59c811c3f8580c79677281a",
     ]
@@ -459,6 +461,42 @@ def test_common_factor_skip_needs_a_saturated_ideal():
     assert is_groebner_basis(plain.elements, order)
     assert not is_groebner_basis(flagged.elements, order)
     assert (len(reduce_gb(plain)), len(reduce_gb(flagged))) == (7, 3)
+
+
+def _unreduced_route_cases():
+    # the sweep box (order prec-1), then the projective gradings under their default order
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        grading = scalar_grading(InstanceParams(a, b, n))
+        yield grading, build_order_i(grading.positive_row(), 1)
+    for a, b, n in itertools.product(range(1, 4), range(2, 5), (4, 5)):
+        yield projective_grading(InstanceParams(a, b, n)), None
+
+
+def test_toric_basis_is_a_minimal_groebner_basis_that_reduces_to_toric_ideal():
+    unreduced = 0
+    for grading, order in _unreduced_route_cases():
+        basis = toric_basis(grading, order)
+        reduced = toric_ideal(grading, order)
+        assert basis.order == reduced.order
+        assert is_minimal_basis(basis.elements), grading.rows
+        assert is_groebner_basis(basis.elements, basis.order), grading.rows
+        assert reduce_gb(basis).rules == reduced.rules, grading.rows
+        unreduced += not is_reduced_basis(basis.elements)
+    # on some rows the run's tails are not normal forms, so the reduction is not idle
+    assert unreduced > 0
+
+
+def test_oracle_reads_the_same_splits_from_the_unreduced_basis():
+    # minimal generator count and forced pairs are invariants of the ideal:
+    # the same per degree over toric_basis's rules as over the reduced basis
+    for grading, order in _unreduced_route_cases():
+        n = grading.nvars
+        basis = word_splits(rule_words(toric_basis(grading, order).rules, grading), n)
+        reduced = word_splits(rule_words(toric_ideal(grading, order).rules, grading), n)
+        assert list(basis) == list(reduced), grading.rows
+        for d, split in basis.items():
+            assert split.new_generators() == reduced[d].new_generators(), (grading.rows, d)
+            assert split.forced_pairs() == reduced[d].forced_pairs(), (grading.rows, d)
 
 
 def test_toric_ideal_runs_buchberger_once(monkeypatch):

@@ -391,6 +391,41 @@ def test_betti_splits_pinned_on_larger_minors_and_toric_bases(sweep_toric_bases)
     assert digest.hexdigest() == "a6dca015597a5a8354771d73cfe0516ec272075da598a114f5c11687bdfef432"
 
 
+def _redundant_words(words):
+    """In-degree generators of the ideal of words: each one reversed, and each chain of two.
+
+    A chain joins the two outer sides of two generators of one degree that
+    share a side.  Each of them joins sides already joined at its degree.
+    """
+    out = [(d, q, p) for d, p, q in words]
+    for (d, p, q), (e, u, v) in itertools.permutations(words, 2):
+        for x, y, z, w in ((p, q, u, v), (q, p, u, v), (p, q, v, u), (q, p, v, u)):
+            if d == e and y == z and x != w:
+                out.append((d, x, w))
+    return out
+
+
+def test_redundant_generators_leave_every_split_as_it_is(sweep_toric_bases):
+    # Generators appended after a list, each in the ideal of the list's
+    # generators of its degree, join no labels and add no moves: every split
+    # is the same, on the sweep box's toric bases and on minors of the oracle box
+    inputs = list(sweep_toric_bases) + [
+        (family(p), grading_of(p))
+        for family, grading_of in ((minors_closed_chain, scalar_grading),
+                                   (minors_open_chain, projective_grading))
+        for p in itertools.starmap(InstanceParams, itertools.product((1, 3), (2, 4), (5, 6)))
+    ]
+    chains = 0
+    for gens, grading in inputs:
+        words = [(grading.degree(g.plus), pack(g.plus), pack(g.minus)) for g in gens]
+        extra = _redundant_words(words)
+        chains += len(extra) - len(words)
+        splits = word_splits(words, grading.nvars)
+        assert word_splits(words + extra, grading.nvars) == splits, grading.rows
+        assert word_splits(words + words, grading.nvars) == splits, grading.rows
+    assert chains > 0
+
+
 @pytest.mark.parametrize("abn, degree, below", [
     ((8, 3, 4), (144,), (((0, 0, 0, 1),), ((0, 0, 2, 0),), ((0, 3, 0, 0),))),
     ((7, 2, 6), (252,), (((0, 0, 1, 0, 1, 0), (0, 0, 3, 0, 0, 0)),

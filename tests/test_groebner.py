@@ -245,7 +245,7 @@ def test_trace_pins_pair_outcomes():
     assert lines[0] == ("elimination run over x1..x5, where x5 = t_1, t_2 = x1; "
                         "input 3 is the relation x5^15 - x1")
     assert _pair_outcomes(lines[1:]) == {
-        "input": 4, "added": 10, "zero": 7, "common": 33, "M": 2, "coprime": 39}
+        "input": 4, "added": 10, "zero": 5, "common": 33, "M": 4, "coprime": 39}
 
 
 def _pair_outcomes(lines):
@@ -275,12 +275,12 @@ def _sorted_digest(lines):
 
 
 @pytest.mark.parametrize("abn, counts, digest", [
-    ((2, 3, 5), {"input": 5, "added": 19, "zero": 19, "common": 105, "M": 12,
+    ((2, 3, 5), {"input": 5, "added": 19, "zero": 16, "common": 105, "M": 15,
                  "coprime": 121},
-     "52a934c1341243fa46bed2b57e6f6084d466ca1790444707a9e5e1dd1dd92c26"),
-    ((5, 6, 6), {"input": 6, "added": 41, "zero": 61, "common": 514, "M": 55,
+     "d7a64c3a49fb00da92e6311d73c617c36248d33766169e7596629d05aadb579f"),
+    ((5, 6, 6), {"input": 6, "added": 41, "zero": 57, "common": 514, "M": 59,
                  "coprime": 410},
-     "d54193582bfd360268c9fb9e97ace8f7cf9dc640283bbf511d817cb860614466"),
+     "763339105747164a2936336589c6e09f89e5990cc7cc8352e8ab08428ff54b07"),
 ], ids=["2-3-5", "5-6-6"])
 def test_trace_pins_toric_run_outcomes(abn, counts, digest):
     # Every pair keeps its outcome line; the sorted digest allows the
@@ -400,7 +400,7 @@ def test_trace_pins_a_run_with_inputs_listed_heaviest_first(monkeypatch):
     assert runs[0].inputs == (3, 2, 1, 0, 4)
     assert len(runs[0]) == counts["input"] + counts["added"]
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "06b67bc60bb9dacba1d2fa687b7f2cffc0dcc578b222f109fb2e4b62f077649c")
+        "3f54d23bdde72f38019318cbadbfeef9c951b3d4f3cc9d91db02f1568a77dd46")
 
 
 def _tuple_is_minimal(elements):
