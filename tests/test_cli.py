@@ -621,7 +621,7 @@ def _calls_digest(capsys, calls) -> str:
 
 
 def test_engine_command_output_digest_is_pinned(capsys):
-    # sweep, betti, unique and groebner over small boxes: about 2,050 calls
+    # sweep, betti, unique and groebner over small boxes: 2,042 calls, text and json,
     # hash to one digest
     assert _calls_digest(capsys, _engine_calls()) == (
         "e808b6147234a10241feaaf79b5abb542914eceb707bc3dc3dfa5e94eab70f76")

@@ -398,10 +398,10 @@ def _redundant_words(words):
     share a side.  Each of them joins sides already joined at its degree.
     """
     out = [(d, q, p) for d, p, q in words]
-    for (d, p, q), (e, u, v) in itertools.permutations(words, 2):
-        for x, y, z, w in ((p, q, u, v), (q, p, u, v), (p, q, v, u), (q, p, v, u)):
-            if d == e and y == z and x != w:
-                out.append((d, x, w))
+    for (d, p, q), (e, u, v) in itertools.combinations(words, 2):
+        if d == e:
+            out += [(d, x, w) for x, y in ((p, q), (q, p)) for z, w in ((u, v), (v, u))
+                    if y == z and x != w]
     return out
 
 
