@@ -8,6 +8,7 @@ and the n-1 rewrites of pure powers of the cheap variable.
 
 from repunit_toric.binomials import format_binomial
 from repunit_toric.groebner import (
+    GroebnerBasis,
     groebner_reduced,
     is_groebner_basis,
     is_reduced_basis,
@@ -35,13 +36,14 @@ def main() -> None:
         for g in elems:
             print(f"    {format_binomial(g)}")
 
-    closed = structured_closed_family(p, i)
-    print(f"closed family: Groebner={is_groebner_basis(closed, order)}",
+    closed = GroebnerBasis.of(structured_closed_family(p, i), order)
+    print(f"closed family: Groebner={is_groebner_basis(closed)}",
           f"reduced={is_reduced_basis(closed)}")
 
     opened = structured_open_family(p, i)
-    print(f"open subfamily: Groebner={is_groebner_basis(opened, order)}",
-          f"reduced={is_reduced_basis(opened)}")
+    basis = GroebnerBasis.of(opened, order)
+    print(f"open subfamily: Groebner={is_groebner_basis(basis)}",
+          f"reduced={is_reduced_basis(basis)}")
 
     # the engine agrees: running Buchberger on the raw minors and reducing
     # lands on the same set the structured family writes down directly

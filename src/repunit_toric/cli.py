@@ -288,7 +288,7 @@ def cmd_groebner(args) -> Result:
     label, order = _resolve_order(args, params)
     gb = _source_basis(args.source, params, order, _trace_fn(args))
     listing = [format_binomial(g) for g in gb.elements]
-    minimal, reduced = is_minimal_basis(gb.elements), is_reduced_basis(gb.elements)
+    minimal, reduced = is_minimal_basis(gb), is_reduced_basis(gb)
     head = (
         f"source={args.source} order={label} elements={len(listing)} "
         f"minimal={'yes' if minimal else 'no'} reduced={'yes' if reduced else 'no'}"

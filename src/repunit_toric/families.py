@@ -7,8 +7,10 @@ matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
 matrix, chain_matrix, whose first n - 1 columns are the open chain.  Each
 chain minor is formed and its family checked once, then returned as a
 Binomial or, by minor_words, as packed words with its degree, the fiber
-oracle's input.  The structured families are oriented by orders.minor_side_predicate, so lemma3
-checks the very rule they are built with.  The relation rows are small
+oracle's input.  The structured families are oriented by
+orders.minor_side_predicate, so lemma3 checks the very rule they are built
+with; structured_basis packs their sides, no Binomial built, into the
+GroebnerBasis that groebner's basis checks read.  The relation rows are small
 integer bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
@@ -169,11 +171,14 @@ def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomi
     lemma3 checks against the order; in part 4 x_1^(a+1) x_j^b leads below
     column i, x_(j+1) x_n^b from i on.
     """
-    return _structured(params, i, (part,))
+    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (part,)))
 
 
-def _structured(params: InstanceParams, i: int, parts: tuple[int, ...]) -> tuple[Binomial, ...]:
-    # the parts in turn, all read from one chain_matrix
+def _structured_sides(params: InstanceParams, i: int,
+                      parts: tuple[int, ...]) -> list[tuple[Monomial, Monomial]]:
+    # the (lead, tail) sides of the parts in turn, all read from one
+    # chain_matrix; past a + b + 1 > EXPONENT_LIMIT each side is checked,
+    # lead then tail, so the first bad exponent raises as a Binomial would
     n = params.n
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")
@@ -192,18 +197,34 @@ def _structured(params: InstanceParams, i: int, parts: tuple[int, ...]) -> tuple
         for j, k in pairs:
             u, v = _minor_sides(cols, j, k)
             u_leads = j < i if k == n else not minor_side_predicate(n, i, j, k)
-            out.append(Binomial(u, v) if u_leads else Binomial(v, u))
-    return tuple(out)
+            out.append((u, v) if u_leads else (v, u))
+    if params.a + params.b + 1 > EXPONENT_LIMIT:
+        for u, v in out:
+            monomial(u)
+            monomial(v)
+    return out
 
 
 def structured_open_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3: the open-chain minors oriented for the x_i-cheap order."""
-    return _structured(params, i, (1, 2, 3))
+    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3)))
 
 
 def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3+4: all closed-chain minors oriented for the x_i-cheap order."""
-    return _structured(params, i, (1, 2, 3, 4))
+    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3, 4)))
+
+
+def structured_basis(params: InstanceParams, i: int, closed: bool) -> GroebnerBasis:
+    """The closed or open structured family as rules under build_order_i(weights, i).
+
+    The rules of structured_closed_family or structured_open_family, in
+    the same order, each side packed once and no Binomial built: the
+    input of groebner's basis checks.
+    """
+    sides = _structured_sides(params, i, (1, 2, 3, 4) if closed else (1, 2, 3))
+    return GroebnerBasis(tuple((pack(u), pack(v)) for u, v in sides),
+                         build_order_i(generators(params), i))
 
 
 def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:

@@ -55,6 +55,18 @@ int, so it comes first as in a sort by weighted degree.  In a trace, the
 coprime and common-factor lines of one insertion come first, in rule
 order, then its M and F lines in packed-lcm order; which pairs are
 skipped, and by which criterion, does not depend on it.
+
+The three basis checks read one GroebnerBasis, its packed rules and its
+order, and pass over zero rules; GroebnerBasis.of packs a list of
+binomials once for them, and families.structured_basis builds the
+structured families so.  is_groebner_basis meets only the pairs that
+criteria M and F keep, each rule's pairs with the earlier rules taken as
+in buchberger, once every rule is in the index.  The kept pairs and the
+coprime ones generate the syzygies of the leads, so this is exact (see
+is_groebner_basis).  On a structured family of m chain columns it meets
+2 * C(m, 3) pairs, the rank of the first syzygies in the Eagon-Northcott
+complex: 168 open and 240 closed at (3,4,10), i = 5, where meeting every
+pair of leads that share a variable met 212 and 324.
 """
 
 from __future__ import annotations
@@ -63,13 +75,12 @@ import heapq
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .binomials import (
     Binomial,
     Grading,
     RuleIndex,
-    format_binomial,
     format_monomial,
     guard_bits,
     meet,
@@ -86,9 +97,12 @@ Packed = tuple[int, int]  # a rule as packed words
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Oriented basis rules, as packed (lead, tail) words, and their order.
+    """Basis rules, as packed (lead, tail) words, and their order.
 
-    elements lists the rules as binomials, built on first read.
+    buchberger, reduce_gb and families.structured_basis give every rule
+    oriented; GroebnerBasis.of takes the plus sides as leads, and
+    is_groebner_basis checks them.  elements lists the rules as binomials,
+    built on first read.
     """
 
     rules: tuple[Packed, ...]
@@ -100,15 +114,24 @@ class GroebnerBasis:
         nvars = self.order.nvars
         return tuple(Binomial(unpack(p, nvars), unpack(q, nvars)) for p, q in self.rules)
 
+    @classmethod
+    def of(cls, elements: Iterable[Binomial], order: MatrixOrder) -> GroebnerBasis:
+        """elements as rules under order, in the order given, plus side as lead.
+
+        Each element is packed once; none is oriented, reduced or dropped.
+        """
+        rules = []
+        for g in elements:
+            if len(g.plus) != order.nvars:
+                raise ValueError("variable count mismatch with order matrix")
+            rules.append((pack(g.plus), pack(g.minus)))
+        return cls(tuple(rules), order)
+
     def __len__(self) -> int:
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.elements)
-
-
-def _packed(elements: Iterable[Binomial]) -> list[Packed]:
-    return [(pack(g.plus), pack(g.minus)) for g in elements]
 
 
 def _has_divisor(x: int, words: Iterable[int], guard: int) -> bool:
@@ -260,64 +283,78 @@ def buchberger(
     return GroebnerBasis(tuple(rule for rule, _ in rules), order, inputs=tuple(inputs))
 
 
-def is_groebner_basis(
-    elements: Sequence[Binomial],
-    order: MatrixOrder,
-) -> bool:
-    """Deterministic S-pair test: every S-binomial must reduce to zero.
+def is_groebner_basis(basis: GroebnerBasis) -> bool:
+    """Deterministic S-pair test: every needed S-binomial must reduce to zero.
 
     Sound and complete for binomial systems: monomial rewriting is
-    terminating here, so confluence is equivalent to all critical pairs
+    terminating here, so confluence is equivalent to the critical pairs
     joining (Newman's lemma), that is, the rewrite chains of its two sides
     meeting, as rewriting is deterministic; meet stops where they meet.
-    Only pairs of coprime leads are passed over.
+    The nonzero rules of basis are taken in turn.  Each forms its pairs
+    with the earlier rules whose leads share a variable, sorted by packed
+    lcm, and keeps a pair only when no lcm kept for it divides the pair's
+    (criteria M and F, as in buchberger).  Once every rule is in the index,
+    the kept pairs are met.  This is exact.  A pair (i, j) skipped for a
+    kept (k, j) has f_k dividing lcm(f_i, f_j), so lcm(f_i, f_k) divides it
+    too, and its syzygy is a combination of those of (k, j) and of the
+    older pair (i, k), which was kept, coprime or skipped so in its turn.
+    The kept and the coprime pairs thus generate the syzygies of the
+    leads, a coprime pair reduces to zero by itself, and a basis is a
+    Groebner basis exactly when the S-binomials of such a generating set
+    reduce to zero (Gebauer & Moeller, JSC 6, 1988).  On a structured
+    family of m chain columns, m = n - 1 open and n closed, 2 * C(m, 3)
+    pairs are met, the rank of the first syzygies in the Eagon-Northcott
+    complex.
+
+    A nonzero rule whose tail the order puts above its lead raises
+    ValueError.
     """
-    for g in elements:
-        # compare checks every element's variable count; only zero compares equal
-        if order.compare(g.plus, g.minus) < 0:
-            raise ValueError(f"element not oriented under the order: {format_binomial(g)}")
-    elems = [g for g in elements if not g.is_zero()]
-    index = RuleIndex(order.nvars, _packed(elems))
-    guard = index.guard
-    rules = index.rules  # (rule, support pattern of its lead)
-    for j, (g, t) in enumerate(rules):
-        for i in range(j):
-            f, s = rules[i]
-            if not s & t:
-                continue
-            # the S-binomial reduces to zero exactly when the one-step
-            # rewrites of the lcm share a normal form, that is, their chains meet
-            big = packed_lcm(f[0], g[0], guard)
-            x, y = meet(big - f[0] + f[1], big - g[0] + g[1], index)
-            if x != y:
-                return False
+    order = basis.order
+    nvars = order.nvars
+    rules = [r for r in basis.rules if r[0] != r[1]]
+    for p, q in rules:
+        u, v = unpack(p, nvars), unpack(q, nvars)
+        if order.compare(u, v) < 0:
+            raise ValueError("element not oriented under the order: "
+                             f"{format_monomial(u)} - {format_monomial(v)}")
+    index = RuleIndex(nvars)
+    guard, ones = index.guard, index.ones
+    kept: list[tuple[int, int, int]] = []  # (lcm, i, j) of the pairs criteria M and F keep
+    for j, (x, y) in enumerate(rules):
+        s = ((x | guard) - ones) & guard
+        lcms: list[int] = []
+        for big, i in sorted((packed_lcm(f, x, guard), i)
+                             for i, ((f, _), r) in enumerate(index.rules) if r & s):
+            if not _has_divisor(big | guard, lcms, guard):
+                lcms.append(big)
+                kept.append((big, i, j))
+        index.add(x, y)
+    for big, i, j in kept:
+        # the S-binomial reduces to zero exactly when the one-step
+        # rewrites of the lcm share a normal form, that is, their chains meet
+        (f, g), (x, y) = rules[i], rules[j]
+        u, v = meet(big - f + g, big - x + y, index)
+        if u != v:
+            return False
     return True
 
 
-def _packed_nonzero(elements: Sequence[Binomial]) -> tuple[list[Packed], int]:
-    # the nonzero elements as packed (plus, minus) words, and their guard
-    # bits; every element's variable count is checked, zero ones included
-    nvars = {g.nvars for g in elements}
-    if len(nvars) > 1:
-        raise ValueError(f"variable count mismatch: {sorted(nvars)}")
-    elems = [g for g in elements if not g.is_zero()]
-    return _packed(elems), guard_bits(nvars.pop() if nvars else 0)
-
-
-def is_minimal_basis(elements: Sequence[Binomial]) -> bool:
-    """No leading term divides another element's leading term."""
-    rules, guard = _packed_nonzero(elements)
-    for j, (q, _) in enumerate(rules):
+def is_minimal_basis(basis: GroebnerBasis) -> bool:
+    """No lead of a nonzero rule of basis divides another one's lead."""
+    guard = guard_bits(basis.order.nvars)
+    leads = [p for p, q in basis.rules if p != q]
+    for j, q in enumerate(leads):
         q |= guard
-        for i, (p, _) in enumerate(rules):
+        for i, p in enumerate(leads):
             if (q - p) & guard == guard and i != j:
                 return False
     return True
 
 
-def is_reduced_basis(elements: Sequence[Binomial]) -> bool:
-    """No leading term divides any monomial of any other element."""
-    rules, guard = _packed_nonzero(elements)
+def is_reduced_basis(basis: GroebnerBasis) -> bool:
+    """No lead of a nonzero rule of basis divides another one's lead or tail."""
+    guard = guard_bits(basis.order.nvars)
+    rules = [r for r in basis.rules if r[0] != r[1]]
     for j, (q, r) in enumerate(rules):
         q |= guard
         r |= guard

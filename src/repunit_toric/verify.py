@@ -15,8 +15,9 @@ from functools import cache
 from math import comb, gcd
 from typing import Callable
 
-from .binomials import Binomial
+from .binomials import Binomial, pack, unpack
 from .families import (
+    _chain_minors,
     _minor_sides,
     chain_matrix,
     minors_closed_chain,
@@ -24,7 +25,7 @@ from .families import (
     projective_grading,
     projective_relation_matrix,
     scalar_grading,
-    structured_closed_family,
+    structured_basis,
     structured_open_family,
     toric_ideal,
     weight_relation_matrix,
@@ -121,18 +122,19 @@ def pinned(**values: int) -> Requirement:
     )
 
 
-def _oriented_groebner(check: _Checks, family, order) -> bool:
+def _oriented_groebner(check: _Checks, basis) -> bool:
     """Orientation gate, then the S-pair check; False when the gate fails."""
+    order, nvars = basis.order, basis.order.nvars
     oriented = check(
         "orientation",
         lambda: (
-            all(order.compare(g.plus, g.minus) > 0 for g in family),
+            all(order.compare(unpack(p, nvars), unpack(q, nvars)) > 0 for p, q in basis.rules),
             "plus side of every element is its leading term",
         ),
     )
     if oriented:
         check("groebner",
-              lambda: (is_groebner_basis(family, order), "all S-pairs reduce to zero"))
+              lambda: (is_groebner_basis(basis), "all S-pairs reduce to zero"))
     return oriented
 
 
@@ -206,40 +208,38 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
 
 def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """prop-gb1: the structured open-chain family is the reduced basis."""
-    order = build_order_i(generators(params), i)
-    family = structured_open_family(params, i)
+    basis = structured_basis(params, i, False)
     minors = minors_open_chain(params)
 
-    if not _oriented_groebner(check, family, order):
+    if not _oriented_groebner(check, basis):
         return
     check("reduced",
-          lambda: (is_reduced_basis(family), "no leading term divides another monomial"))
+          lambda: (is_reduced_basis(basis), "no leading term divides another monomial"))
     expected = comb(params.n - 1, 2)
     check("cardinality",
-          lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
+          lambda: (len(basis) == expected, f"{len(basis)} elements, expected {expected}"))
 
     check("engine-equality",
-          lambda: (set(groebner_reduced(minors, order)) == set(family),
+          lambda: (set(groebner_reduced(minors, basis.order).rules) == set(basis.rules),
                    "engine reduced basis of the minors equals the family"))
 
 
 def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """thm-gb2: the structured closed-chain family is a minimal basis of the minors."""
-    order = build_order_i(generators(params), i)
-    family = structured_closed_family(params, i)
-    minors = minors_closed_chain(params)
+    basis = structured_basis(params, i, True)
+    minors = _chain_minors(params, True)
 
-    if not _oriented_groebner(check, family, order):
+    if not _oriented_groebner(check, basis):
         return
     check("minimal",
-          lambda: (is_minimal_basis(family), "no leading term divides another leading term"))
+          lambda: (is_minimal_basis(basis), "no leading term divides another leading term"))
     expected = comb(params.n, 2)
     check("cardinality",
-          lambda: (len(family) == expected, f"{len(family)} elements, expected {expected}"))
+          lambda: (len(basis) == expected, f"{len(basis)} elements, expected {expected}"))
     check(
         "coverage",
         lambda: (
-            {g.canonical() for g in family} == set(minors),
+            {frozenset(r) for r in basis.rules} == {frozenset(map(pack, m)) for m in minors},
             "family equals the minor set up to orientation",
         ),
     )
@@ -294,7 +294,7 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
             unique = unique_minimal_system(splits())
             predicate = params.a < params.b - 1
             reduced_all = all(
-                is_reduced_basis(structured_closed_family(params, i))
+                is_reduced_basis(structured_basis(params, i, True))
                 for i in range(1, params.n + 1)
             )
             ok = unique == predicate == reduced_all
@@ -434,7 +434,7 @@ def verify_nonminor_lead(check: _Checks, params: InstanceParams) -> None:
     )
 
     def minimal_not_reduced() -> tuple[bool, str]:
-        fam = structured_closed_family(params, 2)
+        fam = structured_basis(params, 2, True)
         return (
             is_minimal_basis(fam) and not is_reduced_basis(fam),
             "structured family is minimal but not reduced here",

@@ -30,6 +30,7 @@ from repunit_toric.fibers import (
     prune_redundant_generators,
 )
 from repunit_toric.groebner import (
+    GroebnerBasis,
     buchberger,
     groebner_reduced,
     ideal_equal,
@@ -104,8 +105,8 @@ def test_criterion_01_open_family_is_the_reduced_basis():
             order = order_for(a, b, n, i)
             fam = structured_open_family(params(a, b, n), i)
             assert len(fam) == len(set(fam)) == expected, (a, b, n, i)
-            assert is_groebner_basis(fam, order), (a, b, n, i)
-            assert is_reduced_basis(fam), (a, b, n, i)
+            assert is_groebner_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
+            assert is_reduced_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
             red = groebner_reduced(open_minors(a, b, n), order)
             assert set(red.elements) == set(fam), (a, b, n, i)
             bases += 1
@@ -121,8 +122,8 @@ def test_criterion_02_closed_family_is_a_minimal_basis():
             order = order_for(a, b, n, i)
             fam = structured_closed_family(params(a, b, n), i)
             assert len(fam) == len(set(fam)) == expected, (a, b, n, i)
-            assert is_groebner_basis(fam, order), (a, b, n, i)
-            assert is_minimal_basis(fam), (a, b, n, i)
+            assert is_groebner_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
+            assert is_minimal_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
             bases += 1
     emit(2, True, f"{bases} minimal bases of size C(n,2) across the grid")
 
@@ -151,7 +152,8 @@ def test_criterion_04_toric_equality_and_uniqueness_equivalence():
         oracle = has_unique_minimal_system(list(gb.elements), scalar_grading(params(a, b, n)))
         predicate = a < b - 1
         families_reduced = all(
-            is_reduced_basis(structured_closed_family(params(a, b, n), i))
+            is_reduced_basis(GroebnerBasis.of(structured_closed_family(params(a, b, n), i),
+                                              order_for(a, b, n, i)))
             for i in range(1, n + 1)
         )
         assert oracle == predicate == families_reduced, (a, b, n)
@@ -180,7 +182,7 @@ def test_criterion_06_five_variable_growth():
         assert gcd_of_generators(p) == 1
         order = five_variable_order(generators(p))
         red = groebner_reduced(open_minors(a, 5, 5), order)
-        assert is_groebner_basis(red.elements, order)
+        assert is_groebner_basis(red)
         sizes.append(len(red.elements))
         assert len(structured_open_family(p, 1)) == comb(4, 2) == 6
     assert sizes == [8, 8, 8]

@@ -278,8 +278,8 @@ def test_toric_ideal_route_matches_minors():
     p = InstanceParams(1, 2, 4)
     order = build_order_i(generators(p), 1)
     gb = toric_ideal(scalar_grading(p), order)
-    assert is_minimal_basis(gb.elements) and is_reduced_basis(gb.elements)
-    assert is_groebner_basis(gb.elements, order)
+    assert is_minimal_basis(gb) and is_reduced_basis(gb)
+    assert is_groebner_basis(gb)
     assert ideal_equal(gb, minors_closed_chain(p), order)
 
 
@@ -361,7 +361,7 @@ def test_toric_ideal_matches_saturation_under_every_order(rows):
     orders += _random_orders(grading)
     for order in orders:
         gb = toric_ideal(grading, order)
-        assert is_minimal_basis(gb.elements) and is_reduced_basis(gb.elements)
+        assert is_minimal_basis(gb) and is_reduced_basis(gb)
         assert gb.order == order
         assert gb.elements == _saturation_route(grading, order), order.rows
 
@@ -458,8 +458,8 @@ def test_common_factor_skip_needs_a_saturated_ideal():
     order = build_order_i(generators(p), 4)
     plain = buchberger(gens, order)
     flagged = buchberger(gens, order, saturated=True)
-    assert is_groebner_basis(plain.elements, order)
-    assert not is_groebner_basis(flagged.elements, order)
+    assert is_groebner_basis(plain)
+    assert not is_groebner_basis(flagged)
     assert (len(reduce_gb(plain)), len(reduce_gb(flagged))) == (7, 3)
 
 
@@ -478,10 +478,10 @@ def test_toric_basis_is_a_minimal_groebner_basis_that_reduces_to_toric_ideal():
         basis = toric_basis(grading, order)
         reduced = toric_ideal(grading, order)
         assert basis.order == reduced.order
-        assert is_minimal_basis(basis.elements), grading.rows
-        assert is_groebner_basis(basis.elements, basis.order), grading.rows
+        assert is_minimal_basis(basis), grading.rows
+        assert is_groebner_basis(basis), grading.rows
         assert reduce_gb(basis).rules == reduced.rules, grading.rows
-        unreduced += not is_reduced_basis(basis.elements)
+        unreduced += not is_reduced_basis(basis)
     # on some rows the run's tails are not normal forms, so the reduction is not idle
     assert unreduced > 0
 
@@ -641,5 +641,5 @@ def test_toric_ideal_via_projective_grading_matches_single_t(a, b, n):
         order = build_order_i(grading.positive_row(), i)
         gb = toric_ideal(grading, order)
         one_t = _one_t_route(grading, order)
-        assert is_minimal_basis(gb.elements) and is_reduced_basis(gb.elements)
+        assert is_minimal_basis(gb) and is_reduced_basis(gb)
         assert list(map(format_binomial, gb)) == list(map(format_binomial, one_t))

@@ -10,23 +10,28 @@ import operator
 import random
 import re
 from collections import Counter
+from math import comb
 
 import pytest
 
-from repunit_toric import families
+from repunit_toric import families, groebner
 from repunit_toric.binomials import (
     EXPONENT_LIMIT,
     Binomial,
     ExponentOverflowError,
     Grading,
+    RuleIndex,
     format_monomial,
+    meet,
     pack,
+    packed_lcm,
 )
 from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
     scalar_grading,
+    structured_basis,
     structured_closed_family,
     structured_open_family,
     toric_ideal,
@@ -70,7 +75,7 @@ def test_single_generator_is_its_own_basis():
     g = oriented(Binomial((0, 3, 0, 0), (2, 0, 1, 0)), order)
     gb = buchberger([g], order)
     assert gb.elements == (g,)
-    assert is_groebner_basis(gb.elements, order)
+    assert is_groebner_basis(gb)
 
 
 def test_buchberger_closes_a_gap():
@@ -78,9 +83,9 @@ def test_buchberger_closes_a_gap():
     f1 = oriented(Binomial((1, 0, 0), (0, 1, 0)), order)
     f2 = oriented(Binomial((1, 0, 1), (0, 2, 0)), order)
     assert f1.plus == (1, 0, 0) and f2.plus == (1, 0, 1)
-    assert not is_groebner_basis((f1, f2), order)
+    assert not is_groebner_basis(GroebnerBasis.of((f1, f2), order))
     gb = buchberger([f1, f2], order)
-    assert is_groebner_basis(gb.elements, order)
+    assert is_groebner_basis(gb)
     assert Binomial((0, 2, 0), (0, 1, 1)) in gb.elements
     red = reduce_gb(gb)
     # ascending leads: x2^2 precedes x1 because x1 carries weight 2
@@ -88,14 +93,14 @@ def test_buchberger_closes_a_gap():
         Binomial((0, 2, 0), (0, 1, 1)),
         Binomial((1, 0, 0), (0, 1, 0)),
     )
-    assert is_minimal_basis(red.elements) and is_reduced_basis(red.elements)
+    assert is_minimal_basis(red) and is_reduced_basis(red)
 
 
 def test_is_groebner_rejects_misoriented_input():
     order = build_order_i((2, 1, 1), 3)
     wrong = Binomial((0, 1, 0), (1, 0, 0))  # lead sits on the minus side
     with pytest.raises(ValueError):
-        is_groebner_basis((wrong,), order)
+        is_groebner_basis(GroebnerBasis.of((wrong,), order))
 
 
 @pytest.mark.parametrize("gens", [
@@ -113,16 +118,16 @@ def test_variable_count_mismatch_raises_at_every_entry_point(gens):
         lambda: ideal_equal(gens, gens, order),
         lambda: prune_redundant_generators(gens, order),
         lambda: saturate_variable(gens, 1, Grading.scalar((1, 2, 3, 4))),
-        lambda: is_groebner_basis(gens, order),
+        lambda: GroebnerBasis.of(gens, order),
     ]
     for call in entry_points:
         with pytest.raises(ValueError, match="variable count mismatch with order matrix"):
             call()
-    # the order-free checks compare the elements' counts with one another
+    # the lead-only checks get their basis from the same constructor
     if len({g.nvars for g in gens}) > 1:
         for check in (is_minimal_basis, is_reduced_basis):
-            with pytest.raises(ValueError, match=r"variable count mismatch: \[4, 5\]"):
-                check(gens)
+            with pytest.raises(ValueError, match="variable count mismatch with order matrix"):
+                check(GroebnerBasis.of(gens, order))
 
 
 def test_reduced_basis_ignores_generator_shuffles():
@@ -138,13 +143,13 @@ def test_reduced_basis_ignores_generator_shuffles():
 
 def test_structured_family_flags():
     params = InstanceParams(3, 3, 4)
-    closed = structured_closed_family(params, 2)
     order = build_order_i(generators(params), 2)
-    assert is_groebner_basis(closed, order)
+    closed = GroebnerBasis.of(structured_closed_family(params, 2), order)
+    assert is_groebner_basis(closed)
     assert is_minimal_basis(closed)
     assert not is_reduced_basis(closed)
-    opened = structured_open_family(params, 2)
-    assert is_groebner_basis(opened, order)
+    opened = GroebnerBasis.of(structured_open_family(params, 2), order)
+    assert is_groebner_basis(opened)
     assert is_reduced_basis(opened)
 
 
@@ -207,7 +212,7 @@ def test_s_pair_side_past_the_limit_raises():
     with pytest.raises(ExponentOverflowError):
         buchberger([f1, f2], order)
     with pytest.raises(ExponentOverflowError):
-        is_groebner_basis([f1, f2], order)
+        is_groebner_basis(GroebnerBasis.of([f1, f2], order))
 
 
 def test_trace_reports_pair_handling():
@@ -442,14 +447,15 @@ def test_minimal_and_reduced_checks_match_tuple_definitions():
     for _ in range(3000):
         family = _random_family(rng)
         minimal, reduced = _tuple_is_minimal(family), _tuple_is_reduced(family)
-        assert is_minimal_basis(family) == minimal, family
-        assert is_reduced_basis(family) == reduced, family
+        basis = GroebnerBasis.of(family, build_order_i((1,) * (family[0].nvars if family else 1), 1))
+        assert is_minimal_basis(basis) == minimal, family
+        assert is_reduced_basis(basis) == reduced, family
         seen[minimal, reduced] += 1
     assert min(seen[True, True], seen[True, False], seen[False, False]) >= 50, seen
     mixed = [Binomial((1, 0), (0, 1)), Binomial((1, 0, 0), (0, 0, 1))]
     for check in (is_minimal_basis, is_reduced_basis):
         with pytest.raises(ValueError):
-            check(mixed)
+            check(GroebnerBasis.of(mixed, build_order_i((1, 1), 1)))
 
 
 def _random_homogeneous_gens(rng, nvars):
@@ -497,8 +503,8 @@ def _agrees_with_sympy(gens, order, shuffled, sympy):
         )
 
     gb = groebner_reduced(gens, order)
-    assert is_groebner_basis(gb.elements, order)
-    assert is_reduced_basis(gb.elements)
+    assert is_groebner_basis(gb)
+    assert is_reduced_basis(gb)
     other = sympy.groebner([to_expr(g) for g in gens], *xs, order="grevlex")
     for g in gb:
         assert other.reduce(to_expr(g))[1] == 0
@@ -540,8 +546,8 @@ def test_random_inhomogeneous_ideals_against_sympy():
     superseded = 0
     for gens, order, shuffled in _random_inhomogeneous_ideals():
         raw = buchberger(gens, order).elements
-        assert is_groebner_basis(raw, order), gens
-        superseded += not is_minimal_basis(raw)
+        assert is_groebner_basis(GroebnerBasis.of(raw, order)), gens
+        superseded += not is_minimal_basis(GroebnerBasis.of(raw, order))
         _agrees_with_sympy(gens, order, shuffled, sympy)
     assert superseded >= 10
 
@@ -553,7 +559,7 @@ def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
     # every pair of the unreduced output.  The elimination runs cover
     # scalar and projective gradings and gradings with negative entries.
     for gens, order, _ in _random_ideals():
-        assert is_groebner_basis(buchberger(gens, order).elements, order)
+        assert is_groebner_basis(buchberger(gens, order))
 
     runs = _recorded_runs(monkeypatch)
     gradings = [scalar_grading(InstanceParams(a, b, n))
@@ -565,7 +571,7 @@ def test_raw_buchberger_output_is_a_groebner_basis(monkeypatch):
         runs.clear()
         toric_ideal(grading)
         elim = runs[0]
-        assert is_groebner_basis(elim.elements, elim.order), grading.rows
+        assert is_groebner_basis(elim), grading.rows
 
 
 def _leads_cover(elements, order):
@@ -584,13 +590,71 @@ def test_is_groebner_basis_matches_the_lead_definition():
     seen = Counter()
     for gens, order, _ in _random_ideals():
         raw = list(buchberger(gens, order).elements)
-        assert is_groebner_basis(raw, order) and _leads_cover(raw, order)
+        assert is_groebner_basis(GroebnerBasis.of(raw, order)) and _leads_cover(raw, order)
         for k in range(len(raw)):
             rest = raw[:k] + raw[k + 1:]
             want = _leads_cover(rest, order)
-            assert is_groebner_basis(rest, order) == want, (rest, order.rows)
+            assert is_groebner_basis(GroebnerBasis.of(rest, order)) == want, (rest, order.rows)
             seen[want] += 1
     assert seen[False] >= 50 and seen[True] >= 20, seen
+
+
+def _all_pairs_is_groebner_basis(basis):
+    # the reference: every pair of nonzero rules whose leads share a
+    # variable is met, with no pair criterion
+    index = RuleIndex(basis.order.nvars, [r for r in basis.rules if r[0] != r[1]])
+    rules = index.rules  # (rule, support pattern of its lead)
+    for j, ((x, y), t) in enumerate(rules):
+        for (f, g), s in rules[:j]:
+            if s & t:
+                big = packed_lcm(f, x, index.guard)
+                u, v = meet(big - f + g, big - x + y, index)
+                if u != v:
+                    return False
+    return True
+
+
+def _leave_one_out(basis):
+    # basis, then each list of its rules with one left out, under its order
+    yield basis
+    for k in range(len(basis.rules)):
+        yield GroebnerBasis(basis.rules[:k] + basis.rules[k + 1:], basis.order)
+
+
+def test_pair_criteria_agree_with_the_all_pairs_check():
+    # Criteria M and F leave out the pairs whose syzygies the kept and the
+    # coprime pairs generate, so the check must answer as the all-pairs
+    # loop does: on raw engine output of the random ideals, on the
+    # structured families at n = 4..8, every i, open and closed, and on
+    # each of them with one rule left out.
+    seen = Counter()
+    bases = [buchberger(gens, order) for gens, order, _ in _random_ideals()]
+    bases += [structured_basis(InstanceParams(a, b, n), i, closed)
+              for a, b, n in itertools.product((1, 5), (2, 4), range(4, 9))
+              for i in range(1, n + 1) for closed in (False, True)]
+    for basis in bases:
+        for case in _leave_one_out(basis):
+            want = _all_pairs_is_groebner_basis(case)
+            assert is_groebner_basis(case) == want, (case.rules, case.order.rows)
+            seen[want] += 1
+    assert seen[False] >= 3000 and seen[True] >= 500, seen
+
+
+def test_structured_checks_meet_two_pairs_per_column_triple(monkeypatch):
+    # On a structured family of m chain columns, m = n - 1 open and n
+    # closed, criteria M and F keep 2 * C(m, 3) pairs, the Eagon-Northcott
+    # count of first syzygies; the all-pairs loop met 212 and 324 at
+    # (3,4,10), i = 5.  A sample of the certify box, every i.
+    met = []
+    real = groebner.meet
+    monkeypatch.setattr(groebner, "meet", lambda *args: met.append(args) or real(*args))
+    box = list(itertools.product(range(1, 9), range(2, 7), range(7, 11)))
+    for a, b, n in [(3, 4, 10), *random.Random(20214).sample(box, 8)]:
+        for i in range(1, n + 1):
+            for closed, m in ((False, n - 1), (True, n)):
+                met.clear()
+                assert is_groebner_basis(structured_basis(InstanceParams(a, b, n), i, closed))
+                assert len(met) == 2 * comb(m, 3), (a, b, n, i, closed)
 
 
 def test_raw_output_has_no_superseded_rule(monkeypatch):
@@ -604,15 +668,15 @@ def test_raw_output_has_no_superseded_rule(monkeypatch):
         for family in (minors_closed_chain, minors_open_chain):
             for i in range(1, n + 1):
                 gb = buchberger(family(p), build_order_i(generators(p), i))
-                assert is_minimal_basis(gb.elements), (family.__name__, a, b, n, i)
+                assert is_minimal_basis(gb), (family.__name__, a, b, n, i)
     for gens, order, _ in _random_ideals():
-        assert is_minimal_basis(buchberger(gens, order).elements), gens
+        assert is_minimal_basis(buchberger(gens, order)), gens
 
     runs = _recorded_runs(monkeypatch)
     for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
         runs.clear()
         toric_ideal(scalar_grading(InstanceParams(a, b, n)))
-        assert is_minimal_basis(runs[0].elements), (a, b, n)
+        assert is_minimal_basis(runs[0]), (a, b, n)
 
 
 def _tuple_minimal_leads(elements, order):
@@ -653,7 +717,7 @@ def test_reduce_gb_matches_tuple_minimalization():
                                          order))
             leads = _tuple_minimal_leads(padded, order)
             assert [g.plus for g in gb] == leads
-            assert is_minimal_basis(gb.elements) and is_reduced_basis(gb.elements)
+            assert is_minimal_basis(gb) and is_reduced_basis(gb)
             assert gb.elements == want
             dropped += len({g.plus for g in padded if not g.is_zero()}) > len(leads)
     assert dropped >= 50
