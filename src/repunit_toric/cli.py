@@ -19,6 +19,7 @@ import os
 import re
 import sys
 from contextlib import nullcontext
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .binomials import ExponentOverflowError, format_binomial
@@ -332,6 +333,39 @@ def cmd_unique(args) -> Result:
         f"source={args.source} unique minimal binomial system: {'yes' if unique else 'no'}")
 
 
+def render_json(x, pad: str = "\n") -> str:
+    """json.dumps(x, indent=2), byte for byte.
+
+    indent sends json.dumps to its pure-Python encoder; this renders the
+    payloads' own types directly.  pad is a newline and the indentation of
+    x's level; any other type, or a dict with a key that is not a string,
+    goes to json.dumps, whose lines are indented by that pad.
+    """
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if x is None:
+        return "null"
+    kind = type(x)
+    if kind is str:
+        return encode_basestring_ascii(x)
+    if kind is int:
+        return repr(x)
+    inner = pad + "  "
+    if kind is list:
+        if not x:
+            return "[]"
+        items = (render_json(v, inner) for v in x)
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    if kind is dict and all(type(k) is str for k in x):
+        if not x:
+            return "{}"
+        items = (encode_basestring_ascii(k) + ": " + render_json(v, inner) for k, v in x.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    return json.dumps(x, indent=2).replace("\n", pad)
+
+
 _HANDLERS = {
     "info": cmd_info,
     "verify": cmd_verify,
@@ -347,7 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         code, payload, text = _HANDLERS[args.command](args)
         if args.format != "text":
-            text = json.dumps(payload, indent=2)
+            text = render_json(payload)
         try:
             sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
             with sink as fh:

@@ -5,9 +5,9 @@ dividing a binomial by oriented binomials is monomial rewriting applied to
 its two sides separately.  A rule has one form, a pair (lead, tail) of
 packed words (see binomials), and a GroebnerBasis holds its rules so: each
 input element is packed once, tuples are unpacked only to orient a nonzero
-remainder, to build a heap key or trace text and to sort leads in
-reduce_gb, and binomials are built once, when a caller first reads a
-basis's elements.
+remainder, to build a heap key or trace text, to sort leads in reduce_gb
+and, once per basis, for its orientation pass, and binomials are built
+once, when a caller first reads a basis's elements.
 
 buchberger keeps its rules in one RuleIndex, which pairs name by position
 and meet reads by support pattern.  One queue holds inputs and S-pairs,
@@ -56,17 +56,26 @@ coprime and common-factor lines of one insertion come first, in rule
 order, then its M and F lines in packed-lcm order; which pairs are
 skipped, and by which criterion, does not depend on it.
 
-The three basis checks read one GroebnerBasis, its packed rules and its
-order, and pass over zero rules; GroebnerBasis.of packs a list of
-binomials once for them, and families.structured_basis builds the
-structured families so.  is_groebner_basis meets only the pairs that
-criteria M and F keep, each rule's pairs with the earlier rules taken as
-in buchberger, once every rule is in the index.  The kept pairs and the
-coprime ones generate the syzygies of the leads, so this is exact (see
-is_groebner_basis).  On a structured family of m chain columns it meets
-2 * C(m, 3) pairs, the rank of the first syzygies in the Eagon-Northcott
-complex: 168 open and 240 closed at (3,4,10), i = 5, where meeting every
-pair of leads that share a variable met 212 and 324.
+The three basis checks read one GroebnerBasis and pass over zero rules;
+GroebnerBasis.of packs a list of binomials once for them, and
+families.structured_basis builds the structured families so.  A basis
+derives what they read once, on first read: its rules unpacked (sides),
+its first misoriented rule (unoriented) and one RuleIndex of its nonzero
+rules in rule order (index).  Every check of the basis reads the same
+index, and verify's orientation gate the same orientation pass.
+is_groebner_basis meets only the pairs that criteria M and F keep, each
+rule's pairs with the earlier rules taken as in buchberger, on the index.
+The kept pairs and the coprime ones generate the syzygies of the leads,
+so this is exact (see is_groebner_basis).  On a structured family of m
+chain columns it meets 2 * C(m, 3) pairs, the rank of the first syzygies
+in the Eagon-Northcott complex: 168 open and 240 closed at (3,4,10),
+i = 5, where meeting every pair of leads that share a variable met 212
+and 324.  is_minimal_basis and is_reduced_basis look each lead and tail
+up in the index under its support pattern instead of testing every pair
+of rules.  This is exact, as a lead divides a monomial only if the lead's
+support lies inside the monomial's, and the index lists exactly the rules
+whose lead support does; the lists depend on the rules alone, so the
+checks share the lists the S-pair meets built, and the other way round.
 """
 
 from __future__ import annotations
@@ -80,6 +89,7 @@ from typing import Callable, Iterable
 from .binomials import (
     Binomial,
     Grading,
+    Monomial,
     RuleIndex,
     format_monomial,
     guard_bits,
@@ -101,8 +111,12 @@ class GroebnerBasis:
 
     buchberger, reduce_gb and families.structured_basis give every rule
     oriented; GroebnerBasis.of takes the plus sides as leads, and
-    is_groebner_basis checks them.  elements lists the rules as binomials,
-    built on first read.
+    is_groebner_basis checks them.  What the basis checks read is derived
+    once, on first read, and shared by every check of the basis: sides
+    lists the rules as unpacked (lead, tail) monomials, unoriented the
+    first nonzero rule whose tail the order puts above its lead, or None,
+    and index the nonzero rules in one RuleIndex, in rule order.  elements
+    lists the rules as binomials.
     """
 
     rules: tuple[Packed, ...]
@@ -110,9 +124,22 @@ class GroebnerBasis:
     inputs: tuple[int, ...] = ()  # from buchberger: positions in gens of the inputs kept as rules
 
     @cached_property
-    def elements(self) -> tuple[Binomial, ...]:
+    def sides(self) -> tuple[tuple[Monomial, Monomial], ...]:
         nvars = self.order.nvars
-        return tuple(Binomial(unpack(p, nvars), unpack(q, nvars)) for p, q in self.rules)
+        return tuple((unpack(p, nvars), unpack(q, nvars)) for p, q in self.rules)
+
+    @cached_property
+    def unoriented(self) -> tuple[Monomial, Monomial] | None:
+        compare = self.order.compare
+        return next(((u, v) for u, v in self.sides if u != v and compare(u, v) < 0), None)
+
+    @cached_property
+    def index(self) -> RuleIndex:
+        return RuleIndex(self.order.nvars, (r for r in self.rules if r[0] != r[1]))
+
+    @cached_property
+    def elements(self) -> tuple[Binomial, ...]:
+        return tuple(Binomial(u, v) for u, v in self.sides)
 
     @classmethod
     def of(cls, elements: Iterable[Binomial], order: MatrixOrder) -> GroebnerBasis:
@@ -290,78 +317,87 @@ def is_groebner_basis(basis: GroebnerBasis) -> bool:
     terminating here, so confluence is equivalent to the critical pairs
     joining (Newman's lemma), that is, the rewrite chains of its two sides
     meeting, as rewriting is deterministic; meet stops where they meet.
-    The nonzero rules of basis are taken in turn.  Each forms its pairs
-    with the earlier rules whose leads share a variable, sorted by packed
-    lcm, and keeps a pair only when no lcm kept for it divides the pair's
-    (criteria M and F, as in buchberger).  Once every rule is in the index,
-    the kept pairs are met.  This is exact.  A pair (i, j) skipped for a
-    kept (k, j) has f_k dividing lcm(f_i, f_j), so lcm(f_i, f_k) divides it
-    too, and its syzygy is a combination of those of (k, j) and of the
-    older pair (i, k), which was kept, coprime or skipped so in its turn.
-    The kept and the coprime pairs thus generate the syzygies of the
-    leads, a coprime pair reduces to zero by itself, and a basis is a
-    Groebner basis exactly when the S-binomials of such a generating set
-    reduce to zero (Gebauer & Moeller, JSC 6, 1988).  On a structured
+    The nonzero rules of basis, in the order of its index, are taken in
+    turn.  Each forms its pairs with the earlier rules whose leads share a
+    variable, sorted by packed lcm, and keeps a pair only when no lcm kept
+    for it divides the pair's (criteria M and F, as in buchberger).  The
+    kept pairs are then met on the index, which holds every nonzero rule.
+    This is exact.  A pair (i, j) skipped for a kept (k, j) has f_k
+    dividing lcm(f_i, f_j), so lcm(f_i, f_k) divides it too, and its
+    syzygy is a combination of those of (k, j) and of the older pair
+    (i, k), which was kept, coprime or skipped so in its turn.  The kept
+    and the coprime pairs thus generate the syzygies of the leads, a
+    coprime pair reduces to zero by itself, and a basis is a Groebner
+    basis exactly when the S-binomials of such a generating set reduce to
+    zero (Gebauer & Moeller, JSC 6, 1988).  On a structured
     family of m chain columns, m = n - 1 open and n closed, 2 * C(m, 3)
     pairs are met, the rank of the first syzygies in the Eagon-Northcott
     complex.
 
-    A nonzero rule whose tail the order puts above its lead raises
-    ValueError.
+    A nonzero rule whose tail the order puts above its lead, the basis's
+    unoriented rule, raises ValueError.
     """
-    order = basis.order
-    nvars = order.nvars
-    rules = [r for r in basis.rules if r[0] != r[1]]
-    for p, q in rules:
-        u, v = unpack(p, nvars), unpack(q, nvars)
-        if order.compare(u, v) < 0:
-            raise ValueError("element not oriented under the order: "
-                             f"{format_monomial(u)} - {format_monomial(v)}")
-    index = RuleIndex(nvars)
-    guard, ones = index.guard, index.ones
+    bad = basis.unoriented
+    if bad is not None:
+        raise ValueError("element not oriented under the order: "
+                         f"{format_monomial(bad[0])} - {format_monomial(bad[1])}")
+    index = basis.index
+    rules = index.rules  # ((lead, tail), lead support pattern), the nonzero rules in order
+    guard = index.guard
     kept: list[tuple[int, int, int]] = []  # (lcm, i, j) of the pairs criteria M and F keep
-    for j, (x, y) in enumerate(rules):
-        s = ((x | guard) - ones) & guard
+    for j, ((x, _), s) in enumerate(rules):
         lcms: list[int] = []
         for big, i in sorted((packed_lcm(f, x, guard), i)
-                             for i, ((f, _), r) in enumerate(index.rules) if r & s):
+                             for i, ((f, _), r) in enumerate(rules[:j]) if r & s):
             if not _has_divisor(big | guard, lcms, guard):
                 lcms.append(big)
                 kept.append((big, i, j))
-        index.add(x, y)
     for big, i, j in kept:
         # the S-binomial reduces to zero exactly when the one-step
         # rewrites of the lcm share a normal form, that is, their chains meet
-        (f, g), (x, y) = rules[i], rules[j]
+        ((f, g), _), ((x, y), _) = rules[i], rules[j]
         u, v = meet(big - f + g, big - x + y, index)
         if u != v:
             return False
     return True
 
 
+def _divided_by_another_lead(index: RuleIndex, side: int) -> bool:
+    # Does the lead of a rule of index divide side `side` (0 the lead, 1
+    # the tail) of another rule?  The monomial is looked up under its
+    # support pattern within index.mask, as meet looks one up: a lead
+    # divides it only if the lead's support lies inside the monomial's, and
+    # that list holds exactly the rules whose lead support does.  The lists
+    # hold the very rule tuples of index.rules, which tells a rule from
+    # another one with an equal lead.
+    guard, ones, mask = index.guard, index.ones, index.mask
+    for rule, _ in index.rules:
+        m = rule[side] | guard
+        for r in index[(m - ones) & mask]:
+            if (m - r[0]) & guard == guard and r is not rule:
+                return True
+    return False
+
+
 def is_minimal_basis(basis: GroebnerBasis) -> bool:
-    """No lead of a nonzero rule of basis divides another one's lead."""
-    guard = guard_bits(basis.order.nvars)
-    leads = [p for p, q in basis.rules if p != q]
-    for j, q in enumerate(leads):
-        q |= guard
-        for i, p in enumerate(leads):
-            if (q - p) & guard == guard and i != j:
-                return False
-    return True
+    """No lead of a nonzero rule of basis divides another one's lead.
+
+    Each lead is looked up in the basis's index under its support pattern,
+    which lists exactly the leads that can divide it.  Equal leads count
+    as dividing.
+    """
+    return not _divided_by_another_lead(basis.index, 0)
 
 
 def is_reduced_basis(basis: GroebnerBasis) -> bool:
-    """No lead of a nonzero rule of basis divides another one's lead or tail."""
-    guard = guard_bits(basis.order.nvars)
-    rules = [r for r in basis.rules if r[0] != r[1]]
-    for j, (q, r) in enumerate(rules):
-        q |= guard
-        r |= guard
-        for i, (p, _) in enumerate(rules):
-            if ((q - p) & guard == guard or (r - p) & guard == guard) and i != j:
-                return False
-    return True
+    """No lead of a nonzero rule of basis divides another one's lead or tail.
+
+    Minimality, then each tail looked up in the basis's index as the leads
+    are; the S-pair check reads the same index, so the lists it built serve
+    here, and the other way round.
+    """
+    index = basis.index
+    return not (_divided_by_another_lead(index, 0) or _divided_by_another_lead(index, 1))
 
 
 def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:

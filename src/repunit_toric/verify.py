@@ -15,7 +15,7 @@ from functools import cache
 from math import comb, gcd
 from typing import Callable
 
-from .binomials import Binomial, pack, unpack
+from .binomials import Binomial
 from .families import (
     _chain_minors,
     _minor_sides,
@@ -123,12 +123,15 @@ def pinned(**values: int) -> Requirement:
 
 
 def _oriented_groebner(check: _Checks, basis) -> bool:
-    """Orientation gate, then the S-pair check; False when the gate fails."""
-    order, nvars = basis.order, basis.order.nvars
+    """Orientation gate, then the S-pair check; False when the gate fails.
+
+    The gate fails on a zero rule too; it reads the basis's unoriented rule,
+    which is_groebner_basis then reads again without comparing.
+    """
     oriented = check(
         "orientation",
         lambda: (
-            all(order.compare(unpack(p, nvars), unpack(q, nvars)) > 0 for p, q in basis.rules),
+            all(p != q for p, q in basis.rules) and basis.unoriented is None,
             "plus side of every element is its leading term",
         ),
     )
@@ -239,7 +242,7 @@ def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int)
     check(
         "coverage",
         lambda: (
-            {frozenset(r) for r in basis.rules} == {frozenset(map(pack, m)) for m in minors},
+            {(u, v) if u >= v else (v, u) for u, v in basis.sides} == set(minors),
             "family equals the minor set up to orientation",
         ),
     )

@@ -501,6 +501,31 @@ def test_out_file_holds_exactly_stdout(tmp_path, capsys, argv, fmt):
     assert _json_timings_normalised(written) == _json_timings_normalised(out)
 
 
+def test_json_renderer_matches_json_dumps():
+    # main renders --format json with render_json, not json.dumps(indent=2):
+    # the same bytes on every command's payload and on values that try the
+    # string escapes, nested empties, bools beside ints and the fallback
+    argvs = [*OUT_CALLS.values(),
+             ("verify", "thm-gb2", "--a", "1", "--b", "3", "--n", "5", "--all-i"),
+             ("sweep", "--a", "1..3", "--b", "2..4", "--n", "4..5"),
+             ("betti", "--source", "minors-y", "--a", "2", "--b", "3", "--n", "5")]
+    payloads = []
+    for argv in argvs:
+        args = cli.build_parser().parse_args(argv)
+        payloads.append(cli._HANDLERS[args.command](args)[1])
+    payloads += [
+        'quote " backslash \\ slash / tab \t newline \n nul \x00 del \x7f',
+        "caf\u00e9 \u2028 \U0001f600 \ud800",
+        {"": [], "a": {}, "b": [[], {}, [[]], {"c": {}}], "d": [True, 1, False, 0, None, -7]},
+        [True, False, None, 0, 1, 10**30, -1],
+        {"k": (1, "two", [3]), "f": [1.5, -0.0, 1e300], "t": ()},
+        {1: "int key", "s": "str key"},
+        [], {}, "", 0, True, None,
+    ]
+    for x in payloads:
+        assert cli.render_json(x) == json.dumps(x, indent=2), x
+
+
 def test_verify_output_digest_is_pinned(capsys):
     # Every claim at a 1..3, b 1..4, n 2..6, in text and json, with no index,
     # --i 1 and --all-i: 3,600 calls whose stdout, stderr and exit code, timings

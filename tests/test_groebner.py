@@ -22,6 +22,7 @@ from repunit_toric.binomials import (
     Grading,
     RuleIndex,
     format_monomial,
+    guard_bits,
     meet,
     pack,
     packed_lcm,
@@ -638,6 +639,72 @@ def test_pair_criteria_agree_with_the_all_pairs_check():
             assert is_groebner_basis(case) == want, (case.rules, case.order.rows)
             seen[want] += 1
     assert seen[False] >= 3000 and seen[True] >= 500, seen
+
+
+def _all_pairs_is_minimal_basis(basis):
+    # the reference: every lead of a nonzero rule tested against every other
+    guard = guard_bits(basis.order.nvars)
+    leads = [p for p, q in basis.rules if p != q]
+    for j, q in enumerate(leads):
+        q |= guard
+        for i, p in enumerate(leads):
+            if (q - p) & guard == guard and i != j:
+                return False
+    return True
+
+
+def _all_pairs_is_reduced_basis(basis):
+    # the reference: every lead tested against every other rule's lead and tail
+    guard = guard_bits(basis.order.nvars)
+    rules = [r for r in basis.rules if r[0] != r[1]]
+    for j, (q, r) in enumerate(rules):
+        q |= guard
+        r |= guard
+        for i, (p, _) in enumerate(rules):
+            if ((q - p) & guard == guard or (r - p) & guard == guard) and i != j:
+                return False
+    return True
+
+
+def _retailed(basis):
+    # basis with one rule's tail multiplied by the next rule's lead, each rule in turn
+    rules = basis.rules
+    for k, (p, q) in enumerate(rules):
+        f = rules[(k + 1) % len(rules)][0]
+        yield GroebnerBasis(rules[:k] + ((p, q + f),) + rules[k + 1:], basis.order)
+
+
+def test_index_checks_agree_with_the_all_pairs_loops():
+    # is_minimal_basis and is_reduced_basis look each lead and tail up in
+    # the basis's index, whose lists is_groebner_basis also builds and
+    # reads.  They must answer as the all-pairs loops do, whether they run
+    # before or after the S-pair check on the same basis: on raw and
+    # reduced engine output of the random ideals, and on the structured
+    # families at n = 4..8, every i, open and closed, each also with one
+    # rule left out, with one tail multiplied by another rule's lead and
+    # with its first rule repeated, whose equal lead counts as dividing.
+    seen = Counter()
+    cases = []
+    for gens, order, _ in _random_ideals():
+        raw = buchberger(gens, order)
+        cases += [raw, reduce_gb(raw)]
+    for (a, b), n in itertools.product(((1, 4), (5, 2)), range(4, 9)):
+        for i in range(1, n + 1):
+            for closed in (False, True):
+                basis = structured_basis(InstanceParams(a, b, n), i, closed)
+                cases += [*_leave_one_out(basis), *_retailed(basis),
+                          GroebnerBasis(basis.rules + basis.rules[:1], basis.order)]
+    for case in cases:
+        want = _all_pairs_is_minimal_basis(case), _all_pairs_is_reduced_basis(case)
+        checks_first = GroebnerBasis(case.rules, case.order)
+        s_pairs_first = GroebnerBasis(case.rules, case.order)
+        assert (is_minimal_basis(checks_first), is_reduced_basis(checks_first)) == want
+        if case.unoriented is None:
+            assert is_groebner_basis(checks_first) == is_groebner_basis(s_pairs_first)
+        for basis in (checks_first, s_pairs_first):
+            assert (is_minimal_basis(basis), is_reduced_basis(basis)) == want, case.rules
+        seen[want] += 1
+    assert min(seen[True, True], seen[True, False], seen[False, False]) >= 100, seen
 
 
 def test_structured_checks_meet_two_pairs_per_column_triple(monkeypatch):

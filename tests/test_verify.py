@@ -9,7 +9,7 @@ from repunit_toric import families, fibers, groebner, orders, verify
 from repunit_toric.binomials import Binomial
 from repunit_toric.families import toric_ideal
 from repunit_toric.fibers import betti_splits
-from repunit_toric.cli import exit_code, render_text, report_to_dict
+from repunit_toric.cli import exit_code, main, render_text, report_to_dict
 from repunit_toric.semigroup import InstanceParams
 from repunit_toric.verify import (
     CLAIMS,
@@ -77,6 +77,42 @@ def test_a_flipped_side_rule_fails_lemma3_and_the_orientation_gate(monkeypatch):
             (FAIL, "orientation: plus side of every element is its leading term")]
     monkeypatch.undo()
     assert all_pass(run_claim("lemma3", p) + run_claim("thm-gb2", p, 3))
+
+
+def test_thm_gb2_orients_its_basis_once(monkeypatch, capsys):
+    # the orientation gate and is_groebner_basis read one orientation pass
+    # over the basis: one compare per rule, 45 at (3,4,10), i = 5, not 90
+    real = orders.MatrixOrder.compare
+    calls = []
+    monkeypatch.setattr(orders.MatrixOrder, "compare",
+                        lambda self, u, v: calls.append((u, v)) or real(self, u, v))
+    argv = ["verify", "--claim", "thm-gb2", "--a", "3", "--b", "4", "--n", "10", "--i", "5"]
+    assert main(argv) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    assert len(calls) == 45
+
+
+def test_a_zero_rule_fails_the_orientation_gate_before_the_s_pairs(monkeypatch):
+    # a zero rule has no orientation to get wrong, so the basis reports no
+    # unoriented rule; the gate still fails, and the S-pair check never runs
+    real = verify.structured_basis
+
+    def with_zero(params, i, closed):
+        basis = real(params, i, closed)
+        (p, _), *rest = basis.rules
+        zeroed = groebner.GroebnerBasis(((p, p), *rest), basis.order)
+        assert zeroed.unoriented is None
+        return zeroed
+
+    def forbidden(basis):
+        raise AssertionError("the S-pair check ran past a failed orientation gate")
+
+    monkeypatch.setattr(verify, "structured_basis", with_zero)
+    monkeypatch.setattr(verify, "is_groebner_basis", forbidden)
+    for claim in ("prop-gb1", "thm-gb2"):
+        (report,) = run_claim(claim, InstanceParams(2, 3, 5), 3)
+        assert [(c.status, c.detail) for c in report.claims] == [
+            (FAIL, "orientation: plus side of every element is its leading term")]
 
 
 def test_n4_minors_walks_the_fibers_once(monkeypatch):
