@@ -105,6 +105,10 @@ class Binomial:
     def nvars(self) -> int:
         return len(self.plus)
 
+    def __iter__(self):
+        """The two sides, plus then minus, as buchberger reads its inputs."""
+        return iter((self.plus, self.minus))
+
     def is_zero(self) -> bool:
         return self.plus == self.minus
 

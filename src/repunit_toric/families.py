@@ -10,7 +10,8 @@ Binomial or, by minor_words, as packed words with its degree, the fiber
 oracle's input.  The structured families are oriented by
 orders.minor_side_predicate, so lemma3 checks the very rule they are built
 with; structured_basis packs their sides, no Binomial built, into the
-GroebnerBasis that groebner's basis checks read.  The relation rows are small
+GroebnerBasis that groebner's basis checks read, and keeps them as its
+sides.  The relation rows are small
 integer bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
@@ -220,11 +221,15 @@ def structured_basis(params: InstanceParams, i: int, closed: bool) -> GroebnerBa
 
     The rules of structured_closed_family or structured_open_family, in
     the same order, each side packed once and no Binomial built: the
-    input of groebner's basis checks.
+    input of groebner's basis checks.  The (lead, tail) sides it packs
+    are the basis's sides, as unpack(pack(m)) == m for every monomial in
+    range, so the orientation gate and thm-gb2's coverage unpack nothing.
     """
-    sides = _structured_sides(params, i, (1, 2, 3, 4) if closed else (1, 2, 3))
-    return GroebnerBasis(tuple((pack(u), pack(v)) for u, v in sides),
-                         build_order_i(generators(params), i))
+    sides = tuple(_structured_sides(params, i, (1, 2, 3, 4) if closed else (1, 2, 3)))
+    basis = GroebnerBasis(tuple((pack(u), pack(v)) for u, v in sides),
+                          build_order_i(generators(params), i))
+    object.__setattr__(basis, "sides", sides)  # what unpacking its rules would give
+    return basis
 
 
 def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:

@@ -3,11 +3,14 @@
 Everything stays binomial: S-polynomials of binomials are binomials, and
 dividing a binomial by oriented binomials is monomial rewriting applied to
 its two sides separately.  A rule has one form, a pair (lead, tail) of
-packed words (see binomials), and a GroebnerBasis holds its rules so: each
-input element is packed once, tuples are unpacked only to orient a nonzero
-remainder, to build a heap key or trace text, to sort leads in reduce_gb
-and, once per basis, for its orientation pass, and binomials are built
-once, when a caller first reads a basis's elements.
+packed words (see binomials), and a GroebnerBasis holds its rules so:
+buchberger reads each input as its (plus, minus) pair of monomials, a
+Binomial unpacking as its two sides, and packs each once; tuples are
+unpacked only to orient a nonzero remainder, to build a heap key or trace
+text, to sort leads in reduce_gb and, once per basis, for its orientation
+pass, which reads the sides families.structured_basis packed from as they
+are; and binomials are built once, when a caller first reads a basis's
+elements.
 
 buchberger keeps its rules in one RuleIndex, which pairs name by position
 and meet reads by support pattern.  One queue holds inputs and S-pairs,
@@ -33,7 +36,8 @@ divides f_i; on other input fewer pairs are skipped, which stays sound.
 A pair that criterion B would skip has two sub-pairs with strictly smaller
 lcms, which leave the queue first, so for graded input it reduces to zero.
 Each new lead is a normal form and enlarges the leading-term ideal
-strictly, so the loop terminates.
+strictly, so the loop terminates.  The run index, which holds exactly the
+rules in rule order, all nonzero, becomes the returned basis's index.
 
 No rule is ever superseded when every input is homogeneous for the first
 row, as on every program path (the elimination row, the weight grading,
@@ -44,7 +48,12 @@ a normal form; were the new lead to divide a present one, the two would
 weigh the same and so be equal.  The rules are then a minimal basis, and
 the inputs that became rules a minimal generating system.  Other input
 still gets a Groebner basis, just not a minimal one.  buchberger returns
-the rules in insertion order; reduce_gb lists a basis canonically.
+the rules in insertion order; reduce_gb lists a basis canonically, and
+normal-forms the kept tails on the basis's index, for engine output the
+run's own.  That is exact: the kept rules and the basis are Groebner bases
+of one ideal with one initial ideal, so they have the same standard
+monomials, and a monomial's normal form modulo either is the one standard
+monomial congruent to it (Becker & Weispfenning, Groebner Bases, 1993).
 
 The pair update runs on packed words: coprime leads and shared tails are
 one AND of support patterns, a formed pair's lcm is one packed_lcm, and
@@ -92,7 +101,6 @@ from .binomials import (
     Monomial,
     RuleIndex,
     format_monomial,
-    guard_bits,
     meet,
     normal_form,
     pack,
@@ -103,6 +111,7 @@ from .orders import MatrixOrder, build_order_i
 
 TraceFn = Callable[[str], None]
 Packed = tuple[int, int]  # a rule as packed words
+Sides = tuple[Monomial, Monomial]  # a binomial as its (plus, minus) monomials
 
 
 @dataclass(frozen=True)
@@ -115,8 +124,10 @@ class GroebnerBasis:
     once, on first read, and shared by every check of the basis: sides
     lists the rules as unpacked (lead, tail) monomials, unoriented the
     first nonzero rule whose tail the order puts above its lead, or None,
-    and index the nonzero rules in one RuleIndex, in rule order.  elements
-    lists the rules as binomials.
+    and index the nonzero rules in one RuleIndex, in rule order.  A maker
+    that already holds one of them sets it in their stead: buchberger its
+    run index, structured_basis the sides it packed.  elements lists the
+    rules as binomials.
     """
 
     rules: tuple[Packed, ...]
@@ -124,12 +135,12 @@ class GroebnerBasis:
     inputs: tuple[int, ...] = ()  # from buchberger: positions in gens of the inputs kept as rules
 
     @cached_property
-    def sides(self) -> tuple[tuple[Monomial, Monomial], ...]:
+    def sides(self) -> tuple[Sides, ...]:
         nvars = self.order.nvars
         return tuple((unpack(p, nvars), unpack(q, nvars)) for p, q in self.rules)
 
     @cached_property
-    def unoriented(self) -> tuple[Monomial, Monomial] | None:
+    def unoriented(self) -> Sides | None:
         compare = self.order.compare
         return next(((u, v) for u, v in self.sides if u != v and compare(u, v) < 0), None)
 
@@ -170,7 +181,7 @@ def _has_divisor(x: int, words: Iterable[int], guard: int) -> bool:
 
 
 def buchberger(
-    gens: Iterable[Binomial],
+    gens: Iterable[Binomial | Sides],
     order: MatrixOrder,
     trace: TraceFn | None = None,
     *,
@@ -178,9 +189,12 @@ def buchberger(
 ) -> GroebnerBasis:
     """Groebner basis of the binomial ideal spanned by gens under order.
 
-    Inputs and S-pairs share one queue (see the module docstring).  The
-    result lists the rules in insertion order, and its inputs the
-    positions in gens of the inputs that became rules.  When gens are
+    Each input is a (plus, minus) pair of monomials, a Binomial or a tuple
+    of two; a pair whose sides are equal is skipped, and a side whose
+    length is not order.nvars raises ValueError.  Inputs and S-pairs share
+    one queue (see the module docstring).  The result lists the rules in
+    insertion order, its inputs the positions in gens of the inputs that
+    became rules, and its index is the run's RuleIndex.  When gens are
     homogeneous for order.rows[0], no lead divides another, and those
     inputs minimally generate the ideal: each left out reduced to zero
     modulo inputs of lower weight and those kept before it at its own.
@@ -244,11 +258,11 @@ def buchberger(
 
     # (weight, 0, (lcm, i, j), side, side) for a pair, (weight, 1, k, plus, minus) for input k
     heap: list[tuple] = []
-    for k, g in enumerate(gens):
-        if len(g.plus) != nvars:
+    for k, (u, v) in enumerate(gens):
+        if len(u) != nvars or len(v) != nvars:
             raise ValueError("variable count mismatch with order matrix")
-        if not g.is_zero():
-            heap.append((max(weight(g.plus), weight(g.minus)), 1, k, pack(g.plus), pack(g.minus)))
+        if u != v:
+            heap.append((max(weight(u), weight(v)), 1, k, pack(u), pack(v)))
     heapq.heapify(heap)
     while heap:
         _, is_input, key, x, y = heapq.heappop(heap)
@@ -307,7 +321,9 @@ def buchberger(
         index.add(x, y)
         tails.append(t)
 
-    return GroebnerBasis(tuple(rule for rule, _ in rules), order, inputs=tuple(inputs))
+    gb = GroebnerBasis(tuple(rule for rule, _ in rules), order, inputs=tuple(inputs))
+    object.__setattr__(gb, "index", index)  # its nonzero rules in rule order, lists built
+    return gb
 
 
 def is_groebner_basis(basis: GroebnerBasis) -> bool:
@@ -407,22 +423,25 @@ def reduce_gb(gb: GroebnerBasis) -> GroebnerBasis:
     is kept when no kept lead divides its lead; tail reduction keeps the
     leads, so the listing stays sorted.  Of rules with equal leads the
     first is kept: their tails differ by an element of the ideal, so they
-    have one normal form.
+    have one normal form.  The tails are normal-formed on gb.index, which
+    for buchberger's output is the run's own index.  gb and the kept rules
+    are Groebner bases of one ideal with one initial ideal, so a monomial
+    has one normal form modulo either, the one standard monomial congruent
+    to it (Becker & Weispfenning, Groebner Bases, 1993).
     """
     nvars = gb.order.nvars
-    guard = guard_bits(nvars)
+    index = gb.index
+    guard = index.guard
     key = gb.order.sort_key()
     rules: list[Packed] = []
     for p, q in sorted((r for r in gb.rules if r[0] != r[1]),
                        key=lambda r: key(unpack(r[0], nvars))):
         if not _has_divisor(p | guard, (h for h, _ in rules), guard):
             rules.append((p, q))
-    index = RuleIndex(nvars, rules)
-    out = tuple((p, normal_form(q, index)) for p, q in rules)
-    return GroebnerBasis(out, gb.order)
+    return GroebnerBasis(tuple((p, normal_form(q, index)) for p, q in rules), gb.order)
 
 
-def groebner_reduced(gens: Iterable[Binomial], order: MatrixOrder,
+def groebner_reduced(gens: Iterable[Binomial | Sides], order: MatrixOrder,
                      trace: TraceFn | None = None) -> GroebnerBasis:
     return reduce_gb(buchberger(gens, order, trace))
 

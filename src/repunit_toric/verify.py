@@ -212,7 +212,7 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
 def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """prop-gb1: the structured open-chain family is the reduced basis."""
     basis = structured_basis(params, i, False)
-    minors = minors_open_chain(params)
+    minors = _chain_minors(params, False)
 
     if not _oriented_groebner(check, basis):
         return

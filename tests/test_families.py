@@ -10,7 +10,7 @@ from math import comb, gcd
 import pytest
 
 from repunit_toric import families, intlinalg
-from repunit_toric.binomials import Binomial, Grading, format_binomial, pack
+from repunit_toric.binomials import Binomial, Grading, format_binomial, pack, unpack
 from repunit_toric.families import (
     minor_words,
     minors_closed_chain,
@@ -18,6 +18,7 @@ from repunit_toric.families import (
     projective_grading,
     projective_relation_matrix,
     scalar_grading,
+    structured_basis,
     structured_closed_family,
     structured_family,
     structured_open_family,
@@ -208,6 +209,21 @@ def test_structured_part4_frozen():
         structured_family(InstanceParams(1, 2, 4), 0, 4)
     with pytest.raises(ValueError):
         structured_family(InstanceParams(1, 2, 4), 2, 5)
+
+
+def test_structured_basis_keeps_the_sides_it_packs():
+    # the (lead, tail) sides the rules are packed from are the basis's
+    # sides, equal to its rules unpacked, on the acceptance grid, every i,
+    # both chains
+    for a, b, n in itertools.product(range(1, 6), range(2, 6), range(4, 8)):
+        p = InstanceParams(a, b, n)
+        for i in range(1, n + 1):
+            for closed, family in ((False, structured_open_family),
+                                   (True, structured_closed_family)):
+                basis = structured_basis(p, i, closed)
+                sides = vars(basis)["sides"]  # handed over, not unpacked on read
+                assert sides == tuple((unpack(x, n), unpack(y, n)) for x, y in basis.rules)
+                assert sides == tuple((g.plus, g.minus) for g in family(p, i))
 
 
 def test_structured_orientation_is_leading():

@@ -14,7 +14,7 @@ from math import comb
 
 import pytest
 
-from repunit_toric import families, groebner
+from repunit_toric import binomials, cli, families, groebner
 from repunit_toric.binomials import (
     EXPONENT_LIMIT,
     Binomial,
@@ -816,3 +816,114 @@ def test_cross_check_against_sympy():
         assert other.reduce(to_expr(g))[1] == 0
     for expr in other.exprs:
         assert _member(_binomial_of(expr, xs, sympy), mine)
+
+
+def _fresh_index(gb):
+    return RuleIndex(gb.order.nvars, [r for r in gb.rules if r[0] != r[1]])
+
+
+def _minor_runs(ns=range(4, 9)):
+    # the open and closed minors under every build_order_i order
+    for a, b, n in itertools.product((1, 2, 5), (2, 3, 5), ns):
+        p = InstanceParams(a, b, n)
+        for family in (minors_open_chain, minors_closed_chain):
+            gens = family(p)
+            for i in range(1, n + 1):
+                yield buchberger(gens, build_order_i(generators(p), i))
+
+
+def test_the_run_index_is_the_basis_index():
+    # buchberger hands its run index over as the basis's index, which
+    # lists exactly the nonzero rules in rule order and holds the pattern
+    # lists the run built, each as a fresh index of those rules has it
+    ideals = [*_random_ideals(), *_random_inhomogeneous_ideals()]
+    runs = [buchberger(gens, order) for gens, order, _ in ideals]
+    patterns = 0
+    for gb in [*runs, *_minor_runs(range(4, 7))]:
+        index = vars(gb)["index"]  # handed over, not derived on read
+        fresh = _fresh_index(gb)
+        assert index.rules == fresh.rules
+        assert [rule for rule, _ in index.rules] == list(gb.rules)
+        assert (index.guard, index.ones, index.mask) == (fresh.guard, fresh.ones, fresh.mask)
+        for pattern in list(index):
+            assert index[pattern] == fresh[pattern]
+            patterns += 1
+    assert patterns >= 1000, patterns
+
+
+def test_reduce_gb_on_the_run_index_matches_a_basis_without_one(monkeypatch):
+    # The tails are normal-formed on the run index, which may hold rules
+    # that minimality drops; a basis of the same rules with no run index
+    # gives byte-identical rules: on the random ideals, the minors under
+    # every order at n = 4..8 and the toric elimination runs on the
+    # acceptance grid, one-row and two-row gradings
+    dropped = 0
+    runs = [buchberger(gens, order) for gens, order, _ in
+            [*_random_ideals(), *_random_inhomogeneous_ideals()]]
+    for gb in runs:
+        want = reduce_gb(GroebnerBasis(gb.rules, gb.order))
+        assert "index" not in vars(GroebnerBasis(gb.rules, gb.order))
+        assert reduce_gb(gb).rules == want.rules, gb.rules
+        dropped += len(want) < len(gb)
+    assert dropped >= 10, dropped
+    for gb in _minor_runs():
+        assert reduce_gb(gb).rules == reduce_gb(GroebnerBasis(gb.rules, gb.order)).rules
+    elim = _recorded_runs(monkeypatch)
+    for a, b, n in itertools.product(range(1, 6), range(2, 6), range(4, 8)):
+        p = InstanceParams(a, b, n)
+        for grading in (scalar_grading(p), projective_grading(p)):
+            elim.clear()
+            toric_ideal(grading)
+            gb = elim[0]
+            assert reduce_gb(gb).rules == reduce_gb(GroebnerBasis(gb.rules, gb.order)).rules
+
+
+def test_prop_gb1_builds_no_binomial_and_two_indexes(monkeypatch, capsys):
+    # the engine reads the minors as (plus, minus) tuples and reduce_gb
+    # reuses the run index: the structured basis's index and the run's
+    built, indexes = [], []
+    check, init = Binomial.__post_init__, RuleIndex.__init__
+    monkeypatch.setattr(Binomial, "__post_init__", lambda self: built.append(1) or check(self))
+    monkeypatch.setattr(binomials.RuleIndex, "__init__",
+                        lambda self, *args: indexes.append(1) or init(self, *args))
+    argv = ["verify", "--claim", "prop-gb1", "--i", "5", "--a", "3", "--b", "4", "--n", "10"]
+    assert cli.main(argv) == 0
+    assert "pass" in capsys.readouterr().out
+    assert (len(built), len(indexes)) == (0, 2)
+    families.minors_open_chain(InstanceParams(3, 4, 10))  # the counter works
+    assert len(built) == 36
+
+
+def test_buchberger_reads_plus_minus_pairs():
+    # tuples give the rules, inputs and trace lines their Binomials give
+    for gens, order, _ in [*_random_ideals(), *_random_inhomogeneous_ideals()]:
+        pairs = [(g.plus, g.minus) for g in gens]
+        seen, got = [], []
+        want = buchberger(gens, order, seen.append)
+        gb = buchberger(pairs, order, got.append)
+        assert (gb.rules, gb.inputs, got) == (want.rules, want.inputs, seen)
+    # a pair with equal sides is skipped, and still holds its position
+    order = build_order_i((2, 1, 1), 3)
+    gens = [((1, 0, 0), (0, 1, 0)), ((1, 0, 1), (0, 2, 0))]
+    want = buchberger(gens, order)
+    lines = []
+    gb = buchberger([((0, 1, 1), (0, 1, 1)), *gens], order, lines.append)
+    assert gb.rules == want.rules
+    assert gb.inputs == tuple(k + 1 for k in want.inputs)
+    assert not any(line.startswith("input 0 ") for line in lines)
+
+
+@pytest.mark.parametrize("pair", [
+    ((1, 0, 0), (0, 1, 0, 0)),  # short plus side
+    ((0, 1, 0, 0), (1, 0, 0)),  # short minus side
+    ((0, 1, 0, 0), (1, 0, 0, 0, 0)),  # long minus side
+    ((1, 0, 0, 0, 0), (0, 1, 0, 0)),  # long plus side
+    ((0, 0, 0), (0, 0, 0)),  # equal sides are checked too
+], ids=["short-plus", "short-minus", "long-minus", "long-plus", "equal-short"])
+def test_a_pair_side_of_the_wrong_length_is_a_count_mismatch(pair):
+    order = build_order_i((1, 2, 3, 4), 1)
+    good = ((0, 1, 0, 0), (2, 0, 0, 0))
+    for gens in ([pair], [good, pair]):
+        for call in (buchberger, groebner_reduced):
+            with pytest.raises(ValueError, match="variable count mismatch with order matrix"):
+                call(gens, order)

@@ -5,7 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repunit_toric import families
+from repunit_toric.binomials import Grading
+from repunit_toric.families import projective_grading, scalar_grading, toric_basis
 from repunit_toric.intlinalg import (
+    _echelon,
     det,
     dot,
     kernel_basis,
@@ -14,6 +18,8 @@ from repunit_toric.intlinalg import (
     row_hnf,
     xgcd,
 )
+from repunit_toric.orders import build_order_i, five_variable_order
+from repunit_toric.semigroup import InstanceParams, generators
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=-10**6, max_value=10**6))
@@ -118,3 +124,85 @@ def test_maximal_minors_small_weight_matrix():
     assert maximal_minors(rows) == (7, -8, 10)
     with pytest.raises(ValueError):
         maximal_minors(((1, 2, 3),))
+
+
+def _peeling_cases(rng):
+    # seeded small matrices rich in single-entry rows: repeated unit rows on
+    # one column, zero rows, unit rows whose column denser rows also use,
+    # all-unit matrices, and both m < n and m > n
+    for _ in range(600):
+        m, n = rng.randint(1, 7), rng.randint(1, 6)
+        rows = []
+        for _ in range(m):
+            kind = rng.random()
+            if kind < 0.45:
+                row = [0] * n
+                row[rng.randrange(n)] = rng.choice((-3, -2, -1, 1, 2, 5))
+            elif kind < 0.55:
+                row = [0] * n
+            else:
+                row = [rng.randint(-4, 4) for _ in range(n)]
+            rows.append(tuple(row))
+        if rng.random() < 0.3:  # one unit row twice, scaled
+            r = rng.randrange(m)
+            if sum(map(bool, rows[r])) == 1:
+                rows.append(tuple(-2 * x for x in rows[r]))
+        yield tuple(rows)
+    for n in range(1, 6):
+        yield tuple(tuple(int(c == k) for c in range(n)) for k in range(n))  # identity
+        yield tuple(tuple(3 * (c == k % n) for c in range(n)) for k in range(2 * n))
+        yield ((0,) * n,) * 3
+
+
+def _program_orders(monkeypatch):
+    # every order matrix the program builds: build_order_i at n = 2..10
+    # and every i, five_variable_order, and toric_basis' elimination stacks
+    # on the acceptance grid for one-row and two-row gradings; the stacks
+    # are taken from the engine call, which is not run
+    rows = [build_order_i(generators(InstanceParams(2, 3, n)), i).rows
+            for n in range(2, 11) for i in range(1, n + 1)]
+    rows.append(five_variable_order(generators(InstanceParams(1, 2, 5))).rows)
+
+    class Stop(Exception):
+        pass
+
+    def recording(gens, order, trace=None, **kwargs):
+        rows.append(order.rows)
+        raise Stop
+
+    monkeypatch.setattr(families, "buchberger", recording)
+    grid = list(itertools.product((1, 2, 3, 4, 5), (2, 3, 4, 5), (4, 5, 6, 7)))
+    for a, b, n in grid:
+        p = InstanceParams(a, b, n)
+        for grading in (scalar_grading(p), projective_grading(p)):
+            for i in (1, n):
+                with pytest.raises(Stop):
+                    toric_basis(grading, build_order_i(grading.positive_row(), i))
+    with pytest.raises(Stop):
+        toric_basis(Grading(((2, 3, 5, 7), (1, -1, 2, 0))))
+    assert len(rows) == 54 + 1 + len(grid) * 4 + 1
+    return rows
+
+
+def test_rank_peeling_matches_full_elimination_and_sympy(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    cases = list(_peeling_cases(random.Random(46)))
+    orders = _program_orders(monkeypatch)
+    for rows in cases + orders:
+        want = _echelon(rows)[1]
+        assert rank(rows) == want == sympy.Matrix(rows).rank(), rows
+    for rows in orders:
+        assert rank(rows) == len(rows[0])
+    # the cases reach every peeling shape
+    units = [sum(sum(map(bool, r)) == 1 for r in rows) for rows in cases]
+    assert sum(u == len(rows) for u, rows in zip(units, cases)) >= 10
+    assert sum(0 < u < len(rows) for u, rows in zip(units, cases)) >= 200
+    assert any(len(rows) < len(rows[0]) for rows in cases)
+    assert any(len(rows) > len(rows[0]) for rows in cases)
+
+
+def test_rank_still_rejects_a_ragged_matrix():
+    for rows in (((1, 0), (0,)), ((1,), (1, 2, 3))):
+        with pytest.raises(ValueError, match="ragged matrix"):
+            rank(rows)
+    assert rank(()) == 0
