@@ -4,15 +4,19 @@ Variables x_1 .. x_n carry the semigroup weights; the two-row grading stacks
 the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
 families, the structured families and the rows of the kernel-lattice
 matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
-matrix, chain_matrix, whose first n - 1 columns are the open chain.  Each
-chain minor is formed and its family checked once, then returned as a
-Binomial or, by minor_words, as packed words with its degree, the fiber
-oracle's input.  The structured families are oriented by
-orders.minor_side_predicate, so lemma3 checks the very rule they are built
-with; structured_basis packs their sides, no Binomial built, into the
-GroebnerBasis that groebner's basis checks read, and keeps them as its
-sides.  The relation rows are small
-integer bases whose saturations recover the toric ideals.  The toric ideal
+matrix, chain_matrix, whose first n - 1 columns are the open chain.  The
+top and bottom monomial of each column is packed once, and one helper,
+_minor, forms every chain minor as two additions of those words.  Each
+family is checked once, on its minors' unpacked sides, and each minor is
+returned as a Binomial or, by minor_words, as the words _minor formed with
+the degree its homogeneity check computed, the fiber oracle's input.  The
+structured families are oriented by orders.minor_side_predicate, so lemma3
+checks the very rule they are built with; structured_basis hands their
+words, no side packed and no Binomial built, to the GroebnerBasis that
+groebner's basis checks read, with the sides they unpack to as its sides.
+The relation rows and lemma3's sides come from the same helper on the
+columns as exponent vectors, exact for every a and b.  The relation rows
+are small integer bases whose saturations recover the toric ideals.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
 A one-row grading w is split into two t's: with m = min(w) and
@@ -42,6 +46,7 @@ from .binomials import (
     format_monomial,
     monomial,
     pack,
+    unpack,
 )
 from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
 from .orders import MatrixOrder, _unit_negative_row, build_order_i, minor_side_predicate
@@ -59,8 +64,11 @@ def projective_grading(params: InstanceParams) -> Grading:
     Column i is (r_b(i-1), 1); the semigroup weights are the combination
     a * row1 + r_b(n) * row2 of the two rows.
     """
-    b, n = params.b, params.n
-    return Grading((tuple(repunit(b, i) for i in range(n)), (1,) * n))
+    return Grading((_repunit_row(params), (1,) * params.n))
+
+
+def _repunit_row(params: InstanceParams) -> tuple[int, ...]:
+    return tuple([repunit(params.b, i) for i in range(params.n)])
 
 
 def _mono(n: int, *factors: tuple[int, int]) -> Monomial:
@@ -83,36 +91,98 @@ def chain_matrix(params: InstanceParams) -> tuple[tuple[Monomial, Monomial], ...
     return tuple(cols)
 
 
-def _minor_sides(cols: tuple, j: int, k: int) -> tuple[Monomial, Monomial]:
-    # the minor on columns j < k is top_j * bot_k - bot_j * top_k
-    (top_j, bot_j), (top_k, bot_k) = cols[j - 1], cols[k - 1]
-    return tuple(map(add, top_j, bot_k)), tuple(map(add, bot_j, top_k))
+class _Exponents(tuple):
+    """An exponent vector whose + adds entry by entry, as + on packed words adds field by field."""
+
+    __slots__ = ()
+
+    def __add__(self, other: tuple) -> "_Exponents":
+        return _Exponents(map(add, self, other))
 
 
-def _chain_minors(params: InstanceParams, closed: bool) -> list[tuple[Monomial, Monomial]]:
-    """Both sides of every chain minor, larger side first, each formed and checked once.
+def _column_vectors(params: InstanceParams) -> tuple[list, list]:
+    # chain_matrix's tops and bottoms as exponent vectors, exact for every a and b
+    cols = chain_matrix(params)
+    return [_Exponents(top) for top, _ in cols], [_Exponents(bot) for _, bot in cols]
+
+
+def _column_words(params: InstanceParams) -> tuple[list, list]:
+    """chain_matrix's tops and bottoms, each packed once, for _minor.
+
+    No side of a chain minor has an exponent above a + b + 1, x_1's in the
+    minor on columns 1 and n, so within EXPONENT_LIMIT no field carries.
+    Past it the columns stay exponent vectors, and _guarded checks each
+    side entry by entry, in the order given, before it is packed: the first
+    exponent past the limit raises as a Binomial would.
+    """
+    if params.a + params.b + 1 > EXPONENT_LIMIT:
+        return _column_vectors(params)
+    cols = chain_matrix(params)
+    return [pack(top) for top, _ in cols], [pack(bot) for _, bot in cols]
+
+
+def _minor(tops: list, bots: list, j: int, k: int) -> tuple:
+    # the minor on columns j < k, top_j * bot_k - bot_j * top_k: every chain
+    # minor is formed here, as two additions of column words or vectors
+    return tops[j - 1] + bots[k - 1], bots[j - 1] + tops[k - 1]
+
+
+def _guarded(params: InstanceParams, formed: list) -> list[tuple[int, int]]:
+    # minors formed from _column_words, as packed words (see there)
+    if params.a + params.b + 1 <= EXPONENT_LIMIT:
+        return formed
+    return [(pack(monomial(u)), pack(monomial(v))) for u, v in formed]
+
+
+def _chain_minors(params: InstanceParams, closed: bool) -> list[tuple]:
+    """Every chain minor, formed and checked once, as (degree, plus, minus, plus word, minus word).
 
     The open chain's minors, then for the closed chain each column with
-    column n, all read from one chain_matrix.  The largest exponent of any
-    side is a + b + 1, x_1's in the minor on columns 1 and n, so only past
-    that bound are the sides checked entry by entry, closing minors first:
-    the first exponent past EXPONENT_LIMIT raises as a Binomial would.
+    column n (checked first past the exponent guard), from one set of
+    column words.  The plus side top_j * bot_k is the larger: it has x_j^b,
+    or x_1^(a+1) on a closing minor, and the minus side bot_j * top_k no
+    variable below x_(j+1).  Each minor's checks read its unpacked sides,
+    and its degree is the one its homogeneity check computes.
     """
-    n, cols, w = params.n, chain_matrix(params), generators(params)
-    sides = [_minor_sides(cols, j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
-    closing = [_minor_sides(cols, j, n) for j in range(1, n)] if closed else []
-    if params.a + params.b + 1 > EXPONENT_LIMIT:
-        for u, v in closing + sides:
-            monomial(u)
-            monomial(v)
-    fam = [(u, v) if u >= v else (v, u) for u, v in sides]
-    # w = a * r + r_b(n) * 1 with a >= 1, so the weights and the ones row
-    # have the kernel of both gradings: the repunit row r is (w - r_b(n) * 1) / a
-    _check_minor_family("open-chain", fam, comb(n - 1, 2), fam, (w, (1,) * n))
+    n = params.n
+    tops, bots = _column_words(params)
+    opening = [_minor(tops, bots, j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
+    closing = [_minor(tops, bots, j, n) for j in range(1, n)] if closed else []
+    words = _guarded(params, closing + opening)
+    # w = a * r + r_b(n) * 1 with a >= 1, so (w, 1) and the projective rows
+    # (r, 1) have one kernel: an open minor homogeneous for either pair is
+    # homogeneous for both gradings
+    row = generators(params) if closed else _repunit_row(params)
+    fam = _check_minor_family("open-chain", [], words[len(closing):], comb(n - 1, 2), row, True, n)
     if closed:
-        closing = [(u, v) if u >= v else (v, u) for u, v in closing]
-        fam += closing
-        _check_minor_family("closed-chain", fam, comb(n, 2), closing, (w,))
+        fam = _check_minor_family("closed-chain", fam, words[:len(closing)], comb(n, 2), row, False, n)
+    return fam
+
+
+def _check_minor_family(name: str, fam: list, new: list, expected: int,
+                        row: tuple[int, ...], total: bool, nvars: int) -> list[tuple]:
+    # fam extended by the new (plus, minus) words as _chain_minors lists
+    # them; count and repeats over the family, homogeneity of the new
+    # minors under row, and the ones row too when total: the plus side's
+    # values are its degree
+    fam = list(fam)
+    bad = None
+    for p, q in new:
+        u, v = unpack(p, nvars), unpack(q, nvars)
+        if total:
+            d, e = (sum(map(mul, row, u)), sum(u)), (sum(map(mul, row, v)), sum(v))
+        else:
+            d, e = (sum(map(mul, row, u)),), (sum(map(mul, row, v)),)
+        if bad is None and d != e:
+            bad = u, v
+        fam.append((d, u, v, p, q))
+    if len(fam) != expected:
+        raise AssertionError(f"{name}: {len(fam)} minors, expected {expected}")
+    if len({m[3:] for m in fam}) != expected:
+        raise AssertionError(f"{name}: repeated minors")
+    if bad:
+        raise AssertionError(
+            f"{name}: inhomogeneous minor {format_monomial(bad[0])} - {format_monomial(bad[1])}")
     return fam
 
 
@@ -122,7 +192,7 @@ def minors_open_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     Every minor is homogeneous for both gradings, and there are
     C(n-1, 2) of them.
     """
-    return tuple(Binomial(u, v) for u, v in _chain_minors(params, False))
+    return tuple(Binomial(u, v) for _, u, v, _, _ in _chain_minors(params, False))
 
 
 def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
@@ -130,35 +200,21 @@ def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
 
     C(n, 2) minors, homogeneous for the weight grading.
     """
-    return tuple(Binomial(u, v) for u, v in _chain_minors(params, True))
+    return tuple(Binomial(u, v) for _, u, v, _, _ in _chain_minors(params, True))
 
 
 def minor_words(params: InstanceParams, closed: bool) -> tuple[tuple[tuple, int, int], ...]:
     """The closed- or open-chain minors as (degree, plus word, minus word), for fibers.word_splits.
 
     The same minors, in the same order, as minors_closed_chain or
-    minors_open_chain, each side packed once.  The degree is under the
-    weights for the closed chain, under the repunit and ones rows for the
-    open one.
+    minors_open_chain, each two additions of packed column words, with no
+    side packed again.  The degree, under the weights for the closed chain
+    and under the repunit and ones rows for the open one, is the one each
+    minor's homogeneity check computed; the closed chain checks its open
+    minors under the weights and the ones row, and keeps the first entry.
     """
-    rows = (generators(params),) if closed else projective_grading(params).rows
-    return tuple((tuple([sum(map(mul, row, u)) for row in rows]), pack(u), pack(v))
-                 for u, v in _chain_minors(params, closed))
-
-
-def _check_minor_family(name: str, fam: list, expected: int, new: list,
-                        rows: tuple[tuple[int, ...], ...]) -> None:
-    # fam and new list (plus, minus) sides; count and repeats over the family,
-    # homogeneity of the new minors, one dot product a row
-    if len(fam) != expected:
-        raise AssertionError(f"{name}: {len(fam)} minors, expected {expected}")
-    if len(set(fam)) != expected:
-        raise AssertionError(f"{name}: repeated minors")
-    for u, v in new:
-        d = tuple(map(sub, u, v))
-        if any(sum(map(mul, row, d)) for row in rows):
-            raise AssertionError(
-                f"{name}: inhomogeneous minor {format_monomial(u)} - {format_monomial(v)}")
+    k = 1 if closed else 2
+    return tuple((d[:k], p, q) for d, _, _, p, q in _chain_minors(params, closed))
 
 
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:
@@ -172,18 +228,18 @@ def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomi
     lemma3 checks against the order; in part 4 x_1^(a+1) x_j^b leads below
     column i, x_(j+1) x_n^b from i on.
     """
-    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (part,)))
+    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (part,))[1])
 
 
 def _structured_sides(params: InstanceParams, i: int,
-                      parts: tuple[int, ...]) -> list[tuple[Monomial, Monomial]]:
-    # the (lead, tail) sides of the parts in turn, all read from one
-    # chain_matrix; past a + b + 1 > EXPONENT_LIMIT each side is checked,
-    # lead then tail, so the first bad exponent raises as a Binomial would
+                      parts: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple]]:
+    # the (lead, tail) words of the parts in turn, from one set of column
+    # words, and the sides they unpack to; past the exponent guard each
+    # side is checked, lead then tail
     n = params.n
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")
-    cols = chain_matrix(params)
+    tops, bots = _column_words(params)
     out = []
     for part in parts:
         if part in (1, 2):
@@ -196,39 +252,35 @@ def _structured_sides(params: InstanceParams, i: int,
         else:
             raise ValueError(f"part must be 1..4, got {part}")
         for j, k in pairs:
-            u, v = _minor_sides(cols, j, k)
-            u_leads = j < i if k == n else not minor_side_predicate(n, i, j, k)
-            out.append((u, v) if u_leads else (v, u))
-    if params.a + params.b + 1 > EXPONENT_LIMIT:
-        for u, v in out:
-            monomial(u)
-            monomial(v)
-    return out
+            p, q = _minor(tops, bots, j, k)
+            p_leads = j < i if k == n else not minor_side_predicate(n, i, j, k)
+            out.append((p, q) if p_leads else (q, p))
+    words = _guarded(params, out)
+    return words, [(unpack(p, n), unpack(q, n)) for p, q in words]
 
 
 def structured_open_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3: the open-chain minors oriented for the x_i-cheap order."""
-    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3)))
+    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3))[1])
 
 
 def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3+4: all closed-chain minors oriented for the x_i-cheap order."""
-    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3, 4)))
+    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3, 4))[1])
 
 
 def structured_basis(params: InstanceParams, i: int, closed: bool) -> GroebnerBasis:
     """The closed or open structured family as rules under build_order_i(weights, i).
 
     The rules of structured_closed_family or structured_open_family, in
-    the same order, each side packed once and no Binomial built: the
-    input of groebner's basis checks.  The (lead, tail) sides it packs
-    are the basis's sides, as unpack(pack(m)) == m for every monomial in
-    range, so the orientation gate and thm-gb2's coverage unpack nothing.
+    the same order, as the words _minor formed, with no side packed and no
+    Binomial built: the input of groebner's basis checks.  The (lead, tail)
+    sides those words unpack to are handed over as the basis's sides, so
+    the orientation gate and thm-gb2's coverage unpack nothing more.
     """
-    sides = tuple(_structured_sides(params, i, (1, 2, 3, 4) if closed else (1, 2, 3)))
-    basis = GroebnerBasis(tuple((pack(u), pack(v)) for u, v in sides),
-                          build_order_i(generators(params), i))
-    object.__setattr__(basis, "sides", sides)  # what unpacking its rules would give
+    words, sides = _structured_sides(params, i, (1, 2, 3, 4) if closed else (1, 2, 3))
+    basis = GroebnerBasis(tuple(words), build_order_i(generators(params), i))
+    object.__setattr__(basis, "sides", tuple(sides))  # what unpacking its rules gives
     return basis
 
 
@@ -244,9 +296,9 @@ def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...],
     n = params.n
     if n < 4:
         raise ValueError(f"the sliding-window pattern needs n >= 4, got {n}")
-    cols = chain_matrix(params)
+    tops, bots = _column_vectors(params)
     pairs = [(t, t + 2) for t in range(1, n - 2)] + [(n - 2, n - 1)]
-    rows = [tuple(map(sub, *_minor_sides(cols, j, k))) for j, k in pairs]
+    rows = [tuple(map(sub, *_minor(tops, bots, j, k))) for j, k in pairs]
     grading = projective_grading(params)
     for row in rows:
         if any(intlinalg.dot(grow, row) != 0 for grow in grading.rows):
@@ -269,8 +321,8 @@ def weight_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...
     n = params.n
     if n < 3:
         raise ValueError(f"the relation pattern needs n >= 3, got {n}")
-    cols = chain_matrix(params)
-    rows = [tuple(map(sub, *_minor_sides(cols, t, t + 1))) for t in range(1, n)]
+    tops, bots = _column_vectors(params)
+    rows = [tuple(map(sub, *_minor(tops, bots, t, t + 1))) for t in range(1, n)]
     gens = generators(params)
     for row in rows:
         if intlinalg.dot(gens, row) != 0:

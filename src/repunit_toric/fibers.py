@@ -19,7 +19,10 @@ component.  Its input and working
 form are packed words: each generator comes as its degree and two packed
 sides, the lower moves are one flat list of them, each tested by one
 guarded subtraction, and a split keeps its components as packed words,
-unpacked into sorted monomials only when below or full is read.
+unpacked into sorted monomials only when below, full or the forced pairs
+are read.  The uniqueness verdict is one shape test per split, is_forced,
+on component sizes and labels alone: every label covers one
+below-component or two single monomials.
 betti_splits is the Binomial entry and rule_words reads an engine basis's
 packed rules, such as families.toric_basis's unreduced ones;
 families.minor_words hands the minors over packed.
@@ -81,9 +84,11 @@ class DegreeSplit:
     len(comps) - (distinct labels) minimal generators here: each one must
     fuse two below-components that the full congruence identifies.
 
-    below and full list the same components as monomials, built on first
-    read: below the comps, full the unions of comps under one label, each
-    sorted, and sorted by least monomial.
+    is_forced tests the shape that makes this degree's generators forced
+    from the component sizes and labels alone; forced_pairs lists the
+    pairs only where it holds.  below and full list the same components as
+    monomials, built on first read: below the comps, full the unions of
+    comps under one label, each sorted, and sorted by least monomial.
     """
 
     comps: tuple[set[int], ...]
@@ -112,22 +117,36 @@ class DegreeSplit:
     def new_generators(self) -> int:
         return len(self.joins) - len(set(self.joins))
 
+    def is_forced(self) -> bool:
+        """True when every label covers one below-component or two single monomials.
+
+        Under that shape each minimal generator of this degree is forced:
+        a label over one below-component needs none, and one over two
+        single monomials forces the binomial joining them.  Any other shape
+        leaves a choice of monomials or of tree shape, so the minimal
+        system is not unique.  Read from component sizes and labels alone.
+        """
+        under: dict[int, int] = {}  # label -> monomials in its components met so far
+        for comp, label in zip(self.comps, self.joins):
+            if label not in under:
+                under[label] = len(comp)
+            elif under[label] + len(comp) == 2:
+                under[label] = 2
+            else:  # a second component that is no pair of singletons, or a third
+                return False
+        return True
+
     def forced_pairs(self) -> list[tuple[Monomial, Monomial]] | None:
         """Forced generator pairs of this degree, by least monomial, or None when a choice exists.
 
-        A label over one below-component needs nothing.  One over two
-        single monomials forces the binomial joining them.  Any other shape
-        leaves a choice of monomials or of tree shape, so the minimal
-        system is not unique.
+        None exactly when is_forced is false; otherwise the two single
+        monomials under each label that covers two components, each pair
+        sorted.
         """
-        pairs = []
-        for group in self._joined():
-            if len(group) == 1:
-                continue
-            if len(group) != 2 or len(group[0]) != 1 or len(group[1]) != 1:
-                return None
-            pairs.append(tuple(sorted(unpack(x, self.nvars) for comp in group for x in comp)))
-        return sorted(pairs)
+        if not self.is_forced():
+            return None
+        return sorted(tuple(sorted(unpack(x, self.nvars) for comp in group for x in comp))
+                      for group in self._joined() if len(group) == 2)
 
 
 def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
@@ -266,8 +285,11 @@ def minimal_generator_count(gens: Sequence[Binomial], grading: Grading) -> int:
 
 
 def unique_minimal_system(splits: Mapping[tuple[int, ...], DegreeSplit]) -> bool:
-    """True when every minimal generator is forced by its split."""
-    return all(s.forced_pairs() is not None for s in splits.values())
+    """True when every minimal generator is forced by its split.
+
+    Each split's shape test alone: no monomial is unpacked or sorted.
+    """
+    return all(s.is_forced() for s in splits.values())
 
 
 def has_unique_minimal_system(gens: Sequence[Binomial], grading: Grading) -> bool:

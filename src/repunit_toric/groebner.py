@@ -8,7 +8,7 @@ buchberger reads each input as its (plus, minus) pair of monomials, a
 Binomial unpacking as its two sides, and packs each once; tuples are
 unpacked only to orient a nonzero remainder, to build a heap key or trace
 text, to sort leads in reduce_gb and, once per basis, for its orientation
-pass, which reads the sides families.structured_basis packed from as they
+pass, which reads the sides families.structured_basis hands over as they
 are; and binomials are built once, when a caller first reads a basis's
 elements.
 
@@ -126,8 +126,8 @@ class GroebnerBasis:
     first nonzero rule whose tail the order puts above its lead, or None,
     and index the nonzero rules in one RuleIndex, in rule order.  A maker
     that already holds one of them sets it in their stead: buchberger its
-    run index, structured_basis the sides it packed.  elements lists the
-    rules as binomials.
+    run index, structured_basis the sides its words unpack to.  elements
+    lists the rules as binomials.
     """
 
     rules: tuple[Packed, ...]

@@ -18,8 +18,8 @@ from typing import Callable
 from .binomials import Binomial
 from .families import (
     _chain_minors,
-    _minor_sides,
-    chain_matrix,
+    _column_vectors,
+    _minor,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
@@ -188,7 +188,7 @@ def verify_homogeneity_identity(check: _Checks, params: InstanceParams) -> None:
 
 def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None:
     """lemma3: the index predicate picks the smaller minor side for every i."""
-    n, cols = params.n, chain_matrix(params)
+    n, (tops, bots) = params.n, _column_vectors(params)
     weights = generators(params)
 
     def classifier() -> tuple[bool, str]:
@@ -198,7 +198,7 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
             order = build_order_i(weights, i)
             for j in range(1, n - 1):
                 for k in range(j + 1, n):
-                    u, v = _minor_sides(cols, j, k)  # u is top_j * bot_k = x_j^b * x_(k+1)
+                    u, v = _minor(tops, bots, j, k)  # u is top_j * bot_k = x_j^b * x_(k+1)
                     count += 1
                     if minor_side_predicate(n, i, j, k) != (order.compare(u, v) < 0):
                         bad.append((i, j, k))
@@ -212,7 +212,7 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
 def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """prop-gb1: the structured open-chain family is the reduced basis."""
     basis = structured_basis(params, i, False)
-    minors = _chain_minors(params, False)
+    minors = [(u, v) for _, u, v, _, _ in _chain_minors(params, False)]
 
     if not _oriented_groebner(check, basis):
         return
@@ -230,7 +230,7 @@ def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -
 def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """thm-gb2: the structured closed-chain family is a minimal basis of the minors."""
     basis = structured_basis(params, i, True)
-    minors = _chain_minors(params, True)
+    minors = {(u, v) for _, u, v, _, _ in _chain_minors(params, True)}
 
     if not _oriented_groebner(check, basis):
         return
@@ -242,7 +242,7 @@ def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int)
     check(
         "coverage",
         lambda: (
-            {(u, v) if u >= v else (v, u) for u, v in basis.sides} == set(minors),
+            {(u, v) if u >= v else (v, u) for u, v in basis.sides} == minors,
             "family equals the minor set up to orientation",
         ),
     )

@@ -362,6 +362,24 @@ def test_minor_oracle_builds_no_binomial(monkeypatch, capsys):
     assert built == []
     families.minors_open_chain(InstanceParams(2, 3, 6))
     assert len(built) == 10
+    # unique reads each split's shape alone: no fiber monomial is unpacked;
+    # the counter is seen to work where forced pairs are listed
+    unpacked = []
+    unpack = fibers.unpack
+
+    def counted_unpack(x, nvars):
+        unpacked.append(x)
+        return unpack(x, nvars)
+
+    monkeypatch.setattr(fibers, "unpack", counted_unpack)
+    for a, b, answer in ((1, 3, "yes"), (3, 2, "no")):  # unique since a < b - 1, and not
+        code, out, err = run(capsys, "unique", "--source", "minors-x",
+                             "--a", str(a), "--b", str(b), "--n", "6")
+        assert (code, err) == (0, "") and out.endswith(f": {answer}\n")
+    assert unpacked == []
+    words = families.minor_words(InstanceParams(1, 3, 6), True)
+    assert len(fibers.forced_generators(fibers.word_splits(words, 6))) == 15
+    assert len(unpacked) == 2 * 15
 
 
 def test_betti_counts(capsys):

@@ -104,51 +104,80 @@ def test_families_and_relation_matrices_pinned():
     assert digest == "36238f39f922ed1e0affcf347be7e33393fd46573e659569ceb9ec6163857362"
 
 
+def test_minor_words_pinned():
+    # sha256 over the repr of minor_words for both chains on a 1..8, b 1..6,
+    # n 2..10: any change to a degree, a word, an orientation or the order
+    # changes the digest
+    text = "\n".join(repr(minor_words(InstanceParams(a, b, n), closed))
+                     for a, b, n in itertools.product(range(1, 9), range(1, 7), range(2, 11))
+                     for closed in (True, False))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "316de140c147bc343909282a8696917dffefa52b9e75aff1fcf76968291ec52d"
+
+
+def test_minor_words_pack_each_column_once(monkeypatch):
+    # every minor is two additions of column words: one minor_words call
+    # packs the top and bottom of each of the n columns and nothing else
+    packed = []
+
+    def counted(m):
+        packed.append(m)
+        return pack(m)
+
+    monkeypatch.setattr(families, "pack", counted)
+    for a, b, n in itertools.product((1, 4), (2, 5), range(2, 9)):
+        p = InstanceParams(a, b, n)
+        for closed in (True, False):
+            packed.clear()
+            words = minor_words(p, closed)
+            assert len(words) == comb(n if closed else n - 1, 2)
+            assert len(packed) == 2 * n, (a, b, n, closed)
+
+
 def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
     # Count and repeats are checked over each whole family; homogeneity once
     # per minor: the open-chain minors under both gradings when the open
     # family is built, the closing minors under the weights when the closed
-    # family adds them.  Each fault enters where a minor's two sides are
-    # formed from two columns of the matrix; column n is the closing column.
+    # family adds them.  Each fault enters at _minor, the one place a
+    # minor's two sides are formed, as two words, from two columns of the
+    # matrix; column n is the closing column.
     p = InstanceParams(2, 3, 5)
-    sides = families._minor_sides
-
-    def times_x1(u):
-        return (u[0] + 1,) + u[1:]
+    minor = families._minor
+    x1 = pack((1, 0, 0, 0, 0))
 
     def side_times_x1(at):
-        def patched(cols, j, k):
-            u, v = sides(cols, j, k)
-            return (times_x1(u), v) if (j, k) == at else (u, v)
+        def patched(tops, bots, j, k):
+            u, v = minor(tops, bots, j, k)
+            return (u + x1, v) if (j, k) == at else (u, v)
         return patched
 
-    # the oracle's packed minors come from the same sides and the same checks
+    # the oracle's packed minors come from the same words and the same checks
     closed_builds = (minors_closed_chain, functools.partial(minor_words, closed=True))
     open_builds = (minors_open_chain, functools.partial(minor_words, closed=False))
 
-    monkeypatch.setattr(families, "_minor_sides", side_times_x1((3, 5)))
+    monkeypatch.setattr(families, "_minor", side_times_x1((3, 5)))
     for build in closed_builds:
         with pytest.raises(AssertionError, match="closed-chain: inhomogeneous minor x1\\^4"):
             build(p)
-    monkeypatch.setattr(families, "_minor_sides", lambda cols, j, k: (
-        sides(cols, 1, k) if k == 5 else sides(cols, j, k)))
+    monkeypatch.setattr(families, "_minor", lambda tops, bots, j, k: (
+        minor(tops, bots, 1, k) if k == 5 else minor(tops, bots, j, k)))
     for build in closed_builds:
         with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
             build(p)
     # an open-chain minor times x1 is off both gradings
-    monkeypatch.setattr(families, "_minor_sides", side_times_x1((1, 2)))
+    monkeypatch.setattr(families, "_minor", side_times_x1((1, 2)))
     for build in open_builds + closed_builds:
         with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
             build(p)
     # x1^a2 - x2^a1 is homogeneous for the weights, not for the projective grading
     w = generators(p)
-    swap = ((w[1], 0, 0, 0, 0), (0, w[0], 0, 0, 0))
-    monkeypatch.setattr(families, "_minor_sides",
-                        lambda cols, j, k: swap if (j, k) == (1, 2) else sides(cols, j, k))
+    swap = (pack((w[1], 0, 0, 0, 0)), pack((0, w[0], 0, 0, 0)))
+    monkeypatch.setattr(families, "_minor", lambda tops, bots, j, k: (
+        swap if (j, k) == (1, 2) else minor(tops, bots, j, k)))
     for build in open_builds:
         with pytest.raises(AssertionError, match="open-chain: inhomogeneous minor"):
             build(p)
-    monkeypatch.setattr(families, "_minor_sides", sides)
+    monkeypatch.setattr(families, "_minor", minor)
     assert len(minors_closed_chain(p)) == comb(5, 2)
     assert len(minor_words(p, closed=True)) == comb(5, 2)
 

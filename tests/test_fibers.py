@@ -16,6 +16,7 @@ from repunit_toric.binomials import (
     ExponentOverflowError,
     Grading,
     format_binomial,
+    guard_bits,
     pack,
 )
 from repunit_toric.families import (
@@ -24,9 +25,11 @@ from repunit_toric.families import (
     minors_open_chain,
     projective_grading,
     scalar_grading,
+    toric_basis,
     toric_ideal,
 )
 from repunit_toric.fibers import (
+    DegreeSplit,
     betti_degrees,
     betti_splits,
     enumerate_fiber,
@@ -424,6 +427,51 @@ def test_redundant_generators_leave_every_split_as_it_is(sweep_toric_bases):
         assert word_splits(words + extra, grading.nvars) == splits, grading.rows
         assert word_splits(words + words, grading.nvars) == splits, grading.rows
     assert chains > 0
+
+
+def _assert_shape_test_agrees(splits):
+    # the shape test against the pair listing, and each split's test against
+    # the reference grouping of its unpacked below and full listings
+    unique = unique_minimal_system(splits)
+    assert unique == all(s.forced_pairs() is not None for s in splits.values())
+    for split in splits.values():
+        assert split.is_forced() == (_grouped_forced_pairs(split) is not None)
+    return unique
+
+
+def test_shape_test_matches_forced_pairs_on_oracle_and_sweep_boxes():
+    seen = set()
+    for a, b, n in itertools.product(range(1, 7), range(2, 7), range(5, 8)):
+        for closed in (True, False):
+            p = InstanceParams(a, b, n)
+            seen.add(_assert_shape_test_agrees(word_splits(minor_words(p, closed), n)))
+    # the sweep rows' splits: the toric basis under the x_1-cheap order
+    for a, b, n in itertools.product(range(1, 9), range(2, 7), range(4, 7)):
+        p = InstanceParams(a, b, n)
+        grading = scalar_grading(p)
+        rules = toric_basis(grading, build_order_i(generators(p), 1)).rules
+        seen.add(_assert_shape_test_agrees(word_splits(rule_words(rules, grading), n)))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("comps, joins, forced", [
+    ([[(1, 0)]], (0,), True),  # one component
+    ([[(2, 0)], [(0, 1)]], (0, 0), True),  # two singletons
+    ([[(2, 0), (0, 1)], [(1, 1)]], (0, 0), False),  # two components, one no singleton
+    ([[(3, 0)], [(0, 1)], [(1, 1)]], (0, 0, 0), False),  # three components, one label
+    ([[(3, 0)], [(0, 1)], [(1, 1)]], (0, 0, 2), True),  # a pair and a lone component
+], ids=["one", "two-singletons", "two-one-larger", "three-one-label", "pair-and-one"])
+def test_shape_test_on_hand_built_splits(comps, joins, forced):
+    guard = guard_bits(2)
+    split = DegreeSplit(tuple({pack(m) | guard for m in comp} for comp in comps), joins, 2)
+    assert split.is_forced() is forced
+    assert unique_minimal_system({(0,): split}) is forced
+    assert (split.forced_pairs() is not None) is forced
+    assert (_grouped_forced_pairs(split) is not None) is forced
+    if forced:
+        assert split.forced_pairs() == sorted(
+            tuple(sorted(m for c, label in zip(comps, joins) if label == shared for m in c))
+            for shared in {x for x in joins if joins.count(x) == 2})
 
 
 @pytest.mark.parametrize("abn, degree, below", [
