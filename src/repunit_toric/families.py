@@ -4,16 +4,15 @@ Variables x_1 .. x_n carry the semigroup weights; the two-row grading stacks
 the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
 families, the structured families and the rows of the kernel-lattice
 matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
-matrix, chain_matrix, whose first n - 1 columns are the open chain.  The
-top and bottom monomial of each column is packed once, and one helper,
-_minor, forms every chain minor as two additions of those words.  Each
-family is checked once, on its minors' unpacked sides, and each minor is
-returned as a Binomial or, by minor_words, as the words _minor formed with
-the degree its homogeneity check computed, the fiber oracle's input.  The
-structured families are oriented by orders.minor_side_predicate, so lemma3
-checks the very rule they are built with; structured_basis hands their
-words, no side packed and no Binomial built, to the GroebnerBasis that
-groebner's basis checks read, with the sides they unpack to as its sides.
+matrix, chain_matrix, whose first n - 1 columns are the open chain.  Each
+column the chain uses is packed once, and one helper, _minor, forms every
+chain minor as two additions of those words.  Each family is checked
+once, on its minors' unpacked sides, and each minor is returned as a
+Binomial or, by minor_words, as the words _minor formed with the degree
+its homogeneity check computed, the fiber oracle's input.  The structured
+families are that checked list, each minor led by the side of its column
+ranked higher cyclically from column i; structured_basis hands their
+words to the GroebnerBasis that groebner's basis checks read.
 The relation rows and lemma3's sides come from the same helper on the
 columns as exponent vectors, exact for every a and b.  The relation rows
 are small integer bases whose saturations recover the toric ideals.  The toric ideal
@@ -33,11 +32,10 @@ bases.
 from __future__ import annotations
 
 from math import comb, gcd
-from operator import add, mul, sub
+from operator import add, itemgetter, mul, sub
 
 from . import intlinalg
 from .binomials import (
-    EXPONENT_LIMIT,
     FIELD_BITS,
     Binomial,
     Grading,
@@ -49,7 +47,7 @@ from .binomials import (
     unpack,
 )
 from .groebner import GroebnerBasis, TraceFn, buchberger, reduce_gb
-from .orders import MatrixOrder, _unit_negative_row, build_order_i, minor_side_predicate
+from .orders import MatrixOrder, _unit_negative_row, build_order_i
 from .semigroup import InstanceParams, generators, repunit
 
 
@@ -106,18 +104,19 @@ def _column_vectors(params: InstanceParams) -> tuple[list, list]:
     return [_Exponents(top) for top, _ in cols], [_Exponents(bot) for _, bot in cols]
 
 
-def _column_words(params: InstanceParams) -> tuple[list, list]:
-    """chain_matrix's tops and bottoms, each packed once, for _minor.
+def _column_words(params: InstanceParams, closed: bool) -> tuple[list, list]:
+    """The tops and bottoms of the columns the chain uses, each packed once, for _minor.
 
-    No side of a chain minor has an exponent above a + b + 1, x_1's in the
-    minor on columns 1 and n, so within EXPONENT_LIMIT no field carries.
-    Past it the columns stay exponent vectors, and _guarded checks each
-    side entry by entry, in the order given, before it is packed: the first
-    exponent past the limit raises as a Binomial would.
+    No chain minor has an exponent above those of the one on columns 1 and
+    n (closed) or 1 and 2 (open), checked first as a Binomial is: past
+    EXPONENT_LIMIT the first exponent over raises, and within it no field
+    of a packed sum carries.
     """
-    if params.a + params.b + 1 > EXPONENT_LIMIT:
-        return _column_vectors(params)
-    cols = chain_matrix(params)
+    cols = chain_matrix(params)[:params.n if closed else params.n - 1]
+    if len(cols) > 1:  # the open chain of n = 2 has no minor
+        (top_1, bot_1), (top_k, bot_k) = cols[0], cols[-1 if closed else 1]
+        monomial(tuple(map(add, top_1, bot_k)))
+        monomial(tuple(map(add, bot_1, top_k)))
     return [pack(top) for top, _ in cols], [pack(bot) for _, bot in cols]
 
 
@@ -127,35 +126,33 @@ def _minor(tops: list, bots: list, j: int, k: int) -> tuple:
     return tops[j - 1] + bots[k - 1], bots[j - 1] + tops[k - 1]
 
 
-def _guarded(params: InstanceParams, formed: list) -> list[tuple[int, int]]:
-    # minors formed from _column_words, as packed words (see there)
-    if params.a + params.b + 1 <= EXPONENT_LIMIT:
-        return formed
-    return [(pack(monomial(u)), pack(monomial(v))) for u, v in formed]
+def _chain_pairs(n: int, closed: bool) -> list[tuple[int, int]]:
+    # the columns j < k of each chain minor as _chain_minors lists them
+    pairs = [(j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
+    return pairs + [(j, n) for j in range(1, n)] if closed else pairs
 
 
 def _chain_minors(params: InstanceParams, closed: bool) -> list[tuple]:
     """Every chain minor, formed and checked once, as (degree, plus, minus, plus word, minus word).
 
     The open chain's minors, then for the closed chain each column with
-    column n (checked first past the exponent guard), from one set of
-    column words.  The plus side top_j * bot_k is the larger: it has x_j^b,
-    or x_1^(a+1) on a closing minor, and the minus side bot_j * top_k no
-    variable below x_(j+1).  Each minor's checks read its unpacked sides,
-    and its degree is the one its homogeneity check computes.
+    column n, from one set of column words.  The plus side top_j * bot_k
+    is the larger: it has x_j^b, or x_1^(a+1) on a closing minor, and the
+    minus side bot_j * top_k no variable below x_(j+1).  Each minor's
+    checks read its unpacked sides, and its degree is the one its
+    homogeneity check computes.
     """
     n = params.n
-    tops, bots = _column_words(params)
-    opening = [_minor(tops, bots, j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
-    closing = [_minor(tops, bots, j, n) for j in range(1, n)] if closed else []
-    words = _guarded(params, closing + opening)
+    tops, bots = _column_words(params, closed)
+    words = [_minor(tops, bots, j, k) for j, k in _chain_pairs(n, closed)]
+    m = comb(n - 1, 2)
     # w = a * r + r_b(n) * 1 with a >= 1, so (w, 1) and the projective rows
     # (r, 1) have one kernel: an open minor homogeneous for either pair is
     # homogeneous for both gradings
     row = generators(params) if closed else _repunit_row(params)
-    fam = _check_minor_family("open-chain", [], words[len(closing):], comb(n - 1, 2), row, True, n)
+    fam = _check_minor_family("open-chain", [], words[:m], m, row, True, n)
     if closed:
-        fam = _check_minor_family("closed-chain", fam, words[:len(closing)], comb(n, 2), row, False, n)
+        fam = _check_minor_family("closed-chain", fam, words[m:], comb(n, 2), row, False, n)
     return fam
 
 
@@ -220,67 +217,63 @@ def minor_words(params: InstanceParams, closed: bool) -> tuple[tuple[tuple, int,
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:
     """One block of the structured generating family for the x_i-cheap order.
 
-    A part is a set of column pairs j < k of chain_matrix: part 1 pairs the
-    columns i..n-1, part 2 the columns 1..i-1, part 3 one of each, part 4
-    each column with column n.  Sizes: C(n-i, 2), C(i-1, 2), (i-1)(n-i) and
-    n-1.  The plus monomial of every element is its leading term under that
-    order.  Parts 1..3 are oriented by orders.minor_side_predicate, the rule
-    lemma3 checks against the order; in part 4 x_1^(a+1) x_j^b leads below
-    column i, x_(j+1) x_n^b from i on.
+    A part is a set of chain minors, by their columns j < k of
+    chain_matrix: part 1 pairs the columns i..n-1, part 2 the columns
+    1..i-1, part 3 one of each, part 4 each column with column n.  Sizes:
+    C(n-i, 2), C(i-1, 2), (i-1)(n-i) and n-1, in the chain's order, each
+    minor led by its leading term under that order.
     """
-    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (part,))[1])
+    if part not in (1, 2, 3, 4):
+        raise ValueError(f"part must be 1..4, got {part}")
+    rows = _oriented(params, _chain_minors(params, part == 4), i)
+    return tuple(Binomial(u, v) for t, _, _, u, v in rows if t == part)
 
 
-def _structured_sides(params: InstanceParams, i: int,
-                      parts: tuple[int, ...]) -> tuple[list[tuple[int, int]], list[tuple]]:
-    # the (lead, tail) words of the parts in turn, from one set of column
-    # words, and the sides they unpack to; past the exponent guard each
-    # side is checked, lead then tail
+def _oriented(params: InstanceParams, fam: list[tuple], i: int) -> list[tuple]:
+    """fam, a _chain_minors list, as (part, lead word, tail word, lead, tail) under build_order_i.
+
+    By part, each as fam lists it.  The minor on columns j < k leads with
+    top_j * bot_k exactly when (j - i) mod n > (k - i) mod n: its sides
+    differ by e_j - e_k, e_t = top_t - bot_t, so its lead follows a ranking
+    of the columns (Sturmfels & Zelevinsky, Adv. Math. 98, 1993), for this
+    order the cyclic one from column i.
+    """
     n = params.n
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")
-    tops, bots = _column_words(params)
     out = []
-    for part in parts:
-        if part in (1, 2):
-            lo, hi = (i, n) if part == 1 else (1, i)
-            pairs = [(j, k) for j in range(lo, hi - 1) for k in range(j + 1, hi)]
-        elif part == 3:
-            pairs = [(j, k) for j in range(1, i) for k in range(i, n)]
-        elif part == 4:
-            pairs = [(j, n) for j in range(1, n)]
-        else:
-            raise ValueError(f"part must be 1..4, got {part}")
-        for j, k in pairs:
-            p, q = _minor(tops, bots, j, k)
-            p_leads = j < i if k == n else not minor_side_predicate(n, i, j, k)
-            out.append((p, q) if p_leads else (q, p))
-    words = _guarded(params, out)
-    return words, [(unpack(p, n), unpack(q, n)) for p, q in words]
+    for (j, k), (_, u, v, p, q) in zip(_chain_pairs(n, True), fam):  # fam lists no pair past it
+        part = 4 if k == n else 1 if i <= j else 2 if k < i else 3
+        out.append((part, p, q, u, v) if (j - i) % n > (k - i) % n else (part, q, p, v, u))
+    return sorted(out, key=itemgetter(0))
 
 
 def structured_open_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3: the open-chain minors oriented for the x_i-cheap order."""
-    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3))[1])
+    return structured_basis(params, i, False).elements
 
 
 def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
     """Parts 1+2+3+4: all closed-chain minors oriented for the x_i-cheap order."""
-    return tuple(Binomial(u, v) for u, v in _structured_sides(params, i, (1, 2, 3, 4))[1])
+    return structured_basis(params, i, True).elements
 
 
 def structured_basis(params: InstanceParams, i: int, closed: bool) -> GroebnerBasis:
     """The closed or open structured family as rules under build_order_i(weights, i).
 
-    The rules of structured_closed_family or structured_open_family, in
-    the same order, as the words _minor formed, with no side packed and no
-    Binomial built: the input of groebner's basis checks.  The (lead, tail)
-    sides those words unpack to are handed over as the basis's sides, so
-    the orientation gate and thm-gb2's coverage unpack nothing more.
+    The words _minor formed, with no side packed and no Binomial built: the
+    input of groebner's basis checks.
     """
-    words, sides = _structured_sides(params, i, (1, 2, 3, 4) if closed else (1, 2, 3))
-    basis = GroebnerBasis(tuple(words), build_order_i(generators(params), i))
-    object.__setattr__(basis, "sides", tuple(sides))  # what unpacking its rules gives
+    return _oriented_basis(params, _chain_minors(params, closed), i)
+
+
+def _oriented_basis(params: InstanceParams, fam: list[tuple], i: int) -> GroebnerBasis:
+    # structured_basis from fam, which verify builds once per run; the
+    # sides the minors were checked on become the basis's sides
+    rows = _oriented(params, fam, i)
+    basis = GroebnerBasis(tuple((p, q) for _, p, q, _, _ in rows),
+                          build_order_i(generators(params), i))
+    object.__setattr__(basis, "sides", tuple((u, v) for _, _, _, u, v in rows))
     return basis
 
 
@@ -299,9 +292,9 @@ def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...],
     tops, bots = _column_vectors(params)
     pairs = [(t, t + 2) for t in range(1, n - 2)] + [(n - 2, n - 1)]
     rows = [tuple(map(sub, *_minor(tops, bots, j, k))) for j, k in pairs]
-    grading = projective_grading(params)
+    grading = (_repunit_row(params), (1,) * n)
     for row in rows:
-        if any(intlinalg.dot(grow, row) != 0 for grow in grading.rows):
+        if any(intlinalg.dot(grow, row) != 0 for grow in grading):
             raise AssertionError(f"relation row {row} is not in the kernel")
     if intlinalg.det([row[2:] for row in rows]) != 1:
         raise AssertionError("trailing block of the relation matrix must have det 1")

@@ -211,8 +211,9 @@ def _below_component(seed: int, moves: Sequence[tuple[int, int]], guard: int,
 def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], DegreeSplit]:
     """Fiber split at each generator degree, from nonzero generators as (degree, plus, minus) words.
 
-    Degrees are processed along a linear extension of the degree partial
-    order (total entry sum first), so "lower" is unambiguous.  Only the
+    Degrees are processed by total entry sum first, so "lower" is
+    unambiguous: a linear extension of the degree partial order once every
+    grading column sums above 0, as betti_splits and rule_words check.  Only the
     degrees of the given generators can carry minimal generators: every
     other graded piece of the ideal is already reachable from below.  A
     generator of a lower degree that joined two labels at its turn gives a
@@ -248,6 +249,11 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
     return out
 
 
+def _check_column_sums(grading: Grading) -> None:
+    if min(map(sum, zip(*grading.rows))) <= 0:  # see word_splits
+        raise ValueError(f"the fiber oracle needs grading columns summing above 0: {grading.rows}")
+
+
 def _graded_degree(grading: Grading, plus: Monomial, minus: Monomial) -> tuple[int, ...]:
     d = grading.degree(plus)
     if d != grading.degree(minus):
@@ -261,6 +267,7 @@ def betti_splits(
     grading: Grading,
 ) -> dict[tuple[int, ...], DegreeSplit]:
     """word_splits of the nonzero generators, each checked homogeneous and its sides packed once."""
+    _check_column_sums(grading)
     return word_splits([(_graded_degree(grading, g.plus, g.minus), pack(g.plus), pack(g.minus))
                         for g in gens if not g.is_zero()], grading.nvars)
 
@@ -268,9 +275,10 @@ def betti_splits(
 def rule_words(rules: Iterable[tuple[int, int]], grading: Grading) -> list[Word]:
     """word_splits' input from packed (lead, tail) rules over the grading's variables.
 
-    Each side is unpacked for its degree only; both degrees are compared,
-    as betti_splits compares them.
+    Each side is unpacked for its degree only; the degrees and grading are
+    checked as betti_splits checks them.
     """
+    _check_column_sums(grading)
     n = grading.nvars
     return [(_graded_degree(grading, unpack(p, n), unpack(q, n)), p, q) for p, q in rules]
 

@@ -104,8 +104,8 @@ def minor_side_predicate(n: int, i: int, j: int, k: int) -> bool:
     """Side classifier for the minor on columns j < k under the x_i-cheap order.
 
     True exactly when x_j^b * x_{k+1} is the smaller monomial, for every b and
-    every positive weight vector making the two sides weight-equal.  The
-    structured families are oriented by it, and lemma3 checks it.
+    every positive weight vector making the two sides weight-equal: lemma3's
+    route, apart from the structured families' own rule.
     """
     if not 1 <= i <= n:
         raise ValueError(f"i must be in 1..{n}, got {i}")

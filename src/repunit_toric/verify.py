@@ -20,13 +20,12 @@ from .families import (
     _chain_minors,
     _column_vectors,
     _minor,
+    _oriented_basis,
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
     projective_relation_matrix,
     scalar_grading,
-    structured_basis,
-    structured_open_family,
     toric_ideal,
     weight_relation_matrix,
 )
@@ -211,8 +210,9 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
 
 def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """prop-gb1: the structured open-chain family is the reduced basis."""
-    basis = structured_basis(params, i, False)
-    minors = [(u, v) for _, u, v, _, _ in _chain_minors(params, False)]
+    fam = _chain_minors(params, False)
+    basis = _oriented_basis(params, fam, i)
+    minors = [(u, v) for _, u, v, _, _ in fam]
 
     if not _oriented_groebner(check, basis):
         return
@@ -229,8 +229,9 @@ def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -
 
 def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int) -> None:
     """thm-gb2: the structured closed-chain family is a minimal basis of the minors."""
-    basis = structured_basis(params, i, True)
-    minors = {(u, v) for _, u, v, _, _ in _chain_minors(params, True)}
+    fam = _chain_minors(params, True)
+    basis = _oriented_basis(params, fam, i)
+    minors = {(u, v) for _, u, v, _, _ in fam}
 
     if not _oriented_groebner(check, basis):
         return
@@ -280,7 +281,8 @@ def verify_projective_saturation(check: _Checks, params: InstanceParams) -> None
 def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
     """cor-gb2: toric ideal equals the closed-chain minors; uniqueness frontier."""
     grading = scalar_grading(params)
-    minors = minors_closed_chain(params)
+    fam = _chain_minors(params, True)
+    minors = tuple(Binomial(u, v) for _, u, v, _, _ in fam)
     order = build_order_i(generators(params), 1)
 
     minors_gb = cache(lambda: groebner_reduced(minors, order))  # both routes compare to it
@@ -296,10 +298,8 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
         def frontier() -> tuple[bool, str]:
             unique = unique_minimal_system(splits())
             predicate = params.a < params.b - 1
-            reduced_all = all(
-                is_reduced_basis(structured_basis(params, i, True))
-                for i in range(1, params.n + 1)
-            )
+            reduced_all = all(is_reduced_basis(_oriented_basis(params, fam, i))
+                              for i in range(1, params.n + 1))
             ok = unique == predicate == reduced_all
             return ok, (
                 f"oracle={unique}, a<b-1={predicate}, all-i reduced={reduced_all}"
@@ -311,16 +311,16 @@ def verify_weight_toric(check: _Checks, params: InstanceParams) -> None:
 def verify_five_variable_growth(check: _Checks, params: InstanceParams) -> None:
     """example5: the 3-5-4-2 tie-break order needs 8 reduced elements, not 6."""
     order = five_variable_order(generators(params))
-    minors = minors_open_chain(params)
+    fam = _chain_minors(params, False)
 
     def reduced_size() -> tuple[bool, str]:
-        gb = groebner_reduced(minors, order)
+        gb = groebner_reduced([(u, v) for _, u, v, _, _ in fam], order)
         return len(gb.elements) == 8, f"reduced basis has {len(gb.elements)} elements"
 
     check("reduced-size", reduced_size)
 
     def exceeds() -> tuple[bool, str]:
-        sizes = {len(structured_open_family(params, i)) for i in range(1, 6)}
+        sizes = {len(_oriented_basis(params, fam, i)) for i in range(1, 6)}
         return sizes == {6}, "every cheap-variable order needs only 6"
 
     check("exceeds-structured", exceeds)
@@ -420,7 +420,8 @@ def verify_noncoprime_counts(check: _Checks, params: InstanceParams) -> None:
 def verify_nonminor_lead(check: _Checks, params: InstanceParams) -> None:
     """example-a3b3: a reduced-basis element that is not a minor at a=3, b=3, n=4."""
     order = build_order_i(generators(params), 2)
-    minors = minors_closed_chain(params)
+    fam = _chain_minors(params, True)
+    minors = [(u, v) for _, u, v, _, _ in fam]
     target = Binomial((0, 0, 0, 4), (1, 4, 2, 0))
 
     def in_reduced() -> tuple[bool, str]:
@@ -431,15 +432,15 @@ def verify_nonminor_lead(check: _Checks, params: InstanceParams) -> None:
     check(
         "not-a-minor",
         lambda: (
-            target.canonical() not in set(minors),
+            tuple(target.canonical()) not in minors,
             "the new element is not a 2x2 minor",
         ),
     )
 
     def minimal_not_reduced() -> tuple[bool, str]:
-        fam = structured_basis(params, 2, True)
+        basis = _oriented_basis(params, fam, 2)
         return (
-            is_minimal_basis(fam) and not is_reduced_basis(fam),
+            is_minimal_basis(basis) and not is_reduced_basis(basis),
             "structured family is minimal but not reduced here",
         )
 

@@ -344,6 +344,16 @@ def test_exponent_overflow_is_a_usage_error(capsys):
     assert outcome == (2, "", "error: exponent 2147483648 exceeds 2147483647\n")
 
 
+def test_structured_claims_past_the_exponent_limit_raise_as_their_minors(capsys):
+    # prop-gb1 and thm-gb2 build their bases from the chain's minors, so
+    # they stop on the minors' own first exponent past the limit:
+    # x1^(b+2) for the closed chain, x2^(b+1) for the open one
+    for claim, exponent in (("thm-gb2", 2147483649), ("prop-gb1", 2147483648)):
+        outcome = run(capsys, "verify", "--claim", claim,
+                      "--a", "1", "--b", "2147483647", "--n", "4", "--i", "1")
+        assert outcome == (2, "", f"error: exponent {exponent} exceeds 2147483647\n")
+
+
 def test_minor_oracle_builds_no_binomial(monkeypatch, capsys):
     # betti and unique on the minor sources hand packed words to the fiber
     # search; the counter is seen to work on the Binomial entry point

@@ -10,7 +10,14 @@ from math import comb, gcd
 import pytest
 
 from repunit_toric import families, intlinalg
-from repunit_toric.binomials import Binomial, Grading, format_binomial, pack, unpack
+from repunit_toric.binomials import (
+    Binomial,
+    ExponentOverflowError,
+    Grading,
+    format_binomial,
+    pack,
+    unpack,
+)
 from repunit_toric.families import (
     minor_words,
     minors_closed_chain,
@@ -117,7 +124,8 @@ def test_minor_words_pinned():
 
 def test_minor_words_pack_each_column_once(monkeypatch):
     # every minor is two additions of column words: one minor_words call
-    # packs the top and bottom of each of the n columns and nothing else
+    # packs the top and bottom of each column the chain uses, all n for
+    # the closed chain and the first n - 1 for the open one, and nothing else
     packed = []
 
     def counted(m):
@@ -131,7 +139,7 @@ def test_minor_words_pack_each_column_once(monkeypatch):
             packed.clear()
             words = minor_words(p, closed)
             assert len(words) == comb(n if closed else n - 1, 2)
-            assert len(packed) == 2 * n, (a, b, n, closed)
+            assert len(packed) == 2 * (n if closed else n - 1), (a, b, n, closed)
 
 
 def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
@@ -226,6 +234,39 @@ def test_structured_parts_partition_the_minors():
             assert {g.canonical() for g in structured_closed_family(p, i)} == closed_set
             flat = [g for part in parts for g in part]
             assert len(set(flat)) == len(flat)
+
+
+def test_minor_builders_past_the_exponent_limit_raise_as_a_binomial_would():
+    # the first exponent past 2^31 - 1 that a Binomial of the chain's minors
+    # would meet: x1^(a+b+1) in the minor on columns 1 and n for the closed
+    # chain; x1^b, then x2^(b+1), in the minor on columns 1 and 2 for the
+    # open one, which never reads a.  Every structured family raises as the
+    # plain family of its chain.
+    limit = 2**31 - 1
+    for (a, b, n), closed_raises, open_raises in [
+            ((3 * 10**9, 2, 4), 3000000003, None),
+            ((1, limit, 4), 2147483649, 2147483648),
+            ((1, 3 * 10**9, 5), 3000000002, 3000000000),
+            ((limit - 1, 1, 3), 2147483648, None)]:
+        p = InstanceParams(a, b, n)
+        for closed, exponent in ((True, closed_raises), (False, open_raises)):
+            family = minors_closed_chain if closed else minors_open_chain
+            whole = [family, functools.partial(minor_words, closed=closed)]
+            whole += [functools.partial(build, i=i) for i in range(1, n + 1) for build in (
+                structured_closed_family if closed else structured_open_family,
+                functools.partial(structured_basis, closed=closed))]
+            parts = [functools.partial(structured_family, i=i, part=part)
+                     for i in range(1, n + 1) for part in ((4,) if closed else (1, 2, 3))]
+            if exponent is not None:
+                for build in whole + parts:
+                    with pytest.raises(ExponentOverflowError,
+                                       match=f"^exponent {exponent} exceeds {limit}$"):
+                        build(p)
+            else:
+                assert {len(build(p)) for build in whole} == {comb(n - 1, 2)}
+                assert sum(len(build(p)) for build in parts) == n * comb(n - 1, 2)
+                assert family(p)[0] == Binomial((b, 0, 1) + (0,) * (n - 3),
+                                                (0, b + 1) + (0,) * (n - 2))
 
 
 def test_structured_part4_frozen():

@@ -528,10 +528,42 @@ def _random_oracle_input(rng):
     return gens, grading
 
 
+REFUSED_GRADING = r"^the fiber oracle needs grading columns summing above 0: "
+
+
 def test_search_matches_whole_fiber_on_random_inputs():
+    # a grading with a column that sums to 0 or less is refused, as there
+    # the entry sum can put a degree before a lower one
     rng = random.Random(2007)
+    refused = 0
     for _ in range(80):
-        _assert_search_matches_whole_fiber(*_random_oracle_input(rng))
+        gens, grading = _random_oracle_input(rng)
+        if min(map(sum, zip(*grading.rows))) <= 0:
+            with pytest.raises(ValueError, match=REFUSED_GRADING):
+                betti_splits(gens, grading)
+            refused += 1
+        else:
+            _assert_search_matches_whole_fiber(gens, grading)
+    assert refused == 10
+
+
+def test_oracle_refuses_a_grading_whose_entry_sums_misorder_degrees():
+    # x1 * (x2 - x3) has degree (2, -3), entry sum -1, below the sum 1 of
+    # x2 - x3's degree (1, 0): taken by entry sum, the multiple came first
+    # and counted as a second minimal generator of an ideal that needs one
+    gens = [Binomial((0, 1, 0), (0, 0, 1)), Binomial((1, 1, 0), (1, 0, 1))]
+    grading = Grading(((1, 1, 1), (-3, 0, 0)))
+    words = [(pack(g.plus), pack(g.minus)) for g in gens]
+    for refused in (betti_splits, betti_degrees, has_unique_minimal_system,
+                    lambda gens, grading: rule_words(words, grading)):
+        with pytest.raises(ValueError,
+                           match=REFUSED_GRADING + r"\(\(1, 1, 1\), \(-3, 0, 0\)\)$"):
+            refused(gens, grading)
+    with pytest.raises(ValueError, match=REFUSED_GRADING + r"\(\(1, 1, 1\), \(-1, 0, 0\)\)$"):
+        betti_splits(gens, Grading(((1, 1, 1), (-1, 0, 0))))
+    # the Groebner route and the positive row alone both count one
+    assert len(prune_redundant_generators(gens, build_order_i((1, 1, 1), 1))) == 1
+    assert betti_degrees(gens, Grading(((1, 1, 1),))) == {(1,): 1}
 
 
 def test_dropped_lower_generator_changes_count_in_both_routes():

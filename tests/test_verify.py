@@ -55,20 +55,32 @@ def test_example_claims_pass_on_pinned_instances():
 
 
 def test_a_flipped_side_rule_fails_lemma3_and_the_orientation_gate(monkeypatch):
-    # the structured families are oriented by the side rule lemma3 checks, so
-    # one wrong (i, j, k) fails lemma3 and the orientation gate at that i
+    # one wrong (i, j, k) in the side rule lemma3 checks fails lemma3, and
+    # the same minor flipped in the basis that verify builds fails the
+    # orientation gate at that i: the minor on columns (1, 2) at i = 3
     rule = orders.minor_side_predicate
 
     def flipped(n, i, j, k):
         return rule(n, i, j, k) != ((i, j, k) == (3, 1, 2))
 
-    monkeypatch.setattr(families, "minor_side_predicate", flipped)
     monkeypatch.setattr(verify, "minor_side_predicate", flipped)
     p = InstanceParams(2, 3, 5)
     (report,) = run_claim("lemma3", p)
     (lemma3,) = report.claims
     assert (lemma3.status, lemma3.detail) == (
         FAIL, "side classifier: disagrees at (i, j, k) = [(3, 1, 2)]")
+    real = verify._oriented_basis
+
+    def flipped_basis(params, fam, i):
+        basis = real(params, fam, i)
+        if i != 3:
+            return basis
+        _, _, _, p12, q12 = fam[0]  # the chain lists the minor on columns (1, 2) first
+        rules = tuple((q, p) if {p, q} == {p12, q12} else (p, q) for p, q in basis.rules)
+        assert rules != basis.rules
+        return groebner.GroebnerBasis(rules, basis.order)
+
+    monkeypatch.setattr(verify, "_oriented_basis", flipped_basis)
     for claim in ("prop-gb1", "thm-gb2"):
         reports = run_claim(claim, p)
         assert [r.overall() for r in reports] == ["pass", "pass", "fail", "pass", "pass"]
@@ -92,13 +104,32 @@ def test_thm_gb2_orients_its_basis_once(monkeypatch, capsys):
     assert len(calls) == 45
 
 
+@pytest.mark.parametrize("argv,calls", [
+    (("thm-gb2", "--a", "3", "--b", "4", "--n", "10", "--i", "5"), 45),
+    (("prop-gb1", "--a", "3", "--b", "4", "--n", "10", "--i", "5"), 36),
+    (("cor-gb2", "--a", "1", "--b", "4", "--n", "6"), 15 + 5),
+    (("example5", "--a", "1"), 6),
+    (("example-a3b3",), 6),
+])
+def test_verify_forms_each_minor_once_per_run(monkeypatch, capsys, argv, calls):
+    # the family's minors once, for its checks and every basis built from
+    # them, plus cor-gb2's n - 1 weight relation rows: 90, 72, 110, 36 and
+    # 12 calls when each basis formed its own minors
+    real = families._minor
+    formed = []
+    monkeypatch.setattr(families, "_minor", lambda *args: formed.append(args) or real(*args))
+    assert main(["verify", "--claim", *argv]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    assert len(formed) == calls
+
+
 def test_a_zero_rule_fails_the_orientation_gate_before_the_s_pairs(monkeypatch):
     # a zero rule has no orientation to get wrong, so the basis reports no
     # unoriented rule; the gate still fails, and the S-pair check never runs
-    real = verify.structured_basis
+    real = verify._oriented_basis
 
-    def with_zero(params, i, closed):
-        basis = real(params, i, closed)
+    def with_zero(params, fam, i):
+        basis = real(params, fam, i)
         (p, _), *rest = basis.rules
         zeroed = groebner.GroebnerBasis(((p, p), *rest), basis.order)
         assert zeroed.unoriented is None
@@ -107,7 +138,7 @@ def test_a_zero_rule_fails_the_orientation_gate_before_the_s_pairs(monkeypatch):
     def forbidden(basis):
         raise AssertionError("the S-pair check ran past a failed orientation gate")
 
-    monkeypatch.setattr(verify, "structured_basis", with_zero)
+    monkeypatch.setattr(verify, "_oriented_basis", with_zero)
     monkeypatch.setattr(verify, "is_groebner_basis", forbidden)
     for claim in ("prop-gb1", "thm-gb2"):
         (report,) = run_claim(claim, InstanceParams(2, 3, 5), 3)
