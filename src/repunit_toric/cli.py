@@ -1,13 +1,18 @@
 """Command line front end.
 
 Subcommands: info, verify, sweep, groebner, betti, unique.  Each handler
-returns data, (exit code, JSON payload, text view); main alone renders the
-chosen format, writes stdout or --out and returns the code.  Exit codes:
-0 all checks passed, 1 a verification failed, 2 usage error (exponent
-overflow and an unwritable --out or stdout, such as a closed pipe,
-included) or a claim refused the instance, 3 internal error, 130
-interrupted (Ctrl-C).  The argument parser is built once per process, on
-the first main call.
+returns data, (exit code, JSON payload, text view), the text view as a
+function that builds it; main alone renders the chosen format, building
+the text view only for --format text, writes stdout or --out and returns
+the code.  Exit codes: 0 all checks passed, 1 a verification failed, 2
+usage error (exponent overflow and an unwritable --out or stdout, such as
+a closed pipe, included) or a claim refused the instance, 3 internal
+error, 130 interrupted (Ctrl-C).  The argument parser is built once per
+process, on the first main call, and keeps each subcommand's own parser:
+main parses a call that names a subcommand first with that parser alone,
+and hands every other argv, and any call that parser leaves arguments
+over from, to the full parser, so help and usage errors read as the full
+parser writes them.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import re
 import sys
 from contextlib import nullcontext
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .binomials import ExponentOverflowError, format_binomial
 from .families import (
@@ -57,6 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact verification toolkit for repunit-curve binomial ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand -> its own parser, for main's one parse
 
     def add_common(p: argparse.ArgumentParser, ranges: bool = False) -> None:
         kind = str if ranges else int
@@ -126,7 +132,8 @@ def _trace_fn(args):
     return lambda line: print(f"trace: {line}", file=sys.stderr)
 
 
-Result = tuple[int, object, str]
+# (exit code, JSON payload, the text view's builder)
+Result = tuple[int, object, Callable[[], str]]
 
 
 def cmd_info(args) -> Result:
@@ -139,20 +146,23 @@ def cmd_info(args) -> Result:
         predicted = "n/a (n <= 3)"
     else:
         predicted = "yes" if params.a < params.b - 1 else "no"
-    lines = [
-        f"instance: a={params.a} b={params.b} n={params.n}",
-        f"repunit r_b(n): {repunit(params.b, params.n)}",
-        "generators: " + " ".join(str(x) for x in gens),
-        f"gcd: {g} ({'coprime' if g == 1 else 'not coprime'})",
-        f"unique minimal system predicted (a < b-1): {predicted}",
-    ]
+
+    def text() -> str:
+        return "\n".join([
+            f"instance: a={params.a} b={params.b} n={params.n}",
+            f"repunit r_b(n): {repunit(params.b, params.n)}",
+            "generators: " + " ".join(str(x) for x in gens),
+            f"gcd: {g} ({'coprime' if g == 1 else 'not coprime'})",
+            f"unique minimal system predicted (a < b-1): {predicted}",
+        ])
+
     return 0, {
         "instance": {"a": params.a, "b": params.b, "n": params.n},
         "repunit": repunit(params.b, params.n),
         "generators": list(gens),
         "gcd": g,
         "unique_predicted": predicted,
-    }, "\n".join(lines)
+    }, text
 
 
 def report_to_dict(report: VerificationReport) -> dict:
@@ -198,7 +208,8 @@ def cmd_verify(args) -> Result:
     if args.all_i and not spec.per_index:
         raise ValueError(f"claim {claim!r} does not take an order index")
     reports = run_claim(claim, params, i=args.i)
-    return exit_code(reports), [report_to_dict(r) for r in reports], render_text(reports)
+    payload = [report_to_dict(r) for r in reports]
+    return exit_code(reports), payload, functools.partial(render_text, reports)
 
 
 _RANGE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
@@ -244,6 +255,11 @@ def cmd_sweep(args) -> Result:
         for n in _parse_range(args.n, "n")
     ]
     rows = [_sweep_row(p) for p in grid]
+    code = 1 if any(r["agree"] == "NO" for r in rows) else 0
+    return code, {"rows": rows}, functools.partial(_sweep_text, rows)
+
+
+def _sweep_text(rows: list[dict]) -> str:
     lines = [f"{'a':>3} {'b':>3} {'n':>3} {'gcd':>5} {'mingens':>8} {'unique':>7} {'a<b-1':>6} {'agree':>6}"]
     for r in rows:
         lines.append(
@@ -251,8 +267,7 @@ def cmd_sweep(args) -> Result:
             f"{'yes' if r['unique'] else 'no':>7} "
             f"{'yes' if r['predicate'] else 'no':>6} {r['agree']:>6}"
         )
-    code = 1 if any(r["agree"] == "NO" for r in rows) else 0
-    return code, {"rows": rows}, "\n".join(lines)
+    return "\n".join(lines)
 
 
 def _resolve_order(args, params: InstanceParams):
@@ -290,15 +305,19 @@ def cmd_groebner(args) -> Result:
     gb = _source_basis(args.source, params, order, _trace_fn(args))
     listing = [format_binomial(g) for g in gb.elements]
     minimal, reduced = is_minimal_basis(gb), is_reduced_basis(gb)
-    head = (
-        f"source={args.source} order={label} elements={len(listing)} "
-        f"minimal={'yes' if minimal else 'no'} reduced={'yes' if reduced else 'no'}"
-    )
+
+    def text() -> str:
+        head = (
+            f"source={args.source} order={label} elements={len(listing)} "
+            f"minimal={'yes' if minimal else 'no'} reduced={'yes' if reduced else 'no'}"
+        )
+        return "\n".join([head] + listing)
+
     return 0 if minimal and reduced else 1, {
         "source": args.source, "order": label,
         "minimal": minimal, "reduced": reduced,
         "elements": listing,
-    }, "\n".join([head] + listing)
+    }, text
 
 
 def _oracle_splits(source: str, params: InstanceParams, trace):
@@ -317,20 +336,24 @@ def cmd_betti(args) -> Result:
     # in (sum, degree) order
     degs = {d: k for d, s in splits.items() if (k := s.new_generators()) > 0}
     total = sum(degs.values())
-    lines = [f"source={args.source} degrees={len(degs)} total={total}"]
-    lines += [f"degree {d[0] if len(d) == 1 else d}: {k}" for d, k in degs.items()]
     return 0, {
         "source": args.source,
         "degrees": [{"degree": list(d), "count": k} for d, k in degs.items()],
         "total": total,
-    }, "\n".join(lines)
+    }, functools.partial(_betti_text, args.source, degs, total)
+
+
+def _betti_text(source: str, degs: dict, total: int) -> str:
+    lines = [f"source={source} degrees={len(degs)} total={total}"]
+    lines += [f"degree {d[0] if len(d) == 1 else d}: {k}" for d, k in degs.items()]
+    return "\n".join(lines)
 
 
 def cmd_unique(args) -> Result:
     params = _params_from_args(args)
     unique = unique_minimal_system(_oracle_splits(args.source, params, _trace_fn(args)))
     return 0, {"source": args.source, "unique": unique}, (
-        f"source={args.source} unique minimal binomial system: {'yes' if unique else 'no'}")
+        lambda: f"source={args.source} unique minimal binomial system: {'yes' if unique else 'no'}")
 
 
 def render_json(x, pad: str = "\n") -> str:
@@ -376,12 +399,30 @@ _HANDLERS = {
 }
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), in one parse when argv[0] names a subcommand.
+
+    The full parser hands a subcommand everything after its name, so that
+    subcommand's parser alone reads the same arguments; a call it leaves
+    arguments over from, or that names no subcommand, goes to the full
+    parser, which writes the help, usage errors and "unrecognized
+    arguments" of every such call.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        code, payload, text = _HANDLERS[args.command](args)
-        if args.format != "text":
-            text = render_json(payload)
+        code, payload, view = _HANDLERS[args.command](args)
+        text = view() if args.format == "text" else render_json(payload)
         try:
             sink = open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout)
             with sink as fh:

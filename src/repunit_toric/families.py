@@ -127,12 +127,12 @@ def _minor(tops: list, bots: list, j: int, k: int) -> tuple:
 
 
 def _chain_pairs(n: int, closed: bool) -> list[tuple[int, int]]:
-    # the columns j < k of each chain minor as _chain_minors lists them
+    # the columns j < k of each chain minor as chain_minors lists them
     pairs = [(j, k) for j in range(1, n - 1) for k in range(j + 1, n)]
     return pairs + [(j, n) for j in range(1, n)] if closed else pairs
 
 
-def _chain_minors(params: InstanceParams, closed: bool) -> list[tuple]:
+def chain_minors(params: InstanceParams, closed: bool) -> list[tuple]:
     """Every chain minor, formed and checked once, as (degree, plus, minus, plus word, minus word).
 
     The open chain's minors, then for the closed chain each column with
@@ -158,7 +158,7 @@ def _chain_minors(params: InstanceParams, closed: bool) -> list[tuple]:
 
 def _check_minor_family(name: str, fam: list, new: list, expected: int,
                         row: tuple[int, ...], total: bool, nvars: int) -> list[tuple]:
-    # fam extended by the new (plus, minus) words as _chain_minors lists
+    # fam extended by the new (plus, minus) words as chain_minors lists
     # them; count and repeats over the family, homogeneity of the new
     # minors under row, and the ones row too when total: the plus side's
     # values are its degree
@@ -189,7 +189,7 @@ def minors_open_chain(params: InstanceParams) -> tuple[Binomial, ...]:
     Every minor is homogeneous for both gradings, and there are
     C(n-1, 2) of them.
     """
-    return tuple(Binomial(u, v) for _, u, v, _, _ in _chain_minors(params, False))
+    return tuple(Binomial(u, v) for _, u, v, _, _ in chain_minors(params, False))
 
 
 def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
@@ -197,7 +197,7 @@ def minors_closed_chain(params: InstanceParams) -> tuple[Binomial, ...]:
 
     C(n, 2) minors, homogeneous for the weight grading.
     """
-    return tuple(Binomial(u, v) for _, u, v, _, _ in _chain_minors(params, True))
+    return tuple(Binomial(u, v) for _, u, v, _, _ in chain_minors(params, True))
 
 
 def minor_words(params: InstanceParams, closed: bool) -> tuple[tuple[tuple, int, int], ...]:
@@ -211,7 +211,7 @@ def minor_words(params: InstanceParams, closed: bool) -> tuple[tuple[tuple, int,
     minors under the weights and the ones row, and keeps the first entry.
     """
     k = 1 if closed else 2
-    return tuple((d[:k], p, q) for d, _, _, p, q in _chain_minors(params, closed))
+    return tuple((d[:k], p, q) for d, _, _, p, q in chain_minors(params, closed))
 
 
 def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomial, ...]:
@@ -225,12 +225,12 @@ def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomi
     """
     if part not in (1, 2, 3, 4):
         raise ValueError(f"part must be 1..4, got {part}")
-    rows = _oriented(params, _chain_minors(params, part == 4), i)
+    rows = _oriented(params, chain_minors(params, part == 4), i)
     return tuple(Binomial(u, v) for t, _, _, u, v in rows if t == part)
 
 
 def _oriented(params: InstanceParams, fam: list[tuple], i: int) -> list[tuple]:
-    """fam, a _chain_minors list, as (part, lead word, tail word, lead, tail) under build_order_i.
+    """fam, a chain_minors list, as (part, lead word, tail word, lead, tail) under build_order_i.
 
     By part, each as fam lists it.  The minor on columns j < k leads with
     top_j * bot_k exactly when (j - i) mod n > (k - i) mod n: its sides
@@ -264,12 +264,14 @@ def structured_basis(params: InstanceParams, i: int, closed: bool) -> GroebnerBa
     The words _minor formed, with no side packed and no Binomial built: the
     input of groebner's basis checks.
     """
-    return _oriented_basis(params, _chain_minors(params, closed), i)
+    return oriented_basis(params, chain_minors(params, closed), i)
 
 
-def _oriented_basis(params: InstanceParams, fam: list[tuple], i: int) -> GroebnerBasis:
-    # structured_basis from fam, which verify builds once per run; the
-    # sides the minors were checked on become the basis's sides
+def oriented_basis(params: InstanceParams, fam: list[tuple], i: int) -> GroebnerBasis:
+    """structured_basis from fam, a chain_minors list, which verify builds once per run.
+
+    The sides the minors were checked on become the basis's sides.
+    """
     rows = _oriented(params, fam, i)
     basis = GroebnerBasis(tuple((p, q) for _, p, q, _, _ in rows),
                           build_order_i(generators(params), i))

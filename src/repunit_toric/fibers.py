@@ -12,11 +12,12 @@ under both move sets, so it changes neither the count nor the verdict.
 word_splits therefore lists no whole fiber: from each side of each
 generator of the degree it searches depth first through the lower moves,
 in both directions, and relabels the components it reaches to join them
-along the degree's own generators; no union-find.  Only a generator that
-joins two labels adds its moves for the degrees above: one whose sides
-were joined already lies in the ideal of the moves kept, so it changes no
-component.  Its input and working
-form are packed words: each generator comes as its degree and two packed
+along the degree's own generators; no union-find.  A side that no lower
+move divides is a component of one word, taken as such with no search.
+Only a generator that joins two labels adds its moves for the degrees
+above: one whose sides were joined already lies in the ideal of the moves
+kept, so it changes no component.  Its input and working form are packed
+words: each generator comes as its degree and two packed
 sides, the lower moves are one flat list of them, each tested by one
 guarded subtraction, and a split keeps its components as packed words,
 unpacked into sorted monomials only when below, full or the forced pairs
@@ -222,9 +223,12 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
     their multiples its multiples.  So a redundant generator changes no
     split.  A depth-first search through them from each side of each
     generator of the degree finds its below-component, and one dict maps
-    every guarded word reached to its component.  The degree's generators
-    join components by relabelling a list of the k labels, in
-    O(k * generators of the degree).
+    every guarded word reached to its component.  Each side is first
+    tested against the moves: one that no move divides is its own
+    component, a single word, and is not searched.  Sides are taken in
+    input order within a degree either way, so the splits are the same.
+    The degree's generators join components by relabelling a list of the k
+    labels, in O(k * generators of the degree).
     """
     guard = guard_bits(nvars)
     out: dict[tuple[int, ...], DegreeSplit] = {}
@@ -234,10 +238,17 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
         comp_of: dict[int, int] = {}  # every guarded word reached -> its below-component
         comps: list[set[int]] = []
         for side in chain.from_iterable(here):
-            if side not in comp_of:
-                comp = _below_component(side, moves, guard, nvars)
-                comp_of.update(dict.fromkeys(comp, len(comps)))
-                comps.append(comp)
+            if side in comp_of:
+                continue
+            for src, _ in moves:
+                if (side - src) & guard == guard:  # a lower move divides side
+                    comp = _below_component(side, moves, guard, nvars)
+                    comp_of.update(dict.fromkeys(comp, len(comps)))
+                    break
+            else:  # no move leaves side: it is its component's one word
+                comp = {side}
+                comp_of[side] = len(comps)
+            comps.append(comp)
         label = list(range(len(comps)))
         for p, q in here:
             keep, gone = label[comp_of[p]], label[comp_of[q]]

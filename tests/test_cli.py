@@ -1,5 +1,6 @@
 """End-to-end command line behavior through cli.main."""
 
+import argparse
 import hashlib
 import inspect
 import itertools
@@ -527,6 +528,71 @@ def test_out_file_holds_exactly_stdout(tmp_path, capsys, argv, fmt):
     assert _outcome(capsys, (*argv, "--out", str(target))) == (code, "", err)
     written = re.sub(r"\(\d+ ms\)", "(N ms)", target.read_text(encoding="utf-8"))
     assert _json_timings_normalised(written) == _json_timings_normalised(out)
+
+
+ONE_PARSE_CALLS = [
+    *OUT_CALLS.values(),
+    ("verify", "--claim", "thm-gb2", "--i", "3", "--a", "1", "--b", "3", "--n", "7",
+     "--format", "json"),
+    ("betti", "--source", "minors-y", "--a", "2", "--b", "3", "--n", "6", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_PARSE_CALLS, ids=[*OUT_CALLS, "certify", "oracle"])
+def test_a_subcommand_call_is_parsed_once(monkeypatch, capsys, argv):
+    # main hands everything after the subcommand's name to that subcommand's
+    # parser alone, not through the full parser, which would parse twice
+    real = argparse.ArgumentParser.parse_known_args
+    parses = []
+
+    def counted(self, *args, **kwargs):
+        parses.append(self.prog)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(list(argv)) in (0, 2)
+    capsys.readouterr()
+    assert parses == [f"repunit-toric {argv[0]}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--all-i"),
+    ("betti", "--source", "minors-x", "--a", "2", "--b", "3", "--n", "6"),
+    ("sweep", "--a", "1..2", "--b", "2..3", "--n", "4..5"),
+], ids=["verify", "betti", "sweep"])
+def test_json_output_builds_no_text_view(monkeypatch, capsys, argv):
+    # --format json renders the payload alone; the text view is never built
+    def forbidden(*args):
+        raise AssertionError("text view built for --format json")
+
+    for builder in ("render_text", "_betti_text", "_sweep_text"):
+        monkeypatch.setattr(cli, builder, forbidden)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("--help",),
+    ("frobnicate", "--a", "1"),
+    ("betti", "--help"),
+    ("betti", "--a", "1", "--b", "2", "--n", "4"),
+    ("info", "--a", "1", "--b", "2", "--n", "4", "--format", "xml"),
+    ("info", "--a", "1", "--b", "2", "--n", "4", "extra"),
+    ("info", "--a", "1", "--b", "2", "--n", "4", "--trace"),
+], ids=["none", "help", "unknown-command", "betti-help", "missing-source", "bad-format",
+        "extra-argument", "info-trace"])
+def test_help_and_usage_errors_read_as_the_full_parser_writes_them(capsys, argv):
+    def outcome(parse):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    expected = outcome(cli.build_parser().parse_args)
+    assert outcome(main) == expected
+    assert expected[0] == (0 if "--help" in argv else 2)
 
 
 def test_json_renderer_matches_json_dumps():

@@ -11,6 +11,7 @@ from operator import sub
 
 import pytest
 
+from repunit_toric import cli, fibers
 from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
@@ -812,3 +813,26 @@ def test_prune_matches_reverse_delete():
     cases += [_random_graded_generators(rng) for _ in range(60)]
     for gens, order in cases:
         assert prune_redundant_generators(gens, order) == _reverse_delete(gens, order), gens
+
+
+def test_search_runs_only_from_sides_a_lower_move_divides(monkeypatch, capsys):
+    # over the oracle box (betti minors-x and minors-y, unique minors-x at
+    # a 1..6, b 2..6, n 5..7) 7,020 of the 7,380 sides are moved by no lower
+    # move; each is its own one-word component, taken with no search
+    real = fibers._below_component
+    seeds = []
+
+    def counted(seed, moves, guard, nvars):
+        seeds.append(any((seed - src) & guard == guard for src, _ in moves))
+        return real(seed, moves, guard, nvars)
+
+    monkeypatch.setattr(fibers, "_below_component", counted)
+    for a, b, n in itertools.product(range(1, 7), range(2, 7), range(5, 8)):
+        for command, source in (("betti", "minors-x"), ("betti", "minors-y"),
+                                ("unique", "minors-x")):
+            argv = [command, "--source", source, "--a", str(a), "--b", str(b), "--n", str(n),
+                    "--format", "json"]
+            assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(seeds) == 360
+    assert all(seeds)

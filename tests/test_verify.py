@@ -69,7 +69,7 @@ def test_a_flipped_side_rule_fails_lemma3_and_the_orientation_gate(monkeypatch):
     (lemma3,) = report.claims
     assert (lemma3.status, lemma3.detail) == (
         FAIL, "side classifier: disagrees at (i, j, k) = [(3, 1, 2)]")
-    real = verify._oriented_basis
+    real = verify.oriented_basis
 
     def flipped_basis(params, fam, i):
         basis = real(params, fam, i)
@@ -80,7 +80,7 @@ def test_a_flipped_side_rule_fails_lemma3_and_the_orientation_gate(monkeypatch):
         assert rules != basis.rules
         return groebner.GroebnerBasis(rules, basis.order)
 
-    monkeypatch.setattr(verify, "_oriented_basis", flipped_basis)
+    monkeypatch.setattr(verify, "oriented_basis", flipped_basis)
     for claim in ("prop-gb1", "thm-gb2"):
         reports = run_claim(claim, p)
         assert [r.overall() for r in reports] == ["pass", "pass", "fail", "pass", "pass"]
@@ -123,10 +123,28 @@ def test_verify_forms_each_minor_once_per_run(monkeypatch, capsys, argv, calls):
     assert len(formed) == calls
 
 
+def test_example5_fails_with_the_cyclic_rank_orientation_flipped(monkeypatch, capsys):
+    # exceeds-structured checks each structured open family as prop-gb1 does,
+    # so every minor led against the cyclic column rank fails it at every i
+    real = families._oriented
+
+    def flipped(params, fam, i):
+        return [(part, q, p, v, u) for part, p, q, u, v in real(params, fam, i)]
+
+    monkeypatch.setattr(families, "_oriented", flipped)
+    assert main(["verify", "--claim", "example5", "--a", "1"]) == 1
+    checks = capsys.readouterr().out.splitlines()[1:3]
+    assert [line.rpartition(" (")[0] for line in checks] == [
+        "  [pass] example5: reduced-size: reduced basis has 8 elements",
+        "  [fail] example5: exceeds-structured: the structured family is not the reduced basis"
+        " at i = [1, 2, 3, 4, 5]",
+    ]
+
+
 def test_a_zero_rule_fails_the_orientation_gate_before_the_s_pairs(monkeypatch):
     # a zero rule has no orientation to get wrong, so the basis reports no
     # unoriented rule; the gate still fails, and the S-pair check never runs
-    real = verify._oriented_basis
+    real = verify.oriented_basis
 
     def with_zero(params, fam, i):
         basis = real(params, fam, i)
@@ -138,7 +156,7 @@ def test_a_zero_rule_fails_the_orientation_gate_before_the_s_pairs(monkeypatch):
     def forbidden(basis):
         raise AssertionError("the S-pair check ran past a failed orientation gate")
 
-    monkeypatch.setattr(verify, "_oriented_basis", with_zero)
+    monkeypatch.setattr(verify, "oriented_basis", with_zero)
     monkeypatch.setattr(verify, "is_groebner_basis", forbidden)
     for claim in ("prop-gb1", "thm-gb2"):
         (report,) = run_claim(claim, InstanceParams(2, 3, 5), 3)
