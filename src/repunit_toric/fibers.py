@@ -10,10 +10,11 @@ single monomials (Charalambous, Katsabekis & Thoma, Proc. AMS 135, 2007).
 A component that holds no side of a generator of this degree is the same
 under both move sets, so it changes neither the count nor the verdict.
 word_splits therefore lists no whole fiber: from each side of each
-generator of the degree it searches depth first through the lower moves,
+generator of the degree it searches breadth first through the lower moves,
 in both directions, and relabels the components it reaches to join them
-along the degree's own generators; no union-find.  A side that no lower
-move divides is a component of one word, taken as such with no search.
+along the degree's own generators; no union-find.  The map from each word
+reached to its component is the search's only visited set, so a side
+that no lower move divides costs one pass over the moves.
 Only a generator that joins two labels adds its moves for the degrees
 above: one whose sides were joined already lies in the ideal of the moves
 kept, so it changes no component.  Its input and working form are packed
@@ -183,32 +184,6 @@ def enumerate_fiber(grading: Grading, degree: Sequence[int]) -> Fiber:
     return Fiber(target, tuple(found))
 
 
-def _below_component(seed: int, moves: Sequence[tuple[int, int]], guard: int,
-                     nvars: int) -> set[int]:
-    """Every guarded word the packed moves reach from the guarded word seed.
-
-    A move (src, dst) takes x to x - src + dst when src divides x, which
-    one guarded subtraction tests.  An image past EXPONENT_LIMIT raises, as
-    a rewrite in normal_form does.
-    """
-    carry = guard >> 1
-    seen = {seed}
-    stack = [seed]
-    while stack:
-        x = stack.pop()
-        for src, dst in moves:
-            y = x - src
-            if y & guard == guard:
-                y += dst
-                if y not in seen:
-                    if y & carry:
-                        m = unpack(y, nvars)
-                        raise ExponentOverflowError(f"move to {m} exceeds {EXPONENT_LIMIT}")
-                    seen.add(y)
-                    stack.append(y)
-    return seen
-
-
 def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], DegreeSplit]:
     """Fiber split at each generator degree, from nonzero generators as (degree, plus, minus) words.
 
@@ -221,16 +196,16 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
     move in each direction, kept in one flat list; one whose sides were
     joined already adds none, since the moves kept join its sides, and
     their multiples its multiples.  So a redundant generator changes no
-    split.  A depth-first search through them from each side of each
-    generator of the degree finds its below-component, and one dict maps
-    every guarded word reached to its component.  Each side is first
-    tested against the moves: one that no move divides is its own
-    component, a single word, and is not searched.  Sides are taken in
-    input order within a degree either way, so the splits are the same.
-    The degree's generators join components by relabelling a list of the k
-    labels, in O(k * generators of the degree).
+    split.  One breadth-first loop from each side of the degree not yet
+    reached finds its below-component, filling one dict from every guarded
+    word reached to its component; that dict is the visited set.  A move
+    (src, dst) takes x to x - src + dst when one guarded subtraction finds
+    src dividing x, and an image past EXPONENT_LIMIT raises, as a rewrite
+    in normal_form does.  The degree's generators join components by
+    relabelling a list of the k labels, in O(k * generators of the degree).
     """
     guard = guard_bits(nvars)
+    carry = guard >> 1
     out: dict[tuple[int, ...], DegreeSplit] = {}
     moves: list[tuple[int, int]] = []
     for d, group in groupby(sorted(words, key=lambda w: (sum(w[0]), w[0])), key=itemgetter(0)):
@@ -240,14 +215,21 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
         for side in chain.from_iterable(here):
             if side in comp_of:
                 continue
-            for src, _ in moves:
-                if (side - src) & guard == guard:  # a lower move divides side
-                    comp = _below_component(side, moves, guard, nvars)
-                    comp_of.update(dict.fromkeys(comp, len(comps)))
-                    break
-            else:  # no move leaves side: it is its component's one word
-                comp = {side}
-                comp_of[side] = len(comps)
+            k = comp_of[side] = len(comps)
+            comp = {side}
+            queue = [side]
+            for x in queue:  # it grows as words are reached: breadth first
+                for src, dst in moves:
+                    y = x - src
+                    if y & guard == guard:  # src divides x
+                        y += dst
+                        if y not in comp_of:
+                            if y & carry:
+                                m = unpack(y, nvars)
+                                raise ExponentOverflowError(f"move to {m} exceeds {EXPONENT_LIMIT}")
+                            comp_of[y] = k
+                            comp.add(y)
+                            queue.append(y)
             comps.append(comp)
         label = list(range(len(comps)))
         for p, q in here:

@@ -1,5 +1,6 @@
 """Fiber enumeration and the minimal-generator oracle."""
 
+import collections
 import hashlib
 import itertools
 import math
@@ -11,7 +12,6 @@ from operator import sub
 
 import pytest
 
-from repunit_toric import cli, fibers
 from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
@@ -281,29 +281,36 @@ WholeSplit = namedtuple("WholeSplit", "below full")
 def _whole_fiber_splits(gens, grading):
     """The reference oracle: each generator degree's whole fiber, joined by every lower move.
 
-    Lists the fiber with enumerate_fiber, union-finds each monomial a lower
-    generator's plus side divides with its image, then joins the sides of
-    the degree's own generators.
+    Lists the fiber with enumerate_fiber, union-finds each monomial that the
+    plus side of a generator of another degree divides with its image, then
+    joins the sides of the degree's own generators.  A plus side dividing a
+    fiber monomial has a lower degree in the grading's own partial order, so
+    no order on degrees is assumed.
     """
-    keyed = [((sum(d), d), g) for g in gens if not g.is_zero() for d in [grading.degree(g.plus)]]
+    degreed = [(grading.degree(g.plus), g) for g in gens if not g.is_zero()]
     out = {}
-    for key in sorted({k for k, _ in keyed}):
-        fiber = enumerate_fiber(grading, key[1]).monomials
+    for d in sorted({e for e, _ in degreed}):
+        fiber = enumerate_fiber(grading, d).monomials
         index = {m: pos for pos, m in enumerate(fiber)}
         uf = UnionFind(len(fiber))
-        for k, g in keyed:
-            if k < key:
+        for e, g in degreed:
+            if e != d:
                 for m in fiber:
                     if all(a <= b for a, b in zip(g.plus, m)):
-                        image = tuple(e - p + q for e, p, q in zip(m, g.plus, g.minus))
+                        image = tuple(x - p + q for x, p, q in zip(m, g.plus, g.minus))
                         uf.union(index[m], index[image])
         below = tuple(tuple(fiber[pos] for pos in grp) for grp in uf.groups())
-        for k, g in keyed:
-            if k == key:
+        for e, g in degreed:
+            if e == d:
                 uf.union(index[g.plus], index[g.minus])
         full = tuple(tuple(fiber[pos] for pos in grp) for grp in uf.groups())
-        out[key[1]] = WholeSplit(below, full)
+        out[d] = WholeSplit(below, full)
     return out
+
+
+def _whole_fiber_count(gens, grading):
+    splits = _whole_fiber_splits(gens, grading).values()
+    return sum(len(split.below) - len(split.full) for split in splits)
 
 
 def _grouped_forced_pairs(split):
@@ -330,7 +337,7 @@ def _assert_search_matches_whole_fiber(gens, grading):
     """Per degree: the same count and forced pairs, and each reached component whole."""
     splits = betti_splits(gens, grading)
     reference = _whole_fiber_splits(gens, grading)
-    assert list(splits) == list(reference)
+    assert splits.keys() == reference.keys()
     for d, split in splits.items():
         whole = reference[d]
         assert split.new_generators() == len(whole.below) - len(whole.full), (gens, d)
@@ -542,6 +549,9 @@ def test_search_matches_whole_fiber_on_random_inputs():
         if min(map(sum, zip(*grading.rows))) <= 0:
             with pytest.raises(ValueError, match=REFUSED_GRADING):
                 betti_splits(gens, grading)
+            # the reference assumes no degree order, so it still counts as pruning does
+            order = build_order_i(grading.positive_row(), 1)
+            assert _whole_fiber_count(gens, grading) == len(prune_redundant_generators(gens, order))
             refused += 1
         else:
             _assert_search_matches_whole_fiber(gens, grading)
@@ -565,6 +575,16 @@ def test_oracle_refuses_a_grading_whose_entry_sums_misorder_degrees():
     # the Groebner route and the positive row alone both count one
     assert len(prune_redundant_generators(gens, build_order_i((1, 1, 1), 1))) == 1
     assert betti_degrees(gens, Grading(((1, 1, 1),))) == {(1,): 1}
+
+
+def test_whole_fiber_reference_counts_one_where_entry_sums_misorder_degrees():
+    # the grading the oracle refuses above: the reference joins by every
+    # plus side that divides, so x2 - x3 joins x1*x2 and x1*x3 from below
+    # though its degree (1, 0) has the larger entry sum
+    gens = [Binomial((0, 1, 0), (0, 0, 1)), Binomial((1, 1, 0), (1, 0, 1))]
+    grading = Grading(((1, 1, 1), (-3, 0, 0)))
+    assert _whole_fiber_count(gens, grading) == 1
+    assert len(prune_redundant_generators(gens, build_order_i((1, 1, 1), 1))) == 1
 
 
 def test_dropped_lower_generator_changes_count_in_both_routes():
@@ -815,24 +835,15 @@ def test_prune_matches_reverse_delete():
         assert prune_redundant_generators(gens, order) == _reverse_delete(gens, order), gens
 
 
-def test_search_runs_only_from_sides_a_lower_move_divides(monkeypatch, capsys):
+def test_oracle_box_components_are_one_word_or_searched():
     # over the oracle box (betti minors-x and minors-y, unique minors-x at
-    # a 1..6, b 2..6, n 5..7) 7,020 of the 7,380 sides are moved by no lower
-    # move; each is its own one-word component, taken with no search
-    real = fibers._below_component
-    seeds = []
-
-    def counted(seed, moves, guard, nvars):
-        seeds.append(any((seed - src) & guard == guard for src, _ in moves))
-        return real(seed, moves, guard, nvars)
-
-    monkeypatch.setattr(fibers, "_below_component", counted)
+    # a 1..6, b 2..6, n 5..7) 7,020 of the 7,380 below-components are one
+    # word: a side that a lower move divides reaches a second word, so
+    # these are exactly the sides no lower move divides, and 360 searches
+    # reach further
+    sizes = collections.Counter()
     for a, b, n in itertools.product(range(1, 7), range(2, 7), range(5, 8)):
-        for command, source in (("betti", "minors-x"), ("betti", "minors-y"),
-                                ("unique", "minors-x")):
-            argv = [command, "--source", source, "--a", str(a), "--b", str(b), "--n", str(n),
-                    "--format", "json"]
-            assert cli.main(argv) == 0
-    capsys.readouterr()
-    assert len(seeds) == 360
-    assert all(seeds)
+        for closed in (True, False, True):  # betti minors-x, betti minors-y, unique minors-x
+            for split in word_splits(minor_words(InstanceParams(a, b, n), closed), n).values():
+                sizes.update(len(comp) > 1 for comp in split.comps)
+    assert sizes == {False: 7020, True: 360}
