@@ -46,12 +46,13 @@ from .verify import CLAIMS, FAIL, PASS, REFUSED, VerificationReport, claim_spec,
 # a verify run's exit code: a refusal outweighs a failure, which outweighs a pass
 VERDICT_CODES = {PASS: 0, FAIL: 1, REFUSED: 2}
 
-# --source name -> (closed or open chain minors, or None for the toric ideal; its grading)
+# --source name -> (closed or open chain minors, or None for the toric ideal;
+# True for the weight grading, False for the repunit and ones rows)
 SOURCES = {
-    "minors-x": (True, scalar_grading),
-    "minors-y": (False, projective_grading),
-    "toric-i": (None, scalar_grading),
-    "toric-j": (None, projective_grading),
+    "minors-x": (True, True),
+    "minors-y": (False, False),
+    "toric-i": (None, True),
+    "toric-j": (None, False),
 }
 
 
@@ -228,9 +229,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 def _sweep_row(params: InstanceParams) -> dict:
     g = gcd_of_generators(params)
-    grading = scalar_grading(params)
-    order = build_order_i(generators(params), 1)
-    splits = word_splits(rule_words(toric_basis(grading, order).rules, grading), params.n)
+    splits = _oracle_splits("toric-i", params, None)
     count = sum(s.new_generators() for s in splits.values())
     unique = unique_minimal_system(splits)
     predicate = params.a < params.b - 1
@@ -292,9 +291,10 @@ def _resolve_order(args, params: InstanceParams):
 
 
 def _source_basis(source: str, params: InstanceParams, order, trace):
-    closed, grading_of = SOURCES[source]
+    closed, scalar = SOURCES[source]
     if closed is None:
-        return toric_ideal(grading_of(params), order, trace)
+        return toric_ideal(scalar_grading(params) if scalar else projective_grading(params),
+                           order, trace)
     family = minors_closed_chain if closed else minors_open_chain
     return groebner_reduced(family(params), order, trace)
 
@@ -321,10 +321,13 @@ def cmd_groebner(args) -> Result:
 
 
 def _oracle_splits(source: str, params: InstanceParams, trace):
-    closed, grading_of = SOURCES[source]
+    # both toric sources run under build_order_i(weights, 1), as sweep's
+    # rows do: the count and the verdict are invariants of the ideal
+    closed, scalar = SOURCES[source]
     if closed is None:
-        grading = grading_of(params)
-        words = rule_words(toric_basis(grading, trace=trace).rules, grading)
+        grading = scalar_grading(params) if scalar else projective_grading(params)
+        order = build_order_i(generators(params), 1)
+        words = rule_words(toric_basis(grading, order, trace).rules, grading)
     else:
         words = minor_words(params, closed)
     return word_splits(words, params.n)

@@ -6,13 +6,13 @@ families, the structured families and the rows of the kernel-lattice
 matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
 matrix, chain_matrix, whose first n - 1 columns are the open chain.  Each
 column the chain uses is packed once, and one helper, _minor, forms every
-chain minor as two additions of those words.  Each family is checked
-once, on its minors' unpacked sides, and each minor is returned as a
-Binomial or, by minor_words, as the words _minor formed with the degree
-its homogeneity check computed, the fiber oracle's input.  The structured
-families are that checked list, each minor led by the side of its column
-ranked higher cyclically from column i; structured_basis hands their
-words to the GroebnerBasis that groebner's basis checks read.
+chain minor as two additions of those words.  The loop that forms a
+family's minors checks it, on their unpacked sides, and each minor is
+returned as a Binomial or, by minor_words, as the words _minor formed with
+the degree its homogeneity check computed, the fiber oracle's input.  The
+structured families are that checked list, each minor led by the side of
+its column ranked higher cyclically from column i; structured_basis hands
+their words to the GroebnerBasis that groebner's basis checks read.
 The relation rows and lemma3's sides come from the same helper on the
 columns as exponent vectors, exact for every a and b.  The relation rows
 are small integer bases whose saturations recover the toric ideals.  The toric ideal
@@ -138,48 +138,38 @@ def chain_minors(params: InstanceParams, closed: bool) -> list[tuple]:
     The open chain's minors, then for the closed chain each column with
     column n, from one set of column words.  The plus side top_j * bot_k
     is the larger: it has x_j^b, or x_1^(a+1) on a closing minor, and the
-    minus side bot_j * top_k no variable below x_(j+1).  Each minor's
-    checks read its unpacked sides, and its degree is the one its
-    homogeneity check computes.
+    minus side bot_j * top_k no variable below x_(j+1).  The loop that
+    forms the minors checks each family as its last minor joins: repeats
+    over the family so far, then homogeneity of its own minors, read from
+    their unpacked sides.  A minor's degree is the one that check computes.
     """
     n = params.n
     tops, bots = _column_words(params, closed)
-    words = [_minor(tops, bots, j, k) for j, k in _chain_pairs(n, closed)]
+    pairs = _chain_pairs(n, closed)
     m = comb(n - 1, 2)
     # w = a * r + r_b(n) * 1 with a >= 1, so (w, 1) and the projective rows
     # (r, 1) have one kernel: an open minor homogeneous for either pair is
-    # homogeneous for both gradings
+    # homogeneous for both gradings; a closing minor is checked under w alone
     row = generators(params) if closed else _repunit_row(params)
-    fam = _check_minor_family("open-chain", [], words[:m], m, row, True, n)
-    if closed:
-        fam = _check_minor_family("closed-chain", fam, words[m:], comb(n, 2), row, False, n)
-    return fam
-
-
-def _check_minor_family(name: str, fam: list, new: list, expected: int,
-                        row: tuple[int, ...], total: bool, nvars: int) -> list[tuple]:
-    # fam extended by the new (plus, minus) words as chain_minors lists
-    # them; count and repeats over the family, homogeneity of the new
-    # minors under row, and the ones row too when total: the plus side's
-    # values are its degree
-    fam = list(fam)
+    fam: list[tuple] = []
     bad = None
-    for p, q in new:
-        u, v = unpack(p, nvars), unpack(q, nvars)
-        if total:
+    for t, (j, k) in enumerate(pairs, 1):
+        p, q = _minor(tops, bots, j, k)
+        u, v = unpack(p, n), unpack(q, n)
+        if t <= m:
             d, e = (sum(map(mul, row, u)), sum(u)), (sum(map(mul, row, v)), sum(v))
         else:
             d, e = (sum(map(mul, row, u)),), (sum(map(mul, row, v)),)
         if bad is None and d != e:
             bad = u, v
         fam.append((d, u, v, p, q))
-    if len(fam) != expected:
-        raise AssertionError(f"{name}: {len(fam)} minors, expected {expected}")
-    if len({m[3:] for m in fam}) != expected:
-        raise AssertionError(f"{name}: repeated minors")
-    if bad:
-        raise AssertionError(
-            f"{name}: inhomogeneous minor {format_monomial(bad[0])} - {format_monomial(bad[1])}")
+        if t == m or t == len(pairs):  # the open chain's last minor, or the closed chain's
+            name = "open-chain" if t == m else "closed-chain"
+            if len({x[3:] for x in fam}) != t:
+                raise AssertionError(f"{name}: repeated minors")
+            if bad:
+                raise AssertionError(f"{name}: inhomogeneous minor "
+                                     f"{format_monomial(bad[0])} - {format_monomial(bad[1])}")
     return fam
 
 

@@ -18,13 +18,13 @@ that no lower move divides costs one pass over the moves.
 Only a generator that joins two labels adds its moves for the degrees
 above: one whose sides were joined already lies in the ideal of the moves
 kept, so it changes no component.  Its input and working form are packed
-words: each generator comes as its degree and two packed
-sides, the lower moves are one flat list of them, each tested by one
-guarded subtraction, and a split keeps its components as packed words,
-unpacked into sorted monomials only when below, full or the forced pairs
-are read.  The uniqueness verdict is one shape test per split, is_forced,
-on component sizes and labels alone: every label covers one
-below-component or two single monomials.
+words: each generator comes as its degree and two packed sides, the lower
+moves are one flat list of them, each tested by one guarded subtraction,
+and a split keeps each component as the list of packed words its search
+walked, unpacked into sorted monomials only when below, full or the
+forced pairs are read.  The uniqueness verdict is one shape test per
+split, is_forced, on component sizes and labels alone: every label covers
+one below-component or two single monomials.
 betti_splits is the Binomial entry and rule_words reads an engine basis's
 packed rules, such as families.toric_basis's unreduced ones;
 families.minor_words hands the minors over packed.
@@ -78,13 +78,13 @@ class DegreeSplit:
     """The fiber of one generator degree, around that degree's generators.
 
     comps: the components, under moves by strictly lower-degree generators,
-    that hold a side of a generator of this degree, each the set of its
-    guarded packed words; joins: for each, the label of the component it
-    lies in once this degree's generators join in; nvars: the variable
-    count of the words.  The rest of the fiber is left out, since the
-    degree's generators leave it as it was.  The ideal needs
-    len(comps) - (distinct labels) minimal generators here: each one must
-    fuse two below-components that the full congruence identifies.
+    that hold a side of a generator of this degree, each the list of its
+    guarded packed words that its search walked; joins: for each, the
+    label of the component it lies in once this degree's generators join
+    in; nvars: the variable count of the words.  The rest of the fiber is
+    left out, since the degree's generators leave it as it was.  The ideal
+    needs len(comps) - (distinct labels) minimal generators here: each one
+    must fuse two below-components that the full congruence identifies.
 
     is_forced tests the shape that makes this degree's generators forced
     from the component sizes and labels alone; forced_pairs lists the
@@ -93,7 +93,7 @@ class DegreeSplit:
     comps under one label, each sorted, and sorted by least monomial.
     """
 
-    comps: tuple[set[int], ...]
+    comps: tuple[list[int], ...]
     joins: tuple[int, ...]
     nvars: int
 
@@ -103,7 +103,7 @@ class DegreeSplit:
 
     def _joined(self):
         # the below-components under each label
-        groups: dict[int, list[set[int]]] = {}
+        groups: dict[int, list[list[int]]] = {}
         for comp, label in zip(self.comps, self.joins):
             groups.setdefault(label, []).append(comp)
         return groups.values()
@@ -197,8 +197,9 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
     joined already adds none, since the moves kept join its sides, and
     their multiples its multiples.  So a redundant generator changes no
     split.  One breadth-first loop from each side of the degree not yet
-    reached finds its below-component, filling one dict from every guarded
-    word reached to its component; that dict is the visited set.  A move
+    reached finds its below-component: the list it walks grows as words
+    are reached and is kept as the component, and one dict from every
+    guarded word reached to its component is the visited set.  A move
     (src, dst) takes x to x - src + dst when one guarded subtraction finds
     src dividing x, and an image past EXPONENT_LIMIT raises, as a rewrite
     in normal_form does.  The degree's generators join components by
@@ -211,14 +212,13 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
     for d, group in groupby(sorted(words, key=lambda w: (sum(w[0]), w[0])), key=itemgetter(0)):
         here = [(p | guard, q | guard) for _, p, q in group]
         comp_of: dict[int, int] = {}  # every guarded word reached -> its below-component
-        comps: list[set[int]] = []
+        comps: list[list[int]] = []
         for side in chain.from_iterable(here):
             if side in comp_of:
                 continue
             k = comp_of[side] = len(comps)
-            comp = {side}
-            queue = [side]
-            for x in queue:  # it grows as words are reached: breadth first
+            comp = [side]
+            for x in comp:  # it grows as words are reached: breadth first
                 for src, dst in moves:
                     y = x - src
                     if y & guard == guard:  # src divides x
@@ -228,8 +228,7 @@ def word_splits(words: Iterable[Word], nvars: int) -> dict[tuple[int, ...], Degr
                                 m = unpack(y, nvars)
                                 raise ExponentOverflowError(f"move to {m} exceeds {EXPONENT_LIMIT}")
                             comp_of[y] = k
-                            comp.add(y)
-                            queue.append(y)
+                            comp.append(y)
             comps.append(comp)
         label = list(range(len(comps)))
         for p, q in here:

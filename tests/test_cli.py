@@ -291,6 +291,25 @@ def test_sweep_frontier_row(capsys):
     assert (row["gcd"], row["mingens"], row["unique"], row["agree"]) == (3, 99, False, "-")
 
 
+def test_sweep_rows_agree_with_the_toric_i_oracle(capsys):
+    # each row's count and verdict, instance by instance, against betti and
+    # unique on the weight toric ideal; the box holds the gcd > 1 rows
+    # (2,3,4) and (3,2,4)
+    code, out, _ = run(capsys, "sweep", "--a", "1..4", "--b", "2..4", "--n", "4..5",
+                       "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert len(rows) == 24
+    assert {(2, 3, 4), (3, 2, 4)} <= {(r["a"], r["b"], r["n"]) for r in rows if r["gcd"] > 1}
+    for row in rows:
+        flags = ("--source", "toric-i", "--a", str(row["a"]), "--b", str(row["b"]),
+                 "--n", str(row["n"]), "--format", "json")
+        code, out, _ = run(capsys, "betti", *flags)
+        assert code == 0 and json.loads(out)["total"] == row["mingens"], row
+        code, out, _ = run(capsys, "unique", *flags)
+        assert code == 0 and json.loads(out)["unique"] == row["unique"], row
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_sweep_exits_1_on_a_disagreeing_row(monkeypatch, capsys, fmt):
     real = cli._sweep_row

@@ -143,8 +143,8 @@ def test_minor_words_pack_each_column_once(monkeypatch):
 
 
 def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
-    # Count and repeats are checked over each whole family; homogeneity once
-    # per minor: the open-chain minors under both gradings when the open
+    # Repeats are checked over each whole family, then homogeneity once per
+    # minor: the open-chain minors under both gradings when the open
     # family is built, the closing minors under the weights when the closed
     # family adds them.  Each fault enters at _minor, the one place a
     # minor's two sides are formed, as two words, from two columns of the
@@ -169,6 +169,14 @@ def test_minor_family_checks_catch_a_bad_minor(monkeypatch):
             build(p)
     monkeypatch.setattr(families, "_minor", lambda tops, bots, j, k: (
         minor(tops, bots, 1, k) if k == 5 else minor(tops, bots, j, k)))
+    for build in closed_builds:
+        with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
+            build(p)
+    # every closing minor is the (1, n) minor times x1: repeated and off the
+    # weights, and repeats are checked first
+    times_x1 = side_times_x1((1, 5))
+    monkeypatch.setattr(families, "_minor", lambda tops, bots, j, k: (
+        times_x1(tops, bots, 1, k) if k == 5 else minor(tops, bots, j, k)))
     for build in closed_builds:
         with pytest.raises(AssertionError, match="closed-chain: repeated minors"):
             build(p)
