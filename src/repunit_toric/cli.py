@@ -12,7 +12,9 @@ process, on the first main call, and keeps each subcommand's own parser:
 main parses a call that names a subcommand first with that parser alone,
 and hands every other argv, and any call that parser leaves arguments
 over from, to the full parser, so help and usage errors read as the full
-parser writes them.
+parser writes them.  Each request has one spelling: verify names its
+claim with --claim, groebner its order with --order, --format is text
+or json, and --trace is groebner's alone.
 """
 
 from __future__ import annotations
@@ -70,41 +72,36 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a", type=kind, help="instance parameter a >= 1")
         p.add_argument("--b", type=kind, help="instance parameter b >= 1")
         p.add_argument("--n", type=kind, help="number of generators, n >= 2")
-        p.add_argument(
-            "--format", choices=("text", "json", "json-like"), default="text",
-            help="output format (json and json-like are synonyms)",
-        )
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format")
         p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
 
     def add_engine(p: argparse.ArgumentParser) -> None:
         add_common(p)
         p.add_argument("--source", choices=SOURCES, required=True)
-        p.add_argument(
-            "--trace", action="store_true",
-            help="stream the Groebner engine's steps to stderr: inputs, S-pairs, "
-                 "skipped pairs and the elimination header",
-        )
 
     p_info = sub.add_parser("info", help="print instance basics")
     add_common(p_info)
 
     p_verify = sub.add_parser("verify", help="verify a named claim")
     add_common(p_verify)
-    p_verify.add_argument("claim_pos", nargs="?", metavar="CLAIM",
+    p_verify.add_argument("--claim", required=True,
                           help=f"one of {', '.join(sorted(CLAIMS))}")
-    p_verify.add_argument("--claim", dest="claim_opt", help="claim name (same as positional)")
-    idx = p_verify.add_mutually_exclusive_group()
-    idx.add_argument("--i", type=int, help="order index for per-index claims")
-    idx.add_argument("--all-i", action="store_true", help="run per-index claims for every i")
+    p_verify.add_argument("--i", type=int,
+                          help="order index for per-index claims, which run every i without it")
 
     p_sweep = sub.add_parser("sweep", help="tabulate a parameter grid")
     add_common(p_sweep, ranges=True)
 
     p_gb = sub.add_parser("groebner", help="list a reduced basis")
     add_engine(p_gb)
-    p_gb.add_argument("--order", default="prec-i",
-                      help="prec-i (with --i), prec-<k>, or example5")
-    p_gb.add_argument("--i", type=int, help="cheap variable index for prec-i")
+    p_gb.add_argument("--order", required=True,
+                      help="prec-<k> (x_k cheapest) or example5")
+    p_gb.add_argument(
+        "--trace", action="store_true",
+        help="stream the Groebner engine's steps to stderr: inputs, S-pairs, "
+             "skipped pairs and the elimination header",
+    )
 
     p_betti = sub.add_parser("betti", help="fiber-oracle generator counts per degree")
     add_engine(p_betti)
@@ -125,12 +122,6 @@ def _params_from_args(args, defaults: dict | None = None) -> InstanceParams:
             raise ValueError(f"missing --{field}")
         values[field] = int(v)
     return InstanceParams(**values)
-
-
-def _trace_fn(args):
-    if not args.trace:
-        return None
-    return lambda line: print(f"trace: {line}", file=sys.stderr)
 
 
 # (exit code, JSON payload, the text view's builder)
@@ -199,16 +190,8 @@ def exit_code(reports: Sequence[VerificationReport]) -> int:
 
 
 def cmd_verify(args) -> Result:
-    claim = args.claim_pos or args.claim_opt
-    if not claim:
-        raise ValueError("verify needs a claim name (positional or --claim)")
-    if args.claim_pos and args.claim_opt and args.claim_pos != args.claim_opt:
-        raise ValueError("positional claim and --claim disagree")
-    spec = claim_spec(claim)
-    params = _params_from_args(args, dict(spec.defaults))
-    if args.all_i and not spec.per_index:
-        raise ValueError(f"claim {claim!r} does not take an order index")
-    reports = run_claim(claim, params, i=args.i)
+    params = _params_from_args(args, dict(claim_spec(args.claim).defaults))
+    reports = run_claim(args.claim, params, i=args.i)
     payload = [report_to_dict(r) for r in reports]
     return exit_code(reports), payload, functools.partial(render_text, reports)
 
@@ -229,7 +212,7 @@ def _parse_range(text: str, flag: str) -> list[int]:
 
 def _sweep_row(params: InstanceParams) -> dict:
     g = gcd_of_generators(params)
-    splits = _oracle_splits("toric-i", params, None)
+    splits = _oracle_splits("toric-i", params)
     count = sum(s.new_generators() for s in splits.values())
     unique = unique_minimal_system(splits)
     predicate = params.a < params.b - 1
@@ -269,24 +252,16 @@ def _sweep_text(rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def _resolve_order(args, params: InstanceParams):
-    name = args.order
-    if args.i is not None and name != "prec-i":
-        raise ValueError(f"--i is read only by --order prec-i, not by --order {name}")
+def _resolve_order(name: str, params: InstanceParams):
     weights = generators(params)
     if name == "example5":
         if params.n != 5:
             raise ValueError("the example5 order needs n=5")
         return name, five_variable_order(weights)
-    m = re.match(r"^prec-(i|\d+)$", name)
+    m = re.match(r"^prec-(\d+)$", name)
     if not m:
-        raise ValueError(f"unknown order {name!r}; use prec-i, prec-<k>, or example5")
-    if m.group(1) == "i":
-        if args.i is None:
-            raise ValueError("--order prec-i needs --i")
-        idx = args.i
-    else:
-        idx = int(m.group(1))
+        raise ValueError(f"unknown order {name!r}; use prec-<k> or example5")
+    idx = int(m.group(1))
     return f"prec-{idx}", build_order_i(weights, idx)
 
 
@@ -301,8 +276,9 @@ def _source_basis(source: str, params: InstanceParams, order, trace):
 
 def cmd_groebner(args) -> Result:
     params = _params_from_args(args)
-    label, order = _resolve_order(args, params)
-    gb = _source_basis(args.source, params, order, _trace_fn(args))
+    label, order = _resolve_order(args.order, params)
+    trace = (lambda line: print(f"trace: {line}", file=sys.stderr)) if args.trace else None
+    gb = _source_basis(args.source, params, order, trace)
     listing = [format_binomial(g) for g in gb.elements]
     minimal, reduced = is_minimal_basis(gb), is_reduced_basis(gb)
 
@@ -320,14 +296,14 @@ def cmd_groebner(args) -> Result:
     }, text
 
 
-def _oracle_splits(source: str, params: InstanceParams, trace):
+def _oracle_splits(source: str, params: InstanceParams):
     # both toric sources run under build_order_i(weights, 1), as sweep's
     # rows do: the count and the verdict are invariants of the ideal
     closed, scalar = SOURCES[source]
     if closed is None:
         grading = scalar_grading(params) if scalar else projective_grading(params)
         order = build_order_i(generators(params), 1)
-        words = rule_words(toric_basis(grading, order, trace).rules, grading)
+        words = rule_words(toric_basis(grading, order).rules, grading)
     else:
         words = minor_words(params, closed)
     return word_splits(words, params.n)
@@ -335,7 +311,7 @@ def _oracle_splits(source: str, params: InstanceParams, trace):
 
 def cmd_betti(args) -> Result:
     params = _params_from_args(args)
-    splits = _oracle_splits(args.source, params, _trace_fn(args))
+    splits = _oracle_splits(args.source, params)
     # in (sum, degree) order
     degs = {d: k for d, s in splits.items() if (k := s.new_generators()) > 0}
     total = sum(degs.values())
@@ -354,7 +330,7 @@ def _betti_text(source: str, degs: dict, total: int) -> str:
 
 def cmd_unique(args) -> Result:
     params = _params_from_args(args)
-    unique = unique_minimal_system(_oracle_splits(args.source, params, _trace_fn(args)))
+    unique = unique_minimal_system(_oracle_splits(args.source, params))
     return 0, {"source": args.source, "unique": unique}, (
         lambda: f"source={args.source} unique minimal binomial system: {'yes' if unique else 'no'}")
 

@@ -220,10 +220,6 @@ def verify_reduced_open_family(check: _Checks, params: InstanceParams, i: int) -
         return
     check("reduced",
           lambda: (is_reduced_basis(basis), "no leading term divides another monomial"))
-    expected = comb(params.n - 1, 2)
-    check("cardinality",
-          lambda: (len(basis) == expected, f"{len(basis)} elements, expected {expected}"))
-
     check("engine-equality",
           lambda: (set(groebner_reduced(minors, basis.order).rules) == set(basis.rules),
                    "engine reduced basis of the minors equals the family"))
@@ -239,9 +235,6 @@ def verify_minimal_closed_family(check: _Checks, params: InstanceParams, i: int)
         return
     check("minimal",
           lambda: (is_minimal_basis(basis), "no leading term divides another leading term"))
-    expected = comb(params.n, 2)
-    check("cardinality",
-          lambda: (len(basis) == expected, f"{len(basis)} elements, expected {expected}"))
     check(
         "coverage",
         lambda: (

@@ -68,7 +68,7 @@ def test_info_invalid_instance(capsys):
 
 def test_verify_per_index_fanout(capsys):
     code, out, _ = run(
-        capsys, "verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--all-i"
+        capsys, "verify", "--claim", "prop-gb1", "--a", "1", "--b", "3", "--n", "5"
     )
     assert code == 0
     assert out.count("instance:") == 5
@@ -78,7 +78,7 @@ def test_verify_per_index_fanout(capsys):
 def test_verify_claim_flag_and_json(capsys):
     code, out, _ = run(
         capsys, "verify", "--claim", "thm-gb2",
-        "--a", "1", "--b", "3", "--n", "4", "--i", "2", "--format", "json-like",
+        "--a", "1", "--b", "3", "--n", "4", "--i", "2", "--format", "json",
     )
     assert code == 0
     (report,) = json.loads(out)
@@ -87,7 +87,7 @@ def test_verify_claim_flag_and_json(capsys):
 
 
 def test_verify_defaults_fill_pinned_instance(capsys):
-    code, out, _ = run(capsys, "verify", "example-gcd3")
+    code, out, _ = run(capsys, "verify", "--claim", "example-gcd3")
     assert code == 0
     assert "a=3 b=2 n=4" in out
     assert "overall: pass" in out
@@ -95,32 +95,27 @@ def test_verify_defaults_fill_pinned_instance(capsys):
 
 def test_verify_refusal_exit_code(capsys):
     code, out, _ = run(
-        capsys, "verify", "cor-gb2", "--a", "3", "--b", "2", "--n", "4"
+        capsys, "verify", "--claim", "cor-gb2", "--a", "3", "--b", "2", "--n", "4"
     )
     assert code == 2
     assert "refused" in out
 
 
-def test_verify_conflicting_claim_names(capsys):
-    code, _, err = run(
-        capsys, "verify", "lemma2", "--claim", "lemma3", "--a", "1", "--b", "2", "--n", "4"
-    )
-    assert code == 2
-    assert "disagree" in err
-
-
 def test_verify_unknown_claim(capsys):
-    code, _, err = run(capsys, "verify", "lemma9", "--a", "1", "--b", "2", "--n", "4")
+    code, _, err = run(capsys, "verify", "--claim", "lemma9", "--a", "1", "--b", "2", "--n", "4")
     assert code == 2
     assert "unknown claim" in err
-    # no claim at all, neither positional nor --claim
-    code, out, err = run(capsys, "verify", "--a", "1", "--b", "2", "--n", "4")
-    assert (code, out, err) == (2, "", "error: verify needs a claim name (positional or --claim)\n")
+    # no claim at all: --claim is required
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--a", "1", "--b", "2", "--n", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: --claim\n")
 
 
 def test_verify_failed_check_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(verify, "homogeneity_identity_holds", lambda p, j, k: (j, k) != (2, 3))
-    code, out, err = run(capsys, "verify", "lemma2", "--a", "1", "--b", "2", "--n", "4")
+    code, out, err = run(capsys, "verify", "--claim", "lemma2", "--a", "1", "--b", "2", "--n", "4")
     assert (code, err) == (1, "")
     lines = out.splitlines()
     assert lines[1].startswith("  [fail] lemma2: weight identity: fails at (j, k) = [(2, 3)] (")
@@ -129,15 +124,10 @@ def test_verify_failed_check_exits_1(monkeypatch, capsys):
 
 def test_verify_index_on_plain_claim(capsys):
     code, _, err = run(
-        capsys, "verify", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--i", "1"
+        capsys, "verify", "--claim", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--i", "1"
     )
     assert code == 2
     assert err == "error: claim 'lemma2' does not take an order index\n"
-    # --all-i names an order index too; a claim without one refuses it the same way
-    code, out, err_all = run(
-        capsys, "verify", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--all-i"
-    )
-    assert (code, out, err_all) == (2, "", err)
 
 
 def test_groebner_listing(capsys):
@@ -160,7 +150,8 @@ def test_groebner_header_is_checked_on_the_printed_basis(capsys, monkeypatch):
     fam = families.structured_closed_family(p, 2)
     basis = groebner.GroebnerBasis(tuple((pack(g.plus), pack(g.minus)) for g in fam), order)
     monkeypatch.setattr(cli, "groebner_reduced", lambda gens, order, trace: basis)
-    argv = ("groebner", "--source", "minors-x", "--a", "3", "--b", "3", "--n", "4", "--i", "2")
+    argv = ("groebner", "--source", "minors-x", "--a", "3", "--b", "3", "--n", "4",
+            "--order", "prec-2")
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out.splitlines()[0] == (
@@ -188,29 +179,13 @@ def test_groebner_order_errors(capsys):
     assert code == 2
     assert "example5 order needs n=5" in err
 
-    code, _, err = run(
-        capsys, "groebner", "--source", "minors-x",
-        "--a", "1", "--b", "2", "--n", "4",
-    )
-    assert code == 2
-    assert "needs --i" in err
-
-    code, out, err = run(
-        capsys, "groebner", "--source", "minors-x", "--order", "prec-x",
-        "--a", "1", "--b", "2", "--n", "4",
-    )
-    assert (code, out) == (2, "")
-    assert err == "error: unknown order 'prec-x'; use prec-i, prec-<k>, or example5\n"
-
-    # --i is read only by prec-i; with another order it is a usage error
-    for order, n in (("prec-3", "4"), ("example5", "5")):
+    for order in ("prec-x", "prec-i"):
         code, out, err = run(
-            capsys, "groebner", "--source", "minors-x", "--order", order, "--i", "2",
-            "--a", "1", "--b", "5", "--n", n,
+            capsys, "groebner", "--source", "minors-x", "--order", order,
+            "--a", "1", "--b", "2", "--n", "4",
         )
         assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            f"error: --i is read only by --order prec-i, not by --order {order}"]
+        assert err == f"error: unknown order {order!r}; use prec-<k> or example5\n"
 
 
 def test_groebner_trace_goes_to_stderr(capsys):
@@ -250,10 +225,13 @@ def test_toric_i_trace_names_both_t_and_the_relation(capsys):
         "input 3 is the relation x5^15 - x1")
 
 
-@pytest.mark.parametrize("command", ["info", "verify", "sweep"])
-def test_trace_only_on_engine_commands(capsys, command):
+@pytest.mark.parametrize("command", [
+    ("info",), ("verify", "--claim", "lemma2"), ("sweep",),
+    ("betti", "--source", "toric-i"), ("unique", "--source", "toric-i"),
+], ids=["info", "verify", "sweep", "betti", "unique"])
+def test_trace_only_on_groebner(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main([command, "--a", "1", "--b", "3", "--n", "4", "--trace"])
+        main([*command, "--a", "1", "--b", "3", "--n", "4", "--trace"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --trace" in capsys.readouterr().err
 
@@ -448,7 +426,7 @@ def test_unique_answers(capsys):
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run(
-        capsys, "verify", "example-n4-minors", "--format", "json", "--out", str(target)
+        capsys, "verify", "--claim", "example-n4-minors", "--format", "json", "--out", str(target)
     )
     assert code == 0
     assert out == ""
@@ -495,9 +473,9 @@ def test_parser_is_built_once_and_reused(monkeypatch, capsys):
     # Each call through the process-wide parser matches the same call on a
     # freshly built one, whatever the calls before it parsed or rejected.
     calls = [
-        ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--i", "2"),
-        ("verify", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--all-i"),
-        ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--i", "1", "--all-i"),
+        ("verify", "--claim", "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--i", "2"),
+        ("verify", "--claim", "lemma2", "--a", "1", "--b", "2", "--n", "4", "--i", "1"),
+        ("verify", "--claim", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--format", "xml"),
         ("info", "--a", "3", "--b", "2", "--n", "4"),
         ("sweep", "--a", "1..2", "--b", "2..3", "--n", "4", "--format", "json"),
         ("betti", "--source", "minors-x", "--a", "1", "--b", "2", "--n", "5"),
@@ -526,8 +504,8 @@ def _json_timings_normalised(text):
 
 OUT_CALLS = {
     "info": ("info", "--a", "1", "--b", "3", "--n", "4"),
-    "verify": ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--i", "2"),
-    "verify-refused": ("verify", "cor-gb2", "--a", "3", "--b", "2", "--n", "4"),
+    "verify": ("verify", "--claim", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--i", "2"),
+    "verify-refused": ("verify", "--claim", "cor-gb2", "--a", "3", "--b", "2", "--n", "4"),
     "sweep": ("sweep", "--a", "1..2", "--b", "3", "--n", "4"),
     "groebner": ("groebner", "--source", "minors-y", "--order", "prec-1",
                  "--a", "1", "--b", "2", "--n", "4"),
@@ -575,7 +553,7 @@ def test_a_subcommand_call_is_parsed_once(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("verify", "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--all-i"),
+    ("verify", "--claim", "prop-gb1", "--a", "1", "--b", "3", "--n", "5"),
     ("betti", "--source", "minors-x", "--a", "2", "--b", "3", "--n", "6"),
     ("sweep", "--a", "1..2", "--b", "2..3", "--n", "4..5"),
 ], ids=["verify", "betti", "sweep"])
@@ -600,8 +578,15 @@ def test_json_output_builds_no_text_view(monkeypatch, capsys, argv):
     ("info", "--a", "1", "--b", "2", "--n", "4", "--format", "xml"),
     ("info", "--a", "1", "--b", "2", "--n", "4", "extra"),
     ("info", "--a", "1", "--b", "2", "--n", "4", "--trace"),
+    ("verify", "lemma2", "--a", "1", "--b", "2", "--n", "4"),
+    ("verify", "--claim", "prop-gb1", "--a", "1", "--b", "3", "--n", "4", "--all-i"),
+    ("info", "--a", "1", "--b", "2", "--n", "4", "--format", "json-like"),
+    ("groebner", "--source", "minors-x", "--a", "1", "--b", "2", "--n", "4", "--i", "2"),
+    ("betti", "--source", "toric-i", "--a", "1", "--b", "2", "--n", "4", "--trace"),
+    ("unique", "--source", "toric-i", "--a", "1", "--b", "2", "--n", "4", "--trace"),
 ], ids=["none", "help", "unknown-command", "betti-help", "missing-source", "bad-format",
-        "extra-argument", "info-trace"])
+        "extra-argument", "info-trace", "positional-claim", "all-i", "json-like",
+        "groebner-i-without-order", "betti-trace", "unique-trace"])
 def test_help_and_usage_errors_read_as_the_full_parser_writes_them(capsys, argv):
     def outcome(parse):
         with pytest.raises(SystemExit) as exc:
@@ -619,7 +604,7 @@ def test_json_renderer_matches_json_dumps():
     # the same bytes on every command's payload and on values that try the
     # string escapes, nested empties, bools beside ints and the fallback
     argvs = [*OUT_CALLS.values(),
-             ("verify", "thm-gb2", "--a", "1", "--b", "3", "--n", "5", "--all-i"),
+             ("verify", "--claim", "thm-gb2", "--a", "1", "--b", "3", "--n", "5"),
              ("sweep", "--a", "1..3", "--b", "2..4", "--n", "4..5"),
              ("betti", "--source", "minors-y", "--a", "2", "--b", "3", "--n", "5")]
     payloads = []
@@ -640,21 +625,21 @@ def test_json_renderer_matches_json_dumps():
 
 
 def test_verify_output_digest_is_pinned(capsys):
-    # Every claim at a 1..3, b 1..4, n 2..6, in text and json, with no index,
-    # --i 1 and --all-i: 3,600 calls whose stdout, stderr and exit code, timings
+    # Every claim at a 1..3, b 1..4, n 2..6, in text and json, with no index
+    # and --i 1: 2,400 calls whose stdout, stderr and exit code, timings
     # normalised, hash to one pinned digest.
     digest = hashlib.sha256()
     for claim in sorted(CLAIMS):
         for a, b, n in itertools.product(range(1, 4), range(1, 5), range(2, 7)):
             for fmt in ("text", "json"):
-                for index in ((), ("--i", "1"), ("--all-i",)):
-                    argv = ["verify", claim, "--a", str(a), "--b", str(b), "--n", str(n),
-                            "--format", fmt, *index]
+                for index in ((), ("--i", "1")):
+                    argv = ["verify", "--claim", claim, "--a", str(a), "--b", str(b),
+                            "--n", str(n), "--format", fmt, *index]
                     code, out, err = _outcome(capsys, argv)
                     outcome = (argv, _json_timings_normalised(out), err, code)
                     digest.update(repr(outcome).encode())
     assert digest.hexdigest() == (
-        "482097754af6ca047e37b4ed55fd5e78a6c9d225f82d2a40612b7025ea6e0712")
+        "f92c7cfd29ea33223e7ea6dfef34445226b3b45e8c3a2970994cdc36a17e52f6")
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
