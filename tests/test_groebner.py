@@ -216,6 +216,18 @@ def test_s_pair_side_past_the_limit_raises():
         is_groebner_basis(GroebnerBasis.of([f1, f2], order))
 
 
+def test_s_pair_side_past_the_limit_raises_where_one_rule_joins_the_sides():
+    # the first kept pair's sides are x3^(LIMIT + 2) and x2^2*x3^2, and
+    # f3 rewrites the first to the second in one step
+    order = MatrixOrder(((EXPONENT_LIMIT + 1, 1, 1), (0, 1, 0), (0, 0, 1)))
+    f1 = Binomial((1, 1, 0), (0, 0, EXPONENT_LIMIT))
+    f2 = Binomial((1, 0, 2), (0, 1, 2))
+    f3 = Binomial((0, 0, EXPONENT_LIMIT), (0, 2, 0))
+    assert all(oriented(f, order) == f for f in (f1, f2, f3))
+    with pytest.raises(ExponentOverflowError):
+        is_groebner_basis(GroebnerBasis.of([f1, f2, f3], order))
+
+
 def test_trace_reports_pair_handling():
     lines: list[str] = []
     order = build_order_i((2, 1, 1), 3)
@@ -707,21 +719,30 @@ def test_index_checks_agree_with_the_all_pairs_loops():
     assert min(seen[True, True], seen[True, False], seen[False, False]) >= 100, seen
 
 
-def test_structured_checks_meet_two_pairs_per_column_triple(monkeypatch):
+def test_structured_checks_keep_two_pairs_per_column_triple(monkeypatch):
     # On a structured family of m chain columns, m = n - 1 open and n
     # closed, criteria M and F keep 2 * C(m, 3) pairs, the Eagon-Northcott
     # count of first syzygies; the all-pairs loop met 212 and 324 at
-    # (3,4,10), i = 5.  A sample of the certify box, every i.
-    met = []
-    real = groebner.meet
-    monkeypatch.setattr(groebner, "meet", lambda *args: met.append(args) or real(*args))
+    # (3,4,10), i = 5.  A kept pair that one rule joins is settled by a
+    # lookup; the rest reach meet, pinned as totals over a sample of the
+    # certify box, every i.
+    kept, met = [], []
+    real_kept, real_meet = groebner._kept_pairs, groebner.meet
+    monkeypatch.setattr(groebner, "_kept_pairs",
+                        lambda *args: kept.append(real_kept(*args)) or kept[-1])
+    monkeypatch.setattr(groebner, "meet", lambda *args: met.append(args) or real_meet(*args))
+    totals = Counter()
     box = list(itertools.product(range(1, 9), range(2, 7), range(7, 11)))
     for a, b, n in [(3, 4, 10), *random.Random(20214).sample(box, 8)]:
         for i in range(1, n + 1):
             for closed, m in ((False, n - 1), (True, n)):
+                kept.clear()
                 met.clear()
                 assert is_groebner_basis(structured_basis(InstanceParams(a, b, n), i, closed))
-                assert len(met) == 2 * comb(m, 3), (a, b, n, i, closed)
+                assert len(kept[0]) == 2 * comb(m, 3), (a, b, n, i, closed)
+                totals[closed] += len(kept[0])
+                totals[closed, "met"] += len(met)
+    assert totals == {False: 8008, (False, "met"): 563, True: 11974, (True, "met"): 1419}
 
 
 def test_raw_output_has_no_superseded_rule(monkeypatch):
