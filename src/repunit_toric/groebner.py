@@ -8,7 +8,7 @@ buchberger reads each input as its (plus, minus) pair of monomials, a
 Binomial unpacking as its two sides, and packs each once; tuples are
 unpacked only to orient a nonzero remainder, to build a heap key or trace
 text, to sort leads in reduce_gb and, once per basis, for its orientation
-pass, which reads the sides families.structured_basis hands over as they
+pass, which reads the sides families.oriented_basis hands over as they
 are; and binomials are built once, when a caller first reads a basis's
 elements.
 
@@ -67,7 +67,7 @@ skipped, and by which criterion, does not depend on it.
 
 The three basis checks read one GroebnerBasis and pass over zero rules;
 GroebnerBasis.of packs a list of binomials once for them, and
-families.structured_basis builds the structured families so.  A basis
+families.oriented_basis builds the structured families so.  A basis
 derives what they read once, on first read: its rules unpacked (sides),
 its first misoriented rule (unoriented) and one RuleIndex of its nonzero
 rules in rule order (index).  Every check of the basis reads the same
@@ -121,7 +121,7 @@ Sides = tuple[Monomial, Monomial]  # a binomial as its (plus, minus) monomials
 class GroebnerBasis:
     """Basis rules, as packed (lead, tail) words, and their order.
 
-    buchberger, reduce_gb and families.structured_basis give every rule
+    buchberger, reduce_gb and families.oriented_basis give every rule
     oriented; GroebnerBasis.of takes the plus sides as leads, and
     is_groebner_basis checks them.  What the basis checks read is derived
     once, on first read, and shared by every check of the basis: sides
@@ -129,7 +129,7 @@ class GroebnerBasis:
     first nonzero rule whose tail the order puts above its lead, or None,
     and index the nonzero rules in one RuleIndex, in rule order.  A maker
     that already holds one of them sets it in their stead: buchberger its
-    run index, structured_basis the sides its words unpack to.  elements
+    run index, oriented_basis the sides its minors were checked on.  elements
     lists the rules as binomials.
     """
 

@@ -3,10 +3,10 @@
 Small dense matrices only (the widest, toric_ideal's elimination, has
 n + 2 <= 12 columns up to n = 10 for a two-row grading, and n + 1 for a
 one-row grading, whose second t is a variable), so clarity wins over
-asymptotics: the kernel, determinant, rank and lattice comparison all read
-one xgcd row elimination, which ends in the canonical row-style Hermite
-form.  rank first peels every row with a single nonzero entry, together
-with that entry's column: such a row is the only pivot its column needs.
+asymptotics: the kernel, rank and lattice comparison all read one xgcd
+row elimination, which ends in the canonical row-style Hermite form.
+rank first peels every row with a single nonzero entry, together with
+that entry's column: such a row is the only pivot its column needs.
 Every order matrix the program builds is mostly such unit rows, so its
 rank check eliminates on one column, not n.
 """
@@ -54,19 +54,6 @@ def rank(rows: IntMatrix) -> int:
     return len(units) + _echelon(rest)[1]
 
 
-def det(rows: IntMatrix) -> int:
-    a, r, sign = _echelon(rows)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
-    if r < n:
-        return 0
-    d = sign
-    for i in range(n):
-        d *= a[i][i]
-    return d
-
-
 def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     """Basis of the integer kernel {u : rows @ u == 0}, in row Hermite form.
 
@@ -84,25 +71,22 @@ def kernel_basis(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row[m:]) for row in _echelon(aug)[0] if not any(row[:m]))
 
 
-def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
-    """Row Hermite form with its zero rows last, the rank, and the determinant sign.
+def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int]:
+    """Row Hermite form with its zero rows last, and the rank.
 
     Each xgcd step replaces two rows by a determinant-1 combination of them,
     [[x, y], [-a_ic/g, a_rc/g]] with x*a_rc + y*a_ic = g, which leaves
-    exactly zero in the lower row's pivot column, so one step a row does;
-    a row swap or a row negation flips the sign, and reducing the rows above
-    a pivot keeps it.  Pivots are positive and entries above each pivot lie
-    in [0, pivot).
+    exactly zero in the lower row's pivot column, so one step a row does.
+    Pivots are positive and entries above each pivot lie in [0, pivot).
     """
     a = [list(r) for r in rows]
     if not a:
-        return a, 0, 1
+        return a, 0
     n = len(a[0])
     if any(len(r) != n for r in a):
         raise ValueError("ragged matrix")
     m = len(a)
     r = 0
-    sign = 1
     for c in range(n):
         piv = None
         for i in range(r, m):
@@ -113,7 +97,6 @@ def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
             continue
         if piv != r:
             a[r], a[piv] = a[piv], a[r]
-            sign = -sign
         for i in range(r + 1, m):
             if a[i][c]:
                 g, x, y = xgcd(a[r][c], a[i][c])
@@ -122,7 +105,6 @@ def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
                 a[r], a[i] = pr, qr
         if a[r][c] < 0:
             a[r] = [-x for x in a[r]]
-            sign = -sign
         for i in range(r):
             q = a[i][c] // a[r][c]
             if q:
@@ -130,7 +112,7 @@ def _echelon(rows: IntMatrix) -> tuple[list[list[int]], int, int]:
         r += 1
         if r == m:
             break
-    return a, r, sign
+    return a, r
 
 
 def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
@@ -140,26 +122,5 @@ def row_hnf(rows: IntMatrix) -> tuple[tuple[int, ...], ...]:
     [0, pivot), zero rows are dropped; two row sets span the same lattice
     exactly when their forms are equal.
     """
-    a, r, _ = _echelon(rows)
+    a, r = _echelon(rows)
     return tuple(tuple(row) for row in a[:r])
-
-
-def maximal_minors(rows: IntMatrix) -> tuple[int, ...]:
-    """Determinants obtained by deleting one column of an m x (m+1) matrix.
-
-    Entry c is the minor that deletes column c (0-based).
-    """
-    m = len(rows)
-    if m == 0 or len(rows[0]) != m + 1:
-        raise ValueError("maximal_minors expects an m x (m+1) matrix")
-    out = []
-    for c in range(m + 1):
-        sub = [[row[j] for j in range(m + 1) if j != c] for row in rows]
-        out.append(det(sub))
-    return tuple(out)
-
-
-def dot(u: Sequence[int], v: Sequence[int]) -> int:
-    if len(u) != len(v):
-        raise ValueError("length mismatch")
-    return sum(a * b for a, b in zip(u, v))

@@ -6,10 +6,11 @@ import itertools
 import random
 from collections import Counter
 from math import comb, gcd
+from operator import mul
 
 import pytest
 
-from repunit_toric import families, intlinalg
+from repunit_toric import cli, families
 from repunit_toric.binomials import (
     Binomial,
     ExponentOverflowError,
@@ -45,7 +46,7 @@ from repunit_toric.groebner import (
     reduce_gb,
     saturate_torus,
 )
-from repunit_toric.intlinalg import dot, kernel_basis, rank, row_hnf
+from repunit_toric.intlinalg import kernel_basis, rank, row_hnf
 from repunit_toric.orders import MatrixOrder, build_order_i, five_variable_order
 from repunit_toric.semigroup import InstanceParams, gcd_of_generators, generators
 
@@ -315,57 +316,64 @@ def test_structured_orientation_is_leading():
 
 
 def test_projective_relation_matrix():
+    sympy = pytest.importorskip("sympy")
     mat = projective_relation_matrix(InstanceParams(1, 2, 4))
     assert mat == ((2, -1, -2, 1), (0, 2, -3, 1))
     with pytest.raises(ValueError):
         projective_relation_matrix(InstanceParams(1, 2, 3))
-    # rows span the full kernel of the two grading rows
+    # rows span the full kernel of the two grading rows; by sympy, with no
+    # intlinalg: both grading rows annihilate every row, and the trailing
+    # (n-2) x (n-2) block has determinant 1
     for b, n in [(2, 4), (3, 5), (4, 6)]:
         p = InstanceParams(1, b, n)
         mat = projective_relation_matrix(p)
         kernel = kernel_basis(projective_grading(p).rows)
         assert row_hnf(mat) == row_hnf(kernel)
+        rows = sympy.Matrix(mat)
+        assert sympy.Matrix(projective_grading(p).rows) * rows.T == sympy.zeros(2, n - 2)
+        assert rows[:, 2:].det() == 1
 
 
 def test_weight_relation_matrix():
+    sympy = pytest.importorskip("sympy")
     mat = weight_relation_matrix(InstanceParams(1, 2, 3))
     assert mat == ((2, -3, 1), (2, 2, -3))
     with pytest.raises(ValueError):
         weight_relation_matrix(InstanceParams(1, 2, 2))
-    # full weight kernel exactly in the coprime case
+    # full weight kernel exactly in the coprime case; by sympy, with no
+    # intlinalg: the weights annihilate every row, and the minor deleting
+    # column c is +-a_c, gcd > 1 included ((3, 2, 4) has gcd 3)
     for a, b, n in [(1, 2, 4), (2, 3, 5), (3, 2, 4), (5, 2, 4)]:
         p = InstanceParams(a, b, n)
         mat = weight_relation_matrix(p)
         w = generators(p)
-        assert all(dot(w, row) == 0 for row in mat)
         full = row_hnf(mat) == row_hnf(kernel_basis((w,)))
         assert full == (gcd_of_generators(p) == 1)
+        rows = sympy.Matrix(mat)
+        assert rows * sympy.Matrix(w) == sympy.zeros(n - 1, 1)
+        minors = [abs(rows[:, [j for j in range(n) if j != c]].det()) for c in range(n)]
+        assert minors == list(w)
 
 
-def test_relation_matrix_checks_catch_a_bad_row(monkeypatch):
-    # Each self-check of the two relation builders fails with its own
-    # message when the integer helper it relies on is made to disagree.
-    p = InstanceParams(2, 3, 5)
-    dot, det = intlinalg.dot, intlinalg.det
-    monkeypatch.setattr(intlinalg, "dot", lambda u, v: dot(u, v) + 1)
-    with pytest.raises(AssertionError,
-                       match=r"relation row \(3, -1, -3, 1, 0\) is not in the kernel"):
-        projective_relation_matrix(p)
-    with pytest.raises(AssertionError,
-                       match=r"relation row \(3, -4, 1, 0, 0\) is not weight homogeneous"):
-        weight_relation_matrix(p)
-    monkeypatch.setattr(intlinalg, "dot", dot)
-    monkeypatch.setattr(intlinalg, "det", lambda m: -det(m))
-    with pytest.raises(AssertionError,
-                       match="trailing block of the relation matrix must have det 1"):
-        projective_relation_matrix(p)
-    monkeypatch.setattr(intlinalg, "det", det)
-    monkeypatch.setattr(intlinalg, "maximal_minors", lambda m: [1])
-    with pytest.raises(AssertionError, match=r"maximal minors \{1\} do not reproduce"):
-        weight_relation_matrix(p)
-    monkeypatch.undo()
-    projective_relation_matrix(p)
-    weight_relation_matrix(p)
+def test_relation_matrix_checks_catch_a_bad_row(monkeypatch, capsys):
+    # every relation row doubled spans 2L, not the kernel lattice L: each
+    # claim's relation-matrix sub-check fails and its other sub-checks are
+    # still reported, a failed check (exit 1), not an internal error (exit 3)
+    real = families.sub
+    for claim in ("cor-gb1", "cor-gb2"):
+        argv = ["verify", "--claim", claim, "--a", "1", "--b", "3", "--n", "5"]
+        assert cli.main(argv) == 0
+        clean = capsys.readouterr().out.splitlines()
+        monkeypatch.setattr(families, "sub", lambda x, y: 2 * real(x, y))
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        lines = out.splitlines()
+        assert lines[1].startswith(f"  [fail] {claim}: relation-matrix: ")
+        assert lines[-1] == "overall: fail"
+        assert [line.split(": ")[1] for line in lines[1:-1]] == [
+            line.split(": ")[1] for line in clean[1:-1]]
+        monkeypatch.undo()
 
 
 def test_toric_ideal_route_matches_minors():
@@ -678,7 +686,7 @@ def test_toric_ideal_membership_oracle():
         assert grading.degree(g.plus) == grading.degree(g.minus)
     by_weight: dict[int, list[tuple[int, ...]]] = {}
     for e in itertools.product(range(4), repeat=4):
-        by_weight.setdefault(dot(w, e), []).append(e)
+        by_weight.setdefault(sum(map(mul, w, e)), []).append(e)
     checked = 0
     for monos in by_weight.values():
         for u, v in itertools.combinations(monos, 2):
