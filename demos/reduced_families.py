@@ -7,18 +7,8 @@ and the n-1 rewrites of pure powers of the cheap variable.
 """
 
 from repunit_toric.binomials import format_binomial
-from repunit_toric.groebner import (
-    GroebnerBasis,
-    groebner_reduced,
-    is_groebner_basis,
-    is_reduced_basis,
-)
-from repunit_toric.families import (
-    minors_open_chain,
-    structured_closed_family,
-    structured_family,
-    structured_open_family,
-)
+from repunit_toric.groebner import groebner_reduced, is_groebner_basis, is_reduced_basis
+from repunit_toric.families import minors_open_chain, structured_basis, structured_family
 from repunit_toric.orders import build_order_i, five_variable_order
 from repunit_toric.semigroup import InstanceParams, generators
 
@@ -36,12 +26,12 @@ def main() -> None:
         for g in elems:
             print(f"    {format_binomial(g)}")
 
-    closed = GroebnerBasis.of(structured_closed_family(p, i), order)
+    closed = structured_basis(p, i, True)
     print(f"closed family: Groebner={is_groebner_basis(closed)}",
           f"reduced={is_reduced_basis(closed)}")
 
-    opened = structured_open_family(p, i)
-    basis = GroebnerBasis.of(opened, order)
+    basis = structured_basis(p, i, False)
+    opened = basis.elements
     print(f"open subfamily: Groebner={is_groebner_basis(basis)}",
           f"reduced={is_reduced_basis(basis)}")
 

@@ -49,10 +49,10 @@ from .verify import CLAIMS, FAIL, PASS, REFUSED, VerificationReport, claim_spec,
 VERDICT_CODES = {PASS: 0, FAIL: 1, REFUSED: 2}
 
 # --source name -> (closed or open chain minors, or None for the toric ideal;
-# True for the weight grading, False for the repunit and ones rows)
+# the toric ideal's grading: True weights, False repunit and ones rows)
 SOURCES = {
-    "minors-x": (True, True),
-    "minors-y": (False, False),
+    "minors-x": (True, None),
+    "minors-y": (False, None),
     "toric-i": (None, True),
     "toric-j": (None, False),
 }

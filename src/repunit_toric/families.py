@@ -5,17 +5,17 @@ the repunit row (r_b(0), ..., r_b(n-1)) over the all-ones row.  The minor
 families, the structured families and the rows of the kernel-lattice
 matrices all come from 2 x 2 minors of the paper's one 2 x n monomial
 matrix, chain_matrix, whose first n - 1 columns are the open chain.  Each
-column the chain uses is packed once, and one helper, _minor, forms every
-chain minor as two additions of those words.  The loop that forms a
+column the chain uses is packed once, and one helper, _minor, forms the
+packed words of every chain minor by two additions.  The loop that forms a
 family's minors checks it, on their unpacked sides, and each minor is
 returned as a Binomial or, by minor_words, as the words _minor formed with
 the degree its homogeneity check computed, the fiber oracle's input.  The
 structured families are that checked list, each minor led by the side of
 its column ranked higher cyclically from column i; structured_basis hands
 their words to the GroebnerBasis that groebner's basis checks read.
-The relation rows and lemma3's sides come from the same helper on the
-columns as exponent vectors, exact for every a and b.  The relation rows
-are small integer bases whose saturations recover the toric ideals.  The toric ideal
+The relation rows, small integer bases whose saturations recover the toric
+ideals, are exponent vectors of minors, each e_j - e_k from the column
+differences e_t = top_t - bot_t, exact for every a and b.  The toric ideal
 itself comes from one elimination Buchberger run under the requested order,
 independent of those saturations, so the two routes cross-check each other.
 A one-row grading w is split into two t's: with m = min(w) and
@@ -88,21 +88,6 @@ def chain_matrix(params: InstanceParams) -> tuple[tuple[Monomial, Monomial], ...
     return tuple(cols)
 
 
-class _Exponents(tuple):
-    """An exponent vector whose + adds entry by entry, as + on packed words adds field by field."""
-
-    __slots__ = ()
-
-    def __add__(self, other: tuple) -> "_Exponents":
-        return _Exponents(map(add, self, other))
-
-
-def _column_vectors(params: InstanceParams) -> tuple[list, list]:
-    # chain_matrix's tops and bottoms as exponent vectors, exact for every a and b
-    cols = chain_matrix(params)
-    return [_Exponents(top) for top, _ in cols], [_Exponents(bot) for _, bot in cols]
-
-
 def _column_words(params: InstanceParams, closed: bool) -> tuple[list, list]:
     """The tops and bottoms of the columns the chain uses, each packed once, for _minor.
 
@@ -121,7 +106,7 @@ def _column_words(params: InstanceParams, closed: bool) -> tuple[list, list]:
 
 def _minor(tops: list, bots: list, j: int, k: int) -> tuple:
     # the minor on columns j < k, top_j * bot_k - bot_j * top_k: every chain
-    # minor is formed here, as two additions of column words or vectors
+    # minor's words are formed here, as two additions of _column_words' words
     return tops[j - 1] + bots[k - 1], bots[j - 1] + tops[k - 1]
 
 
@@ -237,16 +222,6 @@ def _oriented(params: InstanceParams, fam: list[tuple], i: int) -> list[tuple]:
     return sorted(out, key=itemgetter(0))
 
 
-def structured_open_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
-    """Parts 1+2+3: the open-chain minors oriented for the x_i-cheap order."""
-    return structured_basis(params, i, False).elements
-
-
-def structured_closed_family(params: InstanceParams, i: int) -> tuple[Binomial, ...]:
-    """Parts 1+2+3+4: all closed-chain minors oriented for the x_i-cheap order."""
-    return structured_basis(params, i, True).elements
-
-
 def structured_basis(params: InstanceParams, i: int, closed: bool) -> GroebnerBasis:
     """The closed or open structured family as rules under build_order_i(weights, i).
 
@@ -268,11 +243,16 @@ def oriented_basis(params: InstanceParams, fam: list[tuple], i: int) -> Groebner
     return basis
 
 
+def _column_differences(params: InstanceParams) -> list[tuple[int, ...]]:
+    # e_t = top_t - bot_t for column t of chain_matrix; the minor on j < k is e_j - e_k
+    return [tuple(map(sub, top, bot)) for top, bot in chain_matrix(params)]
+
+
 def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:
     """(n-2) x n sliding-window relations for the two-row grading; n >= 4.
 
-    The rows are the exponent vectors of the minors on columns (t, t+2),
-    t = 1..n-3, which slide (b, -1, -b, 1), then on (n-2, n-1), which is
+    The rows are the minors' exponent vectors e_j - e_k, exact for every a
+    and b: (t, t+2), t = 1..n-3, slides (b, -1, -b, 1), and (n-2, n-1) is
     (b, -(b+1), 1).  They annihilate the grading columns, and the last n-2
     columns form a determinant-one block, so the rows are a basis of the
     full kernel lattice.  cor-gb1's relation-matrix sub-check compares
@@ -281,17 +261,17 @@ def projective_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...],
     n = params.n
     if n < 4:
         raise ValueError(f"the sliding-window pattern needs n >= 4, got {n}")
-    tops, bots = _column_vectors(params)
+    e = _column_differences(params)
     pairs = [(t, t + 2) for t in range(1, n - 2)] + [(n - 2, n - 1)]
-    return tuple(tuple(map(sub, *_minor(tops, bots, j, k))) for j, k in pairs)
+    return tuple(tuple(map(sub, e[j - 1], e[k - 1])) for j, k in pairs)
 
 
 def weight_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...]:
     """(n-1) x n relations for the weight grading; n >= 3.
 
-    The rows are the exponent vectors of the adjacent minors on columns
-    (t, t+1), t = 1..n-1: rows 1..n-2 slide (b, -(b+1), 1), and the last
-    row has a+1 in column 1 and (b, -(b+1)) in the last two columns.
+    The rows are the minors' exponent vectors e_t - e_(t+1), exact for
+    every a and b: (t, t+1), t = 1..n-2, slides (b, -(b+1), 1), and
+    (n-1, n) has a+1 in column 1 and (b, -(b+1)) in the last two columns.
     Maximal minors reproduce the semigroup generators up to sign, so the
     row span sits inside the weight kernel with index gcd(a_1, ..., a_n);
     it is the full kernel lattice exactly when the generators are coprime.
@@ -302,8 +282,8 @@ def weight_relation_matrix(params: InstanceParams) -> tuple[tuple[int, ...], ...
     n = params.n
     if n < 3:
         raise ValueError(f"the relation pattern needs n >= 3, got {n}")
-    tops, bots = _column_vectors(params)
-    return tuple(tuple(map(sub, *_minor(tops, bots, t, t + 1))) for t in range(1, n))
+    e = _column_differences(params)
+    return tuple(tuple(map(sub, e[t - 1], e[t])) for t in range(1, n))
 
 
 def toric_basis(

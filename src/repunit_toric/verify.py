@@ -13,12 +13,12 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from math import comb, gcd
+from operator import add
 from typing import Callable
 
 from .binomials import Binomial
 from .families import (
-    _column_vectors,
-    _minor,
+    chain_matrix,
     chain_minors,
     minors_closed_chain,
     minors_open_chain,
@@ -188,8 +188,11 @@ def verify_homogeneity_identity(check: _Checks, params: InstanceParams) -> None:
 
 
 def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None:
-    """lemma3: the index predicate picks the smaller minor side for every i."""
-    n, (tops, bots) = params.n, _column_vectors(params)
+    """lemma3: the index predicate picks the smaller minor side for every i.
+
+    Each side is a sum of chain_matrix columns, exact for every a and b.
+    """
+    n, (tops, bots) = params.n, zip(*chain_matrix(params))
     weights = generators(params)
 
     def classifier() -> tuple[bool, str]:
@@ -199,7 +202,8 @@ def verify_minor_side_classifier(check: _Checks, params: InstanceParams) -> None
             order = build_order_i(weights, i)
             for j in range(1, n - 1):
                 for k in range(j + 1, n):
-                    u, v = _minor(tops, bots, j, k)  # u is top_j * bot_k = x_j^b * x_(k+1)
+                    u = tuple(map(add, tops[j - 1], bots[k - 1]))  # x_j^b * x_(k+1)
+                    v = tuple(map(add, bots[j - 1], tops[k - 1]))
                     count += 1
                     if minor_side_predicate(n, i, j, k) != (order.compare(u, v) < 0):
                         bad.append((i, j, k))

@@ -18,8 +18,7 @@ from repunit_toric.families import (
     projective_grading,
     projective_relation_matrix,
     scalar_grading,
-    structured_closed_family,
-    structured_open_family,
+    structured_basis,
     toric_ideal,
 )
 from repunit_toric.fibers import (
@@ -103,7 +102,7 @@ def test_criterion_01_open_family_is_the_reduced_basis():
         expected = comb(n - 1, 2)
         for i in range(1, n + 1):
             order = order_for(a, b, n, i)
-            fam = structured_open_family(params(a, b, n), i)
+            fam = structured_basis(params(a, b, n), i, False).elements
             assert len(fam) == len(set(fam)) == expected, (a, b, n, i)
             assert is_groebner_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
             assert is_reduced_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
@@ -120,7 +119,7 @@ def test_criterion_02_closed_family_is_a_minimal_basis():
         expected = comb(n, 2)
         for i in range(1, n + 1):
             order = order_for(a, b, n, i)
-            fam = structured_closed_family(params(a, b, n), i)
+            fam = structured_basis(params(a, b, n), i, True).elements
             assert len(fam) == len(set(fam)) == expected, (a, b, n, i)
             assert is_groebner_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
             assert is_minimal_basis(GroebnerBasis.of(fam, order)), (a, b, n, i)
@@ -152,8 +151,7 @@ def test_criterion_04_toric_equality_and_uniqueness_equivalence():
         oracle = has_unique_minimal_system(list(gb.elements), scalar_grading(params(a, b, n)))
         predicate = a < b - 1
         families_reduced = all(
-            is_reduced_basis(GroebnerBasis.of(structured_closed_family(params(a, b, n), i),
-                                              order_for(a, b, n, i)))
+            is_reduced_basis(structured_basis(params(a, b, n), i, True))
             for i in range(1, n + 1)
         )
         assert oracle == predicate == families_reduced, (a, b, n)
@@ -184,7 +182,7 @@ def test_criterion_06_five_variable_growth():
         red = groebner_reduced(open_minors(a, 5, 5), order)
         assert is_groebner_basis(red)
         sizes.append(len(red.elements))
-        assert len(structured_open_family(p, 1)) == comb(4, 2) == 6
+        assert len(structured_basis(p, 1, False)) == comb(4, 2) == 6
     assert sizes == [8, 8, 8]
     emit(6, True, "tailor-made order needs 8 elements, above the uniform 6")
 

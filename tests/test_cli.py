@@ -14,10 +14,9 @@ from pathlib import Path
 import pytest
 
 from repunit_toric import cli, families, fibers, groebner, verify
-from repunit_toric.binomials import Binomial, pack
+from repunit_toric.binomials import Binomial
 from repunit_toric.cli import main
-from repunit_toric.orders import build_order_i
-from repunit_toric.semigroup import InstanceParams, generators
+from repunit_toric.semigroup import InstanceParams
 from repunit_toric.verify import CLAIMS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -145,17 +144,14 @@ def test_groebner_header_is_checked_on_the_printed_basis(capsys, monkeypatch):
     # The structured closed family at (3,3,4), i = 2 is minimal but not
     # reduced (example-a3b3); printed as the basis, the header says so and
     # the command fails.
-    p = InstanceParams(3, 3, 4)
-    order = build_order_i(generators(p), 2)
-    fam = families.structured_closed_family(p, 2)
-    basis = groebner.GroebnerBasis(tuple((pack(g.plus), pack(g.minus)) for g in fam), order)
+    basis = families.structured_basis(InstanceParams(3, 3, 4), 2, True)
     monkeypatch.setattr(cli, "groebner_reduced", lambda gens, order, trace: basis)
     argv = ("groebner", "--source", "minors-x", "--a", "3", "--b", "3", "--n", "4",
             "--order", "prec-2")
     code, out, _ = run(capsys, *argv)
     assert code == 1
     assert out.splitlines()[0] == (
-        f"source=minors-x order=prec-2 elements={len(fam)} minimal=yes reduced=no")
+        f"source=minors-x order=prec-2 elements={len(basis)} minimal=yes reduced=no")
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 1
     data = json.loads(out)

@@ -6,7 +6,7 @@ import itertools
 import random
 from collections import Counter
 from math import comb, gcd
-from operator import mul
+from operator import mul, sub
 
 import pytest
 
@@ -20,6 +20,7 @@ from repunit_toric.binomials import (
     unpack,
 )
 from repunit_toric.families import (
+    chain_minors,
     minor_words,
     minors_closed_chain,
     minors_open_chain,
@@ -27,9 +28,7 @@ from repunit_toric.families import (
     projective_relation_matrix,
     scalar_grading,
     structured_basis,
-    structured_closed_family,
     structured_family,
-    structured_open_family,
     toric_basis,
     toric_ideal,
     weight_relation_matrix,
@@ -239,8 +238,8 @@ def test_structured_parts_partition_the_minors():
                 (i - 1) * (n - i),
                 n - 1,
             ]
-            assert {g.canonical() for g in structured_open_family(p, i)} == open_set
-            assert {g.canonical() for g in structured_closed_family(p, i)} == closed_set
+            assert {g.canonical() for g in structured_basis(p, i, False).elements} == open_set
+            assert {g.canonical() for g in structured_basis(p, i, True).elements} == closed_set
             flat = [g for part in parts for g in part]
             assert len(set(flat)) == len(flat)
 
@@ -261,9 +260,8 @@ def test_minor_builders_past_the_exponent_limit_raise_as_a_binomial_would():
         for closed, exponent in ((True, closed_raises), (False, open_raises)):
             family = minors_closed_chain if closed else minors_open_chain
             whole = [family, functools.partial(minor_words, closed=closed)]
-            whole += [functools.partial(build, i=i) for i in range(1, n + 1) for build in (
-                structured_closed_family if closed else structured_open_family,
-                functools.partial(structured_basis, closed=closed))]
+            whole += [functools.partial(structured_basis, i=i, closed=closed)
+                      for i in range(1, n + 1)]
             parts = [functools.partial(structured_family, i=i, part=part)
                      for i in range(1, n + 1) for part in ((4,) if closed else (1, 2, 3))]
             if exponent is not None:
@@ -292,17 +290,17 @@ def test_structured_part4_frozen():
 
 def test_structured_basis_keeps_the_sides_it_packs():
     # the (lead, tail) sides the rules are packed from are the basis's
-    # sides, equal to its rules unpacked, on the acceptance grid, every i,
-    # both chains
+    # sides, equal to its rules unpacked and to the structured parts in
+    # turn, 1..3 open and 1..4 closed, on the acceptance grid, every i
     for a, b, n in itertools.product(range(1, 6), range(2, 6), range(4, 8)):
         p = InstanceParams(a, b, n)
         for i in range(1, n + 1):
-            for closed, family in ((False, structured_open_family),
-                                   (True, structured_closed_family)):
+            for closed, parts in ((False, (1, 2, 3)), (True, (1, 2, 3, 4))):
                 basis = structured_basis(p, i, closed)
                 sides = vars(basis)["sides"]  # handed over, not unpacked on read
                 assert sides == tuple((unpack(x, n), unpack(y, n)) for x, y in basis.rules)
-                assert sides == tuple((g.plus, g.minus) for g in family(p, i))
+                assert sides == tuple((g.plus, g.minus) for part in parts
+                                      for g in structured_family(p, i, part))
 
 
 def test_structured_orientation_is_leading():
@@ -311,7 +309,7 @@ def test_structured_orientation_is_leading():
         w = generators(p)
         for i in range(1, n + 1):
             order = build_order_i(w, i)
-            for g in structured_closed_family(p, i):
+            for g in structured_basis(p, i, True).elements:
                 assert order.compare(g.plus, g.minus) > 0
 
 
@@ -323,10 +321,14 @@ def test_projective_relation_matrix():
         projective_relation_matrix(InstanceParams(1, 2, 3))
     # rows span the full kernel of the two grading rows; by sympy, with no
     # intlinalg: both grading rows annihilate every row, and the trailing
-    # (n-2) x (n-2) block has determinant 1
-    for b, n in [(2, 4), (3, 5), (4, 6)]:
+    # (n-2) x (n-2) block has determinant 1.  Each row is u - v of the
+    # checked open-chain minor on its columns, (t, t+2) then (n-2, n-1).
+    for b, n in [(1, 5), (2, 4), (3, 5), (4, 6)]:
         p = InstanceParams(1, b, n)
         mat = projective_relation_matrix(p)
+        minors = dict(zip(itertools.combinations(range(1, n), 2), chain_minors(p, False)))
+        pairs = [(t, t + 2) for t in range(1, n - 2)] + [(n - 2, n - 1)]
+        assert mat == tuple(tuple(map(sub, *minors[j, k][1:3])) for j, k in pairs)
         kernel = kernel_basis(projective_grading(p).rows)
         assert row_hnf(mat) == row_hnf(kernel)
         rows = sympy.Matrix(mat)
@@ -342,10 +344,15 @@ def test_weight_relation_matrix():
         weight_relation_matrix(InstanceParams(1, 2, 2))
     # full weight kernel exactly in the coprime case; by sympy, with no
     # intlinalg: the weights annihilate every row, and the minor deleting
-    # column c is +-a_c, gcd > 1 included ((3, 2, 4) has gcd 3)
-    for a, b, n in [(1, 2, 4), (2, 3, 5), (3, 2, 4), (5, 2, 4)]:
+    # column c is +-a_c, gcd > 1 included ((3, 2, 4) has gcd 3).  Each row
+    # is u - v of the checked closed-chain minor on (t, t+1), the last one
+    # the closing minor on (n-1, n).
+    for a, b, n in [(2, 1, 5), (1, 2, 4), (2, 3, 5), (3, 2, 4), (5, 2, 4)]:
         p = InstanceParams(a, b, n)
         mat = weight_relation_matrix(p)
+        pairs = [*itertools.combinations(range(1, n), 2), *((j, n) for j in range(1, n))]
+        minors = dict(zip(pairs, chain_minors(p, True)))
+        assert mat == tuple(tuple(map(sub, *minors[t, t + 1][1:3])) for t in range(1, n))
         w = generators(p)
         full = row_hnf(mat) == row_hnf(kernel_basis((w,)))
         assert full == (gcd_of_generators(p) == 1)
@@ -355,10 +362,30 @@ def test_weight_relation_matrix():
         assert minors == list(w)
 
 
+def test_relation_matrices_past_the_exponent_limit_are_exact():
+    # the rows are differences of chain_matrix columns as integer vectors,
+    # never packed: at b = 2^31, where the chain's minor builders raise,
+    # both matrices are exact
+    p = InstanceParams(3 * 10**9, 2**31, 5)
+    with pytest.raises(ExponentOverflowError):
+        chain_minors(p, True)
+    assert projective_relation_matrix(p) == (
+        (2147483648, -1, -2147483648, 1, 0),
+        (0, 2147483648, -1, -2147483648, 1),
+        (0, 0, 2147483648, -2147483649, 1))
+    assert weight_relation_matrix(p) == (
+        (2147483648, -2147483649, 1, 0, 0),
+        (0, 2147483648, -2147483649, 1, 0),
+        (0, 0, 2147483648, -2147483649, 1),
+        (3000000001, 0, 0, 2147483648, -2147483649))
+
+
 def test_relation_matrix_checks_catch_a_bad_row(monkeypatch, capsys):
-    # every relation row doubled spans 2L, not the kernel lattice L: each
-    # claim's relation-matrix sub-check fails and its other sub-checks are
-    # still reported, a failed check (exit 1), not an internal error (exit 3)
+    # sub doubled acts in both column differences and in their difference,
+    # so every relation row is 4 times itself and the rows span 4L, not the
+    # kernel lattice L: each claim's relation-matrix sub-check fails and its
+    # other sub-checks are still reported, a failed check (exit 1), not an
+    # internal error (exit 3)
     real = families.sub
     for claim in ("cor-gb1", "cor-gb2"):
         argv = ["verify", "--claim", claim, "--a", "1", "--b", "3", "--n", "5"]

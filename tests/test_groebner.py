@@ -33,8 +33,6 @@ from repunit_toric.families import (
     projective_grading,
     scalar_grading,
     structured_basis,
-    structured_closed_family,
-    structured_open_family,
     toric_ideal,
 )
 from repunit_toric.fibers import prune_redundant_generators
@@ -144,12 +142,11 @@ def test_reduced_basis_ignores_generator_shuffles():
 
 def test_structured_family_flags():
     params = InstanceParams(3, 3, 4)
-    order = build_order_i(generators(params), 2)
-    closed = GroebnerBasis.of(structured_closed_family(params, 2), order)
+    closed = structured_basis(params, 2, True)
     assert is_groebner_basis(closed)
     assert is_minimal_basis(closed)
     assert not is_reduced_basis(closed)
-    opened = GroebnerBasis.of(structured_open_family(params, 2), order)
+    opened = structured_basis(params, 2, False)
     assert is_groebner_basis(opened)
     assert is_reduced_basis(opened)
 
