@@ -195,7 +195,8 @@ def structured_family(params: InstanceParams, i: int, part: int) -> tuple[Binomi
     chain_matrix: part 1 pairs the columns i..n-1, part 2 the columns
     1..i-1, part 3 one of each, part 4 each column with column n.  Sizes:
     C(n-i, 2), C(i-1, 2), (i-1)(n-i) and n-1, in the chain's order, each
-    minor led by its leading term under that order.
+    minor led by its leading term under that order.  No src code calls it:
+    demos/reduced_families.py and the tests do.
     """
     if part not in (1, 2, 3, 4):
         raise ValueError(f"part must be 1..4, got {part}")

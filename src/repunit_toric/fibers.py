@@ -293,7 +293,11 @@ def unique_minimal_system(splits: Mapping[tuple[int, ...], DegreeSplit]) -> bool
 
 
 def has_unique_minimal_system(gens: Sequence[Binomial], grading: Grading) -> bool:
-    """True when the ideal of gens has a unique minimal binomial system."""
+    """True when the ideal of gens has a unique minimal binomial system.
+
+    No src code calls it: perfbench/make_key.py, the README's Library
+    snippet and demos/uniqueness_frontier.py do.
+    """
     return unique_minimal_system(betti_splits(gens, grading))
 
 

@@ -154,7 +154,7 @@ def _lattice_route(check: _Checks, label: str, detail: str, rel, grading, minors
 
     def saturation_route() -> tuple[bool, str]:
         ref = minors_gb()
-        sat = saturate_torus([Binomial.from_vector(r).canonical() for r in rel], grading)
+        sat = saturate_torus([Binomial.from_vector(r) for r in rel], grading)
         return groebner_reduced(sat, ref.order).rules == ref.rules, detail
 
     check(label, saturation_route)

@@ -31,9 +31,11 @@ from repunit_toric.families import (
     minors_closed_chain,
     minors_open_chain,
     projective_grading,
+    projective_relation_matrix,
     scalar_grading,
     structured_basis,
     toric_ideal,
+    weight_relation_matrix,
 )
 from repunit_toric.fibers import prune_redundant_generators
 from repunit_toric.groebner import (
@@ -46,8 +48,8 @@ from repunit_toric.groebner import (
     is_reduced_basis,
     reduce_gb,
     saturate_torus,
-    saturate_variable,
 )
+from repunit_toric.intlinalg import kernel_basis
 from repunit_toric.orders import MatrixOrder, build_order_i
 from repunit_toric.semigroup import InstanceParams, generators
 
@@ -116,7 +118,7 @@ def test_variable_count_mismatch_raises_at_every_entry_point(gens):
         lambda: groebner_reduced(gens, order),
         lambda: ideal_equal(gens, gens, order),
         lambda: prune_redundant_generators(gens, order),
-        lambda: saturate_variable(gens, 1, Grading.scalar((1, 2, 3, 4))),
+        lambda: saturate_torus(gens, Grading.scalar((1, 2, 3, 4))),
         lambda: GroebnerBasis.of(gens, order),
     ]
     for call in entry_points:
@@ -183,13 +185,67 @@ def test_groebner_preserves_homogeneity():
                 assert proj.degree(g.plus) == proj.degree(g.minus)
 
 
-def test_saturate_variable_strips_cofactor():
+def test_saturate_torus_strips_cofactor():
     grading = Grading.scalar((1, 1, 1))
     gens = [Binomial((1, 1, 0), (1, 0, 1))]  # x1*(x2 - x3)
-    sat = saturate_variable(gens, 1, grading)
-    assert sat == [Binomial((0, 1, 0), (0, 0, 1))]
-    with pytest.raises(ValueError):
-        saturate_variable(gens, 4, grading)
+    assert saturate_torus(gens, grading) == [Binomial((0, 1, 0), (0, 0, 1))]
+
+
+def _saturate_per_variable(gens, grading):
+    # reference: x_n down to x_1, a reduced basis under the x_i-cheap order,
+    # then each element stripped of its common x_i power alone
+    row = grading.positive_row()
+    for i in range(grading.nvars, 0, -1):
+        stripped = []
+        for u, v in groebner_reduced(gens, build_order_i(row, i)).sides:
+            c = min(u[i - 1], v[i - 1])
+            cut = tuple(c if k == i - 1 else 0 for k in range(len(u)))
+            stripped.append(Binomial(tuple(map(operator.sub, u, cut)),
+                                     tuple(map(operator.sub, v, cut))))
+        gens = stripped
+    return gens
+
+
+def _random_graded_ideal(rng):
+    # kernel binomials of a 1-3-row grading with negative entries, each
+    # times a common 0/1 cofactor; one coefficient per kernel vector keeps
+    # every generator homogeneous
+    n = rng.randint(3, 6)
+    rows = [tuple(rng.randint(1, 4) for _ in range(n))]
+    for _ in range(rng.randint(0, min(2, n - 2))):
+        rows.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+    grading = Grading(rows)
+    kernel = kernel_basis(grading.rows)
+    gens, count = [], rng.randint(1, 3)
+    while len(gens) < count:
+        u = [0] * n
+        for k in kernel:
+            c = rng.randint(-2, 2)
+            u = [e + c * f for e, f in zip(u, k)]
+        if any(u):
+            g = Binomial.from_vector(u)
+            cofactor = [rng.randint(0, 1) for _ in range(n)]
+            gens.append(Binomial(tuple(map(operator.add, g.plus, cofactor)),
+                                 tuple(map(operator.add, g.minus, cofactor))))
+    return gens, grading
+
+
+def test_saturate_torus_matches_the_per_variable_reference():
+    rng = random.Random(57)
+    cases = [_random_graded_ideal(rng) for _ in range(150)]
+    for a in range(1, 5):  # gcd 2, 3 and 4 weight kernels among them
+        for b in range(2, 5):
+            for n in (4, 5, 6):
+                p = InstanceParams(a, b, n)
+                cases.append(([Binomial.from_vector(r) for r in weight_relation_matrix(p)],
+                              scalar_grading(p)))
+                if a == 1:
+                    cases.append(([Binomial.from_vector(r) for r in projective_relation_matrix(p)],
+                                  projective_grading(p)))
+    for gens, grading in cases:
+        order = build_order_i(grading.positive_row(), 1)
+        assert (groebner_reduced(saturate_torus(gens, grading), order).rules
+                == groebner_reduced(_saturate_per_variable(gens, grading), order).rules), gens
 
 
 def test_saturate_torus_fixes_saturated_ideal():

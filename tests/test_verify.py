@@ -10,7 +10,7 @@ from repunit_toric.binomials import Binomial
 from repunit_toric.families import toric_ideal
 from repunit_toric.fibers import betti_splits
 from repunit_toric.cli import exit_code, main, render_text, report_to_dict
-from repunit_toric.semigroup import InstanceParams
+from repunit_toric.semigroup import InstanceParams, generators
 from repunit_toric.verify import (
     CLAIMS,
     FAIL,
@@ -172,6 +172,55 @@ def test_a_zero_rule_fails_the_orientation_gate_before_the_s_pairs(monkeypatch):
         (report,) = run_claim(claim, InstanceParams(2, 3, 5), 3)
         assert [(c.status, c.detail) for c in report.claims] == [
             (FAIL, "orientation: plus side of every element is its leading term")]
+
+
+def _sub_checks(capsys, *argv):
+    """Exit code and (label, status) of each sub-check of one verify run."""
+    code = main(["verify", "--claim", *argv, "--format", "json"])
+    (report,) = json.loads(capsys.readouterr().out)
+    return code, [(c["detail"].split(":")[0], c["status"]) for c in report["claims"]]
+
+
+def test_engine_equality_compares_rules_not_sizes(monkeypatch, capsys):
+    # the engine's reduced basis with its last rule's sides swapped keeps
+    # the family's size: engine-equality alone fails
+    real = verify.groebner_reduced
+
+    def swapped(gens, order):
+        gb = real(gens, order)
+        *rest, (p, q) = gb.rules
+        return groebner.GroebnerBasis((*rest, (q, p)), gb.order)
+
+    monkeypatch.setattr(verify, "groebner_reduced", swapped)
+    assert _sub_checks(capsys, "prop-gb1", "--a", "1", "--b", "3", "--n", "5", "--i", "2") == (
+        1, [("orientation", "pass"), ("groebner", "pass"), ("reduced", "pass"),
+            ("engine-equality", "fail")])
+
+
+def test_coverage_compares_minors_not_sizes(monkeypatch, capsys):
+    # the engine's reduced basis of the closed minors at (3,3,4), i = 2, is
+    # oriented, Groebner and minimal and has the family's size, but holds a
+    # binomial that is no minor: coverage alone fails
+    def engine_basis(params, fam, i):
+        order = orders.build_order_i(generators(params), i)
+        gb = groebner.groebner_reduced([(u, v) for _, u, v, _, _ in fam], order)
+        assert len(gb) == len(fam)
+        return gb
+
+    monkeypatch.setattr(verify, "oriented_basis", engine_basis)
+    assert _sub_checks(capsys, "thm-gb2", "--a", "3", "--b", "3", "--n", "4", "--i", "2") == (
+        1, [("orientation", "pass"), ("groebner", "pass"), ("minimal", "pass"),
+            ("coverage", "fail")])
+
+
+def test_uniqueness_equivalence_reads_the_all_i_leg(monkeypatch, capsys):
+    # at (1,3,5) the oracle and a < b - 1 agree; a structured family that
+    # is not reduced at some i fails uniqueness-equivalence alone
+    monkeypatch.setattr(verify, "is_reduced_basis", lambda basis: False)
+    assert _sub_checks(capsys, "cor-gb2", "--a", "1", "--b", "3", "--n", "5") == (
+        1, [("relation-matrix", "pass"), ("lattice-route", "pass"),
+            ("toric-equals-minors", "pass"), ("minimal-generation", "pass"),
+            ("uniqueness-equivalence", "fail")])
 
 
 def test_n4_minors_walks_the_fibers_once(monkeypatch):
